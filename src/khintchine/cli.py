@@ -54,7 +54,6 @@ SCHEMA_VERSION = 1
 class RunConfig:
     suite: str = "all"
     p_boxes: int = 16
-    depth: int = 40
     target_width: float | None = None
     terms: int = 200
     seed: int = 20240801
@@ -66,8 +65,6 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.p_boxes < 1:
             raise ValueError("p_boxes must be >= 1")
-        if self.depth < 10:
-            raise ValueError("depth must be >= 10")
         if self.target_width is not None and self.target_width <= 0:
             raise ValueError("target width must be positive")
         if self.format not in ("text", "json"):
@@ -265,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigorously verify the optimal-upper-Khintchine-constant "
         "inequalities (2 < p < 3).",
         epilog="Environment overrides: KHINTCHINE_SUITE, KHINTCHINE_P_BOXES, "
-        "KHINTCHINE_DEPTH, KHINTCHINE_WIDTH, KHINTCHINE_TERMS, KHINTCHINE_SEED, "
-        "KHINTCHINE_OUT, KHINTCHINE_FORMAT (flags win over the environment).",
+        "KHINTCHINE_WIDTH, KHINTCHINE_TERMS, KHINTCHINE_SEED, KHINTCHINE_OUT, "
+        "KHINTCHINE_FORMAT (flags win over the environment).",
     )
     ap.add_argument(
         "--suite",
@@ -279,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_env("P_BOXES", 16, int),
         help="number of p boxes covering [2, 3]",
-    )
-    ap.add_argument(
-        "--depth",
-        type=int,
-        default=_env("DEPTH", 40, int),
-        help="maximum quadrature bisection depth",
     )
     ap.add_argument(
         "--width",
@@ -321,7 +312,6 @@ def main(argv=None) -> int:
         config = RunConfig(
             suite=args.suite,
             p_boxes=args.p_boxes,
-            depth=args.depth,
             target_width=args.width,
             terms=args.terms,
             seed=args.seed,

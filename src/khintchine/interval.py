@@ -132,15 +132,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def intersection(self, other: "Interval") -> "Interval":
-        if not self.intersects(other):
-            raise IntervalError("empty intersection")
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def bisect(self) -> tuple["Interval", "Interval"]:
-        m = self.mid
-        return Interval(self.lo, m), Interval(m, self.hi)
-
     def split(self, n: int) -> list["Interval"]:
         pts = [self.lo + (self.hi - self.lo) * k / n for k in range(n + 1)]
         pts[0], pts[-1] = self.lo, self.hi
@@ -372,34 +363,3 @@ HALF_PI = Interval.literal("1.57079632679489661923132169163975144")
 EULER_GAMMA = Interval.literal("0.57721566490153286060651209008240243")
 SQRT2 = Interval.literal("1.41421356237309504880168872420969808")
 E = Interval.literal("2.71828182845904523536028747135266250")
-
-
-def arith(a: Interval, b: Interval, kind: str) -> Interval:
-    """Named dispatch for the four basic operations."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arith kind {kind!r}")
-
-
-def elem(a: Interval, kind: str) -> Interval:
-    """Named dispatch for the elementary functions."""
-    table = {
-        "exp": Interval.exp,
-        "ln": Interval.ln,
-        "sqrt": Interval.sqrt,
-        "sin": Interval.sin,
-        "cos": Interval.cos,
-        "arccos": Interval.arccos,
-        "abs": Interval.abs,
-    }
-    try:
-        fn = table[kind]
-    except KeyError:
-        raise ValueError(f"unknown elem kind {kind!r}") from None
-    return fn(a)

@@ -22,15 +22,6 @@ Poly = list[Fraction]
 PiPoly = dict[tuple[int, int], Fraction]
 
 
-def p_const(c) -> Poly:
-    return [Fraction(c)]
-
-
-def p_x(power: int = 1, coeff=1) -> Poly:
-    out = [Fraction(0)] * power + [Fraction(coeff)]
-    return out
-
-
 def p_add(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     return [
@@ -55,11 +46,6 @@ def p_mul(a: Poly, b: Poly) -> Poly:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return out
-
-
-def p_scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
-    return [x * c for x in a]
 
 
 def p_integrate(a: Poly) -> Poly:
@@ -93,14 +79,6 @@ def p_eval_fr(a: Poly, x) -> Fraction:
 # -- polynomials in (t, pi) --------------------------------------------------
 
 
-def pp_from_tpoly(coeffs: dict[int, tuple[int, Fraction]] | None = None) -> PiPoly:
-    return dict(coeffs or {})
-
-
-def pp_term(t_pow: int, pi_pow: int, coeff) -> PiPoly:
-    return {(t_pow, pi_pow): Fraction(coeff)}
-
-
 def pp_add(a: PiPoly, b: PiPoly) -> PiPoly:
     out = dict(a)
     for key, c in b.items():
@@ -128,13 +106,6 @@ def pp_mul(a: PiPoly, b: PiPoly) -> PiPoly:
                 out.pop(key, None)
             else:
                 out[key] = c
-    return out
-
-
-def pp_pow(a: PiPoly, n: int) -> PiPoly:
-    out = pp_term(0, 0, 1)
-    for _ in range(n):
-        out = pp_mul(out, a)
     return out
 
 

@@ -22,7 +22,6 @@ FnEnclosure = Callable[[Interval], Interval]
 class QuadConfig:
     max_depth: int = 40
     target_width: float = 1e-6
-    tail_cutoff: float = 50.0
     max_cells: int = 2_000_000
 
     def __post_init__(self):
@@ -30,8 +29,6 @@ class QuadConfig:
             raise ValueError("max_depth must be >= 10")
         if self.target_width <= 0.0:
             raise ValueError("target_width must be positive")
-        if self.tail_cutoff < 1.5707963267948966:
-            raise ValueError("tail_cutoff must be >= pi/2")
 
 
 DEFAULT_CONFIG = QuadConfig()

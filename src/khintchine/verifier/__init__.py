@@ -7,10 +7,8 @@ margins; a composite is proved exactly when all of its children are.
 from .result import (
     FAILED,
     INCONCLUSIVE,
-    NONSTRICT_TOL,
     PROVED,
     CheckResult,
-    PBox,
     combine,
     leaf,
     status_from_margin,
@@ -19,10 +17,6 @@ from .engine import (
     prove_positive_1d,
     prove_positive_2d,
     subdivision_check,
-    subdivision_check_2d,
-    point_check,
-    monotone_nonneg_check,
-    concave_nonneg_check,
     lemma_exp_affine,
     lemma_log_le_affine,
     lemma_ln1p_quadratic,
@@ -59,21 +53,15 @@ from .npcheck import (
 
 __all__ = [
     "CheckResult",
-    "PBox",
     "PROVED",
     "FAILED",
     "INCONCLUSIVE",
-    "NONSTRICT_TOL",
     "combine",
     "leaf",
     "status_from_margin",
     "prove_positive_1d",
     "prove_positive_2d",
     "subdivision_check",
-    "subdivision_check_2d",
-    "point_check",
-    "monotone_nonneg_check",
-    "concave_nonneg_check",
     "lemma_exp_affine",
     "lemma_log_le_affine",
     "lemma_ln1p_quadratic",

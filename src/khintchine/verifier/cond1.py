@@ -31,7 +31,7 @@ from .engine import (
     point_check,
     subdivision_check,
 )
-from .result import CheckResult, PBox, combine, timer
+from .result import CheckResult, combine, timer
 
 RHO = 1.0 / 15.0
 SIGMA = 0.97
@@ -692,8 +692,7 @@ def check_cond1_monotone(rho: float = RHO) -> CheckResult:
         for p in (2.0, 2.5, 3.0):
             for i in range(1, 16):
                 t = min(0.1 * i, T_END)
-                box = PBox(Interval(p, p), Interval(t, t))
-                spots.append(_rhs13(box.x_or_t, box.p) - 1.0)
+                spots.append(_rhs13(Interval(t, t), Interval(p, p)) - 1.0)
         spot_check = point_check(
             "ratio-grid",
             Interval(min(m.lo for m in spots), min(m.hi for m in spots)),

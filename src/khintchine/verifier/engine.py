@@ -1,14 +1,16 @@
-"""Subdivision provers and the small analytic lemmas the checks lean on.
+"""The bisection engine, the provers built on it, and the stock lemmas.
 
-The provers certify "f >= 0 on a box" by adaptive bisection of interval
-enclosures; they return a rigorous enclosure of the infimum.  Exceeding the
-evaluation budget yields inconclusive, never a false proof.
+bisect_boxes is the one subdivision routine of the verifier: the provers use
+it to certify "f >= 0 on a box" from interval enclosures, returning a
+rigorous enclosure of the infimum, and np_generic uses it to classify the
+sign of F - G.  Exceeding the evaluation budget yields inconclusive, never a
+false proof.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, TypeVar
 
 from ..interval import Interval
 from .result import (
@@ -17,12 +19,96 @@ from .result import (
     NONSTRICT_TOL,
     PROVED,
     CheckResult,
+    combine,
     leaf,
 )
 
 INF = math.inf
 
+Box = tuple[tuple[float, float], ...]
+E = TypeVar("E")
+
 DEFAULT_BUDGET = 200_000
+
+
+def bisect_boxes(
+    boxes: list[Box],
+    evaluate: Callable[[Box], E],
+    settled: Callable[[E], bool],
+    *,
+    max_evals: int,
+    min_width: float,
+    halt: Callable[[E], bool] | None = None,
+) -> tuple[list[tuple[Box, E]], int]:
+    """Bisect boxes depth-first until each one is settled or may not split.
+
+    A box is a tuple of (lo, hi) pairs, one per axis.  A box whose enclosure
+    passes `settled` is terminal.  Otherwise its widest axis, with widths
+    measured relative to the extent of the starting boxes, is halved -- unless
+    the evaluation budget is spent, no axis is wider than min_width, or the
+    midpoint is not strictly inside; then the box is terminal unsettled.  A
+    box whose enclosure passes `halt` ends the search as the last terminal box.
+
+    Returns the terminal (box, enclosure) pairs in visiting order, which runs
+    left to right over one-dimensional starting boxes given in order, and the
+    number of evaluations.
+    """
+    axes = range(len(boxes[0]))
+    scale = [
+        max(max(b[i][1] for b in boxes) - min(b[i][0] for b in boxes), 1e-300)
+        for i in axes
+    ]
+    stack = list(reversed(boxes))
+    terminal: list[tuple[Box, E]] = []
+    evals = 0
+    while stack:
+        box = stack.pop()
+        enc = evaluate(box)
+        evals += 1
+        if settled(enc):
+            terminal.append((box, enc))
+            continue
+        if halt is not None and halt(enc):
+            terminal.append((box, enc))
+            break
+        axis = max(axes, key=lambda i: (box[i][1] - box[i][0]) / scale[i])
+        a, b = box[axis]
+        mid = 0.5 * (a + b)
+        if (
+            evals >= max_evals
+            or max(hi - lo for lo, hi in box) <= min_width
+            or not a < mid < b
+        ):
+            terminal.append((box, enc))
+            continue
+        stack.append(box[:axis] + ((mid, b),) + box[axis + 1:])
+        stack.append(box[:axis] + ((a, mid),) + box[axis + 1:])
+    return terminal, evals
+
+
+def _prove_positive(
+    evaluate: Callable[[Box], Interval],
+    box: Box,
+    strict: bool,
+    max_evals: int,
+    min_width: float,
+) -> tuple[Interval, int, str]:
+    """Certify the enclosure >= 0 (> 0 when strict) on box; stop at a refutation."""
+    if strict:
+        settled = lambda enc: enc.lo > 0.0
+        refuted = lambda enc: enc.hi < 0.0
+    else:
+        settled = lambda enc: enc.lo >= -NONSTRICT_TOL
+        refuted = lambda enc: enc.hi < -NONSTRICT_TOL
+    cells, evals = bisect_boxes(
+        [box], evaluate, settled,
+        max_evals=max_evals, min_width=min_width, halt=refuted,
+    )
+    encs = [enc for _, enc in cells]
+    if refuted(encs[-1]):
+        return encs[-1], evals, FAILED
+    status = PROVED if all(settled(enc) for enc in encs) else INCONCLUSIVE
+    return Interval(min(e.lo for e in encs), min(e.hi for e in encs)), evals, status
 
 
 def prove_positive_1d(
@@ -38,32 +124,9 @@ def prove_positive_1d(
 
     Returns (enclosure of inf f over final cells, evaluations, status).
     """
-    stack = [(lo, hi)]
-    evals = 0
-    min_lo = INF
-    min_hi = INF
-    status = PROVED
-    while stack:
-        a, b = stack.pop()
-        enc = f(Interval(a, b))
-        evals += 1
-        ok = enc.lo > 0.0 if strict else enc.lo >= -NONSTRICT_TOL
-        if ok:
-            min_lo = min(min_lo, enc.lo)
-            min_hi = min(min_hi, enc.hi)
-            continue
-        bad = enc.hi < 0.0 if strict else enc.hi < -NONSTRICT_TOL
-        if bad:
-            return enc, evals, FAILED
-        mid = 0.5 * (a + b)
-        if evals >= max_evals or b - a <= min_width or not a < mid < b:
-            min_lo = min(min_lo, enc.lo)
-            min_hi = min(min_hi, enc.hi)
-            status = INCONCLUSIVE
-            continue
-        stack.append((mid, b))
-        stack.append((a, mid))
-    return Interval(min_lo, min_hi), evals, status
+    return _prove_positive(
+        lambda box: f(Interval(*box[0])), ((lo, hi),), strict, max_evals, min_width
+    )
 
 
 def prove_positive_2d(
@@ -76,42 +139,13 @@ def prove_positive_2d(
     min_width: float = 1e-10,
 ) -> tuple[Interval, int, str]:
     """Certify f(x, y) >= 0 on a rectangle; same contract as the 1d prover."""
-    x_scale = max(xdom[1] - xdom[0], 1e-300)
-    y_scale = max(ydom[1] - ydom[0], 1e-300)
-    stack = [(xdom[0], xdom[1], ydom[0], ydom[1])]
-    evals = 0
-    min_lo = INF
-    min_hi = INF
-    status = PROVED
-    while stack:
-        xa, xb, ya, yb = stack.pop()
-        enc = f(Interval(xa, xb), Interval(ya, yb))
-        evals += 1
-        ok = enc.lo > 0.0 if strict else enc.lo >= -NONSTRICT_TOL
-        if ok:
-            min_lo = min(min_lo, enc.lo)
-            min_hi = min(min_hi, enc.hi)
-            continue
-        bad = enc.hi < 0.0 if strict else enc.hi < -NONSTRICT_TOL
-        if bad:
-            return enc, evals, FAILED
-        wx = (xb - xa) / x_scale
-        wy = (yb - ya) / y_scale
-        splittable = max(xb - xa, yb - ya) > min_width and evals < max_evals
-        if not splittable:
-            min_lo = min(min_lo, enc.lo)
-            min_hi = min(min_hi, enc.hi)
-            status = INCONCLUSIVE
-            continue
-        if wx >= wy:
-            xm = 0.5 * (xa + xb)
-            stack.append((xm, xb, ya, yb))
-            stack.append((xa, xm, ya, yb))
-        else:
-            ym = 0.5 * (ya + yb)
-            stack.append((xa, xb, ym, yb))
-            stack.append((xa, xb, ya, ym))
-    return Interval(min_lo, min_hi), evals, status
+    return _prove_positive(
+        lambda box: f(Interval(*box[0]), Interval(*box[1])),
+        (xdom, ydom),
+        strict,
+        max_evals,
+        min_width,
+    )
 
 
 def subdivision_check(
@@ -127,25 +161,6 @@ def subdivision_check(
 ) -> CheckResult:
     margin, evals, status = prove_positive_1d(
         f, lo, hi, strict=strict, max_evals=max_evals, min_width=min_width
-    )
-    res = leaf(name, margin, strict=strict, evaluations=evals, note=note)
-    res.status = status
-    return res
-
-
-def subdivision_check_2d(
-    name: str,
-    f: Callable[[Interval, Interval], Interval],
-    xdom: tuple[float, float],
-    ydom: tuple[float, float],
-    *,
-    strict: bool = True,
-    max_evals: int = DEFAULT_BUDGET,
-    min_width: float = 1e-10,
-    note: str = "",
-) -> CheckResult:
-    margin, evals, status = prove_positive_2d(
-        f, xdom, ydom, strict=strict, max_evals=max_evals, min_width=min_width
     )
     res = leaf(name, margin, strict=strict, evaluations=evals, note=note)
     res.status = status
@@ -298,7 +313,7 @@ def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad")
     )
     a1 = point_check(f"{name}/mprime-at-0", Interval(0.0, 0.0), strict=False)
     a0 = point_check(f"{name}/m-at-0", Interval(0.0, 0.0), strict=False)
-    return combine_children(
+    return combine(
         name, [a0, a1, second],
         note="m'' >= 0 with m(0) = m'(0) = 0 forces m >= 0; margin 0 at b=0",
     )
@@ -347,9 +362,3 @@ def lemma_ln1p_quadratic(x_hi: float, name: str = "ln1p-ge-x-minus-half-x2") -> 
         increasing_from_left=True,
         note="margin analytically 0 at x=0",
     )
-
-
-def combine_children(name: str, children: list[CheckResult], note: str = "") -> CheckResult:
-    from .result import combine
-
-    return combine(name, children, note=note)

@@ -16,7 +16,12 @@ from ..interval import Interval, pow_real
 from ..polytools import p_eval_iv, p_sub
 from ..quad import QuadConfig, integrate, near_zero_bound, tail_bound_mu_p
 from ..specfun import SQRT2, cos_taylor, neg_ln_cos_excess
-from .engine import monotone_nonneg_check, point_check, subdivision_check
+from .engine import (
+    bisect_boxes,
+    monotone_nonneg_check,
+    point_check,
+    subdivision_check,
+)
 from .result import CheckResult, combine, leaf, timer, FAILED, INCONCLUSIVE, PROVED
 
 FnEnclosure = Callable[[Interval], Interval]
@@ -44,9 +49,10 @@ def np_generic(
     """Certify: F - G <= 0 left of some y0, >= 0 right of it, and the
     s0-integral is nonnegative.
 
-    The difference is classified on a refining partition of [y_lo, y_hi];
-    cells straddling the sign change shrink below y_tol.  More than one sign
-    change, or a missing nonnegative phase on the right, fails the check.
+    The difference is classified on a refining partition of [y_lo, y_hi],
+    bisected by the engine's bisect_boxes; cells straddling the sign change
+    shrink below y_tol.  More than one sign change, or a missing nonnegative
+    phase on the right, fails the check.
     integral_check must return a rigorous enclosure of
     int (g^s0 - f^s0) d(mu); assembling it (cutoffs, tails) is the caller's
     business.
@@ -57,27 +63,21 @@ def np_generic(
         y_hi = 0.999 * Y
     tol = 1e-12
 
-    cells: list[tuple[float, float, Interval, bool]] = []
-    work = Interval(y_lo, y_hi).split(grid)
-    evals = 0
-    work_stack = [(c.lo, c.hi) for c in reversed(work)]
-    while work_stack:
-        a, b = work_stack.pop()
-        cell = Interval(a, b)
+    def evaluate(box) -> tuple[Interval, bool]:
+        cell = Interval(*box[0])
         fe, ge = F(cell), G(cell)
-        flat = fe == ge  # identical enclosures satisfy both sign conditions
-        d = fe - ge
-        evals += 1
-        if flat or d.hi <= tol or d.lo >= -tol:
-            cells.append((a, b, d, flat))
-            continue
-        if b - a > y_tol and evals < max_evals:
-            m = 0.5 * (a + b)
-            work_stack.append((m, b))
-            work_stack.append((a, m))
-        else:
-            cells.append((a, b, d, flat))
-    cells.sort(key=lambda c: c[0])
+        # identical enclosures satisfy both sign conditions
+        return fe - ge, fe == ge
+
+    def resolved(enc: tuple[Interval, bool]) -> bool:
+        d, flat = enc
+        return flat or d.hi <= tol or d.lo >= -tol
+
+    start = [((c.lo, c.hi),) for c in Interval(y_lo, y_hi).split(grid)]
+    # terminal cells come back left to right
+    cells, evals = bisect_boxes(
+        start, evaluate, resolved, max_evals=max_evals, min_width=y_tol
+    )
 
     # certified-negative cells must all lie left of certified-positive ones;
     # unresolved cells are tolerable only inside the transition gap
@@ -87,7 +87,7 @@ def np_generic(
     diag = ""
     margins: list[Interval] = []
     straddles: list[tuple[float, float]] = []
-    for a, b, d, flat in cells:
+    for ((a, b),), (d, flat) in cells:
         if flat:
             margins.append(Interval(0.0, 0.0))
             continue
@@ -123,9 +123,14 @@ def np_generic(
             gap_lo = last_neg_end if last_neg_end is not None else y_lo
             gap_hi = first_pos_start if first_pos_start is not None else y_hi
             outside = [s for s in straddles if s[0] < gap_lo or s[1] > gap_hi]
+            # a straddle wider than y_tol was cut short by the budget
+            cut = [s for s in straddles if s[1] - s[0] > y_tol]
             if outside:
                 verdict = INCONCLUSIVE
                 diag = f"{len(outside)} cells unresolved outside the transition gap"
+            elif cut:
+                verdict = INCONCLUSIVE
+                diag = f"{len(cut)} cells unresolved when the evaluation budget ran out"
             y0_lo, y0_hi = gap_lo, gap_hi
 
     if not margins:

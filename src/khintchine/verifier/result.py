@@ -29,26 +29,6 @@ def status_from_margin(margin: Interval, strict: bool) -> str:
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class PBox:
-    """A subdivision cell over the quantifiers: a p range and an x/t range."""
-
-    p: Interval
-    x_or_t: Interval
-
-    def __post_init__(self):
-        if not (2.0 <= self.p.lo and self.p.hi <= 3.0):
-            raise ValueError(f"p box must lie in [2, 3], got {self.p}")
-
-    def split_p(self) -> tuple["PBox", "PBox"]:
-        left, right = self.p.bisect()
-        return PBox(left, self.x_or_t), PBox(right, self.x_or_t)
-
-    def split_x(self) -> tuple["PBox", "PBox"]:
-        left, right = self.x_or_t.bisect()
-        return PBox(self.p, left), PBox(self.p, right)
-
-
 @dataclass
 class CheckResult:
     """Outcome of one named inequality check.

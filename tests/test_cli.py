@@ -15,8 +15,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(p_boxes=0)
     with pytest.raises(ValueError):
-        RunConfig(depth=2)
-    with pytest.raises(ValueError):
         RunConfig(format="yaml")
     with pytest.raises(ValueError):
         RunConfig(target_width=-1.0)

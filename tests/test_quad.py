@@ -116,5 +116,3 @@ def test_config_validation():
         QuadConfig(max_depth=5)
     with pytest.raises(ValueError):
         QuadConfig(target_width=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(tail_cutoff=1.0)

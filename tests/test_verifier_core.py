@@ -99,6 +99,31 @@ def test_prove_positive_2d():
     assert st != PROVED
 
 
+def test_prove_positive_1d_unbounded_domain():
+    # on [4, inf) the midpoint is inf: the prover may evaluate once but not split
+    _, evals, st = prove_positive_1d(lambda x: x - 5.0, 4.0, math.inf)
+    assert st == INCONCLUSIVE and evals == 1
+    m, evals, st = prove_positive_1d(lambda x: x.exp() - 1.0, 4.0, math.inf)
+    assert st == PROVED and evals == 1 and m.lo > 53.0
+
+
+def test_prove_positive_2d_anisotropic_domain():
+    # widths are compared relative to the domain, so y (1000 wide) and x
+    # (1 wide) are halved in turn; splitting the absolutely widest axis
+    # needs 56499 evaluations for the second claim
+    m, evals, st = prove_positive_2d(
+        lambda x, y: x + y / 1000.0 + 0.1, (0.0, 1.0), (0.0, 1000.0)
+    )
+    assert st == PROVED and evals == 1 and m.lo > 0.09
+    u = lambda y: y * 0.001
+    m, evals, st = prove_positive_2d(
+        lambda x, y: x * x - x + u(y) * u(y) - u(y) + 0.6,
+        (0.0, 1.0),
+        (0.0, 1000.0),
+    )
+    assert st == PROVED and evals == 285 and m.lo > 0.0
+
+
 def test_subdivision_check_wrapper():
     r = subdivision_check("pos", lambda t: t.exp(), -2.0, 2.0)
     assert r.status == PROVED

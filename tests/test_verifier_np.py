@@ -5,6 +5,7 @@ import pytest
 from khintchine.interval import Interval, SQRT2
 from khintchine.verifier import (
     FAILED,
+    INCONCLUSIVE,
     PROVED,
     check_conclusion_direct,
     check_fp_convergence,
@@ -60,6 +61,25 @@ def test_np_generic_double_crossing_fails():
         name="double",
     )
     assert res.status == FAILED
+
+
+def test_np_generic_budget_never_proves():
+    # the enclosure of F straddles G = 1/2 on every cell within 0.3 of the
+    # crossing, however fine; a budget spent before those cells reach y_tol
+    # leaves the sign change unresolved, never proved
+    res = np_generic(
+        lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
+        lambda x: Interval(0.5, 0.5),
+        1.0,
+        2.0,
+        lambda: Interval(1.0, 1.0),
+        max_evals=10,
+        name="fuzzy",
+    )
+    assert res.status == INCONCLUSIVE
+    assert res.children[0].status == INCONCLUSIVE
+    assert res.children[0].evaluations == 64  # each grid cell once
+    assert "budget" in res.note
 
 
 def test_np_generic_rejects_small_grid():

@@ -9,6 +9,7 @@ directly (different summation path, used for cross-validation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .interval import PI, DomainError, Interval, pow_real
 
@@ -31,6 +32,12 @@ def _check_x(x: Interval, lo: float = 0.0, hi: float = 1.0) -> None:
         raise DomainError(f"x must lie strictly inside ({lo}, {hi}), got {x}")
 
 
+@lru_cache(maxsize=4)
+def _k_pi(K: int) -> tuple[Interval, ...]:
+    """The enclosures (PI * 0, PI * 1, ..., PI * K), built once per K."""
+    return tuple(PI * k for k in range(K + 1))
+
+
 def f_star(x: Interval, mp: MeasureParams, K: int = 200) -> Interval:
     """Enclosure of F_*(x), the mu_p-measure of {t : |cos t| < x}.
 
@@ -45,11 +52,11 @@ def f_star(x: Interval, mp: MeasureParams, K: int = 200) -> Interval:
     _check_x(x)
     p = mp.p
     a = x.arccos()
+    kpis = _k_pi(K)
     acc = pow_real(a, -p)
-    for k in range(1, K + 1):
-        kpi = PI * k
+    for kpi in kpis[1:]:
         acc = acc - (pow_real(kpi - a, -p) - pow_real(kpi + a, -p))
-    tail = (a * 2.0) * pow_real(PI * K - a, -p) / PI
+    tail = (a * 2.0) * pow_real(kpis[K] - a, -p) / PI
     return (acc - Interval(0.0, tail.hi)) / p
 
 
@@ -75,13 +82,13 @@ def derivatives(
     p = mp.p
     q = -(p + 1.0)
     a = x.arccos()
+    kpis = _k_pi(K)
     acc = pow_real(a, q)
-    for k in range(K + 1):
-        kpi = PI * k
+    for k, kpi in enumerate(kpis):
         if k > 0:
             acc = acc + pow_real(kpi + a, q)
         acc = acc + pow_real(kpi + PI - a, q)
-    tail = pow_real(PI * K - a, -p) * 2.0 / (p * PI)
+    tail = pow_real(kpis[K] - a, -p) * 2.0 / (p * PI)
     series = acc + Interval(0.0, tail.hi)
     root = (Interval(1.0, 1.0) - x * x).sqrt()
     f_prime = series / root

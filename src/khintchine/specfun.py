@@ -80,6 +80,11 @@ COT_COEFFS: dict[int, Fraction] = {
     for k in range(2, MAX_LNCOS_TERMS + 1)
 }
 
+# LN_COS_COEFFS as tight enclosures, converted once for the Horner loops below
+_LN_COS_COEFFS_IV: list[Interval] = [Interval.from_fraction(c) for c in LN_COS_COEFFS]
+
+_ZETA4_UPPER = Interval.from_fraction(Fraction(11, 10))  # >= zeta(4) = 1.0823...
+
 
 def neg_ln_cos_lower(t: Interval, K: int) -> Interval:
     """Enclosure of the K-term partial sum of the -ln cos series.
@@ -93,9 +98,9 @@ def neg_ln_cos_lower(t: Interval, K: int) -> Interval:
         raise ValueError("K must be >= 1")
     K = min(K, MAX_LNCOS_TERMS)
     u = t * t
-    acc = Interval.from_fraction(LN_COS_COEFFS[K - 1])
+    acc = _LN_COS_COEFFS_IV[K - 1]
     for k in range(K - 2, -1, -1):
-        acc = acc * u + Interval.from_fraction(LN_COS_COEFFS[k])
+        acc = acc * u + _LN_COS_COEFFS_IV[k]
     return acc * u
 
 
@@ -114,14 +119,13 @@ def neg_ln_cos_excess(t: Interval, K: int = 14) -> Interval:
         raise DomainError(f"neg_ln_cos_excess domain is [0, 1.2], got {t}")
     K = max(2, min(K, MAX_LNCOS_TERMS))
     u = t * t
-    acc = Interval.from_fraction(LN_COS_COEFFS[K - 1])
+    acc = _LN_COS_COEFFS_IV[K - 1]
     for k in range(K - 2, 0, -1):
-        acc = acc * u + Interval.from_fraction(LN_COS_COEFFS[k])
+        acc = acc * u + _LN_COS_COEFFS_IV[k]
     acc = acc * (u * u)
     q = (t * 2.0 / PI) ** 2
-    zeta4 = Interval.from_fraction(Fraction(11, 10))  # >= zeta(4) = 1.0823...
-    tail_hi = (zeta4 / (K + 1.0) * pow_real(q, Interval(K + 1, K + 1)) / (1.0 - q)).hi
-    return acc + Interval(0.0, tail_hi)
+    tail = _ZETA4_UPPER / (K + 1.0) * pow_real(q, Interval(K + 1, K + 1)) / (1.0 - q)
+    return acc + Interval(0.0, tail.hi)
 
 
 def cos_upper_bounds(t: Interval) -> tuple[Interval, Interval, Interval]:

@@ -51,8 +51,9 @@ def np_generic(
 
     The difference is classified on a refining partition of [y_lo, y_hi],
     bisected by the engine's bisect_boxes; cells straddling the sign change
-    shrink below y_tol.  More than one sign change, or a missing nonnegative
-    phase on the right, fails the check.
+    shrink below y_tol.  More than one sign change, or a rightmost cell
+    certified negative, fails the check; unresolved cells where the
+    nonnegative phase could still lie leave it inconclusive.
     integral_check must return a rigorous enclosure of
     int (g^s0 - f^s0) d(mu); assembling it (cutoffs, tails) is the caller's
     business.
@@ -117,8 +118,18 @@ def np_generic(
             verdict = FAILED
             diag = "interleaved certified signs; single change impossible"
         elif first_pos_start is None and last_neg_end is not None:
-            verdict = FAILED
-            diag = "difference still negative at the right edge of the window"
+            # failing needs the rightmost cell certified negative; an
+            # unresolved cell right of it may still hold the positive phase
+            right = [s for s in straddles if s[0] >= last_neg_end]
+            if right:
+                verdict = INCONCLUSIVE
+                diag = (
+                    f"no cell certified positive; {len(right)} cells right of "
+                    "the last negative one unresolved"
+                )
+            else:
+                verdict = FAILED
+                diag = "difference still negative at the right edge of the window"
         else:
             gap_lo = last_neg_end if last_neg_end is not None else y_lo
             gap_hi = first_pos_start if first_pos_start is not None else y_hi

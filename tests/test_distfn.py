@@ -5,9 +5,10 @@ import math
 import pytest
 from mpmath import mp, mpf
 
-from khintchine.interval import Interval, DomainError
+from khintchine.interval import PI, Interval, DomainError
 from khintchine.distfn import (
     MeasureParams,
+    _k_pi,
     brute_force_dist,
     derivatives,
     f_prime_lower_k0,
@@ -80,6 +81,15 @@ def test_f_star_matches_reference_grid():
         for x in (0.1, 0.4, 0.7, 0.95):
             enc = f_star(iv(x), mpp, K=400)
             assert enc.contains(_ref_f_star(x, p))
+
+
+def test_k_pi_table():
+    # f_star and derivatives read k*pi from this table instead of rebuilding it
+    for K in (200, 400):
+        table = _k_pi(K)
+        assert len(table) == K + 1
+        assert all(kpi == PI * k for k, kpi in enumerate(table))
+        assert _k_pi(K) is table
 
 
 def test_cross_validation_overlap():

@@ -66,13 +66,37 @@ def test_neg_ln_cos_lower_examples():
             prev = cur
 
 
+def test_lncos_coefficient_intervals():
+    # the Horner loops use these enclosures in place of converting per call
+    assert len(sf._LN_COS_COEFFS_IV) == len(sf.LN_COS_COEFFS)
+    for c, enc in zip(sf.LN_COS_COEFFS, sf._LN_COS_COEFFS_IV):
+        assert enc == Interval.from_fraction(c)
+        assert Fraction(enc.lo) <= c <= Fraction(enc.hi)
+    z4 = sf._ZETA4_UPPER
+    assert z4 == Interval.from_fraction(Fraction(11, 10))
+    assert Fraction(z4.lo) <= Fraction(11, 10) <= Fraction(z4.hi)
+    with mp.workdps(50):
+        assert mpf(z4.lo) >= mp.zeta(4)
+
+
+def _excess_truth(t):
+    return -mp.log(mp.cos(t)) - t**2 / 2
+
+
 def test_neg_ln_cos_excess_contains_truth():
     rng = random.Random(4)
-    for _ in range(400):
-        t = rng.uniform(0.0, 1.2)
-        enc = sf.neg_ln_cos_excess(iv(t))
-        truth = float(-mp.log(mp.cos(mpf(t))) - mpf(t) ** 2 / 2)
-        assert enc.lo - 1e-15 <= truth <= enc.hi + 1e-15
+    with mp.workdps(50):
+        for _ in range(400):
+            t = rng.uniform(0.0, 1.2)
+            enc = sf.neg_ln_cos_excess(iv(t))
+            assert mpf(enc.lo) <= _excess_truth(mpf(t)) <= mpf(enc.hi)
+        # cells of width up to 1e-2, checked at both ends and the midpoint
+        for _ in range(400):
+            a = rng.uniform(0.0, 1.19)
+            b = min(a + rng.uniform(0.0, 1e-2), 1.2)
+            enc = sf.neg_ln_cos_excess(Interval(a, b))
+            for t in (mpf(a), (mpf(a) + mpf(b)) / 2, mpf(b)):
+                assert mpf(enc.lo) <= _excess_truth(t) <= mpf(enc.hi), (a, b)
 
 
 def test_cos_upper_bounds_chain():

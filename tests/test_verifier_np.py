@@ -82,6 +82,23 @@ def test_np_generic_budget_never_proves():
     assert "budget" in res.note
 
 
+def test_np_generic_unresolved_right_edge_inconclusive():
+    # F - G = (x-0.2)(x-0.5)(x-0.8) is positive on (0.8, 1]; the 30 (x - x)
+    # term blurs each cell by 30 times its width, so with a tiny budget no
+    # cell is certified positive, yet no certified-negative cell sits at the
+    # right edge either
+    def F(x):
+        return (x - 0.2) * (x - 0.5) * (x - 0.8) + (x - x) * 30.0
+
+    res = np_generic(
+        F, lambda x: Interval(0.0, 0.0), 1.0, 2.0, lambda: Interval(1.0, 1.0),
+        max_evals=10, name="blurred-cubic",
+    )
+    assert res.status == INCONCLUSIVE
+    assert res.children[0].status == INCONCLUSIVE
+    assert "no cell certified positive" in res.note
+
+
 def test_np_generic_rejects_small_grid():
     with pytest.raises(ValueError):
         np_generic(lambda x: x, lambda x: x, 1.0, 2.0, lambda: Interval(0, 0), grid=4)

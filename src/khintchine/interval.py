@@ -11,12 +11,17 @@ elementary functions are widened by ELEM_ULPS ulps; documented worst-case libm
 errors for exp/log/sqrt/sin/cos/acos are below 2 ulp on all supported
 platforms, and the margin is validated empirically by the point-containment
 test suite against 4x-precision references.
+
+Operator results are built by ``_make`` from endpoints that are already
+Python floats, so they skip ``Interval.__init__``'s ``float()`` conversion
+but keep its ``lo <= hi`` / NaN check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as _Fraction
+from typing import Sequence
 
 __all__ = [
     "Interval",
@@ -39,6 +44,10 @@ ELEM_ULPS = 4
 # fall back to [-1, 1] (still valid).  Quadrature tails keep arguments far below.
 TRIG_ARG_LIMIT = 1.0e4
 
+_nextafter = math.nextafter
+_ELEM_STEPS = range(ELEM_ULPS)  # one pass widens both endpoints by one ulp
+_new = object.__new__
+
 
 class IntervalError(ValueError):
     """Malformed interval construction (lo > hi or NaN endpoint)."""
@@ -49,23 +58,54 @@ class DomainError(ValueError):
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, INF)
+    return _nextafter(x, INF)
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -INF)
+    return _nextafter(x, -INF)
 
 
 def _up_n(x: float, n: int) -> float:
     for _ in range(n):
-        x = math.nextafter(x, INF)
+        x = _nextafter(x, INF)
     return x
 
 
 def _down_n(x: float, n: int) -> float:
     for _ in range(n):
-        x = math.nextafter(x, -INF)
+        x = _nextafter(x, -INF)
     return x
+
+
+def _make(lo: float, hi: float) -> "Interval":
+    """Interval from two Python float endpoints (no conversion)."""
+    if not lo <= hi:  # also rejects NaN endpoints
+        raise IntervalError(f"invalid interval endpoints [{lo!r}, {hi!r}]")
+    iv = _new(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    return iv
+
+
+def _hull4(p1: float, p2: float, p3: float, p4: float) -> "Interval":
+    """[min, max] of four corner values, each end moved one ulp outward.
+
+    Ties go to the earlier value, as with the min/max builtins.
+    """
+    lo = hi = p1
+    if p2 < lo:
+        lo = p2
+    elif p2 > hi:
+        hi = p2
+    if p3 < lo:
+        lo = p3
+    elif p3 > hi:
+        hi = p3
+    if p4 < lo:
+        lo = p4
+    elif p4 > hi:
+        hi = p4
+    return _make(_nextafter(lo, -INF), _nextafter(hi, INF))
 
 
 class Interval:
@@ -86,16 +126,12 @@ class Interval:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
-    @staticmethod
     def from_fraction(fr) -> "Interval":
         """Tight enclosure of an exact `fractions.Fraction` (or int)."""
         v = float(fr)  # correctly rounded
         if v == fr:
-            return Interval(v, v)
-        return Interval(_down(v), _up(v))
+            return _make(v, v)
+        return _make(_down(v), _up(v))
 
     @staticmethod
     def literal(decimal_string: str) -> "Interval":
@@ -151,49 +187,51 @@ class Interval:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _make(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Interval":
-        o = _coerce(other)
+        o = other if type(other) is Interval else _coerce(other)
         # a float sum that lands exactly on 0.0 is exact (subnormal grid)
         lo = self.lo + o.lo
         hi = self.hi + o.hi
-        return Interval(lo if lo == 0.0 else _down(lo), hi if hi == 0.0 else _up(hi))
+        return _make(
+            lo if lo == 0.0 else _nextafter(lo, -INF),
+            hi if hi == 0.0 else _nextafter(hi, INF),
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = _coerce(other)
+        o = other if type(other) is Interval else _coerce(other)
         lo = self.lo - o.hi
         hi = self.hi - o.lo
-        return Interval(lo if lo == 0.0 else _down(lo), hi if hi == 0.0 else _up(hi))
+        return _make(
+            lo if lo == 0.0 else _nextafter(lo, -INF),
+            hi if hi == 0.0 else _nextafter(hi, INF),
+        )
 
     def __rsub__(self, other) -> "Interval":
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Interval":
-        o = _coerce(other)
-        p = (
-            _prod(self.lo, o.lo),
-            _prod(self.lo, o.hi),
-            _prod(self.hi, o.lo),
-            _prod(self.hi, o.hi),
-        )
-        return Interval(_down(min(p)), _up(max(p)))
+        o = other if type(other) is Interval else _coerce(other)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        p1, p2, p3, p4 = a * c, a * d, b * c, b * d
+        if p1 == p1 and p2 == p2 and p3 == p3 and p4 == p4:  # no 0 * inf corner
+            return _hull4(p1, p2, p3, p4)
+        return _hull4(_prod(a, c), _prod(a, d), _prod(b, c), _prod(b, d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = _coerce(other)
-        if o.lo <= 0.0 <= o.hi:
+        o = other if type(other) is Interval else _coerce(other)
+        c, d = o.lo, o.hi
+        if c <= 0.0 <= d:
             raise DomainError(f"division by interval containing zero: {o}")
-        q = (
-            _quot(self.lo, o.lo),
-            _quot(self.lo, o.hi),
-            _quot(self.hi, o.lo),
-            _quot(self.hi, o.hi),
-        )
-        return Interval(_down(min(q)), _up(max(q)))
+        a, b = self.lo, self.hi
+        if c == -INF or d == INF:
+            return _hull4(_quot(a, c), _quot(a, d), _quot(b, c), _quot(b, d))
+        return _hull4(a / c, a / d, b / c, b / d)
 
     def __rtruediv__(self, other) -> "Interval":
         return _coerce(other).__truediv__(self)
@@ -202,97 +240,106 @@ class Interval:
         if not isinstance(n, int):
             raise TypeError("use pow_real for non-integer exponents")
         if n == 0:
-            return Interval(1.0, 1.0)
+            return _make(1.0, 1.0)
         if n < 0:
-            return Interval(1.0, 1.0) / self.__pow__(-n)
+            return _make(1.0, 1.0) / self.__pow__(-n)
         if n % 2 == 0 and self.lo < 0.0 <= self.hi:
             m = self.mag
-            return Interval(0.0, _up_n(_ipow(m, n), n))  # even power across zero
+            return _make(0.0, _up_n(_ipow(m, n), n))  # even power across zero
         # monotone on each sign; repeated squaring is unnecessary at our sizes
         lo, hi = _ipow(self.lo, n), _ipow(self.hi, n)
         if lo > hi:
             lo, hi = hi, lo
-        return Interval(_down_n(lo, n), _up_n(hi, n))
+        return _make(_down_n(lo, n), _up_n(hi, n))
 
     # -- elementary functions ----------------------------------------------
 
     def exp(self) -> "Interval":
-        return Interval(
-            max(0.0, _down_n(_safe_exp(self.lo), ELEM_ULPS)),
-            _up_n(_safe_exp(self.hi), ELEM_ULPS),
-        )
+        try:
+            lo = math.exp(self.lo)
+        except OverflowError:
+            lo = INF
+        try:
+            hi = math.exp(self.hi)
+        except OverflowError:
+            hi = INF
+        for _ in _ELEM_STEPS:
+            lo = _nextafter(lo, -INF)
+            hi = _nextafter(hi, INF)
+        return _make(lo if lo > 0.0 else 0.0, hi)
 
     def ln(self) -> "Interval":
         if self.lo <= 0.0:
             raise DomainError(f"ln of non-positive interval {self}")
-        return Interval(
-            _down_n(math.log(self.lo), ELEM_ULPS),
-            _up_n(math.log(self.hi), ELEM_ULPS),
-        )
+        lo = math.log(self.lo)
+        hi = math.log(self.hi)
+        for _ in _ELEM_STEPS:
+            lo = _nextafter(lo, -INF)
+            hi = _nextafter(hi, INF)
+        return _make(lo, hi)
 
     def sqrt(self) -> "Interval":
         if self.lo < 0.0:
             raise DomainError(f"sqrt of negative interval {self}")
         # IEEE sqrt is correctly rounded; 1 ulp is already generous
-        return Interval(max(0.0, _down(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
+        return _make(max(0.0, _down(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
 
     def abs(self) -> "Interval":
         if self.lo >= 0.0:
             return self
         if self.hi <= 0.0:
             return -self
-        return Interval(0.0, self.mag)
+        return _make(0.0, self.mag)
 
     def arccos(self) -> "Interval":
         if self.lo < -1.0 or self.hi > 1.0:
             raise DomainError(f"arccos of interval {self} outside [-1, 1]")
         # decreasing on [-1, 1]
-        return Interval(
+        return _make(
             max(0.0, _down_n(math.acos(self.hi), ELEM_ULPS)),
             min(_up_n(math.acos(self.lo), ELEM_ULPS), PI.hi),
         )
 
     def cos(self) -> "Interval":
-        if self.mag > TRIG_ARG_LIMIT or self.width >= TWO_PI.lo:
-            return Interval(-1.0, 1.0)
-        c1, c2 = math.cos(self.lo), math.cos(self.hi)
-        lo_v = _down_n(min(c1, c2), ELEM_ULPS)
-        hi_v = _up_n(max(c1, c2), ELEM_ULPS)
-        # maxima of cos at 2k*pi, minima at pi + 2k*pi; over-inclusion is sound
-        if _contains_multiple(self, _ZERO):
-            hi_v = 1.0
-        if _contains_multiple(self, PI):
-            lo_v = -1.0
-        return Interval(max(lo_v, -1.0), min(hi_v, 1.0))
+        # maxima of cos at 2k*pi, minima at pi + 2k*pi
+        return _trig(self, math.cos, _ZERO, PI)
 
     def sin(self) -> "Interval":
-        if self.mag > TRIG_ARG_LIMIT or self.width >= TWO_PI.lo:
-            return Interval(-1.0, 1.0)
-        s1, s2 = math.sin(self.lo), math.sin(self.hi)
-        lo_v = _down_n(min(s1, s2), ELEM_ULPS)
-        hi_v = _up_n(max(s1, s2), ELEM_ULPS)
-        if _contains_multiple(self, HALF_PI):
-            hi_v = 1.0
-        if _contains_multiple(self, -HALF_PI):
-            lo_v = -1.0
-        return Interval(max(lo_v, -1.0), min(hi_v, 1.0))
+        return _trig(self, math.sin, HALF_PI, _NEG_HALF_PI)
+
+
+def _trig(a: Interval, fn, peak: Interval, trough: Interval) -> Interval:
+    """Enclosure of cos or sin (fn) over `a`; extrema at peak/trough + 2k*pi."""
+    lo, hi = a.lo, a.hi
+    if abs(lo) > TRIG_ARG_LIMIT or abs(hi) > TRIG_ARG_LIMIT or hi - lo >= TWO_PI.lo:
+        return _make(-1.0, 1.0)
+    v_lo = v_hi = fn(lo)
+    v = fn(hi)
+    if v < v_lo:
+        v_lo = v
+    elif v > v_hi:
+        v_hi = v
+    for _ in _ELEM_STEPS:
+        v_lo = _nextafter(v_lo, -INF)
+        v_hi = _nextafter(v_hi, INF)
+    # over-inclusion of an extremum is sound
+    if v_hi > 1.0 or _contains_multiple(a, peak):
+        v_hi = 1.0
+    if v_lo < -1.0 or _contains_multiple(a, trough):
+        v_lo = -1.0
+    return _make(v_lo, v_hi)
 
 
 def _coerce(x) -> Interval:
     if isinstance(x, Interval):
         return x
+    if type(x) is float:
+        return _make(x, x)
     if isinstance(x, (int, float)):
         return Interval(x, x)
     if isinstance(x, _Fraction):
         return Interval.from_fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an interval")
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return INF
 
 
 def _ipow(x: float, n: int) -> float:
@@ -334,24 +381,65 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
     Implemented as exp(s * ln a); an interval touching zero requires s > 0 and
     uses the limit 0**sigma = 0.
     """
-    s = _coerce(s)
+    s = s if type(s) is Interval else _coerce(s)
+    if 0.0 < a.lo and a.hi < INF:
+        return (s * a.ln()).exp()
     if a.lo < 0.0:
         raise DomainError(f"pow_real of interval {a} with negative values")
     if a.lo == 0.0:
         if s.lo <= 0.0:
             raise DomainError("pow_real of interval touching 0 needs s > 0")
         if a.hi == 0.0:
-            return Interval(0.0, 0.0)
+            return _make(0.0, 0.0)
         upper = pow_real(Interval(a.hi, a.hi), s).hi
-        return Interval(0.0, upper)
-    if a.hi == INF:
-        if a.lo == INF:
-            raise DomainError("pow_real at +inf")
-        lower = pow_real(Interval(a.lo, a.lo), s)
-        if s.hi > 0:
-            return Interval(min(lower.lo, 1.0) if s.lo <= 0 else lower.lo, INF)
-        return Interval.hull(lower, Interval(0.0, lower.hi))
-    return (s * a.ln()).exp()
+        return _make(0.0, upper)
+    if a.lo == INF:
+        raise DomainError("pow_real at +inf")
+    lower = pow_real(Interval(a.lo, a.lo), s)
+    if s.hi > 0:
+        return _make(min(lower.lo, 1.0) if s.lo <= 0 else lower.lo, INF)
+    return Interval.hull(lower, Interval(0.0, lower.hi))
+
+
+def ipoly_eval(coeffs: Sequence[Interval], t: Interval) -> Interval:
+    """Interval Horner evaluation of sum_k coeffs[k] * t**k."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
+def horner_nonneg(coeffs: Sequence[Interval], x: Interval) -> Interval:
+    """Enclosure of sum_k coeffs[k] * x**k for coefficients with lo >= 0.
+
+    For x >= 0 such a polynomial increases in x and in every coefficient, so
+    its range over the box is [P(x.lo; lower ends), P(x.hi; upper ends)].  Two
+    Horner chains evaluate those corners with the rounding of ``*`` and ``+``:
+    each product moved one ulp outward, each sum one ulp unless it is exactly
+    0.  A chain endpoint can dip to -5e-324 only through a zero coefficient,
+    and multiplying it by x.lo >= 0 keeps it a lower bound.  When every
+    coefficient has lo > 0 and x.lo > 0, each step equals the interval step
+    ``acc * x + c``, so the result is ``ipoly_eval``'s bit for bit.  An
+    argument with x.lo < 0 (t * t at t.lo = 0 has lo = -5e-324) or x.hi = inf
+    goes through ``ipoly_eval`` instead.
+    """
+    xlo, xhi = x.lo, x.hi
+    if xlo < 0.0 or xhi == INF:
+        return ipoly_eval(coeffs, x)
+    lo, hi = coeffs[-1].lo, coeffs[-1].hi
+    if lo < 0.0:
+        raise DomainError(f"horner_nonneg needs coefficients >= 0, got {coeffs[-1]}")
+    for c in coeffs[-2::-1]:
+        c_lo = c.lo
+        if c_lo < 0.0:
+            raise DomainError(f"horner_nonneg needs coefficients >= 0, got {c}")
+        lo = _nextafter(lo * xlo, -INF) + c_lo
+        hi = _nextafter(hi * xhi, INF) + c.hi
+        if lo != 0.0:
+            lo = _nextafter(lo, -INF)
+        if hi != 0.0:
+            hi = _nextafter(hi, INF)
+    return _make(lo, hi)
 
 
 # -- constants (two-ulp windows around correctly rounded literals) ----------
@@ -360,6 +448,7 @@ _ZERO = Interval(0.0, 0.0)
 PI = Interval.literal("3.14159265358979323846264338327950288")
 TWO_PI = Interval.literal("6.28318530717958647692528676655900577")
 HALF_PI = Interval.literal("1.57079632679489661923132169163975144")
+_NEG_HALF_PI = -HALF_PI
 EULER_GAMMA = Interval.literal("0.57721566490153286060651209008240243")
 SQRT2 = Interval.literal("1.41421356237309504880168872420969808")
 E = Interval.literal("2.71828182845904523536028747135266250")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .interval import PI, Interval
+from .interval import PI, Interval, ipoly_eval
 
 Poly = list[Fraction]
 PiPoly = dict[tuple[int, int], Fraction]
@@ -60,12 +60,9 @@ def p_shift_div(a: Poly, k: int) -> Poly:
     return a[k:] or [Fraction(0)]
 
 
-def p_eval_iv(a: Poly, t: Interval) -> Interval:
-    """Horner evaluation with outward rounding."""
-    acc = Interval.from_fraction(a[-1])
-    for c in reversed(a[:-1]):
-        acc = acc * t + Interval.from_fraction(c)
-    return acc
+def p_to_iv(a: Poly) -> list[Interval]:
+    """Tight coefficient enclosures, converted once for repeated ipoly_eval."""
+    return [Interval.from_fraction(c) for c in a]
 
 
 def p_eval_fr(a: Poly, x) -> Fraction:
@@ -124,13 +121,6 @@ def pp_t_coeffs(a: PiPoly) -> list[Interval]:
     for (tp, pp), c in sorted(a.items()):
         out[tp] = out[tp] + Interval.from_fraction(c) * (PI**pp)
     return out
-
-
-def ipoly_eval(coeffs: list[Interval], t: Interval) -> Interval:
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * t + c
-    return acc
 
 
 def pp_eval(a: PiPoly, t: Interval) -> Interval:

@@ -77,11 +77,12 @@ def integrate(
         heapq.heappush(heap, (-wl, lo, mid, depth + 1, left))
         heapq.heappush(heap, (-wr, mid, hi, depth + 1, right))
     done.extend((lo, hi, enc) for (_, lo, hi, _, enc) in heap)
-    # deterministic summation in position order
+    # deterministic summation in position order; the cell width hi - lo is
+    # enclosed in the kernel because its float difference can round down
     done.sort(key=lambda c: c[0])
     acc = Interval(0.0, 0.0)
     for lo, hi, enc in done:
-        acc = acc + enc * (hi - lo)
+        acc = acc + enc * (Interval(hi, hi) - Interval(lo, lo))
     return QuadResult(acc, status, evals)
 
 

@@ -10,7 +10,7 @@ and bounded by twice the first omitted term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interval import (
@@ -19,9 +19,11 @@ from .interval import (
     SQRT2,
     DomainError,
     Interval,
+    horner_nonneg,
+    ipoly_eval,
     pow_real,
 )
-from .polytools import Poly, p_eval_iv
+from .polytools import Poly, p_to_iv
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ COT_COEFFS: dict[int, Fraction] = {
     for k in range(2, MAX_LNCOS_TERMS + 1)
 }
 
-# LN_COS_COEFFS as tight enclosures, converted once for the Horner loops below
+# LN_COS_COEFFS as tight enclosures, converted once for the Horner chains below
 _LN_COS_COEFFS_IV: list[Interval] = [Interval.from_fraction(c) for c in LN_COS_COEFFS]
 
 _ZETA4_UPPER = Interval.from_fraction(Fraction(11, 10))  # >= zeta(4) = 1.0823...
@@ -98,10 +100,7 @@ def neg_ln_cos_lower(t: Interval, K: int) -> Interval:
         raise ValueError("K must be >= 1")
     K = min(K, MAX_LNCOS_TERMS)
     u = t * t
-    acc = _LN_COS_COEFFS_IV[K - 1]
-    for k in range(K - 2, -1, -1):
-        acc = acc * u + _LN_COS_COEFFS_IV[k]
-    return acc * u
+    return horner_nonneg(_LN_COS_COEFFS_IV[:K], u) * u
 
 
 def neg_ln_cos_excess(t: Interval, K: int = 14) -> Interval:
@@ -119,10 +118,7 @@ def neg_ln_cos_excess(t: Interval, K: int = 14) -> Interval:
         raise DomainError(f"neg_ln_cos_excess domain is [0, 1.2], got {t}")
     K = max(2, min(K, MAX_LNCOS_TERMS))
     u = t * t
-    acc = _LN_COS_COEFFS_IV[K - 1]
-    for k in range(K - 2, 0, -1):
-        acc = acc * u + _LN_COS_COEFFS_IV[k]
-    acc = acc * (u * u)
+    acc = horner_nonneg(_LN_COS_COEFFS_IV[1:K], u) * (u * u)
     q = (t * 2.0 / PI) ** 2
     tail = _ZETA4_UPPER / (K + 1.0) * pow_real(q, Interval(K + 1, K + 1)) / (1.0 - q)
     return acc + Interval(0.0, tail.hi)
@@ -292,18 +288,28 @@ def b_constant(p: Interval) -> tuple[Interval, Interval]:
 
 @dataclass(frozen=True)
 class TaylorEnclosure:
-    """Polynomial plus a rigorous remainder band: f(t) in poly(t) +- rem."""
+    """Polynomial plus a rigorous remainder band: f(t) in poly(t) +- rem.
+
+    ``coeffs`` and ``rem`` are the interval enclosures of ``poly`` and
+    ``rem_coeff``, converted once at construction.
+    """
 
     poly: Poly
     rem_coeff: Fraction
     rem_power: int
     t_limit: float
+    coeffs: list[Interval] = field(init=False, repr=False, compare=False)
+    rem: Interval = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", p_to_iv(self.poly))
+        object.__setattr__(self, "rem", Interval.from_fraction(self.rem_coeff))
 
     def eval(self, t: Interval) -> Interval:
         if t.mag > self.t_limit:
             raise DomainError(f"Taylor enclosure valid to |t|<={self.t_limit}")
-        band = Interval.from_fraction(self.rem_coeff) * (t.abs() ** self.rem_power)
-        return p_eval_iv(self.poly, t) + Interval(-band.hi, band.hi)
+        band = self.rem * (t.abs() ** self.rem_power)
+        return ipoly_eval(self.coeffs, t) + Interval(-band.hi, band.hi)
 
 
 def cos_taylor(K: int) -> TaylorEnclosure:

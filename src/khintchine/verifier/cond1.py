@@ -11,13 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import HALF_PI, PI, Interval, pow_real
+from ..interval import HALF_PI, PI, Interval, ipoly_eval, pow_real
 from ..polytools import (
-    ipoly_eval,
-    p_eval_iv,
     p_mul,
     p_shift_div,
     p_sub,
+    p_to_iv,
     pp_mul,
     pp_shift_div_t,
     pp_sub,
@@ -444,13 +443,12 @@ def check_case1_polynomials() -> CheckResult:
         )
         ct, st = cos_taylor(8), sin_taylor(8)
         d_poly = p_sub(p_mul([_FR(0), _FR(1)], ct.poly), p_mul(st.poly, _M3_POLY))
-        d_quot = p_shift_div(d_poly, 5)
-        rc = Interval.from_fraction(ct.rem_coeff)
-        rs = Interval.from_fraction(st.rem_coeff)
+        d_quot = p_to_iv(p_shift_div(d_poly, 5))
+        rc, rs = ct.rem, st.rem
 
         def d_quotient(t: Interval) -> Interval:
             band = rc * t.abs() ** (ct.rem_power - 4) + rs * t.abs() ** (st.rem_power - 5)
-            return p_eval_iv(d_quot, t) + Interval(-band.hi, band.hi)
+            return ipoly_eval(d_quot, t) + Interval(-band.hi, band.hi)
 
         children.append(
             subdivision_check(
@@ -480,11 +478,11 @@ def check_case1_polynomials() -> CheckResult:
         )
 
         # (e) corollary: (1 - t^2/3 + t^3/40)(1 + t^2/3 + 7t^4/60) >= 1
-        cor = p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), [_FR(1)]), 3)
+        cor = p_to_iv(p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), [_FR(1)]), 3))
         children.append(
             subdivision_check(
                 "corollary-product",
-                lambda t: p_eval_iv(cor, t),
+                lambda t: ipoly_eval(cor, t),
                 0.0,
                 1.0,
                 max_evals=50_000,
@@ -509,9 +507,11 @@ def check_case1_polynomials() -> CheckResult:
             )
         )
         # positivity side conditions for chaining the minorants
+        m3, cor_lhs = p_to_iv(_M3_POLY), p_to_iv(_COR_LHS)
+
         def minorants_floor(t: Interval) -> Interval:
-            u = p_eval_iv(_M3_POLY, t)
-            v = p_eval_iv(_COR_LHS, t)
+            u = ipoly_eval(m3, t)
+            v = ipoly_eval(cor_lhs, t)
             return Interval(min(u.lo, v.lo), min(u.hi, v.hi))
 
         children.append(
@@ -567,14 +567,14 @@ def check_case2_convexity() -> CheckResult:
             )
         )
         K = 32
-        exp_quot = [
+        exp_quot = p_to_iv([
             _FR(2 ** (k + 3), _factorial(k + 3)) for k in range(K)
-        ]
+        ])
         rem_c = Interval.from_fraction(_FR(2 * 2 ** (K + 3), _factorial(K + 3)))
 
         def exp_minorant_quotient(s: Interval) -> Interval:
             band = rem_c * s.abs() ** K
-            return p_eval_iv(exp_quot, s) + Interval(-band.hi, band.hi)
+            return ipoly_eval(exp_quot, s) + Interval(-band.hi, band.hi)
 
         children.append(
             subdivision_check(
@@ -582,10 +582,11 @@ def check_case2_convexity() -> CheckResult:
                 note="(e^{2s} - 1 - 2s - 2s^2)/s^3 > 0",
             )
         )
+        cubic = p_to_iv([_FR(3), _FR(1), _FR(-4), _FR(2)])
         children.append(
             subdivision_check(
                 "cubic-factor",
-                lambda s: p_eval_iv([_FR(3), _FR(1), _FR(-4), _FR(2)], s),
+                lambda s: ipoly_eval(cubic, s),
                 0.0,
                 3.0,
                 max_evals=20_000,

@@ -83,9 +83,10 @@ def check_cond2_hprime(
     with timer() as tm:
         # -- piece [0, 1] ---------------------------------------------------
         c1 = Interval(1.0, 1.0) / (SQRT2 * 6.0)
+        c144 = Interval.from_fraction(_FR(1, 144))
 
         def minorant_a(t: Interval) -> Interval:
-            poly = t * c1 - (t**5) * _FR(1, 144)
+            poly = t * c1 - (t**5) * c144
             return (1.0 - t) * _exp_gauss(t) * poly
 
         qa = integrate(minorant_a, 0.0, 1.0, QuadConfig(target_width=w(2e-5)))
@@ -98,7 +99,7 @@ def check_cond2_hprime(
                 lemma_neg_log_affine(),
                 subdivision_check(
                     "minorant-polynomial-nonneg",
-                    lambda t: c1 - (t**4) * _FR(1, 144),
+                    lambda t: c1 - (t**4) * c144,
                     0.0,
                     1.0,
                     max_evals=1000,

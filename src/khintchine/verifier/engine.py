@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, TypeVar
 
-from ..interval import Interval
+from ..interval import Interval, ipoly_eval
 from .result import (
     FAILED,
     INCONCLUSIVE,
@@ -260,16 +260,15 @@ def lemma_exp_affine(name: str = "exp-ge-1-plus-x") -> CheckResult:
     whose enclosure is evaluated directly; on [4, inf) by monotonicity of
     e^x - 1 - x (derivative e^x - 1 > 0) from the anchor at 4.
     """
-    from ..polytools import p_eval_iv
     from ..specfun import exp_taylor
 
     K = 24
     te = exp_taylor(K)
-    quot_poly = te.poly[2:]  # coefficients 1/(k+2)!
+    quot_poly = te.coeffs[2:]  # coefficients 1/(k+2)!
 
     def quotient(x: Interval) -> Interval:
-        band = Interval.from_fraction(te.rem_coeff) * (x.abs() ** (te.rem_power - 2))
-        return p_eval_iv(quot_poly, x) + Interval(-band.hi, band.hi)
+        band = te.rem * (x.abs() ** (te.rem_power - 2))
+        return ipoly_eval(quot_poly, x) + Interval(-band.hi, band.hi)
 
     series_part = subdivision_check(
         f"{name}/series-quotient", quotient, -1.0, 4.0, strict=True,

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Callable
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import Interval, pow_real
-from ..polytools import p_eval_iv, p_sub
+from ..interval import Interval, ipoly_eval, pow_real
+from ..polytools import p_sub, p_to_iv
 from ..quad import QuadConfig, integrate, near_zero_bound, tail_bound_mu_p
 from ..specfun import SQRT2, cos_taylor, neg_ln_cos_excess
 from .engine import (
@@ -172,18 +172,16 @@ def np_generic(
 from ..polytools import p_shift_div
 
 _COS_REM = cos_taylor(6)
-_COS_LOWER_QUOT = p_shift_div(
+_COS_LOWER_QUOT = p_to_iv(p_shift_div(
     p_sub(_COS_REM.poly, [Fraction(1), Fraction(0), Fraction(-1, 2)]), 4
-)
+))
 
 
 def _near_zero_children(delta: float) -> list[CheckResult]:
     """Certificates for -ln cos t - t^2/2 <= t^4 / (8 (1 - delta^2/2)) on [0, delta]."""
     def cos_quot(t: Interval) -> Interval:
-        band = Interval.from_fraction(_COS_REM.rem_coeff) * (
-            t.abs() ** (_COS_REM.rem_power - 4)
-        )
-        return p_eval_iv(_COS_LOWER_QUOT, t) + Interval(-band.hi, band.hi)
+        band = _COS_REM.rem * (t.abs() ** (_COS_REM.rem_power - 4))
+        return ipoly_eval(_COS_LOWER_QUOT, t) + Interval(-band.hi, band.hi)
 
     cos_lower = subdivision_check(
         "cos-above-quadratic",

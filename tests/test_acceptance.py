@@ -42,7 +42,12 @@ from khintchine.verifier import (
     check_cond2_hprime,
 )
 
-mp.dps = 64
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 64 digits, restored afterwards
+    with mp.workdps(64):
+        yield
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

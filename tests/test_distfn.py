@@ -16,7 +16,13 @@ from khintchine.distfn import (
     g_star,
 )
 
-mp.dps = 40
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 40 digits, restored afterwards
+    with mp.workdps(40):
+        yield
+
 
 MP2 = MeasureParams(Interval(2.0, 2.0))
 

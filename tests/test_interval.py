@@ -20,7 +20,12 @@ from khintchine.interval import (
     pow_real,
 )
 
-mp.dps = 64  # 4x working precision
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 64 digits (4x working precision), restored afterwards
+    with mp.workdps(64):
+        yield
 
 
 def test_construction_rejects_bad_endpoints():

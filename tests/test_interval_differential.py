@@ -1,0 +1,248 @@
+"""The interval kernel against a frozen copy of its earlier operators.
+
+Every operator, elementary function and ``pow_real`` must return bit-for-bit
+the endpoints of ``reference_interval`` (compared with ``float.hex``, so -0.0
+and 0.0 differ), and raise where it raises.  ``horner_nonneg`` must equal the
+interval Horner loop for positive coefficients at a positive argument and stay
+an enclosure elsewhere.
+"""
+
+import math
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+
+import reference_interval as ref
+from khintchine import specfun as sf
+from khintchine.interval import (
+    ELEM_ULPS,
+    HALF_PI,
+    TRIG_ARG_LIMIT,
+    DomainError,
+    Interval,
+    horner_nonneg,
+    pow_real,
+)
+
+TINY = 5e-324
+MIN_NORMAL = 2.2250738585072014e-308
+MAX = 1.7976931348623157e308
+INF = math.inf
+
+EDGE = [-INF, -MAX, -1e300, -746.0, -3.0, -1.0, -0.5, -MIN_NORMAL, -1e-310, -TINY,
+        -0.0, 0.0, TINY, 1e-310, MIN_NORMAL, 1e-300, 0.5, 1.0, 2.0, 709.0, 710.0,
+        1e300, MAX, INF]
+
+
+def _step(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, INF if n > 0 else -INF)
+    return x
+
+
+# arguments near the trig extrema and the reduction limit
+_TRIG = [k * math.pi / 2 for k in range(-8, 9)] + [
+    TRIG_ARG_LIMIT, -TRIG_ARG_LIMIT, HALF_PI.lo, HALF_PI.hi, 3 * math.pi, 6283.0]
+TRIG_POINTS = sorted({_step(x, n) for x in _TRIG for n in (-2, -1, 0, 1, 2)})
+
+
+def _hexes(iv):
+    assert type(iv.lo) is float and type(iv.hi) is float
+    return float.hex(iv.lo), float.hex(iv.hi)
+
+
+def _outcome(fn, *args):
+    try:
+        return _hexes(fn(*args))
+    except (ValueError, TypeError) as exc:  # IntervalError and DomainError too
+        return type(exc).__name__
+
+
+def _pair(lo, hi):
+    return Interval(lo, hi), ref.Interval(lo, hi)
+
+
+def _same(live_fn, ref_fn, live_args, ref_args):
+    got = _outcome(live_fn, *live_args)
+    want = _outcome(ref_fn, *ref_args)
+    assert got == want, (live_args, got, want)
+
+
+def _edge_intervals():
+    return [(a, b) for a in EDGE for b in EDGE if a <= b]
+
+
+def _random_intervals(rng, n):
+    out = []
+    for _ in range(n):
+        scale = 10.0 ** rng.uniform(-12, 12)
+        a = rng.uniform(-1.0, 1.0) * scale
+        w = rng.choice((0.0, rng.uniform(0.0, 1.0) * scale, abs(a) * 1e-9))
+        out.append((a, a + w))
+    return out
+
+
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def test_binary_operators_bit_identical():
+    rng = random.Random(20)
+    edge = _edge_intervals()
+    rand = _random_intervals(rng, 300)
+    pairs = [(x, y) for x in edge for y in edge]
+    pairs += [(rng.choice(rand), rng.choice(rand)) for _ in range(20_000)]
+    pairs += [(rng.choice(edge), rng.choice(rand)) for _ in range(5_000)]
+    for (a, b), (c, d) in pairs:
+        x, xr = _pair(a, b)
+        y, yr = _pair(c, d)
+        for op in BINARY:
+            _same(op, op, (x, y), (xr, yr))
+
+
+@pytest.mark.parametrize("scalar", [2.0, -0.5, 0.0, -0.0, INF, 3, 0, True,
+                                    Fraction(1, 3), Fraction(-7, 2)])
+def test_mixed_operands_bit_identical(scalar):
+    rng = random.Random(21)
+    for a, b in _edge_intervals() + _random_intervals(rng, 500):
+        x, xr = _pair(a, b)
+        for op in BINARY:
+            _same(op, op, (x, scalar), (xr, scalar))
+            _same(op, op, (scalar, x), (scalar, xr))
+
+
+def test_nan_scalar_rejected():
+    x = Interval(1.0, 2.0)
+    for op in BINARY:
+        with pytest.raises(ValueError):
+            op(x, math.nan)
+
+
+UNARY = ("__neg__", "exp", "ln", "sqrt", "abs", "arccos", "cos", "sin")
+
+
+def _unary(name):
+    return lambda iv: getattr(iv, name)()
+
+
+def test_unary_and_elementary_bit_identical():
+    rng = random.Random(22)
+    cases = _edge_intervals() + _random_intervals(rng, 3_000)
+    cases += [(x, x) for x in TRIG_POINTS]
+    cases += [(x, y) for x in TRIG_POINTS for y in TRIG_POINTS if x <= y and y - x < 7.0]
+    for _ in range(2_000):
+        a = rng.uniform(-1.0, 1.0)
+        cases.append((a, min(1.0, a + rng.uniform(0.0, 0.2))))
+    for a, b in cases:
+        x, xr = _pair(a, b)
+        for name in UNARY:
+            _same(_unary(name), _unary(name), (x,), (xr,))
+
+
+def test_integer_powers_bit_identical():
+    rng = random.Random(23)
+    for a, b in _edge_intervals() + _random_intervals(rng, 1_000):
+        x, xr = _pair(a, b)
+        for n in range(-3, 6):
+            _same(operator.pow, operator.pow, (x, n), (xr, n))
+        _same(operator.pow, operator.pow, (x, 0.5), (xr, 0.5))
+
+
+def test_pow_real_bit_identical():
+    rng = random.Random(24)
+    bases = [(a, b) for a, b in _edge_intervals()]
+    bases += [(a, b) for a, b in _random_intervals(rng, 400)]
+    bases += [(abs(a), abs(a) + abs(b - a)) for a, b in _random_intervals(rng, 400)]
+    bases += [(0.0, 0.0), (0.0, 1.0), (0.0, INF), (2.0, INF), (INF, INF), (TINY, INF)]
+    exps = [(-2.5, -2.5), (-1.0, 0.5), (0.0, 0.0), (0.0, 2.0), (0.5, 0.5),
+            (2.0, 2.0), (1.5, 3.5), (-INF, -1.0), (3.0, INF)]
+    exps += [(s, s + rng.uniform(0.0, 1.0)) for s in
+             (rng.uniform(-5.0, 5.0) for _ in range(20))]
+    for a, b in bases:
+        x, xr = _pair(a, b)
+        for c, d in exps:
+            s, sr = _pair(c, d)
+            _same(pow_real, ref.pow_real, (x, s), (xr, sr))
+        for sc in (2.0, -1.5, 3):
+            _same(pow_real, ref.pow_real, (x, sc), (xr, sc))
+
+
+def test_elem_widening_is_elem_ulps():
+    x = 0.7
+    lo = hi = math.exp(x)
+    for _ in range(ELEM_ULPS):
+        lo, hi = math.nextafter(lo, -INF), math.nextafter(hi, INF)
+    assert Interval(x, x).exp() == Interval(lo, hi)
+
+
+# -- horner_nonneg -----------------------------------------------------------
+
+
+def _ref_horner(coeffs, x):
+    return ref.interval_horner([ref.Interval(c.lo, c.hi) for c in coeffs],
+                               ref.Interval(x.lo, x.hi))
+
+
+def test_horner_nonneg_matches_interval_loop():
+    rng = random.Random(25)
+    lncos = sf._LN_COS_COEFFS_IV
+    for _ in range(3_000):
+        t = rng.uniform(1e-6, 1.2)
+        t = Interval(t, t + rng.choice((0.0, rng.uniform(0.0, 1e-2))))
+        u = t * t
+        K = rng.randint(1, len(lncos))
+        assert _hexes(horner_nonneg(lncos[:K], u)) == _hexes(_ref_horner(lncos[:K], u))
+    for _ in range(3_000):
+        n = rng.randint(1, 12)
+        coeffs = []
+        for _ in range(n):
+            c = 10.0 ** rng.uniform(-300, 10)
+            coeffs.append(Interval(c, c * (1.0 + rng.choice((0.0, 1e-12, 0.5)))))
+        lo = 10.0 ** rng.uniform(-320, 5)
+        x = Interval(lo, lo * (1.0 + rng.uniform(0.0, 2.0)))
+        assert _hexes(horner_nonneg(coeffs, x)) == _hexes(_ref_horner(coeffs, x))
+
+
+def test_horner_nonneg_falls_back_off_the_monotone_domain():
+    # t * t at t.lo = 0 has lo = -5e-324; x.hi = inf would meet 0 * inf
+    rng = random.Random(26)
+    for x in (Interval(0.0, 0.0) * Interval(0.0, 0.0), Interval(-1.0, 0.5),
+              Interval(2.0, INF), Interval(0.0, INF)):
+        for _ in range(50):
+            coeffs = [Interval(c, c) for c in (rng.uniform(0.0, 2.0) for _ in range(6))]
+            coeffs[0] = Interval(0.0, 0.0)
+            assert _hexes(horner_nonneg(coeffs, x)) == _hexes(_ref_horner(coeffs, x))
+
+
+def test_horner_nonneg_encloses_with_zero_coefficients():
+    # a zero coefficient lets a chain endpoint dip to -5e-324; still a bound
+    rng = random.Random(27)
+    for _ in range(2_000):
+        coeffs = [Fraction(rng.choice((0, rng.randint(1, 50)))) / rng.randint(1, 9)
+                  for _ in range(rng.randint(1, 8))]
+        x = rng.choice((0.0, TINY, 1e-200, rng.uniform(0.0, 3.0)))
+        enc = horner_nonneg([Interval.from_fraction(c) for c in coeffs], Interval(x, x))
+        exact = sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+        assert Fraction(enc.lo) <= exact <= Fraction(enc.hi)
+
+
+def test_horner_nonneg_rejects_negative_coefficients():
+    with pytest.raises(DomainError):
+        horner_nonneg([Interval(1.0, 1.0), Interval(-1.0, 1.0)], Interval(0.5, 0.5))
+    with pytest.raises(DomainError):
+        horner_nonneg([Interval(-1.0, 1.0), Interval(1.0, 1.0)], Interval(0.5, 0.5))
+
+
+def test_lncos_series_at_zero_contains_mpmath():
+    # t.lo = 0 takes the interval-loop branch of horner_nonneg
+    with mp.workdps(50):
+        for b in (0.0, TINY, 1e-200, 1e-8, 1e-3, 0.3, 1.2):
+            t = Interval(0.0, b)
+            excess = sf.neg_ln_cos_excess(t)
+            for v in (mpf(0), mpf(b) / 2, mpf(b)):
+                assert mpf(excess.lo) <= -mp.log(mp.cos(v)) - v**2 / 2 <= mpf(excess.hi)
+            lower = sf.neg_ln_cos_lower(t, 20)
+            assert mpf(lower.lo) <= 0 <= mpf(lower.hi)
+            assert mpf(lower.lo) <= -mp.log(mp.cos(mpf(b)))

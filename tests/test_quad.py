@@ -1,6 +1,7 @@
 """Validated quadrature: enclosures, refinement monotonicity, tail bounds."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -13,7 +14,13 @@ from khintchine.quad import (
     tail_bound_mu_p,
 )
 
-mp.dps = 40
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 40 digits, restored afterwards
+    with mp.workdps(40):
+        yield
+
 
 # frozen oracle: int_{pi/2}^inf cos^2 t / t^4 dt (mpmath quadosc, dps 40)
 COS2_T4_TAIL = 0.0247794406641325
@@ -23,6 +30,18 @@ def test_constant_integrand():
     r = integrate(lambda t: Interval(1.0, 1.0), 0.0, 1.0)
     assert r.value.contains(1.0) and r.value.width <= 1e-9
     assert r.ok
+
+
+def test_inexact_cell_width_enclosed():
+    # 2.1 - 0.1 rounds in float, so the cell width must enter as an interval:
+    # the result holds c times every width in that enclosure, not only c
+    # times the rounded difference
+    a, b, c = 0.1, 2.1, 0.95
+    assert Fraction(b - a) != Fraction(b) - Fraction(a)
+    r = integrate(lambda t: Interval(c, c), a, b)
+    exact = Fraction(c) * (Fraction(b) - Fraction(a))
+    assert Fraction(r.value.lo) <= exact <= Fraction(r.value.hi)
+    assert r.value.encloses(Interval(c, c) * (Interval(b, b) - Interval(a, a)))
 
 
 def test_sin_integral():

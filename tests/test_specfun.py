@@ -10,7 +10,13 @@ from mpmath import mp, mpf
 from khintchine.interval import Interval, DomainError
 from khintchine import specfun as sf
 
-mp.dps = 64
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 64 digits, restored afterwards
+    with mp.workdps(64):
+        yield
+
 
 # frozen 4x-precision oracle values (mpmath, dps >= 40)
 EI_M1 = -0.2193839343955203

@@ -1,5 +1,6 @@
 """Condition-2 checks: H'(p) and H(2) piece bounds, constant repairs."""
 
+import pytest
 from mpmath import mp
 
 from khintchine.interval import Interval
@@ -17,7 +18,12 @@ from khintchine.verifier import (
     lemma52_piece2_margin,
 )
 
-mp.dps = 40
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 40 digits, restored afterwards
+    with mp.workdps(40):
+        yield
 
 
 def _assert_all_proved(result):

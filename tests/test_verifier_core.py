@@ -2,15 +2,15 @@
 
 import math
 
-from khintchine.interval import Interval
+from khintchine.interval import Interval, ipoly_eval
 from khintchine.polytools import (
     p_add,
     p_eval_fr,
-    p_eval_iv,
     p_integrate,
     p_mul,
     p_shift_div,
     p_sub,
+    p_to_iv,
     pp_eval,
     pp_mul,
     pp_shift_div_t,
@@ -152,7 +152,7 @@ def test_poly_helpers():
     assert p_shift_div([Fraction(0), Fraction(0), Fraction(3)], 2) == [Fraction(3)]
     assert p_integrate([Fraction(2)]) == [Fraction(0), Fraction(2)]
     assert p_eval_fr([Fraction(1), Fraction(1, 2)], Fraction(2)) == Fraction(2)
-    enc = p_eval_iv([Fraction(1), Fraction(1, 3)], Interval(3.0, 3.0))
+    enc = ipoly_eval(p_to_iv([Fraction(1), Fraction(1, 3)]), Interval(3.0, 3.0))
     assert enc.contains(2.0)
 
 

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .interval import Interval, DomainError, IntervalError, pow_real
 from .distfn import MeasureParams
 from .quad import QuadConfig, QuadResult, integrate, tail_bound_mu_p
-from .specfun import SeriesPolicy, b_constant
+from .specfun import b_constant
 
 __all__ = [
     "__version__",
@@ -25,6 +25,5 @@ __all__ = [
     "QuadResult",
     "integrate",
     "tail_bound_mu_p",
-    "SeriesPolicy",
     "b_constant",
 ]

@@ -29,7 +29,6 @@ from .oracle import (
 from .specfun import b_constant, ci, ei_neg, si, zeta_sum
 from .verifier import (
     FAILED,
-    INCONCLUSIVE,
     PROVED,
     CheckResult,
     check_conclusion_direct,
@@ -40,6 +39,7 @@ from .verifier import (
     check_cond2_hprime,
     check_fp_convergence,
     check_np_cos_gauss,
+    conjunction,
     leaf,
 )
 
@@ -196,7 +196,7 @@ def run(config: RunConfig) -> Report:
     suite = config.suite
     if suite in ("cond1", "all"):
         results.append(check_cond1_sign_at_sigma(n_boxes=config.p_boxes))
-        results.append(check_cond1_small_x(n_boxes=config.p_boxes))
+        results.append(check_cond1_small_x())
         results.append(check_cond1_monotone())
     if suite in ("cond2", "all"):
         results.append(
@@ -216,17 +216,11 @@ def run(config: RunConfig) -> Report:
     if suite in ("constants", "all"):
         results.extend(_constants_suite(config))
 
-    if any(r.status == FAILED for r in results):
-        overall = FAILED
-    elif all(r.status == PROVED for r in results):
-        overall = PROVED
-    else:
-        overall = INCONCLUSIVE
     report = Report(
         tool_version=__version__,
         config=config,
         results=results,
-        overall=overall,
+        overall=conjunction(r.status for r in results),
         elapsed_seconds=time.perf_counter() - t0,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

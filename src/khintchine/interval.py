@@ -401,6 +401,15 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
     return Interval.hull(lower, Interval(0.0, lower.hi))
 
 
+def imin(items: Sequence[Interval]) -> Interval:
+    """Enclosure of the pointwise minimum of nonempty items.
+
+    Both ends come from the builtin ``min`` over items in order, so of equal
+    ends (0.0 and -0.0) the first one wins.
+    """
+    return _make(min(i.lo for i in items), min(i.hi for i in items))
+
+
 def ipoly_eval(coeffs: Sequence[Interval], t: Interval) -> Interval:
     """Interval Horner evaluation of sum_k coeffs[k] * t**k."""
     acc = coeffs[-1]

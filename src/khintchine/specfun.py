@@ -26,24 +26,11 @@ from .interval import (
 from .polytools import Poly, p_to_iv
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Budget and safety margin for all series evaluations."""
+# term budget of the ei/si/ci series
+MAX_SERIES_TERMS = 200
 
-    max_terms: int = 200
-    tail_safety: float = 1.0
-
-    def __post_init__(self):
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-        if self.tail_safety < 1.0:
-            raise ValueError("tail_safety must be >= 1")
-
-
-DEFAULT_POLICY = SeriesPolicy()
-
-# |B_2|, |B_4|, ..., |B_40| as exact rationals; the series for -ln cos and cot
-# are never extended past these.
+# |B_2|, |B_4|, ..., |B_40| as exact rationals; the -ln cos series is never
+# extended past these.
 BERNOULLI_ABS: dict[int, Fraction] = {
     2: Fraction(1, 6),
     4: Fraction(1, 30),
@@ -75,12 +62,6 @@ LN_COS_COEFFS: list[Fraction] = [
     * BERNOULLI_ABS[2 * k]
     for k in range(1, MAX_LNCOS_TERMS + 1)
 ]
-
-# cot t = 1/t - t/3 - sum_{k>=2} d_k t^{2k-1};  d_k = 2^{2k} |B_{2k}| / (2k)!
-COT_COEFFS: dict[int, Fraction] = {
-    k: Fraction(2 ** (2 * k), math.factorial(2 * k)) * BERNOULLI_ABS[2 * k]
-    for k in range(2, MAX_LNCOS_TERMS + 1)
-}
 
 # LN_COS_COEFFS as tight enclosures, converted once for the Horner chains below
 _LN_COS_COEFFS_IV: list[Interval] = [Interval.from_fraction(c) for c in LN_COS_COEFFS]
@@ -139,39 +120,38 @@ def _series_with_geometric_tail(
     first_term: Interval,
     ratio_fn,
     ratio_sup_fn,
-    policy: SeriesPolicy,
 ) -> Interval:
     """Sum term_1 + term_2 + ... where term_{k+1} = term_k * ratio_fn(k).
 
     ratio_sup_fn(k) must be a monotonically nonincreasing upper bound of the
     term-ratio magnitude; once it is <= 1/2 the remainder past any later term
-    is enclosed by [-2|next term|, 2|next term|] (times the safety factor).
+    is enclosed by [-2|next term|, 2|next term|].
     Terms keep being added until that band stops mattering at double
     precision, then the band is attached.
     """
     term = first_term
     acc = term
     tail = None
-    for k in range(1, policy.max_terms):
+    for k in range(1, MAX_SERIES_TERMS):
         nxt = term * ratio_fn(k)
         if ratio_sup_fn(k) <= 0.5:
-            bound = 2.0 * nxt.mag * policy.tail_safety
+            bound = 2.0 * nxt.mag
             if bound <= 1e-16 * (acc.mag + 1e-300) or bound < 5e-324:
                 tail = Interval(-bound, bound)
                 break
         acc = acc + nxt
         term = nxt
     else:
-        k_last = policy.max_terms - 1
+        k_last = MAX_SERIES_TERMS - 1
         if ratio_sup_fn(k_last) > 0.5:
             raise DomainError("series did not reach the geometric-tail regime")
         nxt = term * ratio_fn(k_last)
-        bound = 2.0 * nxt.mag * policy.tail_safety
+        bound = 2.0 * nxt.mag
         tail = Interval(-bound, bound)
     return acc + tail
 
 
-def ei_neg(x: Interval, policy: SeriesPolicy = DEFAULT_POLICY) -> Interval:
+def ei_neg(x: Interval) -> Interval:
     """Enclosure of Ei(x) for x < 0 via C + ln(-x) + sum x^k/(k k!)."""
     if not (-30.0 <= x.lo and x.hi <= -1e-6):
         raise DomainError(f"ei_neg domain is [-30, -1e-6], got {x}")
@@ -180,12 +160,11 @@ def ei_neg(x: Interval, policy: SeriesPolicy = DEFAULT_POLICY) -> Interval:
         x,
         lambda k: x * Fraction(k, (k + 1) ** 2),
         lambda k: mag * k / (k + 1) ** 2,
-        policy,
     )
     return EULER_GAMMA + (-x).ln() + series
 
 
-def si(x: Interval, policy: SeriesPolicy = DEFAULT_POLICY) -> Interval:
+def si(x: Interval) -> Interval:
     """Enclosure of si(x) = Si(x) - pi/2 for x in (0, 50]."""
     if not (0.0 < x.lo and x.hi <= 50.0):
         raise DomainError(f"si domain is (0, 50], got {x}")
@@ -195,12 +174,11 @@ def si(x: Interval, policy: SeriesPolicy = DEFAULT_POLICY) -> Interval:
         -x,  # k=1 term of sum (-1)^k x^{2k-1}/((2k-1)(2k-1)!)
         lambda k: -x2 * Fraction(2 * k - 1, (2 * k + 1) ** 2 * (2 * k)),
         lambda k: m2 * (2 * k - 1) / ((2 * k + 1) ** 2 * (2 * k)),
-        policy,
     )
     return -(PI * 0.5) - series
 
 
-def ci(x: Interval, policy: SeriesPolicy = DEFAULT_POLICY) -> Interval:
+def ci(x: Interval) -> Interval:
     """Enclosure of ci(x) = C + ln x + sum (-1)^k x^{2k}/(2k (2k)!), x in (0, 50]."""
     if not (0.0 < x.lo and x.hi <= 50.0):
         raise DomainError(f"ci domain is (0, 50], got {x}")
@@ -210,7 +188,6 @@ def ci(x: Interval, policy: SeriesPolicy = DEFAULT_POLICY) -> Interval:
         -x2 * Fraction(1, 4),
         lambda k: -x2 * Fraction(k, (k + 1) * (2 * k + 2) * (2 * k + 1)),
         lambda k: m2 * k / ((k + 1) * (2 * k + 2) * (2 * k + 1)),
-        policy,
     )
     return EULER_GAMMA + x.ln() + series
 

@@ -1,7 +1,8 @@
 """Proof orchestrator: one named check per inequality family.
 
 Every check returns a CheckResult tree whose leaves carry rigorous interval
-margins; a composite is proved exactly when all of its children are.
+margins; a composite is proved exactly when all of its children are.  The
+grading rules live in result.py.
 """
 
 from .result import (
@@ -10,6 +11,7 @@ from .result import (
     PROVED,
     CheckResult,
     combine,
+    conjunction,
     leaf,
     status_from_margin,
 )
@@ -57,6 +59,7 @@ __all__ = [
     "FAILED",
     "INCONCLUSIVE",
     "combine",
+    "conjunction",
     "leaf",
     "status_from_margin",
     "prove_positive_1d",

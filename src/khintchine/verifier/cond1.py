@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import HALF_PI, PI, Interval, ipoly_eval, pow_real
+from ..interval import HALF_PI, PI, Interval, imin, ipoly_eval, pow_real
 from ..polytools import (
     p_mul,
     p_shift_div,
@@ -89,7 +89,7 @@ def check_cond1_sign_at_sigma(sigma: float = SIGMA, n_boxes: int = 16) -> CheckR
         ]
         boxes = point_check(
             "rhs-bound-on-p-boxes",
-            Interval(min(m.lo for m in box_margins), min(m.hi for m in box_margins)),
+            imin(box_margins),
             note=f"left edges of {n_boxes} p boxes; monotonicity covers the rest",
         )
         grid_margins = []
@@ -98,9 +98,7 @@ def check_cond1_sign_at_sigma(sigma: float = SIGMA, n_boxes: int = 16) -> CheckR
             grid_margins.append(f_star(sig, mp, K=200) - g_star(sig, mp))
         grid = point_check(
             "direct-fstar-gstar-grid",
-            Interval(
-                min(m.lo for m in grid_margins), min(m.hi for m in grid_margins)
-            ),
+            imin(grid_margins),
             note="redundant direct evaluation on a p grid",
         )
         res = combine(
@@ -137,7 +135,7 @@ def d_coefficient(p: Interval, zeta_terms: int = 2000) -> Interval:
     )
 
 
-def check_cond1_small_x(rho: float = RHO, n_boxes: int = 16) -> CheckResult:
+def check_cond1_small_x(rho: float = RHO) -> CheckResult:
     """F_* - G_* < 0 on (0, rho]: the per-term bound F_*(x) <= d_p x and the
     comparison d_p x <= G_*(x)."""
     if not 0.0 < rho <= 0.1:
@@ -183,9 +181,7 @@ def check_cond1_small_x(rho: float = RHO, n_boxes: int = 16) -> CheckResult:
                 spot_margins.append(Interval(2.00361, 2.00361) * piv * e - lhs)
         spots = point_check(
             "taylor-bound/direct-spots",
-            Interval(
-                min(m.lo for m in spot_margins), min(m.hi for m in spot_margins)
-            ),
+            imin(spot_margins),
             note="redundant pointwise evaluations on the (e, p) grid",
         )
         ch_b = combine("taylor-power-bound", [room, square_room, spots])
@@ -285,9 +281,7 @@ def check_cond1_small_x(rho: float = RHO, n_boxes: int = 16) -> CheckResult:
                 grid_margins.append(g_star(x, mp) - f_star(x, mp, K=200))
         ch_grid = point_check(
             "direct-negativity-grid",
-            Interval(
-                min(m.lo for m in grid_margins), min(m.hi for m in grid_margins)
-            ),
+            imin(grid_margins),
             note="g_star - f_star > 0 at 30 x points for p in {2, 2.5, 3}",
         )
 
@@ -510,9 +504,7 @@ def check_case1_polynomials() -> CheckResult:
         m3, cor_lhs = p_to_iv(_M3_POLY), p_to_iv(_COR_LHS)
 
         def minorants_floor(t: Interval) -> Interval:
-            u = ipoly_eval(m3, t)
-            v = ipoly_eval(cor_lhs, t)
-            return Interval(min(u.lo, v.lo), min(u.hi, v.hi))
+            return imin([ipoly_eval(m3, t), ipoly_eval(cor_lhs, t)])
 
         children.append(
             subdivision_check(
@@ -696,7 +688,7 @@ def check_cond1_monotone(rho: float = RHO) -> CheckResult:
                 spots.append(_rhs13(Interval(t, t), Interval(p, p)) - 1.0)
         spot_check = point_check(
             "ratio-grid",
-            Interval(min(m.lo for m in spots), min(m.hi for m in spots)),
+            imin(spots),
             note="direct interval evaluations of the ratio bound minus 1",
         )
         res = combine(

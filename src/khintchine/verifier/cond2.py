@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..interval import E as EULER_E
-from ..interval import HALF_PI, PI, SQRT2, Interval, pow_real
+from ..interval import HALF_PI, PI, SQRT2, Interval, imin, pow_real
 from ..quad import QuadConfig, integrate, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg
 from .engine import (
@@ -153,12 +153,8 @@ def check_cond2_hprime(
                 ),
                 point_check(
                     "secant-steps-ordered",
-                    Interval(
-                        min((secant(Interval(1.0, 1.2)) - s12).lo,
-                            (secant(Interval(1.2, 1.4)) - s14).lo),
-                        min((secant(Interval(1.0, 1.2)) - s12).hi,
-                            (secant(Interval(1.2, 1.4)) - s14).hi),
-                    ),
+                    imin([secant(Interval(1.0, 1.2)) - s12,
+                          secant(Interval(1.2, 1.4)) - s14]),
                     note="secant majorant stays above the step minorants",
                 ),
                 point_check(
@@ -241,16 +237,12 @@ def check_cond2_hprime(
         used_margins = [cmp_margin(LAMBDA_TAIL_CONST, b) for b in boxes]
         cmp_printed_const = point_check(
             "tail-comparison-printed-constant",
-            Interval(
-                min(m.lo for m in printed_margins), min(m.hi for m in printed_margins)
-            ),
+            imin(printed_margins),
             note=f"0.043369 (2/pi)^p >= 0.00705/(p-1) on {n_boxes} p boxes",
         )
         cmp_used = point_check(
             "tail-comparison-certified-constant",
-            Interval(
-                min(m.lo for m in used_margins), min(m.hi for m in used_margins)
-            ),
+            imin(used_margins),
             note=f"0.0433 (2/pi)^p >= 0.00705/(p-1) on {n_boxes} p boxes",
         )
         cos_power_vs_square = point_check(
@@ -273,7 +265,7 @@ def check_cond2_hprime(
             nets.append(piece_a_val - J + lam * I1 - Lam * I2)
         net = point_check(
             "net-lower-bound",
-            Interval(min(m.lo for m in nets), min(m.hi for m in nets)),
+            imin(nets),
             note="piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
         )
         res = combine(

@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 from typing import Callable, TypeVar
 
-from ..interval import Interval, ipoly_eval
+from ..interval import Interval, imin, ipoly_eval
 from .result import (
     FAILED,
-    INCONCLUSIVE,
-    NONSTRICT_TOL,
     PROVED,
     CheckResult,
     combine,
+    conjunction,
     leaf,
+    status_from_margin,
 )
 
 INF = math.inf
@@ -93,22 +93,21 @@ def _prove_positive(
     max_evals: int,
     min_width: float,
 ) -> tuple[Interval, int, str]:
-    """Certify the enclosure >= 0 (> 0 when strict) on box; stop at a refutation."""
-    if strict:
-        settled = lambda enc: enc.lo > 0.0
-        refuted = lambda enc: enc.hi < 0.0
-    else:
-        settled = lambda enc: enc.lo >= -NONSTRICT_TOL
-        refuted = lambda enc: enc.hi < -NONSTRICT_TOL
+    """Certify the enclosure >= 0 (> 0 when strict) on box; stop at a refutation.
+
+    Each cell is graded like a leaf margin; the status is the conjunction of
+    the cells' grades, so only the last cell, where the search halted, can
+    fail it, and that cell is the margin of a failure.
+    """
     cells, evals = bisect_boxes(
-        [box], evaluate, settled,
-        max_evals=max_evals, min_width=min_width, halt=refuted,
+        [box], evaluate,
+        lambda enc: status_from_margin(enc, strict) == PROVED,
+        max_evals=max_evals, min_width=min_width,
+        halt=lambda enc: status_from_margin(enc, strict) == FAILED,
     )
     encs = [enc for _, enc in cells]
-    if refuted(encs[-1]):
-        return encs[-1], evals, FAILED
-    status = PROVED if all(settled(enc) for enc in encs) else INCONCLUSIVE
-    return Interval(min(e.lo for e in encs), min(e.hi for e in encs)), evals, status
+    status = conjunction(status_from_margin(enc, strict) for enc in encs)
+    return (encs[-1] if status == FAILED else imin(encs)), evals, status
 
 
 def prove_positive_1d(
@@ -159,12 +158,11 @@ def subdivision_check(
     min_width: float = 1e-12,
     note: str = "",
 ) -> CheckResult:
-    margin, evals, status = prove_positive_1d(
+    # grading the prover's margin gives back the prover's status
+    margin, evals, _ = prove_positive_1d(
         f, lo, hi, strict=strict, max_evals=max_evals, min_width=min_width
     )
-    res = leaf(name, margin, strict=strict, evaluations=evals, note=note)
-    res.status = status
-    return res
+    return leaf(name, margin, strict=strict, evaluations=evals, note=note)
 
 
 def point_check(
@@ -201,17 +199,7 @@ def monotone_nonneg_check(
         max_evals=max_evals,
     )
     anchor_res = point_check(f"{name}/anchor-{side}", anchor, strict=False)
-    total = CheckResult(
-        name=name,
-        status=PROVED,
-        margin=anchor,
-        strict=False,
-        children=[anchor_res, deriv],
-        evaluations=deriv.evaluations + 1,
-        note=note,
-    )
-    total.status = total.recompute_status()
-    return total
+    return combine(name, [anchor_res, deriv], note=note, margin=anchor)
 
 
 def concave_nonneg_check(
@@ -236,18 +224,9 @@ def concave_nonneg_check(
     )
     e1 = point_check(f"{name}/value-left", value_lo, strict=False)
     e2 = point_check(f"{name}/value-right", value_hi, strict=False)
-    margin = Interval(min(value_lo.lo, value_hi.lo), min(value_lo.hi, value_hi.hi))
-    total = CheckResult(
-        name=name,
-        status=PROVED,
-        margin=margin,
-        strict=False,
-        children=[e1, e2, conc],
-        evaluations=conc.evaluations + 2,
-        note=note,
+    return combine(
+        name, [e1, e2, conc], note=note, margin=imin([value_lo, value_hi])
     )
-    total.status = total.recompute_status()
-    return total
 
 
 # -- stock elementary bounds --------------------------------------------------
@@ -282,17 +261,10 @@ def lemma_exp_affine(name: str = "exp-ge-1-plus-x") -> CheckResult:
         INF,
         increasing_from_left=True,
     )
-    total = CheckResult(
-        name=name,
-        status=PROVED,
+    return combine(
+        name, [series_part, far], note="margin is analytically 0 at x=0",
         margin=Interval(0.0, 0.0),
-        strict=False,
-        children=[series_part, far],
-        evaluations=series_part.evaluations + far.evaluations,
-        note="margin is analytically 0 at x=0",
     )
-    total.status = total.recompute_status()
-    return total
 
 
 def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad") -> CheckResult:

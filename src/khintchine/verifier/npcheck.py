@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import Interval, ipoly_eval, pow_real
+from ..interval import Interval, imin, ipoly_eval, pow_real
 from ..polytools import p_sub, p_to_iv
 from ..quad import QuadConfig, integrate, near_zero_bound, tail_bound_mu_p
 from ..specfun import SQRT2, cos_taylor, neg_ln_cos_excess
@@ -22,7 +22,16 @@ from .engine import (
     point_check,
     subdivision_check,
 )
-from .result import CheckResult, combine, leaf, timer, FAILED, INCONCLUSIVE, PROVED
+from .result import (
+    FAILED,
+    INCONCLUSIVE,
+    PROVED,
+    CheckResult,
+    combine,
+    leaf,
+    status_from_margin,
+    timer,
+)
 
 FnEnclosure = Callable[[Interval], Interval]
 
@@ -51,7 +60,8 @@ def np_generic(
 
     The difference is classified on a refining partition of [y_lo, y_hi],
     bisected by the engine's bisect_boxes; cells straddling the sign change
-    shrink below y_tol.  More than one sign change, or a rightmost cell
+    shrink below y_tol.  A cell's sign is certified when d or -d grades as a
+    proved nonstrict margin.  More than one sign change, or a rightmost cell
     certified negative, fails the check; unresolved cells where the
     nonnegative phase could still lie leave it inconclusive.
     integral_check must return a rigorous enclosure of
@@ -62,22 +72,24 @@ def np_generic(
         raise ValueError("grid must be >= 16")
     if y_hi is None:
         y_hi = 0.999 * Y
-    tol = 1e-12
 
-    def evaluate(box) -> tuple[Interval, bool]:
+    def evaluate(box) -> tuple[Interval, bool, bool]:
         cell = Interval(*box[0])
         fe, ge = F(cell), G(cell)
+        d = fe - ge
         # identical enclosures satisfy both sign conditions
-        return fe - ge, fe == ge
-
-    def resolved(enc: tuple[Interval, bool]) -> bool:
-        d, flat = enc
-        return flat or d.hi <= tol or d.lo >= -tol
+        flat = fe == ge
+        return (
+            d,
+            flat or status_from_margin(-d, strict=False) == PROVED,
+            flat or status_from_margin(d, strict=False) == PROVED,
+        )
 
     start = [((c.lo, c.hi),) for c in Interval(y_lo, y_hi).split(grid)]
     # terminal cells come back left to right
     cells, evals = bisect_boxes(
-        start, evaluate, resolved, max_evals=max_evals, min_width=y_tol
+        start, evaluate, lambda enc: enc[1] or enc[2],
+        max_evals=max_evals, min_width=y_tol,
     )
 
     # certified-negative cells must all lie left of certified-positive ones;
@@ -88,23 +100,17 @@ def np_generic(
     diag = ""
     margins: list[Interval] = []
     straddles: list[tuple[float, float]] = []
-    for ((a, b),), (d, flat) in cells:
-        if flat:
-            margins.append(Interval(0.0, 0.0))
-            continue
-        is_neg = d.hi <= tol
-        is_pos = d.lo >= -tol
+    for ((a, b),), (d, is_neg, is_pos) in cells:
         if is_neg and is_pos:
             margins.append(Interval(0.0, 0.0))
-            continue
-        if is_neg:
-            if first_pos_start is not None and a >= first_pos_start:
+        elif is_neg:
+            if first_pos_start is not None:
                 verdict = FAILED
                 diag = f"negative again on [{a:.6g}, {b:.6g}] after the sign change"
                 margins.append(d)
                 break
             margins.append(-d)
-            last_neg_end = b if last_neg_end is None else max(last_neg_end, b)
+            last_neg_end = b
         elif is_pos:
             if first_pos_start is None:
                 first_pos_start = a
@@ -112,12 +118,7 @@ def np_generic(
         else:
             straddles.append((a, b))
     if verdict is PROVED:
-        if first_pos_start is not None and last_neg_end is not None and (
-            first_pos_start < last_neg_end
-        ):
-            verdict = FAILED
-            diag = "interleaved certified signs; single change impossible"
-        elif first_pos_start is None and last_neg_end is not None:
+        if first_pos_start is None and last_neg_end is not None:
             # failing needs the rightmost cell certified negative; an
             # unresolved cell right of it may still hold the positive phase
             right = [s for s in straddles if s[0] >= last_neg_end]
@@ -144,16 +145,14 @@ def np_generic(
                 diag = f"{len(cut)} cells unresolved when the evaluation budget ran out"
             y0_lo, y0_hi = gap_lo, gap_hi
 
-    if not margins:
-        margins = [Interval(0.0, 0.0)]
     hyp1 = leaf(
         f"{name}/single-sign-change",
-        Interval(min(m.lo for m in margins), min(m.hi for m in margins)),
+        imin(margins or [Interval(0.0, 0.0)]),
         strict=False,
         evaluations=evals,
         note=diag or f"y0 in [{y0_lo:.6g}, {y0_hi:.6g}]",
+        verdict=verdict,
     )
-    hyp1.status = verdict if verdict != PROVED else hyp1.status
     integral = integral_check()
     hyp2 = leaf(
         f"{name}/integral-at-s0",
@@ -224,15 +223,16 @@ def gauss_cos_gap_integral(
     div = Interval(delta, delta)
     C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
     near0 = near_zero_bound(s * C4, 3.0 - p, delta, nonneg=True)
+    minus_p1 = -(p + 1.0)
 
     def integrand_series(t: Interval) -> Interval:
         R = neg_ln_cos_excess(t)
         drop = Interval(1.0, 1.0) - (-(R * s)).exp()
-        return (-(t * t) * s * 0.5).exp() * drop * pow_real(t, -(p + 1.0))
+        return (-(t * t) * s * 0.5).exp() * drop * pow_real(t, minus_p1)
 
     def integrand_direct(t: Interval) -> Interval:
         gap = (-(t * t) * s * 0.5).exp() - pow_real(t.cos().abs(), s)
-        return gap * pow_real(t, -(p + 1.0))
+        return gap * pow_real(t, minus_p1)
 
     fin1 = integrate(integrand_series, delta, 1.2, cfg)
     fin2 = integrate(integrand_direct, 1.2, T, cfg)
@@ -318,17 +318,18 @@ def _moment_integral(
     C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
     # |t^2/2 - 1 + h| <= (1/8 + C4) t^4 near zero (both pieces of the split)
     near0 = near_zero_bound(C4 + 0.125, 3.0 - p, delta, nonneg=False)
+    minus_p1 = -(p + 1.0)
     if s is None:
         def integrand(t: Interval) -> Interval:
-            return (t * t * 0.5 - 1.0 + (-(t * t) * 0.5).exp()) * pow_real(
-                t, -(p + 1.0)
-            )
+            gap = t * t * 0.5 - 1.0 + (-(t * t) * 0.5).exp()
+            return gap * pow_real(t, minus_p1)
     else:
-        rt = Interval(s, s).sqrt()
+        siv = Interval(s, s)
+        rt = siv.sqrt()
 
         def integrand(t: Interval) -> Interval:
-            h = pow_real((t / rt).cos().abs(), Interval(s, s))
-            return (t * t * 0.5 - 1.0 + h) * pow_real(t, -(p + 1.0))
+            h = pow_real((t / rt).cos().abs(), siv)
+            return (t * t * 0.5 - 1.0 + h) * pow_real(t, minus_p1)
 
     fin = integrate(integrand, delta, T, cfg)
     Tiv = Interval(T, T)

@@ -1,11 +1,17 @@
-"""Check results: a named inequality, its rigorous margin, and a verdict."""
+"""Check results: a named inequality, its rigorous margin, and a verdict.
+
+Every status in a report is decided here: a leaf's by grading its margin
+(status_from_margin), a composite's and the overall verdict by the
+conjunction of their parts.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from ..interval import Interval
+from ..interval import Interval, imin
 
 PROVED = "proved"
 FAILED = "failed"
@@ -29,14 +35,25 @@ def status_from_margin(margin: Interval, strict: bool) -> str:
     return INCONCLUSIVE
 
 
+def conjunction(statuses: Iterable[str]) -> str:
+    """Verdict of a claim that holds when all its parts do: failed as soon as
+    one part failed, proved only when every part proved."""
+    statuses = list(statuses)
+    if FAILED in statuses:
+        return FAILED
+    if all(s == PROVED for s in statuses):
+        return PROVED
+    return INCONCLUSIVE
+
+
 @dataclass
 class CheckResult:
     """Outcome of one named inequality check.
 
     margin encloses the quantity the check proves nonnegative (for leaf
     checks, usually the infimum of the claim over its domain).  A composite's
-    margin is the minimum of its children's margins and its status follows the
-    children: proved only when every child proved, failed as soon as one is.
+    margin is the minimum of its children's margins unless combine is given
+    one, and its status is the conjunction of theirs.
     """
 
     name: str
@@ -47,15 +64,6 @@ class CheckResult:
     evaluations: int = 0
     elapsed: float = 0.0
     note: str = ""
-
-    def recompute_status(self) -> str:
-        if not self.children:
-            return status_from_margin(self.margin, self.strict)
-        if any(c.status == FAILED for c in self.children):
-            return FAILED
-        if all(c.status == PROVED for c in self.children):
-            return PROVED
-        return INCONCLUSIVE
 
     def walk(self):
         yield self
@@ -79,10 +87,13 @@ class CheckResult:
 
 
 def leaf(name: str, margin: Interval, strict: bool = True, evaluations: int = 0,
-         note: str = "") -> CheckResult:
+         note: str = "", verdict: str = PROVED) -> CheckResult:
+    """A check graded by its margin.  A claim that also rests on a verdict
+    reached outside the margin (np_generic's sign pattern) passes it as
+    `verdict`; the status is the conjunction of the two."""
     return CheckResult(
         name=name,
-        status=status_from_margin(margin, strict),
+        status=conjunction((status_from_margin(margin, strict), verdict)),
         margin=margin,
         strict=strict,
         evaluations=evaluations,
@@ -90,22 +101,19 @@ def leaf(name: str, margin: Interval, strict: bool = True, evaluations: int = 0,
     )
 
 
-def combine(name: str, children: list[CheckResult], note: str = "") -> CheckResult:
-    margin = Interval(
-        min(c.margin.lo for c in children),
-        min(c.margin.hi for c in children),
-    )
-    res = CheckResult(
+def combine(name: str, children: list[CheckResult], note: str = "",
+            margin: Interval | None = None) -> CheckResult:
+    """The conjunction of children.  Its margin is the minimum of theirs
+    unless the caller derives a better one (an anchor under monotonicity)."""
+    return CheckResult(
         name=name,
-        status=PROVED,
-        margin=margin,
+        status=conjunction(c.status for c in children),
+        margin=imin([c.margin for c in children]) if margin is None else margin,
         strict=all(c.strict for c in children),
         children=list(children),
         evaluations=sum(c.evaluations for c in children),
         note=note,
     )
-    res.status = res.recompute_status()
-    return res
 
 
 class timer:

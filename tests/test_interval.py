@@ -17,6 +17,7 @@ from khintchine.interval import (
     DomainError,
     Interval,
     IntervalError,
+    imin,
     pow_real,
 )
 
@@ -108,6 +109,29 @@ def test_inclusion_isotonicity():
             assert op(a_big, b_big).encloses(op(a, b))
         if b.lo > 0.6:  # keep the widened divisor away from zero
             assert operator.truediv(a_big, b_big).encloses(operator.truediv(a, b))
+
+
+def test_imin_encloses_pointwise_minimum():
+    # for every choice of points x_i in the boxes, min_i x_i lies in imin
+    rng = random.Random(17)
+    for _ in range(2000):
+        boxes = [_rand_interval(rng) for _ in range(rng.randint(1, 5))]
+        m = imin(boxes)
+        assert m.lo == min(b.lo for b in boxes) and m.hi == min(b.hi for b in boxes)
+        for _ in range(5):
+            pts = [min(max(rng.uniform(b.lo, b.hi), b.lo), b.hi) for b in boxes]
+            assert m.contains(min(pts))
+        assert m.contains(min(b.lo for b in boxes))
+
+
+def test_imin_signed_zero_tie():
+    # of equal ends the first item's wins, as with the builtin min
+    neg_first = imin([Interval(-0.0, 1.0), Interval(0.0, 1.0)])
+    pos_first = imin([Interval(0.0, 1.0), Interval(-0.0, 1.0)])
+    assert math.copysign(1.0, neg_first.lo) == -1.0
+    assert math.copysign(1.0, pos_first.lo) == 1.0
+    assert imin([Interval(-1.0, -0.0), Interval(-2.0, 0.0)]).hi.hex() == (-0.0).hex()
+    assert imin([Interval(-1.0, 0.0), Interval(-2.0, -0.0)]).hi.hex() == (0.0).hex()
 
 
 def test_point_containment_arith_exact_rationals():

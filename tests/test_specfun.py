@@ -204,13 +204,3 @@ def test_taylor_enclosures():
         assert ct.eval(iv(t)).contains(float(mp.cos(mpf(t))))
         assert st.eval(iv(t)).contains(float(mp.sin(mpf(t))))
         assert et.eval(iv(t)).contains(float(mp.exp(mpf(t))))
-
-
-def test_series_policy_validation():
-    with pytest.raises(ValueError):
-        sf.SeriesPolicy(max_terms=4)
-    with pytest.raises(ValueError):
-        sf.SeriesPolicy(tail_safety=0.5)
-    wide = sf.ei_neg(iv(-1.0), sf.SeriesPolicy(max_terms=200, tail_safety=4.0))
-    tight = sf.ei_neg(iv(-1.0))
-    assert wide.encloses(tight)

@@ -12,7 +12,9 @@ from khintchine.verifier import (
     check_cond1_sign_at_sigma,
     check_cond1_small_x,
     check_reduction_to_p2,
+    conjunction,
     d_coefficient,
+    status_from_margin,
 )
 from khintchine.verifier.cond1 import _rhs_sign_bound, _rhs13
 
@@ -21,7 +23,10 @@ def _assert_all_proved(result):
     bad = [n.name for n in result.walk() if n.status != PROVED]
     assert result.status == PROVED, f"non-proved nodes: {bad}"
     for node in result.walk():
-        assert node.status == node.recompute_status()
+        assert node.status == (
+            conjunction(c.status for c in node.children) if node.children
+            else status_from_margin(node.margin, node.strict)
+        )
 
 
 def test_sign_at_sigma_proves():

@@ -21,6 +21,7 @@ from khintchine.verifier import (
     INCONCLUSIVE,
     PROVED,
     combine,
+    conjunction,
     leaf,
     lemma_exp_affine,
     lemma_ln1p_quadratic,
@@ -35,6 +36,13 @@ from khintchine.verifier import (
 from fractions import Fraction
 
 
+def _regraded(node):
+    """The status the grading rules give a node from its margin or children."""
+    if node.children:
+        return conjunction(c.status for c in node.children)
+    return status_from_margin(node.margin, node.strict)
+
+
 def test_status_rules():
     assert status_from_margin(Interval(0.1, 0.2), strict=True) == PROVED
     assert status_from_margin(Interval(-0.2, -0.1), strict=True) == FAILED
@@ -45,9 +53,12 @@ def test_status_rules():
 
 def test_leaf_and_recompute_consistency():
     r = leaf("x", Interval(0.5, 1.0))
-    assert r.status == PROVED == r.recompute_status()
+    assert r.status == PROVED == status_from_margin(r.margin, r.strict)
     r2 = leaf("y", Interval(-1.0, 1.0))
-    assert r2.status == INCONCLUSIVE == r2.recompute_status()
+    assert r2.status == INCONCLUSIVE == status_from_margin(r2.margin, r2.strict)
+    # a verdict reached outside the margin caps it, never lifts it
+    assert leaf("z", Interval(0.5, 1.0), verdict=INCONCLUSIVE).status == INCONCLUSIVE
+    assert leaf("w", Interval(-2.0, -1.0), verdict=INCONCLUSIVE).status == FAILED
 
 
 def test_composite_rules():
@@ -59,9 +70,15 @@ def test_composite_rules():
     assert combine("one-fuzzy", [good, fuzzy]).status == INCONCLUSIVE
     c = combine("margins", [good, leaf("d", Interval(0.5, 3.0))])
     assert c.margin.lo == 0.5 and c.margin.hi == 2.0
-    # every node's stored status must equal its recomputed status
+    # every node's stored status must equal its regraded status
     for node in c.walk():
-        assert node.status == node.recompute_status()
+        assert node.status == _regraded(node)
+    assert conjunction([]) == PROVED
+    assert conjunction([PROVED, INCONCLUSIVE, FAILED]) == FAILED
+    assert conjunction(iter([PROVED, INCONCLUSIVE])) == INCONCLUSIVE
+    # a derived margin replaces the minimum, the status still follows the children
+    anchored = combine("anchored", [good, fuzzy], margin=Interval(0.0, 0.0))
+    assert anchored.margin == Interval(0.0, 0.0) and anchored.status == INCONCLUSIVE
 
 
 def test_prove_positive_1d_outcomes():
@@ -125,9 +142,21 @@ def test_prove_positive_2d_anisotropic_domain():
 
 
 def test_subdivision_check_wrapper():
-    r = subdivision_check("pos", lambda t: t.exp(), -2.0, 2.0)
-    assert r.status == PROVED
-    assert r.evaluations >= 1
+    # the leaf grades the prover's margin; it must land on the prover's status
+    dip = lambda t: (t - 0.3333) * (t - 0.3333) + 1e-8
+    cases = [
+        ("pos", lambda t: t.exp(), {}, PROVED),
+        ("touching", lambda t: t * t, {"strict": False}, PROVED),
+        ("refuted", lambda t: t * t - 2.0, {}, FAILED),
+        ("refuted-nonstrict", lambda t: t * t - 2.0, {"strict": False}, FAILED),
+        ("budget", dip, {"max_evals": 10}, INCONCLUSIVE),
+        ("budget-nonstrict", dip, {"strict": False, "max_evals": 10}, INCONCLUSIVE),
+    ]
+    for name, f, kw, expected in cases:
+        r = subdivision_check(name, f, -2.0, 2.0, **kw)
+        m, evals, st = prove_positive_1d(f, -2.0, 2.0, **kw)
+        assert r.status == st == expected, name
+        assert r.margin == m and r.evaluations == evals >= 1, name
 
 
 def test_stock_lemmas_prove():
@@ -140,7 +169,7 @@ def test_stock_lemmas_prove():
     ):
         assert res.status == PROVED, res.name
         for node in res.walk():
-            assert node.status == node.recompute_status()
+            assert node.status == _regraded(node)
 
 
 def test_poly_helpers():

@@ -1,8 +1,11 @@
 """Adaptive interval quadrature: integrals with certificates.
 
-Cells carry the crude enclosure f([u,v]) * (v-u); bisection is driven by a
-priority queue on enclosure width, so the budget flows to where the integrand
-is hardest.  Stopping early never invalidates the answer, it only widens it.
+Each cell [u,v] carries the intersection of the first-order enclosure
+f([u,v]) * (v-u) and a second-order Taylor enclosure around the midpoint c,
+f(c) (v-u) + f''([u,v]) (v-u)^3/24, with f'' from one evaluation of the
+integrand on an interval jet.  Bisection is driven by a priority queue on the
+width of the cell integrals, so the budget flows to where the integrand is
+hardest.  Stopping early never invalidates the answer, it only widens it.
 """
 
 import math

@@ -190,7 +190,9 @@ class Interval:
         return _make(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Interval":
-        o = other if type(other) is Interval else _coerce(other)
+        o = other if type(other) is Interval else _operand(other)
+        if o is NotImplemented:
+            return o
         # a float sum that lands exactly on 0.0 is exact (subnormal grid)
         lo = self.lo + o.lo
         hi = self.hi + o.hi
@@ -202,7 +204,9 @@ class Interval:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = other if type(other) is Interval else _coerce(other)
+        o = other if type(other) is Interval else _operand(other)
+        if o is NotImplemented:
+            return o
         lo = self.lo - o.hi
         hi = self.hi - o.lo
         return _make(
@@ -214,7 +218,9 @@ class Interval:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Interval":
-        o = other if type(other) is Interval else _coerce(other)
+        o = other if type(other) is Interval else _operand(other)
+        if o is NotImplemented:
+            return o
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
         p1, p2, p3, p4 = a * c, a * d, b * c, b * d
         if p1 == p1 and p2 == p2 and p3 == p3 and p4 == p4:  # no 0 * inf corner
@@ -224,7 +230,9 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = other if type(other) is Interval else _coerce(other)
+        o = other if type(other) is Interval else _operand(other)
+        if o is NotImplemented:
+            return o
         c, d = o.lo, o.hi
         if c <= 0.0 <= d:
             raise DomainError(f"division by interval containing zero: {o}")
@@ -342,6 +350,15 @@ def _coerce(x) -> Interval:
     raise TypeError(f"cannot interpret {x!r} as an interval")
 
 
+def _operand(x):
+    """_coerce for a binary operator: NotImplemented for a foreign type, so
+    Python tries that operand's reflected method (a Jet's, for instance)."""
+    try:
+        return _coerce(x)
+    except TypeError:
+        return NotImplemented
+
+
 def _ipow(x: float, n: int) -> float:
     try:
         return x**n
@@ -379,9 +396,11 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
     """Enclosure of {x**sigma : x in a, sigma in s} for a >= 0.
 
     Implemented as exp(s * ln a); an interval touching zero requires s > 0 and
-    uses the limit 0**sigma = 0.
+    uses the limit 0**sigma = 0.  A Jet argument goes to Jet.pow_real.
     """
     s = s if type(s) is Interval else _coerce(s)
+    if type(a) is not Interval:
+        return a.pow_real(s)
     if 0.0 < a.lo and a.hi < INF:
         return (s * a.ln()).exp()
     if a.lo < 0.0:

@@ -1,19 +1,30 @@
 """Validated integration: adaptive interval quadrature plus mu_p tail bounds.
 
-Finite integrals use global-adaptive bisection with the crude cell enclosure
-f([u,v]) * (v-u); the result is a true enclosure no matter where refinement
-stops.  Improper integrals against d(mu_p) = dt/t^(p+1) are assembled by the
-callers from a finite part, a certified tail bound, and (where the integrand
-is singular-looking at 0) a declared near-zero majorant.
+Finite integrals use global-adaptive bisection.  Each cell [a, b] with float
+midpoint c is enclosed by the intersection of two valid enclosures of its
+integral: the first-order f([a,b]) (b-a), and the second-order Taylor form
+
+    f([c,c]) (b-a) + f'([a,b]) ((b-c)^2 - (a-c)^2)/2 + f''([a,b]) ((b-c)^3 - (a-c)^3)/6,
+
+with f' and f'' from one evaluation of the integrand on a ``Jet``.  Every
+factor is an Interval, so an inexact midpoint or cell width stays sound, and
+the result is a true enclosure no matter where refinement stops.  A cell
+where the jet raises DomainError (|cos t|^s at a zero of cos, a kink), or an
+integrand that does not return a Jet (a constant), keeps the first-order
+enclosure alone.  Improper integrals against d(mu_p) = dt/t^(p+1) are
+assembled by the callers from a finite part, a certified tail bound, and
+(where the integrand is singular-looking at 0) a declared near-zero majorant.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .interval import Interval, DomainError, pow_real
+from .jet import Jet
 
 FnEnclosure = Callable[[Interval], Interval]
 
@@ -45,44 +56,81 @@ class QuadResult:
         return self.status == "ok"
 
 
+def note_missed(note: str, *results: QuadResult) -> str:
+    """A leaf note, followed by the target miss of any wide result in results."""
+    wide = [r for r in results if not r.ok]
+    if not wide:
+        return note
+    missed = f"quadrature target missed (wide, {sum(r.cells for r in wide)} cells)"
+    return f"{note}; {missed}" if note else missed
+
+
+def _cell(f, lo: float, hi: float) -> Interval:
+    """Enclosure of the integral of f over [lo, hi]: first order meet Taylor."""
+    L = Interval(lo, lo)
+    H = Interval(hi, hi)
+    w = H - L
+    x = Interval(lo, hi)
+    try:
+        jet = f(Jet.var(x))
+    except DomainError:
+        jet = None
+    if type(jet) is not Jet:
+        return f(x) * w  # a DomainError here is the integrand's own
+    c = Interval(0.5 * (lo + hi))
+    a, b = L - c, H - c
+    taylor = (
+        f(c) * w
+        + jet.d * ((b**2 - a**2) * 0.5)
+        + jet.dd * ((b**3 - a**3) / 6.0)
+    )
+    crude = jet.v * w
+    return Interval(max(crude.lo, taylor.lo), min(crude.hi, taylor.hi))
+
+
 def integrate(
     f: FnEnclosure, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> QuadResult:
-    """Enclosure of the integral of f over the finite interval [a, b]."""
+    """Enclosure of the integral of f over the finite interval [a, b].
+
+    The widest cell integral is bisected until the widths sum to at most
+    cfg.target_width; a run cut short by max_depth or max_cells is "wide".
+    cells counts the cells enclosed.
+    """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    enc = f(Interval(a, b))
-    # heap of (-contribution_width, lo, hi, depth, enclosure); widest first
-    heap = [(-enc.width * (b - a), a, b, 0, enc)]
-    done: list[tuple[float, float, Interval]] = []
-    total = -heap[0][0]
+    enc = _cell(f, a, b)
+    # heap of (-cell_integral_width, lo, hi, depth, cell_integral); widest first
+    heap = [(-enc.width, a, b, 0, enc)]
+    done: list[tuple[float, Interval]] = []
+    total = enc.width
     evals = 1
     status = "ok"
     while heap:
         if total <= cfg.target_width:
-            break
+            # the running sum still carries the rounding of early, huge
+            # widths (4e11 on the first gap-integral cell): re-add exactly
+            total = math.fsum([-e[0] for e in heap] + [e.width for _, e in done])
+            if total <= cfg.target_width:
+                break
         negw, lo, hi, depth, cell_enc = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if depth >= cfg.max_depth or evals + 2 > cfg.max_cells or not lo < mid < hi:
-            done.append((lo, hi, cell_enc))
+            done.append((lo, cell_enc))
             status = "wide"
             continue
-        left = f(Interval(lo, mid))
-        right = f(Interval(mid, hi))
+        left = _cell(f, lo, mid)
+        right = _cell(f, mid, hi)
         evals += 2
-        total += negw  # remove old contribution (negw is negative)
-        wl = left.width * (mid - lo)
-        wr = right.width * (hi - mid)
-        total += wl + wr
-        heapq.heappush(heap, (-wl, lo, mid, depth + 1, left))
-        heapq.heappush(heap, (-wr, mid, hi, depth + 1, right))
-    done.extend((lo, hi, enc) for (_, lo, hi, _, enc) in heap)
-    # deterministic summation in position order; the cell width hi - lo is
-    # enclosed in the kernel because its float difference can round down
+        total += negw + left.width + right.width  # negw removes the old cell
+        heapq.heappush(heap, (-left.width, lo, mid, depth + 1, left))
+        heapq.heappush(heap, (-right.width, mid, hi, depth + 1, right))
+    done.extend((lo, enc) for (_, lo, _, _, enc) in heap)
+    # deterministic summation in position order
     done.sort(key=lambda c: c[0])
     acc = Interval(0.0, 0.0)
-    for lo, hi, enc in done:
-        acc = acc + enc * (Interval(hi, hi) - Interval(lo, lo))
+    for _, enc in done:
+        acc = acc + enc
     return QuadResult(acc, status, evals)
 
 

@@ -316,7 +316,8 @@ def check_reduction_to_p2() -> CheckResult:
         )
 
         # (b) ln(A^2) >= t^2/6: quadratic ln bound plus positive t^4 coefficient
-        x_hi = T_END**2 / 6.0 + 2.0 * T_END**4 / 45.0 + 1e-9
+        t_end = Interval(T_END, T_END)
+        x_hi = (t_end**2 / 6.0 + t_end**4 * Fraction(2, 45)).hi
         ln_bound = lemma_ln1p_quadratic(x_hi)
 
         def t4_coeff(t: Interval) -> Interval:

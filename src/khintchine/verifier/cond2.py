@@ -17,8 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..interval import E as EULER_E
-from ..interval import HALF_PI, PI, SQRT2, Interval, imin, pow_real
-from ..quad import QuadConfig, integrate, tail_bound_mu_p
+from ..interval import HALF_PI, PI, SQRT2, DomainError, Interval, imin, pow_real
+from ..jet import Jet
+from ..quad import QuadConfig, integrate, note_missed, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg
 from .engine import (
     lemma_log_le_affine,
@@ -72,6 +73,7 @@ def check_cond2_hprime(
     uses the secant majorant of the gaussian factor and step minorants of the
     cosine power; J <= 0.0147.  [pi/2, inf): bounded below by
     lambda_p I1 - Lambda_p I2 > 0 with both integrals enclosed by quadrature.
+    Every integrand also runs on a Jet.
 
     target_width overrides every quadrature budget (coarse values degrade the
     razor-thin children to inconclusive, never to a false proof).
@@ -108,7 +110,9 @@ def check_cond2_hprime(
                 point_check(
                     "integral-above-0.0153",
                     piece_a_val - 0.0153,
-                    note=f"enclosure {piece_a_val!r} via {qa.cells} quadrature cells",
+                    note=note_missed(
+                        f"enclosure {piece_a_val!r} via {qa.cells} quadrature cells", qa
+                    ),
                 ),
             ],
             note="b = t^4/(6 sqrt2); b - b^2/2 with b^2/2 = t^8/144 exactly",
@@ -160,7 +164,7 @@ def check_cond2_hprime(
                 point_check(
                     "J-below-0.0147",
                     Interval(0.0147, 0.0147) - J,
-                    note=f"J enclosure {J!r}",
+                    note=note_missed(f"J enclosure {J!r}", j1, j2, j3),
                 ),
             ],
             note="middle piece of H' is bounded below by -J",
@@ -210,8 +214,11 @@ def check_cond2_hprime(
         i1_child = point_check(
             "cos-integral-floor",
             I1 * 1.75 - LAMBDA_TAIL_CONST,
-            note=f"1.75 I1 = {(I1 * 1.75)!r}; printed 0.043369 exceeds the true "
-            "value 0.0433640 and is repaired to 0.0433",
+            note=note_missed(
+                f"1.75 I1 = {(I1 * 1.75)!r}; printed 0.043369 exceeds the true "
+                "value 0.0433640 and is repaired to 0.0433",
+                q1,
+            ),
         )
 
         cfg_i2 = QuadConfig(target_width=w(1e-6), max_cells=500_000)
@@ -224,7 +231,7 @@ def check_cond2_hprime(
         i2_child = point_check(
             "gauss-integral-ceiling",
             EULER_E * 0.00705 - I2,
-            note=f"I2 = {I2!r} <= 0.00705 e; margin is a few 1e-6",
+            note=note_missed(f"I2 = {I2!r} <= 0.00705 e; margin is a few 1e-6", q2),
         )
 
         def cmp_margin(const: float, b: Interval) -> Interval:
@@ -266,7 +273,10 @@ def check_cond2_hprime(
         net = point_check(
             "net-lower-bound",
             imin(nets),
-            note="piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
+            note=note_missed(
+                "piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
+                qa, j1, j2, j3, q1, q2,
+            ),
         )
         res = combine(
             "cond2/hprime", [piece_a, piece_b, tail_piece, net]
@@ -356,7 +366,9 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
     C: quadratic cosine-power majorants integrated by ci primitives (<= 0.2577).
     D: Hoelder bound of the cosine tail (<= 0.0667).
 
-    target_width overrides the cross-check quadrature budgets.
+    target_width overrides the cross-check quadrature budgets.  Every
+    integrand also runs on a Jet; the piece-C majorant falls back to the
+    first-order enclosure on a cell where it switches pieces.
     """
 
     def w(default: float) -> float:
@@ -393,7 +405,9 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
                     a_closed - 0.03129,
                     note=f"A = {a_closed!r}; margin is about 5e-8",
                 ),
-                _overlap_check("closed-form-vs-quadrature", a_closed, qa.value),
+                _overlap_check(
+                    "closed-form-vs-quadrature", a_closed, qa.value, note_missed("", qa)
+                ),
             ],
             note="substitution u = t^2/sqrt2 reduces the minorant to e^-u(a'+b'u)",
         )
@@ -421,7 +435,10 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
                     ),
                 ),
                 _overlap_check(
-                    "exact-vs-quadrature", b_exact, qb.value + Interval(0.0, b_tail_hi)
+                    "exact-vs-quadrature",
+                    b_exact,
+                    qb.value + Interval(0.0, b_tail_hi),
+                    note_missed("", qb),
                 ),
             ],
             note="int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2)",
@@ -459,15 +476,18 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
 
         c_total = seg1 + seg2 + seg3 + seg4
 
-        def c_majorant(t: Interval) -> Interval:
+        def c_majorant(t):
             ac = t.cos().abs()
             quad_part = ac * ac * aq
             outer = (quad_part + ac * b2 + gam) / t**3  # |cos| in [1/4, sqrt2/2]
             inner = (quad_part + ac * b1) / t**3  # |cos| in [0, 1/4]
-            if ac.lo >= 0.25:
+            acv = ac.v if type(ac) is Jet else ac
+            if acv.lo >= 0.25:
                 return outer
-            if ac.hi <= 0.25:
+            if acv.hi <= 0.25:
                 return inner
+            if type(ac) is Jet:  # no derivative where the majorant switches
+                raise DomainError("majorant switches pieces inside the cell")
             return Interval.hull(outer, inner)  # cell straddles the split
 
         qc = integrate(
@@ -484,7 +504,9 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
                     Interval(0.2577, 0.2577) - c_total,
                     note=f"C = {c_total!r} via the ci primitives",
                 ),
-                _overlap_check("primitives-vs-quadrature", c_total, qc.value),
+                _overlap_check(
+                    "primitives-vs-quadrature", c_total, qc.value, note_missed("", qc)
+                ),
             ],
             note="second majorant shift repaired to -0.0439 (printed -0.04399 fails)",
         )
@@ -510,7 +532,7 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
                     Interval(0.0667, 0.0667) - d_bound,
                     note=f"D bound = {d_bound!r} = mu(X)^(1-s/2) (int cos^2 dmu)^(s/2)",
                 ),
-                _overlap_check("tail-vs-quadrature", S, s_quad),
+                _overlap_check("tail-vs-quadrature", S, s_quad, note_missed("", qs)),
             ],
             note="Hoelder on ((3pi/4, inf), dt/t^3) with s = sqrt2",
         )

@@ -14,7 +14,14 @@ from typing import Callable
 from ..distfn import MeasureParams, f_star, g_star
 from ..interval import Interval, imin, ipoly_eval, pow_real
 from ..polytools import p_sub, p_to_iv
-from ..quad import QuadConfig, integrate, near_zero_bound, tail_bound_mu_p
+from ..quad import (
+    QuadConfig,
+    QuadResult,
+    integrate,
+    near_zero_bound,
+    note_missed,
+    tail_bound_mu_p,
+)
 from ..specfun import SQRT2, cos_taylor, neg_ln_cos_excess
 from .engine import (
     bisect_boxes,
@@ -54,6 +61,7 @@ def np_generic(
     y_tol: float = 1e-4,
     max_evals: int = 20_000,
     name: str = "np-generic",
+    integral_note: str = "",
 ) -> CheckResult:
     """Certify: F - G <= 0 left of some y0, >= 0 right of it, and the
     s0-integral is nonnegative.
@@ -66,7 +74,7 @@ def np_generic(
     nonnegative phase could still lie leave it inconclusive.
     integral_check must return a rigorous enclosure of
     int (g^s0 - f^s0) d(mu); assembling it (cutoffs, tails) is the caller's
-    business.
+    business, and integral_note is added to that leaf's note.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
@@ -159,7 +167,7 @@ def np_generic(
         integral,
         strict=False,
         evaluations=1,
-        note=f"s0 = {s0}",
+        note=f"s0 = {s0}" + (f"; {integral_note}" if integral_note else ""),
     )
     return combine(name, [hyp1, hyp2], note=hyp1.note)
 
@@ -195,7 +203,7 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
         lambda u: u * u / ((1.0 - u) * (1.0 - u) * 2.0),
         Interval(0.0, 0.0),
         0.0,
-        0.5 * delta * delta + 1e-12,
+        (Interval(delta, delta) ** 2 * 0.5).hi,
         increasing_from_left=True,
         note="-ln(1-u) <= u + u^2/(2(1-u)); derivative u^2/(2(1-u)^2) >= 0",
     )
@@ -209,14 +217,15 @@ def gauss_cos_gap_integral(
     delta: float = 1e-3,
     T: float = 30.0,
     cfg: QuadConfig | None = None,
-) -> tuple[Interval, int]:
-    """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt.
+) -> tuple[Interval, tuple[QuadResult, ...]]:
+    """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
+    the quadratures of its finite pieces.
 
     Near zero the integrand lies in [0, s C4 t^(3-p)] with
     C4 = 1/(8 (1 - delta^2/2)).  On [delta, 1.2] the difference is evaluated
     cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)}) with R the certified
     -ln cos t - t^2/2 series; beyond 1.2 the direct form is fine.  The tails
-    use the stock mu_p majorants.
+    use the stock mu_p majorants.  Both integrands also run on a Jet.
     """
     if cfg is None:
         cfg = QuadConfig(target_width=2e-4, max_cells=150_000)
@@ -239,7 +248,7 @@ def gauss_cos_gap_integral(
     gauss = tail_bound_mu_p("gauss", s, p, T)
     cospow = tail_bound_mu_p("cos_power", s, p, T)
     total = near0 + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
-    return total, fin1.cells + fin2.cells
+    return total, (fin1, fin2)
 
 
 def check_conclusion_direct(
@@ -255,7 +264,7 @@ def check_conclusion_direct(
         for p in p_grid:
             row = []
             for s in s_grid:
-                enc, cells = gauss_cos_gap_integral(
+                enc, quads = gauss_cos_gap_integral(
                     Interval(p, p), Interval(s, s)
                 )
                 row.append(
@@ -263,7 +272,8 @@ def check_conclusion_direct(
                         f"integral-p{p}-s{round(s, 6)}",
                         enc,
                         strict=False,
-                        evaluations=cells,
+                        evaluations=sum(q.cells for q in quads),
+                        note=note_missed("", *quads),
                     )
                 )
             children.append(combine(f"p-{p}", row))
@@ -286,17 +296,14 @@ def check_np_cos_gauss(p: float, K: int = 200, grid: int = 64) -> CheckResult:
     def G(x: Interval) -> Interval:
         return g_star(x, mp)
 
-    def integral() -> Interval:
-        enc, _ = gauss_cos_gap_integral(
+    with timer() as tm:
+        enc, quads = gauss_cos_gap_integral(
             Interval(p, p), Interval(SQRT2.lo, SQRT2.hi)
         )
-        return enc
-
-    with timer() as tm:
         res = np_generic(
-            F, G, 1.0, float(SQRT2.lo), integral, grid=grid,
+            F, G, 1.0, float(SQRT2.lo), lambda: enc, grid=grid,
             y_hi=0.99, y_tol=1e-5, max_evals=40_000,
-            name=f"np/cos-gauss-p{p}",
+            name=f"np/cos-gauss-p{p}", integral_note=note_missed("", *quads),
         )
     return tm.stamp(res)
 
@@ -309,9 +316,10 @@ def check_np_cos_gauss(p: float, K: int = 200, grid: int = 64) -> CheckResult:
 def _moment_integral(
     p: Interval, s: float | None, *, delta: float = 1e-2, T: float = 150.0,
     cfg: QuadConfig | None = None,
-) -> Interval:
+) -> tuple[Interval, tuple[QuadResult, ...]]:
     """Enclosure of int_0^inf (t^2/2 - 1 + h(t)) / t^(p+1) dt where h is
-    |cos(t/sqrt(s))|^s (s finite) or exp(-t^2/2) (s None)."""
+    |cos(t/sqrt(s))|^s (s finite) or exp(-t^2/2) (s None), and the
+    quadrature of its finite piece.  The integrand also runs on a Jet."""
     if cfg is None:
         cfg = QuadConfig(target_width=2e-3, max_cells=120_000)
     div = Interval(delta, delta)
@@ -335,7 +343,7 @@ def _moment_integral(
     Tiv = Interval(T, T)
     upper = pow_real(Tiv, 2.0 - p) / ((p - 2.0) * 2.0)
     lower = upper - pow_real(Tiv, -p) / p
-    return near0 + fin.value + Interval(lower.lo, upper.hi)
+    return near0 + fin.value + Interval(lower.lo, upper.hi), (fin,)
 
 
 def check_fp_convergence(p: float = 2.5, s_list=(4.0, 16.0, 64.0)) -> CheckResult:
@@ -353,39 +361,51 @@ def check_fp_convergence(p: float = 2.5, s_list=(4.0, 16.0, 64.0)) -> CheckResul
         raise ValueError("tail bound needs p above 2")
     with timer() as tm:
         piv = Interval(p, p)
-        I_inf = _moment_integral(piv, None)
+        I_inf, inf_quads = _moment_integral(piv, None)
         children = [
-            point_check("limit-positive", I_inf, note=f"I(inf) = {I_inf!r}"),
+            point_check(
+                "limit-positive",
+                I_inf,
+                note=note_missed(f"I(inf) = {I_inf!r}", *inf_quads),
+            ),
         ]
         devs = []
         for s in s_list:
-            I_s = _moment_integral(piv, s)
+            I_s, s_quads = _moment_integral(piv, s)
             direct = (I_s - I_inf).abs()
-            gap, _ = gauss_cos_gap_integral(piv, Interval(s, s))
+            gap, gap_quads = gauss_cos_gap_integral(piv, Interval(s, s))
             tight = pow_real(Interval(s, s), -piv * 0.5) * gap
             gap_m = min(direct.hi - tight.lo, tight.hi - direct.lo)
             children.append(
                 point_check(
                     f"deviation-routes-overlap-s{s}",
                     Interval(gap_m, gap_m),
-                    note=f"direct {direct!r} vs rescaled-gap {tight!r}",
+                    note=note_missed(
+                        f"direct {direct!r} vs rescaled-gap {tight!r}",
+                        *inf_quads, *s_quads, *gap_quads,
+                    ),
                 )
             )
-            devs.append((s, tight))
-        for (s1, d1), (s2, d2) in zip(devs, devs[1:]):
+            devs.append((s, tight, gap_quads))
+        for (s1, d1, q1), (s2, d2, q2) in zip(devs, devs[1:]):
             children.append(
                 point_check(
                     f"deviation-decreasing-{s1}-to-{s2}",
                     d1 - d2,
-                    note=f"|I({s1})-I(inf)| = {d1!r} vs |I({s2})-I(inf)| = {d2!r}",
+                    note=note_missed(
+                        f"|I({s1})-I(inf)| = {d1!r} vs |I({s2})-I(inf)| = {d2!r}",
+                        *q1, *q2,
+                    ),
                 )
             )
-        s_last, d_last = devs[-1]
+        s_last, d_last, q_last = devs[-1]
         children.append(
             point_check(
                 "final-within-1-percent",
                 I_inf * 0.01 - d_last,
-                note=f"|I({s_last})-I(inf)| below I(inf)/100",
+                note=note_missed(
+                    f"|I({s_last})-I(inf)| below I(inf)/100", *inf_quads, *q_last
+                ),
             )
         )
         res = combine(f"np/moment-convergence-p{p}", children)

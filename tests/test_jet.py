@@ -1,0 +1,143 @@
+"""Interval jets: value, f' and f'' enclose mpmath's derivatives on whole cells."""
+
+import random
+import zlib
+
+import pytest
+from mpmath import mp, mpf
+
+from khintchine.interval import DomainError, Interval, SQRT2, pow_real
+from khintchine.jet import Jet
+from khintchine.specfun import neg_ln_cos_excess
+
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    # every test runs at 50 digits, restored afterwards
+    with mp.workdps(50):
+        yield
+
+
+C = Interval(1.5, 1.5)
+
+# (name, jet/interval function, mpmath function, sampling domain)
+CASES = [
+    ("add-jets", lambda t: t.exp() + t.sin(), lambda x: mp.exp(x) + mp.sin(x), (-2.0, 2.0)),
+    ("add-float", lambda t: t + 0.3, lambda x: x + mpf(0.3), (-2.0, 2.0)),
+    ("radd-interval", lambda t: C + t * t, lambda x: mpf(1.5) + x * x, (-2.0, 2.0)),
+    ("sub-jets", lambda t: t.cos() - t * t, lambda x: mp.cos(x) - x * x, (-2.0, 2.0)),
+    ("rsub-float", lambda t: 2.5 - t.exp(), lambda x: mpf(2.5) - mp.exp(x), (-2.0, 2.0)),
+    ("rsub-interval", lambda t: C - t.sin(), lambda x: mpf(1.5) - mp.sin(x), (-2.0, 2.0)),
+    ("neg", lambda t: -(t * t.exp()), lambda x: -x * mp.exp(x), (-2.0, 2.0)),
+    ("mul-jets", lambda t: t.exp() * t.sin(), lambda x: mp.exp(x) * mp.sin(x), (-2.0, 2.0)),
+    ("mul-interval", lambda t: C * t.cos(), lambda x: mpf(1.5) * mp.cos(x), (-2.0, 2.0)),
+    ("div-jets", lambda t: t.sin() / (t + 3.0), lambda x: mp.sin(x) / (x + 3), (-2.0, 2.0)),
+    ("div-interval", lambda t: t.exp() / C, lambda x: mp.exp(x) / mpf(1.5), (-2.0, 2.0)),
+    ("rdiv-float", lambda t: 3.0 / (t * t + 1.0), lambda x: 3 / (x * x + 1), (-2.0, 2.0)),
+    ("rdiv-interval", lambda t: C / t.exp(), lambda x: mpf(1.5) / mp.exp(x), (-2.0, 2.0)),
+    ("pow-2", lambda t: t**2, lambda x: x**2, (-2.0, 2.0)),
+    ("pow-3", lambda t: (t + 0.5) ** 3, lambda x: (x + mpf(0.5)) ** 3, (-2.0, 2.0)),
+    ("pow-5", lambda t: t**5, lambda x: x**5, (0.1, 2.0)),
+    ("pow-neg", lambda t: t**-3, lambda x: x**-3, (0.2, 3.0)),
+    ("exp", lambda t: (t * 0.7).exp(), lambda x: mp.exp(x * mpf(0.7)), (-3.0, 3.0)),
+    ("ln", lambda t: (t + 2.0).ln(), lambda x: mp.log(x + 2), (-1.5, 3.0)),
+    ("cos", lambda t: (t * 3.0).cos(), lambda x: mp.cos(3 * x), (-3.0, 3.0)),
+    ("sin", lambda t: (t * 3.0).sin(), lambda x: mp.sin(3 * x), (-3.0, 3.0)),
+    ("abs-positive", lambda t: (t.cos() + 1.5).abs(), lambda x: mp.cos(x) + mpf(1.5), (-3.0, 3.0)),
+    ("abs-negative", lambda t: (t - 5.0).abs(), lambda x: 5 - x, (-3.0, 3.0)),
+    (
+        "pow_real",
+        lambda t: pow_real(t + 1.5, SQRT2),
+        lambda x: (x + mpf(1.5)) ** mp.sqrt(2),
+        (-1.0, 2.0),
+    ),
+    ("pow_real-neg", lambda t: pow_real(t, Interval(-3.9, -3.9)), lambda x: x ** mpf(-3.9), (0.05, 3.0)),
+    ("pow_real-half", lambda t: pow_real(t, 0.5), lambda x: mp.sqrt(x), (0.01, 3.0)),
+    (
+        "gap-integrand",
+        lambda t: ((-(t * t) * 2.0).exp() - pow_real(t.cos().abs(), 4.0)) * pow_real(t, -3.9),
+        lambda x: (mp.exp(-2 * x * x) - mp.cos(x) ** 4) * x ** mpf(-3.9),
+        (1.2, 1.5),
+    ),
+]
+
+
+def _cells(lo, hi, seed):
+    """Seeded cells of width 0 to 1e-2 inside [lo, hi]."""
+    rng = random.Random(seed)
+    out = []
+    for w in (0.0, 1e-9, 1e-5, 1e-3, 1e-2) * 4:
+        a = rng.uniform(lo, hi - w)
+        out.append((a, a + w))
+    return out
+
+
+def _encloses(iv: Interval, value) -> bool:
+    return mpf(iv.lo) <= value <= mpf(iv.hi)
+
+
+def _check(f, g, a, b, seed):
+    jet = f(Jet.var(Interval(a, b)))
+    assert type(jet) is Jet
+    rng = random.Random(seed)
+    for x in {a, b, 0.5 * (a + b), rng.uniform(a, b)}:
+        for n, part in enumerate((jet.v, jet.d, jet.dd)):
+            truth = mp.diff(g, mpf(x), n)
+            assert _encloses(part, truth), (x, n, part, truth)
+
+
+@pytest.mark.parametrize("name,f,g,dom", CASES, ids=[c[0] for c in CASES])
+def test_primitive_encloses_derivatives(name, f, g, dom):
+    for k, (a, b) in enumerate(_cells(*dom, seed=zlib.crc32(name.encode()))):
+        _check(f, g, a, b, k)
+
+
+def test_value_part_is_the_interval_evaluation():
+    x = Interval(0.3, 0.31)
+    f = lambda t: pow_real(t.cos().abs(), SQRT2) * (t * t + 1.0).exp() / (t + 2.0)
+    assert f(Jet.var(x)).v == f(x)
+
+
+@pytest.mark.parametrize("centre", [1e-3, 0.02, 0.6, 1.19])
+def test_neg_ln_cos_excess_jet(centre):
+    g = lambda x: -mp.log(mp.cos(x)) - x * x / 2
+    rng = random.Random(int(centre * 1e4))
+    for w in (0.0, 1e-9, 1e-5, 1e-3, 1e-2):
+        a = min(max(0.0, centre - rng.uniform(0.0, w)), 1.2 - w)
+        _check(neg_ln_cos_excess, g, a, a + w, rng.randrange(1000))
+    # the value part is the Interval evaluation's
+    x = Interval(centre, centre + 1e-3)
+    assert neg_ln_cos_excess(Jet.var(x)).v == neg_ln_cos_excess(x)
+
+
+def test_neg_ln_cos_excess_jet_from_zero():
+    g = lambda x: -mp.log(mp.cos(x)) - x * x / 2
+    _check(neg_ln_cos_excess, g, 0.0, 1e-2, 0)
+    jet = neg_ln_cos_excess(Jet.var(Interval(0.0, 1e-2)))
+    assert _encloses(jet.dd, mp.tan(mpf(1e-2)) ** 2)
+    assert jet.dd.hi < 1.01e-4  # R'' = tan^2 t <= 1.0001e-4 here; the tail is tiny
+
+
+def test_chain_through_inner_jet():
+    # an inner jet with d != 1 and dd != 0 takes the general chain rule
+    f = lambda t: neg_ln_cos_excess(t * t * 0.5 + 0.1)
+    g = lambda x: -mp.log(mp.cos(x * x / 2 + mpf(0.1))) - (x * x / 2 + mpf(0.1)) ** 2 / 2
+    for k, (a, b) in enumerate(_cells(0.0, 1.3, seed=5)):
+        _check(f, g, a, b, k)
+
+
+def test_domain_errors():
+    across = Jet.var(Interval(-0.1, 0.1))
+    with pytest.raises(DomainError):
+        across.abs()
+    with pytest.raises(DomainError):
+        1.0 / across
+    touching = Jet.var(Interval(0.0, 0.1))
+    with pytest.raises(DomainError):
+        pow_real(touching, SQRT2)
+    with pytest.raises(DomainError):
+        touching.ln()
+    with pytest.raises(DomainError):
+        neg_ln_cos_excess(Jet.var(Interval(1.1, 1.3)))
+    with pytest.raises(TypeError):
+        Jet.var(Interval(1.0, 2.0)) ** 0.5

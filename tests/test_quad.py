@@ -4,15 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from khintchine.interval import Interval, SQRT2, DomainError, pow_real
 from khintchine.quad import (
     QuadConfig,
     integrate,
     near_zero_bound,
+    note_missed,
     tail_bound_mu_p,
 )
+from khintchine.verifier.npcheck import gauss_cos_gap_integral
 
 
 @pytest.fixture(autouse=True)
@@ -135,3 +137,69 @@ def test_config_validation():
         QuadConfig(max_depth=5)
     with pytest.raises(ValueError):
         QuadConfig(target_width=0.0)
+
+
+# -- second-order cell enclosures --------------------------------------------
+
+
+def _gap_pieces_truth(p, s):
+    """mpmath values of the series piece [1e-3, 1.2] and the direct piece
+    [1.2, 30] of the gauss/cos gap integral, split at the zeros of cos."""
+    p, s = mpf(p), mpf(s)
+    f = lambda t: (mp.exp(-s * t * t / 2) - abs(mp.cos(t)) ** s) / t ** (p + 1)
+    zeros = [mp.pi / 2 + k * mp.pi for k in range(10)]
+    series = mp.quad(f, [mpf(0.001), mpf(1.2)])
+    direct = mp.quad(f, [mpf(1.2)] + [z for z in zeros if z < 30] + [mpf(30)])
+    return series, direct
+
+
+@pytest.mark.parametrize("target", [2e-4, 1e-5])
+@pytest.mark.parametrize("p", [2.1, 2.9])
+@pytest.mark.parametrize("s", [float(SQRT2.lo), 4.0])
+def test_gap_integral_pieces_contain_mpmath(p, s, target):
+    cfg = QuadConfig(target_width=target, max_cells=150_000)
+    _, (series, direct) = gauss_cos_gap_integral(
+        Interval(p, p), Interval(s, s), cfg=cfg
+    )
+    for q, truth in zip((series, direct), _gap_pieces_truth(p, s)):
+        assert q.ok
+        assert q.value.width <= target
+        assert mpf(q.value.lo) <= truth <= mpf(q.value.hi)
+
+
+def test_cell_enclosure_falls_back_across_a_kink():
+    # |cos t|^sqrt2 has an unbounded f'' at pi/2: the jet raises there and
+    # those cells keep the first-order enclosure
+    f = lambda t: pow_real(t.cos().abs(), SQRT2) / t**3
+    r = integrate(f, 1.0, 2.0, QuadConfig(target_width=1e-6))
+    g = lambda t: abs(mp.cos(t)) ** mp.sqrt(2) / t**3
+    truth = mp.quad(g, [1, mp.pi / 2, 2])
+    assert r.ok and r.value.width <= 1e-6
+    assert mpf(r.value.lo) <= truth <= mpf(r.value.hi)
+
+
+def test_constant_integrand_on_inexact_cells():
+    third = Interval.from_fraction(Fraction(1, 3))
+    r = integrate(lambda t: third, 0.1, 2.1, QuadConfig(target_width=1e-12))
+    exact = Fraction(1, 3) * (Fraction(2.1) - Fraction(0.1))
+    assert Fraction(r.value.lo) <= exact <= Fraction(r.value.hi)
+    assert r.ok and r.cells == 1
+
+
+def test_gap_integral_cell_count():
+    # deterministic: the second-order enclosure needs about 500 cells here,
+    # the first-order one needed 143k
+    _, quads = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
+    assert sum(q.cells for q in quads) <= 2_000
+
+
+def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
+    from khintchine.verifier import npcheck
+
+    capped = lambda **kw: QuadConfig(**{**kw, "max_cells": 41})
+    monkeypatch.setattr(npcheck, "QuadConfig", capped)
+    res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
+    leaf = res.children[-1].children[0]
+    assert leaf.name == "integral-p2.5-s4.0"
+    assert leaf.note == "quadrature target missed (wide, 82 cells)"
+    assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0)) == "x"

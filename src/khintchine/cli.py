@@ -1,9 +1,9 @@
 """Command-line front end: run verification suites, emit reports.
 
-Configuration precedence: flags > KHINTCHINE_* environment variables >
-defaults.  Reports are deterministic for a fixed config and seed: the JSON
-body (everything except the timestamp and elapsed-seconds fields) is
-byte-identical across runs.
+A run is configured by its four flags alone (suite, seed, output path and
+format); the proof parameters are constants of the verifier.  Reports are
+deterministic for a fixed config: the JSON body (everything except the
+timestamp and elapsed-seconds fields) is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -29,6 +28,7 @@ from .oracle import (
 from .specfun import b_constant, ci, ei_neg, si, zeta_sum
 from .verifier import (
     FAILED,
+    P_BOXES,
     PROVED,
     CheckResult,
     check_conclusion_direct,
@@ -45,17 +45,12 @@ from .verifier import (
 
 SUITES = ("cond1", "cond2", "np", "conclusion", "oracle", "constants", "all")
 
-ENV_PREFIX = "KHINTCHINE_"
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class RunConfig:
     suite: str = "all"
-    p_boxes: int = 16
-    target_width: float | None = None
-    terms: int = 200
     seed: int = 20240801
     out_path: str | None = None
     format: str = "text"
@@ -63,10 +58,6 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if self.p_boxes < 1:
-            raise ValueError("p_boxes must be >= 1")
-        if self.target_width is not None and self.target_width <= 0:
-            raise ValueError("target width must be positive")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -117,10 +108,10 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _constants_suite(cfg: RunConfig) -> list[CheckResult]:
+def _constants_suite() -> list[CheckResult]:
     out = []
-    for i in range(cfg.p_boxes + 1):
-        p = 2.0 + i / cfg.p_boxes
+    for i in range(P_BOXES + 1):
+        p = 2.0 + i / P_BOXES
         _, B = b_constant(Interval(p, p))
         out.append(
             leaf(
@@ -195,26 +186,22 @@ def run(config: RunConfig) -> Report:
     results: list[CheckResult] = []
     suite = config.suite
     if suite in ("cond1", "all"):
-        results.append(check_cond1_sign_at_sigma(n_boxes=config.p_boxes))
+        results.append(check_cond1_sign_at_sigma())
         results.append(check_cond1_small_x())
         results.append(check_cond1_monotone())
     if suite in ("cond2", "all"):
-        results.append(
-            check_cond2_hprime(
-                n_boxes=config.p_boxes, target_width=config.target_width
-            )
-        )
-        results.append(check_cond2_h2(target_width=config.target_width))
+        results.append(check_cond2_hprime())
+        results.append(check_cond2_h2())
     if suite in ("np", "all"):
         for p in (2.0, 2.5, 2.9):
-            results.append(check_np_cos_gauss(p, K=config.terms))
+            results.append(check_np_cos_gauss(p))
     if suite in ("conclusion", "all"):
         results.append(check_conclusion_direct())
         results.append(check_fp_convergence())
     if suite in ("oracle", "all"):
         results.extend(_oracle_suite(config))
     if suite in ("constants", "all"):
-        results.extend(_constants_suite(config))
+        results.extend(_constants_suite())
 
     report = Report(
         tool_version=__version__,
@@ -243,58 +230,29 @@ def exit_code(report: Report) -> int:
     return 2
 
 
-def _env(name: str, default, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    return cast(raw)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="khintchine-verify",
         description="Rigorously verify the optimal-upper-Khintchine-constant "
         "inequalities (2 < p < 3).",
-        epilog="Environment overrides: KHINTCHINE_SUITE, KHINTCHINE_P_BOXES, "
-        "KHINTCHINE_WIDTH, KHINTCHINE_TERMS, KHINTCHINE_SEED, KHINTCHINE_OUT, "
-        "KHINTCHINE_FORMAT (flags win over the environment).",
     )
     ap.add_argument(
         "--suite",
         choices=SUITES,
-        default=_env("SUITE", "all", str),
+        default="all",
         help="which verification suite to run",
-    )
-    ap.add_argument(
-        "--p-boxes",
-        type=int,
-        default=_env("P_BOXES", 16, int),
-        help="number of p boxes covering [2, 3]",
-    )
-    ap.add_argument(
-        "--width",
-        type=float,
-        default=_env("WIDTH", None, float),
-        help="override quadrature target widths (loose values may degrade "
-        "checks to inconclusive)",
-    )
-    ap.add_argument(
-        "--terms",
-        type=int,
-        default=_env("TERMS", 200, int),
-        help="series terms for the distribution functions",
     )
     ap.add_argument(
         "--seed",
         type=int,
-        default=_env("SEED", 20240801, int),
+        default=20240801,
         help="seed for the oracle suites",
     )
-    ap.add_argument("--out", default=_env("OUT", None, str), help="report path")
+    ap.add_argument("--out", help="report path")
     ap.add_argument(
         "--format",
         choices=("text", "json"),
-        default=_env("FORMAT", "text", str),
+        default="text",
         help="report format",
     )
     return ap
@@ -302,19 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            suite=args.suite,
-            p_boxes=args.p_boxes,
-            target_width=args.width,
-            terms=args.terms,
-            seed=args.seed,
-            out_path=args.out,
-            format=args.format,
-        )
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    config = RunConfig(
+        suite=args.suite, seed=args.seed, out_path=args.out, format=args.format
+    )
     report = run(config)
     sys.stdout.write(report.to_text() if config.format == "text" else report.to_json() + "\n")
     return exit_code(report)

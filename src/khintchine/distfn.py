@@ -96,16 +96,6 @@ def derivatives(
     return f_prime, g_prime
 
 
-def f_prime_lower_k0(x: Interval, mp: MeasureParams) -> Interval:
-    """The k=0 truncation of F_*': a certified lower bound (all terms >= 0)."""
-    _check_x(x)
-    p = mp.p
-    q = -(p + 1.0)
-    a = x.arccos()
-    root = (Interval(1.0, 1.0) - x * x).sqrt()
-    return (pow_real(a, q) + pow_real(PI - a, q)) / root
-
-
 def brute_force_dist(
     y: float, mp: MeasureParams, which: str, K: int = 1000
 ) -> Interval:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .interval import PI, Interval, ipoly_eval
+from .interval import PI, Interval
 
 Poly = list[Fraction]
 PiPoly = dict[tuple[int, int], Fraction]
@@ -48,11 +48,6 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def p_integrate(a: Poly) -> Poly:
-    """Antiderivative with zero constant term (exact)."""
-    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)]
-
-
 def p_shift_div(a: Poly, k: int) -> Poly:
     """Exact division by t**k; raises if any low-order coefficient is nonzero."""
     if any(c != 0 for c in a[:k]):
@@ -63,14 +58,6 @@ def p_shift_div(a: Poly, k: int) -> Poly:
 def p_to_iv(a: Poly) -> list[Interval]:
     """Tight coefficient enclosures, converted once for repeated ipoly_eval."""
     return [Interval.from_fraction(c) for c in a]
-
-
-def p_eval_fr(a: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # -- polynomials in (t, pi) --------------------------------------------------
@@ -121,7 +108,3 @@ def pp_t_coeffs(a: PiPoly) -> list[Interval]:
     for (tp, pp), c in sorted(a.items()):
         out[tp] = out[tp] + Interval.from_fraction(c) * (PI**pp)
     return out
-
-
-def pp_eval(a: PiPoly, t: Interval) -> Interval:
-    return ipoly_eval(pp_t_coeffs(a), t)

@@ -28,16 +28,15 @@ from .jet import Jet
 
 FnEnclosure = Callable[[Interval], Interval]
 
+MAX_DEPTH = 40  # bisection depth at which a cell is kept as it is
+
 
 @dataclass(frozen=True)
 class QuadConfig:
-    max_depth: int = 40
     target_width: float = 1e-6
     max_cells: int = 2_000_000
 
     def __post_init__(self):
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be >= 10")
         if self.target_width <= 0.0:
             raise ValueError("target_width must be positive")
 
@@ -94,7 +93,7 @@ def integrate(
     """Enclosure of the integral of f over the finite interval [a, b].
 
     The widest cell integral is bisected until the widths sum to at most
-    cfg.target_width; a run cut short by max_depth or max_cells is "wide".
+    cfg.target_width; a run cut short by MAX_DEPTH or max_cells is "wide".
     cells counts the cells enclosed.
     """
     if not a < b:
@@ -115,7 +114,7 @@ def integrate(
                 break
         negw, lo, hi, depth, cell_enc = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if depth >= cfg.max_depth or evals + 2 > cfg.max_cells or not lo < mid < hi:
+        if depth >= MAX_DEPTH or evals + 2 > cfg.max_cells or not lo < mid < hi:
             done.append((lo, cell_enc))
             status = "wide"
             continue
@@ -135,20 +134,16 @@ def integrate(
 
 
 def tail_bound_mu_p(kind: str, s: Interval, p: Interval, T: float) -> Interval:
-    """Enclosure of int_T^inf h(t) / t^(p+1) dt for the three stock majorants.
+    """Enclosure of int_T^inf h(t) / t^(p+1) dt for the two stock majorants.
 
-    kind="one":       h = 1 (exact closed form T^-p / p)
     kind="cos_power": h = |cos t|^s <= 1
     kind="gauss":     h = exp(-s t^2/2) <= exp(-s T t / 2) for t >= T
     """
     if T < 1.5707963267948966:
         raise DomainError(f"tail cutoff {T} below pi/2")
     Tiv = Interval(T, T)
-    base = pow_real(Tiv, -p) / p
-    if kind == "one":
-        return base
     if kind == "cos_power":
-        return Interval(0.0, base.hi)
+        return Interval(0.0, (pow_real(Tiv, -p) / p).hi)
     if kind == "gauss":
         if s.lo < 1.0:
             raise DomainError("gauss tail bound requires s >= 1")

@@ -26,6 +26,7 @@ from .engine import (
     lemma_one_minus_exp_quadratic,
 )
 from .cond1 import (
+    P_BOXES,
     check_case1_polynomials,
     check_case2_convexity,
     check_cond1_monotone,
@@ -70,6 +71,7 @@ __all__ = [
     "lemma_ln1p_quadratic",
     "lemma_neg_log_affine",
     "lemma_one_minus_exp_quadratic",
+    "P_BOXES",
     "check_cond1_sign_at_sigma",
     "check_cond1_small_x",
     "check_cond1_monotone",

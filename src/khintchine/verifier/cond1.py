@@ -40,8 +40,11 @@ EPS0 = 0.04248
 SINE_CUT = 0.06672
 
 
-def p_boxes(n: int = 16) -> list[Interval]:
-    return Interval(2.0, 3.0).split(n)
+P_BOXES = 16  # the proof covers p in [2, 3] by this many equal p boxes
+
+
+def p_boxes() -> list[Interval]:
+    return Interval(2.0, 3.0).split(P_BOXES)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,7 @@ def _rhs_sign_bound(sigma: Interval, p: Interval) -> Interval:
     return lead - penalty
 
 
-def check_cond1_sign_at_sigma(sigma: float = SIGMA, n_boxes: int = 16) -> CheckResult:
+def check_cond1_sign_at_sigma(sigma: float = SIGMA) -> CheckResult:
     """F_*(sigma) - G_*(sigma) >= 0 for all p in [2, 3].
 
     The explicit lower bound for p (F_* - G_*)(sigma) is positive at p = 2 and
@@ -85,15 +88,15 @@ def check_cond1_sign_at_sigma(sigma: float = SIGMA, n_boxes: int = 16) -> CheckR
             note="c1 > c2 >= 1 makes c1^p - c2^p increasing in p",
         )
         box_margins = [
-            _rhs_sign_bound(sig, Interval(b.lo, b.lo)) for b in p_boxes(n_boxes)
+            _rhs_sign_bound(sig, Interval(b.lo, b.lo)) for b in p_boxes()
         ]
         boxes = point_check(
             "rhs-bound-on-p-boxes",
             imin(box_margins),
-            note=f"left edges of {n_boxes} p boxes; monotonicity covers the rest",
+            note=f"left edges of {P_BOXES} p boxes; monotonicity covers the rest",
         )
         grid_margins = []
-        for b in p_boxes(n_boxes):
+        for b in p_boxes():
             mp = MeasureParams(Interval(b.lo, b.lo))
             grid_margins.append(f_star(sig, mp, K=200) - g_star(sig, mp))
         grid = point_check(

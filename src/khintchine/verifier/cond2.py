@@ -21,6 +21,7 @@ from ..interval import HALF_PI, PI, SQRT2, DomainError, Interval, imin, pow_real
 from ..jet import Jet
 from ..quad import QuadConfig, integrate, note_missed, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg
+from .cond1 import P_BOXES, p_boxes
 from .engine import (
     lemma_log_le_affine,
     lemma_neg_log_affine,
@@ -63,9 +64,7 @@ def _cos_majorant_chain() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_cond2_hprime(
-    n_boxes: int = 16, target_width: float | None = None
-) -> CheckResult:
+def check_cond2_hprime() -> CheckResult:
     """H'(p) >= 0 on [2, 3] from the three interval pieces.
 
     [0,1]: integrand bounded below by (1-t) e^{-t^2/sqrt2}(t/(6 sqrt2)-t^5/144),
@@ -73,15 +72,10 @@ def check_cond2_hprime(
     uses the secant majorant of the gaussian factor and step minorants of the
     cosine power; J <= 0.0147.  [pi/2, inf): bounded below by
     lambda_p I1 - Lambda_p I2 > 0 with both integrals enclosed by quadrature.
-    Every integrand also runs on a Jet.
-
-    target_width overrides every quadrature budget (coarse values degrade the
-    razor-thin children to inconclusive, never to a false proof).
+    The tail comparison and the net bound run on the P_BOXES p boxes, and
+    each quadrature has its own fixed target width.  Every integrand also
+    runs on a Jet.
     """
-
-    def w(default: float) -> float:
-        return default if target_width is None else target_width
-
     with timer() as tm:
         # -- piece [0, 1] ---------------------------------------------------
         c1 = Interval(1.0, 1.0) / (SQRT2 * 6.0)
@@ -91,7 +85,7 @@ def check_cond2_hprime(
             poly = t * c1 - (t**5) * c144
             return (1.0 - t) * _exp_gauss(t) * poly
 
-        qa = integrate(minorant_a, 0.0, 1.0, QuadConfig(target_width=w(2e-5)))
+        qa = integrate(minorant_a, 0.0, 1.0, QuadConfig(target_width=2e-5))
         piece_a_val = qa.value
         piece_a = combine(
             "piece-near-0",
@@ -128,7 +122,7 @@ def check_cond2_hprime(
 
         s12 = pow_real(Interval(1.2, 1.2).cos(), SQRT2)
         s14 = pow_real(Interval(1.4, 1.4).cos(), SQRT2)
-        cfg_j = QuadConfig(target_width=w(4e-6))
+        cfg_j = QuadConfig(target_width=4e-6)
         j1 = integrate(lambda t: (t - 1.0) * (secant(t) - s12) / t**3, 1.0, 1.2, cfg_j)
         j2 = integrate(lambda t: (t - 1.0) * (secant(t) - s14) / t**3, 1.2, 1.4, cfg_j)
         j3 = integrate(
@@ -203,7 +197,7 @@ def check_cond2_hprime(
             note="ln t / t^(p+1) <= 1/(e (p-1) t^2), max at t = e^(1/(p-1))",
         )
 
-        cfg_i1 = QuadConfig(target_width=w(2e-5), max_cells=500_000)
+        cfg_i1 = QuadConfig(target_width=2e-5, max_cells=500_000)
         q1 = integrate(
             lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
             HALF_PI.lo,
@@ -221,7 +215,7 @@ def check_cond2_hprime(
             ),
         )
 
-        cfg_i2 = QuadConfig(target_width=w(1e-6), max_cells=500_000)
+        cfg_i2 = QuadConfig(target_width=1e-6, max_cells=500_000)
         q2 = integrate(
             lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, cfg_i2
         )
@@ -239,18 +233,18 @@ def check_cond2_hprime(
                 Interval(2.0, 2.0) / PI, b
             ) * const - 0.00705
 
-        boxes = Interval(2.0, 3.0).split(n_boxes)
+        boxes = p_boxes()
         printed_margins = [cmp_margin(LAMBDA_TAIL_CONST_PRINTED, b) for b in boxes]
         used_margins = [cmp_margin(LAMBDA_TAIL_CONST, b) for b in boxes]
         cmp_printed_const = point_check(
             "tail-comparison-printed-constant",
             imin(printed_margins),
-            note=f"0.043369 (2/pi)^p >= 0.00705/(p-1) on {n_boxes} p boxes",
+            note=f"0.043369 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
         )
         cmp_used = point_check(
             "tail-comparison-certified-constant",
             imin(used_margins),
-            note=f"0.0433 (2/pi)^p >= 0.00705/(p-1) on {n_boxes} p boxes",
+            note=f"0.0433 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
         )
         cos_power_vs_square = point_check(
             "cos-power-dominates-square",
@@ -358,7 +352,7 @@ def _lemma52_piece1() -> CheckResult:
     return combine("quad-majorant-low", [concavity, anchor, origin, direct])
 
 
-def check_cond2_h2(target_width: float | None = None) -> CheckResult:
+def check_cond2_h2() -> CheckResult:
     """H(2) >= 0 from the four pieces A + B - C - D.
 
     A: closed-form lower bound of the [0, pi/4] integral (>= 0.03129).
@@ -366,14 +360,10 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
     C: quadratic cosine-power majorants integrated by ci primitives (<= 0.2577).
     D: Hoelder bound of the cosine tail (<= 0.0667).
 
-    target_width overrides the cross-check quadrature budgets.  Every
-    integrand also runs on a Jet; the piece-C majorant falls back to the
-    first-order enclosure on a cell where it switches pieces.
+    The quadratures are cross-checks at fixed target widths.  Every
+    quadrature integrand also runs on a Jet; the piece-C majorant falls
+    back to the first-order enclosure on a cell where it switches pieces.
     """
-
-    def w(default: float) -> float:
-        return default if target_width is None else target_width
-
     with timer() as tm:
         s2_6inv = Interval(1.0, 1.0) / (SQRT2 * 6.0)  # = sqrt2/12
         quarter_pi = PI * 0.25
@@ -388,7 +378,7 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
             lambda t: _exp_gauss(t) * (t * s2_6inv + (t**3) * c2),
             0.0,
             float(quarter_pi.lo),
-            QuadConfig(target_width=w(1e-5)),
+            QuadConfig(target_width=1e-5),
         )
         piece_a = combine(
             "piece-A",
@@ -419,7 +409,7 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
             lambda t: _exp_gauss(t) / (t**3),
             float(quarter_pi.lo),
             T,
-            QuadConfig(target_width=w(1e-5)),
+            QuadConfig(target_width=1e-5),
         )
         Tiv = Interval(T, T)
         b_tail_hi = ((SQRT2 / Tiv**4) * (-(Tiv**2) / SQRT2).exp()).hi
@@ -492,7 +482,7 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
 
         qc = integrate(
             c_majorant, float(quarter_pi.lo), float(three_qpi.hi),
-            QuadConfig(target_width=w(2e-4), max_cells=200_000),
+            QuadConfig(target_width=2e-4, max_cells=200_000),
         )
         piece_c = combine(
             "piece-C",
@@ -520,7 +510,7 @@ def check_cond2_h2(target_width: float | None = None) -> CheckResult:
             lambda t: (t.cos() ** 2) / t**3,
             float(three_qpi.lo),
             T2,
-            QuadConfig(target_width=w(2e-4), max_cells=200_000),
+            QuadConfig(target_width=2e-4, max_cells=200_000),
         )
         s_quad = qs.value + Interval(0.0, (Interval(1.0, 1.0) / Interval(T2, T2) ** 2 * 0.5).hi)
         piece_d = combine(

@@ -314,14 +314,13 @@ def check_np_cos_gauss(p: float, K: int = 200, grid: int = 64) -> CheckResult:
 
 
 def _moment_integral(
-    p: Interval, s: float | None, *, delta: float = 1e-2, T: float = 150.0,
-    cfg: QuadConfig | None = None,
+    p: Interval, s: float | None
 ) -> tuple[Interval, tuple[QuadResult, ...]]:
     """Enclosure of int_0^inf (t^2/2 - 1 + h(t)) / t^(p+1) dt where h is
     |cos(t/sqrt(s))|^s (s finite) or exp(-t^2/2) (s None), and the
-    quadrature of its finite piece.  The integrand also runs on a Jet."""
-    if cfg is None:
-        cfg = QuadConfig(target_width=2e-3, max_cells=120_000)
+    quadrature of its finite piece on [1e-2, 150].  The integrand also runs
+    on a Jet."""
+    delta, T = 1e-2, 150.0
     div = Interval(delta, delta)
     C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
     # |t^2/2 - 1 + h| <= (1/8 + C4) t^4 near zero (both pieces of the split)
@@ -339,6 +338,7 @@ def _moment_integral(
             h = pow_real((t / rt).cos().abs(), siv)
             return (t * t * 0.5 - 1.0 + h) * pow_real(t, minus_p1)
 
+    cfg = QuadConfig(target_width=2e-3, max_cells=120_000)
     fin = integrate(integrand, delta, T, cfg)
     Tiv = Interval(T, T)
     upper = pow_real(Tiv, 2.0 - p) / ((p - 2.0) * 2.0)

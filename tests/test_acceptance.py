@@ -112,7 +112,7 @@ def test_criterion_1_piece_b_printed_floor(h2_result):
 
 def test_criterion_2_hprime_pieces():
     t0 = time.perf_counter()
-    res = check_cond2_hprime(n_boxes=16)
+    res = check_cond2_hprime()
     elapsed = time.perf_counter() - t0
     piece_a = _find(res, "integral-above-0.0153").margin + 0.0153
     j = 0.0147 - _find(res, "J-below-0.0147").margin

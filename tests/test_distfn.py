@@ -11,7 +11,6 @@ from khintchine.distfn import (
     _k_pi,
     brute_force_dist,
     derivatives,
-    f_prime_lower_k0,
     f_star,
     g_star,
 )
@@ -141,13 +140,6 @@ def test_derivatives():
         fd_g = (g_star(iv(x + h), MP2).mid - g_star(iv(x - h), MP2).mid) / (2 * h)
         assert abs(fd_f - fpv.mid) <= 1e-2 * abs(fd_f)
         assert abs(fd_g - gpv.mid) <= 1e-2 * abs(fd_g)
-
-
-def test_f_prime_lower_bound():
-    full, _ = derivatives(iv(0.5), MP2, K=400)
-    k0 = f_prime_lower_k0(iv(0.5), MP2)
-    assert k0.lo <= full.hi
-    assert k0.hi <= full.hi + 1e-12
 
 
 def test_ratio_above_one_at_cos1():

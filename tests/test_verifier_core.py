@@ -5,13 +5,10 @@ import math
 from khintchine.interval import Interval, ipoly_eval
 from khintchine.polytools import (
     p_add,
-    p_eval_fr,
-    p_integrate,
     p_mul,
     p_shift_div,
     p_sub,
     p_to_iv,
-    pp_eval,
     pp_mul,
     pp_shift_div_t,
     pp_sub,
@@ -179,8 +176,6 @@ def test_poly_helpers():
     assert p_add(a, b) == [Fraction(1), Fraction(3)]
     assert p_sub(a, a) == [Fraction(0), Fraction(0)]
     assert p_shift_div([Fraction(0), Fraction(0), Fraction(3)], 2) == [Fraction(3)]
-    assert p_integrate([Fraction(2)]) == [Fraction(0), Fraction(2)]
-    assert p_eval_fr([Fraction(1), Fraction(1, 2)], Fraction(2)) == Fraction(2)
     enc = ipoly_eval(p_to_iv([Fraction(1), Fraction(1, 3)]), Interval(3.0, 3.0))
     assert enc.contains(2.0)
 
@@ -193,7 +188,5 @@ def test_pi_poly_helpers():
     assert prod == {(0, 2): Fraction(1), (2, 0): Fraction(-1)}
     diff = pp_sub(prod, prod)
     assert diff == {}
-    enc = pp_eval(prod, Interval(1.0, 1.0))
-    assert enc.contains(math.pi**2 - 1.0)
     shifted = pp_shift_div_t({(2, 0): Fraction(5)}, 2)
     assert shifted == {(0, 0): Fraction(5)}

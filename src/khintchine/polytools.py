@@ -1,91 +1,55 @@
-"""Exact polynomial helpers for the verifier's algebraic reductions.
+"""Exact polynomials for the verifier's algebraic reductions, and truncated
+series with a certified remainder.
 
-Two representations:
+A ``Poly`` is a dict {(t_power, pi_power): Fraction}: a polynomial in t whose
+coefficients are exact polynomials in pi.  Zero coefficients are never
+stored, so equal polynomials compare equal.  All manipulation is exact, so
+cancellations (the usual source of boundary-degenerate margins) are detected
+exactly rather than numerically; pi only becomes an interval when `p_to_iv`
+converts the coefficients once for repeated `ipoly_eval`.
 
-* ``Poly``  -- list of `fractions.Fraction` coefficients, ascending powers of t.
-  All manipulation is exact, so cancellations (the usual source of
-  boundary-degenerate margins) are detected exactly rather than numerically.
-
-* ``PiPoly`` -- dict {(t_power, pi_power): Fraction}, a polynomial in t whose
-  coefficients are exact polynomials in pi.  Used where the proof reductions
-  mix rational constants with powers of pi; pi only becomes an interval at
-  evaluation time.
+A ``TaylorEnclosure`` is a truncated series f(t) in poly(t) +- rem |t|^power,
+valid for |t| <= t_limit.  It reaches a proof only through
+`TaylorEnclosure.quotient`, which enforces that radius.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .interval import PI, Interval
+from .interval import PI, DomainError, Interval, ipoly_eval
 
-Poly = list[Fraction]
-PiPoly = dict[tuple[int, int], Fraction]
+Poly = dict[tuple[int, int], Fraction]
+
+
+def poly(*coeffs, pi_power: int = 0) -> Poly:
+    """sum_i coeffs[i] t^i pi^pi_power from exact coefficients (int or Fraction)."""
+    return {(i, pi_power): Fraction(c) for i, c in enumerate(coeffs) if c != 0}
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def p_neg(a: Poly) -> Poly:
-    return [-c for c in a]
+    out = dict(a)
+    for key, c in b.items():
+        c += out.get(key, 0)
+        if c == 0:
+            out.pop(key, None)
+        else:
+            out[key] = c
+    return out
 
 
 def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
+    return p_add(a, {key: -c for key, c in b.items()})
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def p_shift_div(a: Poly, k: int) -> Poly:
-    """Exact division by t**k; raises if any low-order coefficient is nonzero."""
-    if any(c != 0 for c in a[:k]):
-        raise ValueError(f"polynomial not divisible by t^{k}")
-    return a[k:] or [Fraction(0)]
-
-
-def p_to_iv(a: Poly) -> list[Interval]:
-    """Tight coefficient enclosures, converted once for repeated ipoly_eval."""
-    return [Interval.from_fraction(c) for c in a]
-
-
-# -- polynomials in (t, pi) --------------------------------------------------
-
-
-def pp_add(a: PiPoly, b: PiPoly) -> PiPoly:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, Fraction(0)) + c
-        if out[key] == 0:
-            del out[key]
-    return out
-
-
-def pp_neg(a: PiPoly) -> PiPoly:
-    return {k: -c for k, c in a.items()}
-
-
-def pp_sub(a: PiPoly, b: PiPoly) -> PiPoly:
-    return pp_add(a, pp_neg(b))
-
-
-def pp_mul(a: PiPoly, b: PiPoly) -> PiPoly:
-    out: PiPoly = {}
+    out: Poly = {}
     for (ta, pa), ca in a.items():
         for (tb, pb), cb in b.items():
             key = (ta + tb, pa + pb)
-            c = out.get(key, Fraction(0)) + ca * cb
+            c = out.get(key, 0) + ca * cb
             if c == 0:
                 out.pop(key, None)
             else:
@@ -93,18 +57,56 @@ def pp_mul(a: PiPoly, b: PiPoly) -> PiPoly:
     return out
 
 
-def pp_shift_div_t(a: PiPoly, k: int) -> PiPoly:
+def p_shift_div(a: Poly, k: int) -> Poly:
+    """Exact division by t**k; raises if any low-order coefficient is nonzero."""
     if any(tp < k for (tp, _) in a):
-        raise ValueError(f"pi-polynomial not divisible by t^{k}")
+        raise ValueError(f"polynomial not divisible by t^{k}")
     return {(tp - k, pp): c for (tp, pp), c in a.items()}
 
 
-def pp_t_coeffs(a: PiPoly) -> list[Interval]:
-    """Collapse the pi part into intervals; returns ascending t coefficients."""
-    if not a:
-        return [Interval(0.0, 0.0)]
-    deg = max(tp for (tp, _) in a)
-    out = [Interval(0.0, 0.0)] * (deg + 1)
+def p_to_iv(a: Poly) -> list[Interval]:
+    """Tight enclosures of the ascending t coefficients, pi collapsed.
+
+    A pi-free coefficient c becomes ``Interval.from_fraction(c)``; each pi^j
+    term adds ``Interval.from_fraction(c) * PI**j``, in ascending j.
+    """
+    out: list[Interval | None] = [None] * (max((tp for tp, _ in a), default=0) + 1)
     for (tp, pp), c in sorted(a.items()):
-        out[tp] = out[tp] + Interval.from_fraction(c) * (PI**pp)
-    return out
+        term = Interval.from_fraction(c)
+        if pp:
+            term = term * PI**pp
+        out[tp] = term if out[tp] is None else out[tp] + term
+    return [Interval(0.0, 0.0) if c is None else c for c in out]
+
+
+@dataclass(frozen=True)
+class TaylorEnclosure:
+    """f(t) in poly(t) + [-1, 1] rem_coeff |t|^rem_power for |t| <= t_limit."""
+
+    poly: Poly
+    rem_coeff: Fraction
+    rem_power: int
+    t_limit: float
+
+    def quotient(
+        self, k: int, minus: Poly | None = None
+    ) -> Callable[[Interval], Interval]:
+        """Evaluator of the enclosure of (f(t) - minus(t)) / t^k.
+
+        The subtraction and the division by t^k are exact and happen here,
+        once; a low-order term left over raises ValueError.  The evaluator
+        raises DomainError past t_limit and adds the band
+        rem_coeff |t|^(rem_power - k).
+        """
+        num = self.poly if minus is None else p_sub(self.poly, minus)
+        coeffs = p_to_iv(p_shift_div(num, k))
+        rem = Interval.from_fraction(self.rem_coeff)
+        power, t_limit = self.rem_power - k, self.t_limit
+
+        def evaluate(t: Interval) -> Interval:
+            if t.mag > t_limit:
+                raise DomainError(f"Taylor enclosure valid to |t|<={t_limit}")
+            band = rem * (t.abs() ** power)
+            return ipoly_eval(coeffs, t) + Interval(-band.hi, band.hi)
+
+        return evaluate

@@ -10,7 +10,6 @@ and bounded by twice the first omitted term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interval import (
@@ -20,11 +19,10 @@ from .interval import (
     DomainError,
     Interval,
     horner_nonneg,
-    ipoly_eval,
     pow_real,
 )
 from .jet import Jet
-from .polytools import Poly, p_to_iv
+from .polytools import TaylorEnclosure, poly
 
 
 # term budget of the ei/si/ci series
@@ -291,57 +289,34 @@ def b_constant(p: Interval) -> tuple[Interval, Interval]:
 # -- Taylor enclosures for the near-zero reductions --------------------------
 
 
-@dataclass(frozen=True)
-class TaylorEnclosure:
-    """Polynomial plus a rigorous remainder band: f(t) in poly(t) +- rem.
-
-    ``coeffs`` and ``rem`` are the interval enclosures of ``poly`` and
-    ``rem_coeff``, converted once at construction.
-    """
-
-    poly: Poly
-    rem_coeff: Fraction
-    rem_power: int
-    t_limit: float
-    coeffs: list[Interval] = field(init=False, repr=False, compare=False)
-    rem: Interval = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", p_to_iv(self.poly))
-        object.__setattr__(self, "rem", Interval.from_fraction(self.rem_coeff))
-
-    def eval(self, t: Interval) -> Interval:
-        if t.mag > self.t_limit:
-            raise DomainError(f"Taylor enclosure valid to |t|<={self.t_limit}")
-        band = self.rem * (t.abs() ** self.rem_power)
-        return ipoly_eval(self.coeffs, t) + Interval(-band.hi, band.hi)
-
-
 def cos_taylor(K: int) -> TaylorEnclosure:
     """cos t with 2K-degree partial sum; remainder twice the next term."""
-    poly = [Fraction(0)] * (2 * K + 1)
+    coeffs = [Fraction(0)] * (2 * K + 1)
     for j in range(K + 1):
-        poly[2 * j] = Fraction((-1) ** j, math.factorial(2 * j))
+        coeffs[2 * j] = Fraction((-1) ** j, math.factorial(2 * j))
     t_limit = math.sqrt((2 * K + 3) * (2 * K + 4) / 2.0)
     return TaylorEnclosure(
-        poly, Fraction(2, math.factorial(2 * K + 2)), 2 * K + 2, t_limit
+        poly(*coeffs), Fraction(2, math.factorial(2 * K + 2)), 2 * K + 2, t_limit
     )
 
 
 def sin_taylor(K: int) -> TaylorEnclosure:
     """sin t with (2K+1)-degree partial sum; remainder twice the next term."""
-    poly = [Fraction(0)] * (2 * K + 2)
+    coeffs = [Fraction(0)] * (2 * K + 2)
     for j in range(K + 1):
-        poly[2 * j + 1] = Fraction((-1) ** j, math.factorial(2 * j + 1))
+        coeffs[2 * j + 1] = Fraction((-1) ** j, math.factorial(2 * j + 1))
     t_limit = math.sqrt((2 * K + 4) * (2 * K + 5) / 2.0)
     return TaylorEnclosure(
-        poly, Fraction(2, math.factorial(2 * K + 3)), 2 * K + 3, t_limit
+        poly(*coeffs), Fraction(2, math.factorial(2 * K + 3)), 2 * K + 3, t_limit
     )
 
 
-def exp_taylor(K: int) -> TaylorEnclosure:
-    """exp t with K-degree partial sum, |t| <= (K+2)/2."""
-    poly = [Fraction(1, math.factorial(k)) for k in range(K + 1)]
+def exp_taylor(K: int, a: int = 1) -> TaylorEnclosure:
+    """exp(a t) with K-degree partial sum, |t| <= (K+2)/(2a), a > 0."""
+    coeffs = [Fraction(a**k, math.factorial(k)) for k in range(K + 1)]
     return TaylorEnclosure(
-        poly, Fraction(2, math.factorial(K + 1)), K + 1, (K + 2) / 2.0
+        poly(*coeffs),
+        Fraction(2 * a ** (K + 1), math.factorial(K + 1)),
+        K + 1,
+        (K + 2) / (2.0 * a),
     )

@@ -12,17 +12,8 @@ from fractions import Fraction
 
 from ..distfn import MeasureParams, f_star, g_star
 from ..interval import HALF_PI, PI, Interval, imin, ipoly_eval, pow_real
-from ..polytools import (
-    p_mul,
-    p_shift_div,
-    p_sub,
-    p_to_iv,
-    pp_mul,
-    pp_shift_div_t,
-    pp_sub,
-    pp_t_coeffs,
-)
-from ..specfun import LN_COS_COEFFS, cos_taylor, sin_taylor, zeta_sum
+from ..polytools import TaylorEnclosure, p_mul, p_shift_div, p_sub, p_to_iv, poly
+from ..specfun import LN_COS_COEFFS, cos_taylor, exp_taylor, sin_taylor, zeta_sum
 from .engine import (
     INF,
     concave_nonneg_check,
@@ -312,9 +303,7 @@ def check_reduction_to_p2() -> CheckResult:
         # (a) A >= 1 from the first series coefficient
         coeff_pos = point_check(
             "series-coefficients-positive",
-            Interval(
-                float(min(LN_COS_COEFFS[:3])), float(min(LN_COS_COEFFS[:3]))
-            ),
+            Interval.from_fraction(min(LN_COS_COEFFS[:3])),
             note="-2 ln cos t >= t^2 (1 + t^2/6 + 2t^4/45); A^2 >= 1",
         )
 
@@ -369,18 +358,12 @@ def check_reduction_to_p2() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 _FR = Fraction
-_M2_POLY = [_FR(1), _FR(0), _FR(1, 3), _FR(0), _FR(7, 60)]  # 1 + t^2/3 + 7t^4/60
-_M3_POLY = [_FR(1), _FR(0), _FR(-1, 3), _FR(0), _FR(-1, 40)]  # t cot t minorant
-_COR_LHS = [_FR(1), _FR(0), _FR(-1, 3), _FR(1, 40)]  # 1 - t^2/3 + t^3/40
-
-
-def _pp_m1_scaled() -> dict:
-    """pi^5 * (1 + t^3/pi^3 + 3 t^4/pi^4 + 6 t^5/pi^5) as an exact pi-polynomial."""
-    return {(0, 5): _FR(1), (3, 2): _FR(1), (4, 1): _FR(3), (5, 0): _FR(6)}
-
-
-def _pp_from_poly(poly: list[Fraction], pi_pow: int = 0) -> dict:
-    return {(i, pi_pow): c for i, c in enumerate(poly) if c != 0}
+_M2_POLY = poly(1, 0, _FR(1, 3), 0, _FR(7, 60))  # 1 + t^2/3 + 7t^4/60
+_M3_POLY = poly(1, 0, _FR(-1, 3), 0, _FR(-1, 40))  # t cot t minorant
+_COR_LHS = poly(1, 0, _FR(-1, 3), _FR(1, 40))  # 1 - t^2/3 + t^3/40
+_PI5 = poly(1, pi_power=5)
+# pi^5 * (1 + t^3/pi^3 + 3 t^4/pi^4 + 6 t^5/pi^5)
+_M1_SCALED = {(0, 5): _FR(1), (3, 2): _FR(1), (4, 1): _FR(3), (5, 0): _FR(6)}
 
 
 def check_case1_polynomials() -> CheckResult:
@@ -390,18 +373,16 @@ def check_case1_polynomials() -> CheckResult:
 
         # (a) 1/t^3 + 1/(pi-t)^3 >= (1/t^3)(1 + t^3/pi^3 + 3t^4/pi^4 + 6t^5/pi^5)
         # reduces exactly to t^3 (10 pi^2 - 15 pi t + 6 t^2) >= 0
-        prod = pp_mul(
+        pi_minus_t = {(0, 1): _FR(1), (1, 0): _FR(-1)}
+        prod = p_mul(
             {(0, 2): _FR(1), (1, 1): _FR(3), (2, 0): _FR(6)},  # pi^2+3pi t+6t^2
-            pp_mul(
-                pp_mul({(0, 1): _FR(1), (1, 0): _FR(-1)}, {(0, 1): _FR(1), (1, 0): _FR(-1)}),
-                {(0, 1): _FR(1), (1, 0): _FR(-1)},
-            ),  # (pi - t)^3
+            p_mul(p_mul(pi_minus_t, pi_minus_t), pi_minus_t),  # (pi - t)^3
         )
-        reduced = pp_sub({(0, 5): _FR(1)}, prod)
+        reduced = p_sub(_PI5, prod)
         expected = {(3, 2): _FR(10), (4, 1): _FR(-15), (5, 0): _FR(6)}
         if reduced != expected:
             raise AssertionError("geometric-series reduction identity failed")
-        quot_a = pp_t_coeffs(pp_shift_div_t(reduced, 3))
+        quot_a = p_to_iv(p_shift_div(reduced, 3))
         children.append(
             subdivision_check(
                 "first-factor-minorant",
@@ -414,17 +395,14 @@ def check_case1_polynomials() -> CheckResult:
         )
 
         # (b) [-2 ln cos t]^2 >= t^4 (1 + t^2/3 + 7t^4/60): exact square expansion
-        sq = p_mul(
-            [_FR(1), _FR(0), _FR(1, 6), _FR(0), _FR(2, 45)],
-            [_FR(1), _FR(0), _FR(1, 6), _FR(0), _FR(2, 45)],
-        )
-        leftover = p_sub(sq, _M2_POLY)
-        if any(c != 0 for c in leftover[:5]) or any(c < 0 for c in leftover):
+        m = poly(1, 0, _FR(1, 6), 0, _FR(2, 45))
+        leftover = p_sub(p_mul(m, m), _M2_POLY)
+        if any(tp < 5 for tp, _ in leftover) or any(c < 0 for c in leftover.values()):
             raise AssertionError("square-expansion identity failed")
         children.append(
             point_check(
                 "square-minorant",
-                Interval(0.0, float(sum(leftover))),
+                Interval(0.0, Interval.from_fraction(sum(leftover.values())).hi),
                 strict=False,
                 note="(1+t^2/6+2t^4/45)^2 - (1+t^2/3+7t^4/60) = 2t^6/135 + 4t^8/2025 >= 0",
             )
@@ -439,18 +417,19 @@ def check_case1_polynomials() -> CheckResult:
                 note="1 - 1/3 - cot 1 <= 1/40",
             )
         )
+        # t cos t - M3 sin t; on |t| <= 1, where |M3| <= 1, the remainders
+        # t (2/18!) t^18 and M3 (2/19!) t^19 sum to at most (2/18! + 2/19!) t^19
         ct, st = cos_taylor(8), sin_taylor(8)
-        d_poly = p_sub(p_mul([_FR(0), _FR(1)], ct.poly), p_mul(st.poly, _M3_POLY))
-        d_quot = p_to_iv(p_shift_div(d_poly, 5))
-        rc, rs = ct.rem, st.rem
-
-        def d_quotient(t: Interval) -> Interval:
-            band = rc * t.abs() ** (ct.rem_power - 4) + rs * t.abs() ** (st.rem_power - 5)
-            return ipoly_eval(d_quot, t) + Interval(-band.hi, band.hi)
-
+        d_series = TaylorEnclosure(
+            p_mul(poly(0, 1), ct.poly), ct.rem_coeff + st.rem_coeff, 19, 1.0
+        )
         children.append(
             subdivision_check(
-                "cot-minorant-core", d_quotient, 0.0, 1.0, max_evals=50_000,
+                "cot-minorant-core",
+                d_series.quotient(5, minus=p_mul(st.poly, _M3_POLY)),
+                0.0,
+                1.0,
+                max_evals=50_000,
                 note="(t cos t - sin t (1 - t^2/3 - t^4/40))/t^5 > 0 on (0, 1]",
             )
         )
@@ -461,9 +440,8 @@ def check_case1_polynomials() -> CheckResult:
         )
 
         # (d) proposition: m1 * m3 >= 1 - t^2/3 + t^3/40, scaled by pi^5
-        lhs = pp_mul(_pp_m1_scaled(), _pp_from_poly(_M3_POLY))
-        diff = pp_sub(lhs, _pp_from_poly(_COR_LHS, pi_pow=5))
-        quot_d = pp_t_coeffs(pp_shift_div_t(diff, 3))
+        diff = p_sub(p_mul(_M1_SCALED, _M3_POLY), p_mul(_COR_LHS, _PI5))
+        quot_d = p_to_iv(p_shift_div(diff, 3))
         children.append(
             subdivision_check(
                 "product-inequality",
@@ -476,7 +454,7 @@ def check_case1_polynomials() -> CheckResult:
         )
 
         # (e) corollary: (1 - t^2/3 + t^3/40)(1 + t^2/3 + 7t^4/60) >= 1
-        cor = p_to_iv(p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), [_FR(1)]), 3))
+        cor = p_to_iv(p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), poly(1)), 3))
         children.append(
             subdivision_check(
                 "corollary-product",
@@ -489,11 +467,8 @@ def check_case1_polynomials() -> CheckResult:
         )
 
         # (f) composition of the three minorants, scaled by pi^5
-        comp = pp_sub(
-            pp_mul(pp_mul(_pp_m1_scaled(), _pp_from_poly(_M2_POLY)), _pp_from_poly(_M3_POLY)),
-            {(0, 5): _FR(1)},
-        )
-        quot_f = pp_t_coeffs(pp_shift_div_t(comp, 3))
+        comp = p_sub(p_mul(p_mul(_M1_SCALED, _M2_POLY), _M3_POLY), _PI5)
+        quot_f = p_to_iv(p_shift_div(comp, 3))
         children.append(
             subdivision_check(
                 "three-minorant-composition",
@@ -550,10 +525,8 @@ def check_case2_convexity() -> CheckResult:
         children = []
 
         # s^2 - 3s + 3 - 3 e^{-2s} >= 0 for s > 0 (convexity of f reduces here)
-        sq = p_sub(
-            p_mul([_FR(3), _FR(-3), _FR(1)], [_FR(1), _FR(2), _FR(2)]), [_FR(3)]
-        )
-        if p_shift_div(sq, 1) != [_FR(3), _FR(1), _FR(-4), _FR(2)]:
+        sq = p_sub(p_mul(poly(3, -3, 1), poly(1, 2, 2)), poly(3))
+        if p_shift_div(sq, 1) != poly(3, 1, -4, 2):
             raise AssertionError("case-2 algebraic identity failed")
         children.append(
             point_check(
@@ -562,23 +535,17 @@ def check_case2_convexity() -> CheckResult:
                 note="s^2 - 3s + 3 = (s - 3/2)^2 + 3/4 >= 3/4",
             )
         )
-        K = 32
-        exp_quot = p_to_iv([
-            _FR(2 ** (k + 3), _factorial(k + 3)) for k in range(K)
-        ])
-        rem_c = Interval.from_fraction(_FR(2 * 2 ** (K + 3), _factorial(K + 3)))
-
-        def exp_minorant_quotient(s: Interval) -> Interval:
-            band = rem_c * s.abs() ** K
-            return ipoly_eval(exp_quot, s) + Interval(-band.hi, band.hi)
-
         children.append(
             subdivision_check(
-                "exp-minorant", exp_minorant_quotient, 0.0, 3.0, max_evals=2000,
+                "exp-minorant",
+                exp_taylor(34, a=2).quotient(3, minus=poly(1, 2, 2)),
+                0.0,
+                3.0,
+                max_evals=2000,
                 note="(e^{2s} - 1 - 2s - 2s^2)/s^3 > 0",
             )
         )
-        cubic = p_to_iv([_FR(3), _FR(1), _FR(-4), _FR(2)])
+        cubic = p_to_iv(poly(3, 1, -4, 2))
         children.append(
             subdivision_check(
                 "cubic-factor",
@@ -646,13 +613,6 @@ def check_case2_convexity() -> CheckResult:
         )
         res = combine("cond1/case2-convexity", children)
     return tm.stamp(res)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _overlap_check(name: str, a: Interval, b: Interval, note: str = "") -> Check
 def _cos_majorant_chain() -> CheckResult:
     return point_check(
         "cosine-majorant-series",
-        Interval(float(min(LN_COS_COEFFS)), float(min(LN_COS_COEFFS))),
+        Interval.from_fraction(min(LN_COS_COEFFS)),
         note="positive series coefficients give |cos t|^s <= exp(-s sum c_k t^2k)",
     )
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from typing import Callable, TypeVar
 
-from ..interval import Interval, imin, ipoly_eval
+from ..interval import Interval, imin
+from ..polytools import poly
+from ..specfun import exp_taylor
 from .result import (
     FAILED,
     PROVED,
@@ -239,16 +241,7 @@ def lemma_exp_affine(name: str = "exp-ge-1-plus-x") -> CheckResult:
     whose enclosure is evaluated directly; on [4, inf) by monotonicity of
     e^x - 1 - x (derivative e^x - 1 > 0) from the anchor at 4.
     """
-    from ..specfun import exp_taylor
-
-    K = 24
-    te = exp_taylor(K)
-    quot_poly = te.coeffs[2:]  # coefficients 1/(k+2)!
-
-    def quotient(x: Interval) -> Interval:
-        band = te.rem * (x.abs() ** (te.rem_power - 2))
-        return ipoly_eval(quot_poly, x) + Interval(-band.hi, band.hi)
-
+    quotient = exp_taylor(24).quotient(2, minus=poly(1, 1))
     series_part = subdivision_check(
         f"{name}/series-quotient", quotient, -1.0, 4.0, strict=True,
         max_evals=20_000,

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Callable
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import Interval, imin, ipoly_eval, pow_real
-from ..polytools import p_sub, p_to_iv
+from ..interval import Interval, imin, pow_real
+from ..polytools import poly
 from ..quad import (
     QuadConfig,
     QuadResult,
@@ -176,23 +176,19 @@ def np_generic(
 # direct conclusion integrals
 # ---------------------------------------------------------------------------
 
-from ..polytools import p_shift_div
+# the near-zero cut of the gauss/cos gap integral; its C4 bound is certified
+# by _near_zero_children
+_GAP_DELTA = 1e-3
 
-_COS_REM = cos_taylor(6)
-_COS_LOWER_QUOT = p_to_iv(p_shift_div(
-    p_sub(_COS_REM.poly, [Fraction(1), Fraction(0), Fraction(-1, 2)]), 4
-))
+# (cos t - 1 + t^2/2) / t^4
+_COS_QUOT = cos_taylor(6).quotient(4, minus=poly(1, 0, Fraction(-1, 2)))
 
 
 def _near_zero_children(delta: float) -> list[CheckResult]:
     """Certificates for -ln cos t - t^2/2 <= t^4 / (8 (1 - delta^2/2)) on [0, delta]."""
-    def cos_quot(t: Interval) -> Interval:
-        band = _COS_REM.rem * (t.abs() ** (_COS_REM.rem_power - 4))
-        return ipoly_eval(_COS_LOWER_QUOT, t) + Interval(-band.hi, band.hi)
-
     cos_lower = subdivision_check(
         "cos-above-quadratic",
-        cos_quot,
+        _COS_QUOT,
         0.0,
         delta,
         max_evals=2000,
@@ -214,21 +210,21 @@ def gauss_cos_gap_integral(
     p: Interval,
     s: Interval,
     *,
-    delta: float = 1e-3,
-    T: float = 30.0,
     cfg: QuadConfig | None = None,
 ) -> tuple[Interval, tuple[QuadResult, ...]]:
     """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
     the quadratures of its finite pieces.
 
-    Near zero the integrand lies in [0, s C4 t^(3-p)] with
-    C4 = 1/(8 (1 - delta^2/2)).  On [delta, 1.2] the difference is evaluated
-    cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)}) with R the certified
-    -ln cos t - t^2/2 series; beyond 1.2 the direct form is fine.  The tails
-    use the stock mu_p majorants.  Both integrands also run on a Jet.
+    Near zero, on [0, delta] with delta = 1e-3, the integrand lies in
+    [0, s C4 t^(3-p)] with C4 = 1/(8 (1 - delta^2/2)).  On [delta, 1.2] the
+    difference is evaluated cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)})
+    with R the certified -ln cos t - t^2/2 series; on [1.2, 30] the direct form
+    is fine.  The tails past 30 use the stock mu_p majorants.  Both integrands
+    also run on a Jet.
     """
     if cfg is None:
         cfg = QuadConfig(target_width=2e-4, max_cells=150_000)
+    delta, T = _GAP_DELTA, 30.0
     div = Interval(delta, delta)
     C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
     near0 = near_zero_bound(s * C4, 3.0 - p, delta, nonneg=True)
@@ -260,7 +256,7 @@ def check_conclusion_direct(
     if any(s < float(SQRT2.lo) - 1e-12 for s in s_grid):
         raise ValueError("conclusion holds for s >= sqrt(2) only")
     with timer() as tm:
-        children = _near_zero_children(1e-3)
+        children = _near_zero_children(_GAP_DELTA)
         for p in p_grid:
             row = []
             for s in s_grid:

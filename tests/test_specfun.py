@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 
 from khintchine.interval import Interval, DomainError
 from khintchine import specfun as sf
+from khintchine.polytools import poly
 
 
 @pytest.fixture(autouse=True)
@@ -198,9 +199,32 @@ def test_b_constant():
 
 def test_taylor_enclosures():
     rng = random.Random(31)
-    ct, st, et = sf.cos_taylor(8), sf.sin_taylor(8), sf.exp_taylor(16)
+    series = [
+        (sf.cos_taylor(8).quotient(0), mp.cos),
+        (sf.sin_taylor(8).quotient(0), mp.sin),
+        (sf.exp_taylor(16).quotient(0), mp.exp),
+        (sf.exp_taylor(16, a=2).quotient(0), lambda t: mp.exp(2 * t)),
+    ]
     for _ in range(500):
         t = rng.uniform(-1.5, 1.5)
-        assert ct.eval(iv(t)).contains(float(mp.cos(mpf(t))))
-        assert st.eval(iv(t)).contains(float(mp.sin(mpf(t))))
-        assert et.eval(iv(t)).contains(float(mp.exp(mpf(t))))
+        for enclosure, f in series:
+            enc = enclosure(iv(t))
+            assert mpf(enc.lo) <= f(mpf(t)) <= mpf(enc.hi)
+
+
+def test_taylor_quotient_refuses_past_its_radius():
+    te = sf.exp_taylor(16, a=2)
+    assert te.t_limit == 4.5
+    quotient = te.quotient(2, minus=poly(1, 2))
+    quotient(Interval(-4.5, 4.5))
+    with pytest.raises(DomainError):
+        quotient(Interval(4.0, 4.6))
+    with pytest.raises(DomainError):
+        sf.cos_taylor(8).quotient(0)(Interval(-20.0, 0.0))
+
+
+def test_taylor_quotient_needs_exact_division():
+    with pytest.raises(ValueError):
+        sf.cos_taylor(6).quotient(4, minus=poly(1))  # leaves -t^2/2
+    with pytest.raises(ValueError):
+        sf.sin_taylor(6).quotient(2)  # leaves t

@@ -1,18 +1,15 @@
 """Result semantics, subdivision engine behavior, stock lemmas."""
 
 import math
+import random
+from fractions import Fraction
 
-from khintchine.interval import Interval, ipoly_eval
-from khintchine.polytools import (
-    p_add,
-    p_mul,
-    p_shift_div,
-    p_sub,
-    p_to_iv,
-    pp_mul,
-    pp_shift_div_t,
-    pp_sub,
-)
+import pytest
+from mpmath import mp, mpf
+
+from khintchine.interval import PI, DomainError, Interval, ipoly_eval
+from khintchine.polytools import p_add, p_mul, p_shift_div, p_sub, p_to_iv, poly
+from khintchine.verifier import cond1, engine, npcheck
 from khintchine.verifier import (
     FAILED,
     INCONCLUSIVE,
@@ -30,7 +27,6 @@ from khintchine.verifier import (
     status_from_margin,
     subdivision_check,
 )
-from fractions import Fraction
 
 
 def _regraded(node):
@@ -170,13 +166,13 @@ def test_stock_lemmas_prove():
 
 
 def test_poly_helpers():
-    a = [Fraction(1), Fraction(2)]  # 1 + 2t
-    b = [Fraction(0), Fraction(1)]  # t
-    assert p_mul(a, b) == [Fraction(0), Fraction(1), Fraction(2)]
-    assert p_add(a, b) == [Fraction(1), Fraction(3)]
-    assert p_sub(a, a) == [Fraction(0), Fraction(0)]
-    assert p_shift_div([Fraction(0), Fraction(0), Fraction(3)], 2) == [Fraction(3)]
-    enc = ipoly_eval(p_to_iv([Fraction(1), Fraction(1, 3)]), Interval(3.0, 3.0))
+    a = poly(1, 2)  # 1 + 2t
+    b = poly(0, 1)  # t
+    assert p_mul(a, b) == poly(0, 1, 2)
+    assert p_add(a, b) == poly(1, 3)
+    assert p_sub(a, a) == {}
+    assert p_shift_div(poly(0, 0, 3), 2) == poly(3)
+    enc = ipoly_eval(p_to_iv(poly(1, Fraction(1, 3))), Interval(3.0, 3.0))
     assert enc.contains(2.0)
 
 
@@ -184,9 +180,62 @@ def test_pi_poly_helpers():
     # (pi - t)(pi + t) = pi^2 - t^2, then strip nothing and evaluate
     a = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
     b = {(0, 1): Fraction(1), (1, 0): Fraction(1)}
-    prod = pp_mul(a, b)
+    prod = p_mul(a, b)
     assert prod == {(0, 2): Fraction(1), (2, 0): Fraction(-1)}
-    diff = pp_sub(prod, prod)
+    diff = p_sub(prod, prod)
     assert diff == {}
-    shifted = pp_shift_div_t({(2, 0): Fraction(5)}, 2)
+    shifted = p_shift_div({(2, 0): Fraction(5)}, 2)
     assert shifted == {(0, 0): Fraction(5)}
+    # a pi-free coefficient converts exactly as Interval.from_fraction does
+    third = Interval.from_fraction(Fraction(1, 3))
+    c0, c1, c2 = p_to_iv(prod | {(1, 0): Fraction(1, 3)})
+    assert (c1.lo, c1.hi, c2.lo, c2.hi) == (third.lo, third.hi, -1.0, -1.0)
+    assert c0.encloses(PI * PI)
+
+
+def _production_quotients(monkeypatch):
+    """The series quotients the four proofs hand to subdivision_check."""
+    wanted = {
+        "exp-ge-1-plus-x/series-quotient", "cos-above-quadratic",
+        "cot-minorant-core", "exp-minorant",
+    }
+    got = {}
+    for mod in (engine, cond1, npcheck):
+        def spy(name, fn, *args, _orig=mod.subdivision_check, **kw):
+            if name in wanted:
+                got[name] = fn
+            return _orig(name, fn, *args, **kw)
+
+        monkeypatch.setattr(mod, "subdivision_check", spy)
+    engine.lemma_exp_affine()
+    npcheck._near_zero_children(1e-3)
+    cond1.check_case1_polynomials()
+    cond1.check_case2_convexity()
+    assert set(got) == wanted
+    return got
+
+
+def test_production_quotients_contain_mpmath(monkeypatch):
+    m3 = lambda t: 1 - t**2 / 3 - t**4 / 40
+    truths = {  # (f - minus) / t^k and the domain the proof covers
+        "exp-ge-1-plus-x/series-quotient": (
+            lambda x: (mp.exp(x) - 1 - x) / x**2, -1.0, 4.0),
+        "cos-above-quadratic": (
+            lambda t: (mp.cos(t) - 1 + t**2 / 2) / t**4, 0.0, 1e-3),
+        "cot-minorant-core": (
+            lambda t: (t * mp.cos(t) - m3(t) * mp.sin(t)) / t**5, 0.0, 1.0),
+        "exp-minorant": (
+            lambda s: (mp.exp(2 * s) - 1 - 2 * s - 2 * s**2) / s**3, 0.0, 3.0),
+    }
+    rng = random.Random(17)
+    with mp.workdps(50):
+        for name, quotient in _production_quotients(monkeypatch).items():
+            f, lo, hi = truths[name]
+            for _ in range(300):
+                a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+                enc = quotient(Interval(a, b))
+                for t in (a, b, rng.uniform(a, b)):
+                    if t != 0.0:
+                        assert mpf(enc.lo) <= f(mpf(t)) <= mpf(enc.hi), (name, t)
+            with pytest.raises(DomainError):
+                quotient(Interval(lo, 1.01 * hi + 100.0))

@@ -21,7 +21,7 @@ print("== F_* - G_* along (0, 1) at p = 2 ==")
 print(f"{'x':>6} {'F_*':>12} {'G_*':>12} {'sign of F-G':>12}")
 for x in (0.05, 0.2, 0.4, 0.5, 0.55, 0.7, 0.9, 0.97):
     xi = Interval(x, x)
-    f = f_star(xi, mp2, K=200)
+    f = f_star(xi, mp2)
     g = g_star(xi, mp2)
     d = f - g
     sign = "negative" if d.hi < 0 else ("positive" if d.lo > 0 else "straddles")
@@ -32,13 +32,13 @@ print()
 print("== two derivations, one measure ==")
 print("series evaluation vs direct sublevel-interval sums:")
 for x in (0.3, 0.6, 0.9):
-    f = f_star(Interval(x, x), mp2, K=400)
+    f = f_star(Interval(x, x), mp2)
     b = brute_force_dist(x, mp2, "cos", K=1000)
     print(f"x={x}:  series {f}")
     print(f"        brute  {b}   overlap: {f.intersects(b)}")
 
 print()
 print("== derivatives govern the monotonicity condition ==")
-fp, gp = derivatives(Interval(0.5, 0.5), mp2, K=400)
+fp, gp = derivatives(Interval(0.5, 0.5), mp2)
 print(f"F_*'(0.5) = {fp.mid:.6f},  G_*'(0.5) = {gp.mid:.6f}")
 print(f"ratio enclosure: {fp / gp}  (must exceed 1 beyond x = 1/15)")

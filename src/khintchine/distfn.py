@@ -27,6 +27,10 @@ class MeasureParams:
             raise DomainError("p interval too wide; subdivide above this type")
 
 
+# terms summed explicitly in the F_* and F_*' series; _convex_tail encloses the rest
+SERIES_K = 32
+
+
 def _check_x(x: Interval, lo: float = 0.0, hi: float = 1.0) -> None:
     if not (lo < x.lo and x.hi < hi):
         raise DomainError(f"x must lie strictly inside ({lo}, {hi}), got {x}")
@@ -38,26 +42,46 @@ def _k_pi(K: int) -> tuple[Interval, ...]:
     return tuple(PI * k for k in range(K + 1))
 
 
-def f_star(x: Interval, mp: MeasureParams, K: int = 200) -> Interval:
+def _convex_tail(term, integral, K: int) -> Interval:
+    """Enclosure of sum_{k>K} term(k pi), for a summand convex and decreasing
+    on [(K + 1/2) pi, inf) with integral(c) = int_c^inf term(u pi) du.
+
+    The trapezoid rule underestimates and the midpoint rule overestimates the
+    integral of a convex function, which brackets the sum by
+    integral((K+1) pi) + term((K+1) pi)/2 <= sum <= integral((K+1/2) pi).
+    """
+    next_pi = PI * (K + 1)
+    lower = integral(next_pi) + term(next_pi) * 0.5
+    upper = integral(PI * (K + 0.5))
+    return Interval(lower.lo, upper.hi)
+
+
+def f_star(x: Interval, mp: MeasureParams, K: int = SERIES_K) -> Interval:
     """Enclosure of F_*(x), the mu_p-measure of {t : |cos t| < x}.
 
-    Regrouped series a^-p - sum_{k>=1} [(k pi - a)^-p - (k pi + a)^-p] with
-    a = arccos x, all divided by p.  Each bracketed term is positive and, by
-    the mean value theorem, at most 2a p (k pi - a)^-(p+1); comparison with
-    int_K^inf (u pi - a)^-(p+1) du bounds the dropped tail by
-    2a (K pi - a)^-p / pi.
+    Regrouped series a^-p - sum_{k>=1} g(k) with a = arccos x and
+    g(u) = (u pi - a)^-p - (u pi + a)^-p, all divided by p.  For u >= 1/2,
+    u pi - a > 0 since a < pi/2, so g is convex and decreasing there and the
+    terms past K are bracketed from both sides by _convex_tail with
+    int_c^inf g = [(c pi - a)^(1-p) - (c pi + a)^(1-p)] / ((p-1) pi).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     _check_x(x)
     p = mp.p
     a = x.arccos()
-    kpis = _k_pi(K)
+
+    def term(upi: Interval) -> Interval:
+        return pow_real(upi - a, -p) - pow_real(upi + a, -p)
+
+    def integral(cpi: Interval) -> Interval:
+        q = 1.0 - p
+        return (pow_real(cpi - a, q) - pow_real(cpi + a, q)) / ((p - 1.0) * PI)
+
     acc = pow_real(a, -p)
-    for kpi in kpis[1:]:
-        acc = acc - (pow_real(kpi - a, -p) - pow_real(kpi + a, -p))
-    tail = (a * 2.0) * pow_real(kpis[K] - a, -p) / PI
-    return (acc - Interval(0.0, tail.hi)) / p
+    for kpi in _k_pi(K)[1:]:
+        acc = acc - term(kpi)
+    return (acc - _convex_tail(term, integral, K)) / p
 
 
 def g_star(x: Interval, mp: MeasureParams) -> Interval:
@@ -68,13 +92,14 @@ def g_star(x: Interval, mp: MeasureParams) -> Interval:
 
 
 def derivatives(
-    x: Interval, mp: MeasureParams, K: int = 200
+    x: Interval, mp: MeasureParams, K: int = SERIES_K
 ) -> tuple[Interval, Interval]:
     """Enclosures of (F_*'(x), G_*'(x)).
 
-    F' sums (k pi + a)^-(p+1) + ((k+1) pi - a)^-(p+1) over k = 0..K (all terms
-    positive) against 1/sqrt(1-x^2); the dropped tail is enclosed by
-    [0, 2 (K pi - a)^-p / (p pi)] by the same comparison-integral device.
+    F' sums h(k) over k >= 0 against 1/sqrt(1-x^2), where
+    h(u) = (u pi + a)^-(p+1) + ((u+1) pi - a)^-(p+1) is positive, convex and
+    decreasing for u >= 0; the terms past K are bracketed by _convex_tail with
+    int_c^inf h = [(c pi + a)^-p + ((c+1) pi - a)^-p] / (p pi).
     """
     _check_x(x)
     if x.lo < 1e-6 or x.hi > 1.0 - 1e-6:
@@ -82,14 +107,17 @@ def derivatives(
     p = mp.p
     q = -(p + 1.0)
     a = x.arccos()
-    kpis = _k_pi(K)
-    acc = pow_real(a, q)
-    for k, kpi in enumerate(kpis):
-        if k > 0:
-            acc = acc + pow_real(kpi + a, q)
-        acc = acc + pow_real(kpi + PI - a, q)
-    tail = pow_real(kpis[K] - a, -p) * 2.0 / (p * PI)
-    series = acc + Interval(0.0, tail.hi)
+
+    def term(upi: Interval) -> Interval:
+        return pow_real(upi + a, q) + pow_real(upi + PI - a, q)
+
+    def integral(cpi: Interval) -> Interval:
+        return (pow_real(cpi + a, -p) + pow_real(cpi + PI - a, -p)) / (p * PI)
+
+    acc = pow_real(a, q) + pow_real(PI - a, q)
+    for kpi in _k_pi(K)[1:]:
+        acc = acc + term(kpi)
+    series = acc + _convex_tail(term, integral, K)
     root = (Interval(1.0, 1.0) - x * x).sqrt()
     f_prime = series / root
     g_prime = Interval(1.0, 1.0) / (x * pow_real(x.ln() * -2.0, p * 0.5 + 1.0))

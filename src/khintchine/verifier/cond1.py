@@ -89,7 +89,7 @@ def check_cond1_sign_at_sigma(sigma: float = SIGMA) -> CheckResult:
         grid_margins = []
         for b in p_boxes():
             mp = MeasureParams(Interval(b.lo, b.lo))
-            grid_margins.append(f_star(sig, mp, K=200) - g_star(sig, mp))
+            grid_margins.append(f_star(sig, mp) - g_star(sig, mp))
         grid = point_check(
             "direct-fstar-gstar-grid",
             imin(grid_margins),
@@ -272,7 +272,7 @@ def check_cond1_small_x(rho: float = RHO) -> CheckResult:
             mp = MeasureParams(Interval(p, p))
             for i in range(1, 31):
                 x = Interval(rho * i / 30.0, rho * i / 30.0)
-                grid_margins.append(g_star(x, mp) - f_star(x, mp, K=200))
+                grid_margins.append(g_star(x, mp) - f_star(x, mp))
         ch_grid = point_check(
             "direct-negativity-grid",
             imin(grid_margins),

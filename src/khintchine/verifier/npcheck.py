@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from ..distfn import MeasureParams, f_star, g_star
+from ..distfn import SERIES_K, MeasureParams, f_star, g_star
 from ..interval import Interval, imin, pow_real
 from ..polytools import poly
 from ..quad import (
@@ -66,6 +66,11 @@ def np_generic(
     """Certify: F - G <= 0 left of some y0, >= 0 right of it, and the
     s0-integral is nonnegative.
 
+    F and G must be nondecreasing, as distribution functions are: each is
+    called only on point intervals, once per distinct cell endpoint, and on
+    a cell [a, b] it is enclosed by [F(a).lo, F(b).hi].  Endpoint enclosures
+    that certify a decrease raise ValueError.
+
     The difference is classified on a refining partition of [y_lo, y_hi],
     bisected by the engine's bisect_boxes; cells straddling the sign change
     shrink below y_tol.  A cell's sign is certified when d or -d grades as a
@@ -81,9 +86,23 @@ def np_generic(
     if y_hi is None:
         y_hi = 0.999 * Y
 
+    # neighbouring cells share endpoints; each one is evaluated once
+    at_point: dict[float, tuple[Interval, Interval]] = {}
+
+    def endpoint(y: float) -> tuple[Interval, Interval]:
+        if y not in at_point:
+            pt = Interval(y, y)
+            at_point[y] = (F(pt), G(pt))
+        return at_point[y]
+
     def evaluate(box) -> tuple[Interval, bool, bool]:
-        cell = Interval(*box[0])
-        fe, ge = F(cell), G(cell)
+        ((a, b),) = box
+        (fa, ga), (fb, gb) = endpoint(a), endpoint(b)
+        if fa.lo > fb.hi or ga.lo > gb.hi:
+            raise ValueError(
+                f"F or G decreases on [{a:.17g}, {b:.17g}]; both must be nondecreasing"
+            )
+        fe, ge = Interval(fa.lo, fb.hi), Interval(ga.lo, gb.hi)
         d = fe - ge
         # identical enclosures satisfy both sign conditions
         flat = fe == ge
@@ -282,7 +301,9 @@ def check_conclusion_direct(
 # ---------------------------------------------------------------------------
 
 
-def check_np_cos_gauss(p: float, K: int = 200, grid: int = 64) -> CheckResult:
+def check_np_cos_gauss(
+    p: float, K: int = SERIES_K, grid: int = 64
+) -> CheckResult:
     """np_generic on the |cos| and gaussian distribution functions at one p."""
     mp = MeasureParams(Interval(p, p))
 

@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from khintchine.interval import PI, Interval, DomainError
 from khintchine.distfn import (
+    SERIES_K,
     MeasureParams,
     _k_pi,
     brute_force_dist,
@@ -25,9 +27,7 @@ def _mp_precision():
 
 MP2 = MeasureParams(Interval(2.0, 2.0))
 
-# frozen oracle values (mpmath, dps 40, 2000-term reference sums)
-F_STAR_05_P2 = 0.3562311920970008
-F_STAR_097_P2 = 8.2722979713911712
+# frozen oracle value (mpmath, dps 40, closed form)
 G_STAR_097_P2 = 8.2076987763226489
 
 
@@ -35,12 +35,24 @@ def iv(x):
     return Interval(x, x)
 
 
-def _ref_f_star(x: float, p: float, K: int = 4000) -> float:
+def _ref_f_star(x: float, p: float):
+    """F_*(x) in closed form: sum_{k>=1} (k pi -+ a)^-p = pi^-p zeta(p, 1 -+ a/pi)."""
     a = mp.acos(mpf(x))
-    s = a**-p
-    for k in range(1, K + 1):
-        s -= (k * mp.pi - a) ** -p - (k * mp.pi + a) ** -p
-    return float(s / p)
+    p = mpf(p)
+    tails = mp.zeta(p, 1 - a / mp.pi) - mp.zeta(p, 1 + a / mp.pi)
+    return (a**-p - mp.pi**-p * tails) / p
+
+
+def _ref_f_prime(x: float, p: float):
+    """F_*'(x) = pi^-(p+1) [zeta(p+1, a/pi) + zeta(p+1, 1 - a/pi)] / sqrt(1 - x^2)."""
+    a = mp.acos(mpf(x))
+    q = mpf(p) + 1
+    series = mp.zeta(q, a / mp.pi) + mp.zeta(q, 1 - a / mp.pi)
+    return mp.pi**-q * series / mp.sqrt(1 - mpf(x) ** 2)
+
+
+def _contains(enc: Interval, value) -> bool:
+    return mpf(enc.lo) <= value <= mpf(enc.hi)
 
 
 def test_measure_params_validation():
@@ -59,10 +71,10 @@ def test_g_star_examples():
 
 
 def test_f_star_values():
-    f5 = f_star(iv(0.5), MP2, K=400)
-    assert f5.contains(F_STAR_05_P2)
-    f97 = f_star(iv(0.97), MP2, K=200)
-    assert f97.contains(F_STAR_097_P2)
+    for K in (1, SERIES_K, 400):
+        assert _contains(f_star(iv(0.5), MP2, K=K), _ref_f_star(0.5, 2))
+    f97 = f_star(iv(0.97), MP2)
+    assert _contains(f97, _ref_f_star(0.97, 2))
     assert f97.lo > g_star(iv(0.97), MP2).hi  # strictly above at sigma
 
 
@@ -84,8 +96,19 @@ def test_f_star_matches_reference_grid():
     for p in (2.0, 2.5, 3.0):
         mpp = MeasureParams(iv(p))
         for x in (0.1, 0.4, 0.7, 0.95):
-            enc = f_star(iv(x), mpp, K=400)
-            assert enc.contains(_ref_f_star(x, p))
+            for K in (SERIES_K, 400):
+                assert _contains(f_star(iv(x), mpp, K=K), _ref_f_star(x, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(2.0, 3.0),
+    x=st.floats(1e-3, 0.999),
+    K=st.integers(1, 64),
+)
+def test_f_star_contains_closed_form(p, x, K):
+    ref = _ref_f_star(x, p)
+    assert _contains(f_star(iv(x), MeasureParams(iv(p)), K=K), ref)
 
 
 def test_k_pi_table():
@@ -127,6 +150,11 @@ def test_derivatives():
     fp2, gp2 = derivatives(iv(math.exp(-0.5)), MP2)
     assert gp2.contains(math.exp(0.5))
     assert fp.lo > 0 and gp.lo > 0
+    for p in (2.0, 2.5, 3.0):
+        for x in (0.01, 0.5, 0.97):
+            for K in (1, SERIES_K, 400):
+                fpv, _ = derivatives(iv(x), MeasureParams(iv(p)), K=K)
+                assert _contains(fpv, _ref_f_prime(x, p)), (p, x, K)
     # finite differences at 20 interior points
     h = 1e-4
     for i in range(20):

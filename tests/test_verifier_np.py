@@ -52,15 +52,16 @@ def test_np_generic_shifted_fails():
 
 
 def test_np_generic_double_crossing_fails():
-    # F - G = (x - 0.3)(x - 0.7): two sign changes
+    # F - G = (x - 0.3)(x - 0.7): two sign changes; F' = 2 + 2x >= 2
     def F(x):
-        return (x - 0.3) * (x - 0.7)
+        return x * 3.0 + (x - 0.3) * (x - 0.7)
 
     res = np_generic(
-        F, lambda x: Interval(0.0, 0.0), 1.0, 2.0, lambda: Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, 1.0, 2.0, lambda: Interval(1.0, 1.0),
         name="double",
     )
     assert res.status == FAILED
+    assert "negative again" in res.note
 
 
 def test_np_generic_budget_never_proves():
@@ -83,15 +84,16 @@ def test_np_generic_budget_never_proves():
 
 
 def test_np_generic_unresolved_right_edge_inconclusive():
-    # F - G = (x-0.2)(x-0.5)(x-0.8) is positive on (0.8, 1]; the 30 (x - x)
-    # term blurs each cell by 30 times its width, so with a tiny budget no
-    # cell is certified positive, yet no certified-negative cell sits at the
-    # right edge either
+    # F - G = (x-0.2)(x-0.5)(x-0.8) is positive on (0.8, 1], and
+    # F' = 3 + (the cubic)' >= 2.91; every point value of F is blurred by
+    # +-0.05, so with a tiny budget no cell is certified positive, yet no
+    # certified-negative cell sits at the right edge either
     def F(x):
-        return (x - 0.2) * (x - 0.5) * (x - 0.8) + (x - x) * 30.0
+        cubic = (x - 0.2) * (x - 0.5) * (x - 0.8)
+        return x * 3.0 + cubic + Interval(-0.05, 0.05)
 
     res = np_generic(
-        F, lambda x: Interval(0.0, 0.0), 1.0, 2.0, lambda: Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, 1.0, 2.0, lambda: Interval(1.0, 1.0),
         max_evals=10, name="blurred-cubic",
     )
     assert res.status == INCONCLUSIVE
@@ -99,12 +101,41 @@ def test_np_generic_unresolved_right_edge_inconclusive():
     assert "no cell certified positive" in res.note
 
 
+def test_np_generic_rejects_decreasing_input():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        np_generic(
+            lambda x: -x, lambda x: Interval(0.5, 0.5), 1.0, 2.0,
+            lambda: Interval(1.0, 1.0), name="decreasing",
+        )
+
+
+def test_np_generic_evaluates_each_endpoint_once():
+    seen = {"F": [], "G": []}
+
+    def record(key, f):
+        def wrapped(x):
+            seen[key].append((x.lo, x.hi))
+            return f(x)
+        return wrapped
+
+    res = np_generic(
+        record("F", lambda x: x), record("G", lambda x: Interval(0.4, 0.4)),
+        1.0, 2.0, lambda: Interval(1.0, 1.0), grid=64, name="endpoints",
+    )
+    assert res.status == PROVED
+    cells = res.children[0].evaluations
+    splits = (cells - 64) // 2
+    assert splits > 0
+    for calls in seen.values():
+        assert all(lo == hi for lo, hi in calls)
+        assert len(set(calls)) == len(calls) == 65 + splits
+
+
 def test_np_generic_rejects_small_grid():
     with pytest.raises(ValueError):
         np_generic(lambda x: x, lambda x: x, 1.0, 2.0, lambda: Interval(0, 0), grid=4)
 
 
-@pytest.mark.slow
 def test_np_cos_gauss_cases():
     for p in (2.0, 2.5):
         res = check_np_cos_gauss(p)

@@ -33,7 +33,7 @@ print("== two derivations, one measure ==")
 print("series evaluation vs direct sublevel-interval sums:")
 for x in (0.3, 0.6, 0.9):
     f = f_star(Interval(x, x), mp2)
-    b = brute_force_dist(x, mp2, "cos", K=1000)
+    b = brute_force_dist(x, mp2, "cos")
     print(f"x={x}:  series {f}")
     print(f"        brute  {b}   overlap: {f.intersects(b)}")
 

@@ -79,7 +79,7 @@ class Report:
             "tool_version": self.tool_version,
             "config": cfg,
             "overall": self.overall,
-            "results": [r.to_dict(with_elapsed=False) for r in self.results],
+            "results": [r.to_dict() for r in self.results],
         }
 
     def to_json(self) -> str:

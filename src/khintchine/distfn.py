@@ -31,9 +31,9 @@ class MeasureParams:
 SERIES_K = 32
 
 
-def _check_x(x: Interval, lo: float = 0.0, hi: float = 1.0) -> None:
-    if not (lo < x.lo and x.hi < hi):
-        raise DomainError(f"x must lie strictly inside ({lo}, {hi}), got {x}")
+def _check_x(x: Interval) -> None:
+    if not (0.0 < x.lo and x.hi < 1.0):
+        raise DomainError(f"x must lie strictly inside (0.0, 1.0), got {x}")
 
 
 @lru_cache(maxsize=4)
@@ -124,15 +124,17 @@ def derivatives(
     return f_prime, g_prime
 
 
-def brute_force_dist(
-    y: float, mp: MeasureParams, which: str, K: int = 1000
-) -> Interval:
+BRUTE_K = 1000  # solution intervals brute_force_dist sums for |cos|
+
+
+def brute_force_dist(y: float, mp: MeasureParams, which: str) -> Interval:
     """Independent oracle for the distribution functions.
 
     For |cos|: the sublevel set {|cos t| < y} is the union of the intervals
     (k pi + arccos y, (k+1) pi - arccos y); each one's measure is evaluated
-    from the antiderivative t^-p/p and summed directly.  The omitted solution
-    intervals live inside (K pi, inf), whose full measure bounds the tail.
+    from the antiderivative t^-p/p and summed directly for k < K = BRUTE_K.
+    The omitted solution intervals live inside (K pi, inf), whose full
+    measure bounds the tail.
     For the gaussian: closed form on (sqrt(2 ln(1/y)), inf).
     """
     if not 0.01 < y < 0.99:
@@ -145,11 +147,11 @@ def brute_force_dist(
     if which == "cos":
         a = yiv.arccos()
         acc = Interval(0.0, 0.0)
-        for k in range(K):
+        for k in range(BRUTE_K):
             kpi = PI * k
             lo_end = kpi + a
             hi_end = kpi + PI - a
             acc = acc + (pow_real(lo_end, -p) - pow_real(hi_end, -p)) / p
-        tail = pow_real(PI * K, -p) / p
+        tail = pow_real(PI * BRUTE_K, -p) / p
         return acc + Interval(0.0, tail.hi)
     raise ValueError(f"unknown distribution kind {which!r}")

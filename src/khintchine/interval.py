@@ -415,9 +415,11 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
     if a.lo == INF:
         raise DomainError("pow_real at +inf")
     lower = pow_real(Interval(a.lo, a.lo), s)
-    if s.hi > 0:
-        return _make(min(lower.lo, 1.0) if s.lo <= 0 else lower.lo, INF)
-    return Interval.hull(lower, Interval(0.0, lower.hi))
+    if s.hi <= 0:
+        return Interval.hull(lower, Interval(0.0, lower.hi))
+    if s.lo < 0:
+        return _make(0.0, INF)  # x**sigma -> 0 as x -> inf for sigma < 0
+    return _make(min(lower.lo, 1.0) if s.lo == 0 else lower.lo, INF)
 
 
 def imin(items: Sequence[Interval]) -> Interval:

@@ -41,9 +41,6 @@ class QuadConfig:
             raise ValueError("target_width must be positive")
 
 
-DEFAULT_CONFIG = QuadConfig()
-
-
 @dataclass
 class QuadResult:
     value: Interval
@@ -87,9 +84,7 @@ def _cell(f, lo: float, hi: float) -> Interval:
     return Interval(max(crude.lo, taylor.lo), min(crude.hi, taylor.hi))
 
 
-def integrate(
-    f: FnEnclosure, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> QuadResult:
+def integrate(f: FnEnclosure, a: float, b: float, cfg: QuadConfig) -> QuadResult:
     """Enclosure of the integral of f over the finite interval [a, b].
 
     The widest cell integral is bisected until the widths sum to at most

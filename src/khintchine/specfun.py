@@ -94,13 +94,16 @@ def neg_ln_cos_lower(t: Interval, K: int) -> Interval:
     return horner_nonneg(_LN_COS_COEFFS_IV[:K], u) * u
 
 
-def neg_ln_cos_excess(t: Interval | Jet, K: int = 14) -> Interval | Jet:
+EXCESS_TERMS = 14  # neg_ln_cos_excess sums c_k t^{2k} exactly up to this k
+
+
+def neg_ln_cos_excess(t: Interval | Jet) -> Interval | Jet:
     """Two-sided enclosure of R(t) = -ln cos t - t^2/2 on [0, 1.2].
 
-    Partial sum of c_k t^{2k} for k = 2..K plus a geometric tail: since
-    c_k = (2^{2k}-1) zeta(2k) / (k pi^{2k}), every dropped coefficient obeys
-    c_k <= zeta(4) (2/pi)^{2k} / k, so the tail is below
-    zeta(4)/(K+1) * q^{K+1}/(1-q) with q = (2t/pi)^2 < 1.
+    Partial sum of c_k t^{2k} for k = 2..K, K = EXCESS_TERMS, plus a
+    geometric tail: since c_k = (2^{2k}-1) zeta(2k) / (k pi^{2k}), every
+    dropped coefficient obeys c_k <= zeta(4) (2/pi)^{2k} / k, so the tail is
+    below zeta(4)/(K+1) * q^{K+1}/(1-q) with q = (2t/pi)^2 < 1.
 
     For a Jet argument R' and R'' are the series differentiated term by term.
     The same coefficient bound gives their tails: 2k c_k t^{2k-1} <=
@@ -114,7 +117,7 @@ def neg_ln_cos_excess(t: Interval | Jet, K: int = 14) -> Interval | Jet:
     x = t.v if type(t) is Jet else t
     if not (0.0 <= x.lo and x.hi <= 1.2):
         raise DomainError(f"neg_ln_cos_excess domain is [0, 1.2], got {x}")
-    K = max(2, min(K, MAX_LNCOS_TERMS))
+    K = EXCESS_TERMS
     u = x * x
     acc = horner_nonneg(_LN_COS_COEFFS_IV[1:K], u) * (u * u)
     q = (x * 2.0 / PI) ** 2

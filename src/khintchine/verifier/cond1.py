@@ -21,7 +21,7 @@ from .engine import (
     point_check,
     subdivision_check,
 )
-from .result import CheckResult, combine, timer
+from .result import CheckResult, combine
 
 RHO = 1.0 / 15.0
 SIGMA = 0.97
@@ -51,7 +51,7 @@ def _rhs_sign_bound(sigma: Interval, p: Interval) -> Interval:
     return lead - penalty
 
 
-def check_cond1_sign_at_sigma(sigma: float = SIGMA) -> CheckResult:
+def check_cond1_sign_at_sigma() -> CheckResult:
     """F_*(sigma) - G_*(sigma) >= 0 for all p in [2, 3].
 
     The explicit lower bound for p (F_* - G_*)(sigma) is positive at p = 2 and
@@ -60,46 +60,42 @@ def check_cond1_sign_at_sigma(sigma: float = SIGMA) -> CheckResult:
     the left edge of every p box.  A direct F_* - G_* grid is kept as a
     redundant cross-check.
     """
-    if not 0.9 < sigma < 0.99:
-        raise ValueError("sigma must lie in (0.9, 0.99)")
-    with timer() as tm:
-        sig = Interval(sigma, sigma)
-        a = sig.arccos()
-        c1 = 1.0 / a
-        c2 = 1.0 / (sig.ln() * -2.0).sqrt()
-        at2 = point_check(
-            "rhs-bound-at-p2", _rhs_sign_bound(sig, Interval(2.0, 2.0))
-        )
-        basis = combine(
-            "p-monotonicity-basis",
-            [
-                point_check("inv-arccos-above-inv-sqrt2ln", c1 - c2),
-                point_check("inv-sqrt2ln-at-least-1", c2 - 1.0),
-            ],
-            note="c1 > c2 >= 1 makes c1^p - c2^p increasing in p",
-        )
-        box_margins = [
-            _rhs_sign_bound(sig, Interval(b.lo, b.lo)) for b in p_boxes()
-        ]
-        boxes = point_check(
-            "rhs-bound-on-p-boxes",
-            imin(box_margins),
-            note=f"left edges of {P_BOXES} p boxes; monotonicity covers the rest",
-        )
-        grid_margins = []
-        for b in p_boxes():
-            mp = MeasureParams(Interval(b.lo, b.lo))
-            grid_margins.append(f_star(sig, mp) - g_star(sig, mp))
-        grid = point_check(
-            "direct-fstar-gstar-grid",
-            imin(grid_margins),
-            note="redundant direct evaluation on a p grid",
-        )
-        res = combine(
-            "cond1/sign-at-sigma", [at2, basis, boxes, grid],
-            note=f"sigma = {sigma}",
-        )
-    return tm.stamp(res)
+    sig = Interval(SIGMA, SIGMA)
+    a = sig.arccos()
+    c1 = 1.0 / a
+    c2 = 1.0 / (sig.ln() * -2.0).sqrt()
+    at2 = point_check(
+        "rhs-bound-at-p2", _rhs_sign_bound(sig, Interval(2.0, 2.0))
+    )
+    basis = combine(
+        "p-monotonicity-basis",
+        [
+            point_check("inv-arccos-above-inv-sqrt2ln", c1 - c2),
+            point_check("inv-sqrt2ln-at-least-1", c2 - 1.0),
+        ],
+        note="c1 > c2 >= 1 makes c1^p - c2^p increasing in p",
+    )
+    box_margins = [
+        _rhs_sign_bound(sig, Interval(b.lo, b.lo)) for b in p_boxes()
+    ]
+    boxes = point_check(
+        "rhs-bound-on-p-boxes",
+        imin(box_margins),
+        note=f"left edges of {P_BOXES} p boxes; monotonicity covers the rest",
+    )
+    grid_margins = []
+    for b in p_boxes():
+        mp = MeasureParams(Interval(b.lo, b.lo))
+        grid_margins.append(f_star(sig, mp) - g_star(sig, mp))
+    grid = point_check(
+        "direct-fstar-gstar-grid",
+        imin(grid_margins),
+        note="redundant direct evaluation on a p grid",
+    )
+    return combine(
+        "cond1/sign-at-sigma", [at2, basis, boxes, grid],
+        note=f"sigma = {SIGMA}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,162 +125,158 @@ def d_coefficient(p: Interval, zeta_terms: int = 2000) -> Interval:
     )
 
 
-def check_cond1_small_x(rho: float = RHO) -> CheckResult:
+def check_cond1_small_x() -> CheckResult:
     """F_* - G_* < 0 on (0, rho]: the per-term bound F_*(x) <= d_p x and the
     comparison d_p x <= G_*(x)."""
-    if not 0.0 < rho <= 0.1:
-        raise ValueError("rho must lie in (0, 0.1]")
-    with timer() as tm:
-        riv = Interval(rho, rho)
-        a_rho = riv.arccos()
-        eps0 = (HALF_PI - a_rho) / HALF_PI
-        ch_a = point_check(
-            "eps0-bound",
-            Interval(EPS0, EPS0) - eps0,
-            note="eps_k <= (pi/2 - arccos rho)/(pi/2) <= 0.04248 for x <= rho",
-        )
+    riv = Interval(RHO, RHO)
+    a_rho = riv.arccos()
+    eps0 = (HALF_PI - a_rho) / HALF_PI
+    ch_a = point_check(
+        "eps0-bound",
+        Interval(EPS0, EPS0) - eps0,
+        note="eps_k <= (pi/2 - arccos rho)/(pi/2) <= 0.04248 for x <= rho",
+    )
 
-        # (1+e)^p - (1-e)^p <= 2.00361 p e on [0, 0.04248] x [2, 3].
-        # Binomial series: the difference is 2[p e + C(p,3) e^3 + R] with
-        # |C(p,k)| <= 6 (k-4)!/k! for p in [2,3], k >= 5, so
-        # |R| <= e^5/(20 (1-e)).  It suffices that 2C(p,3) + 2|R|/e^3 <= 2p e^3
-        # coefficient room (giving 2p(1+e^2) e) and 2(1+e^2) <= 2.00361.
-        e0 = Interval(EPS0, EPS0)
-        rem_over_e3 = (e0 * e0 / (1.0 - e0)) * Interval.from_fraction(Fraction(1, 20))
+    # (1+e)^p - (1-e)^p <= 2.00361 p e on [0, 0.04248] x [2, 3].
+    # Binomial series: the difference is 2[p e + C(p,3) e^3 + R] with
+    # |C(p,k)| <= 6 (k-4)!/k! for p in [2,3], k >= 5, so
+    # |R| <= e^5/(20 (1-e)).  It suffices that 2C(p,3) + 2|R|/e^3 <= 2p e^3
+    # coefficient room (giving 2p(1+e^2) e) and 2(1+e^2) <= 2.00361.
+    e0 = Interval(EPS0, EPS0)
+    rem_over_e3 = (e0 * e0 / (1.0 - e0)) * Interval.from_fraction(Fraction(1, 20))
 
-        def binom_room(p: Interval) -> Interval:
-            c3 = p * (p - 1.0) * (p - 2.0) * Interval.from_fraction(Fraction(1, 6))
-            return (p - c3) * 2.0 - rem_over_e3 * 2.0
+    def binom_room(p: Interval) -> Interval:
+        c3 = p * (p - 1.0) * (p - 2.0) * Interval.from_fraction(Fraction(1, 6))
+        return (p - c3) * 2.0 - rem_over_e3 * 2.0
 
-        room = subdivision_check(
-            "taylor-bound/cubic-coefficient-room", binom_room, 2.0, 3.0,
-            max_evals=5000,
-            note="2C(p,3) e^3 + 2R <= 2p e^3, so lhs <= 2p(1+e^2) e",
-        )
-        square_room = point_check(
-            "taylor-bound/epsilon-square-room",
-            Interval(2.00361, 2.00361) - (1.0 + e0 * e0) * 2.0,
-            note="2(1+e^2) <= 2.00361 for e <= 0.04248",
-        )
-        spot_margins = []
-        for pv in (2.0, 2.25, 2.5, 2.75, 3.0):
-            for i in range(1, 11):
-                e = Interval(EPS0 * i / 10.0, EPS0 * i / 10.0)
-                piv = Interval(pv, pv)
-                lhs = pow_real(1.0 + e, piv) - pow_real(1.0 - e, piv)
-                spot_margins.append(Interval(2.00361, 2.00361) * piv * e - lhs)
-        spots = point_check(
-            "taylor-bound/direct-spots",
-            imin(spot_margins),
-            note="redundant pointwise evaluations on the (e, p) grid",
-        )
-        ch_b = combine("taylor-power-bound", [room, square_room, spots])
+    room = subdivision_check(
+        "taylor-bound/cubic-coefficient-room", binom_room, 2.0, 3.0,
+        max_evals=5000,
+        note="2C(p,3) e^3 + 2R <= 2p e^3, so lhs <= 2p(1+e^2) e",
+    )
+    square_room = point_check(
+        "taylor-bound/epsilon-square-room",
+        Interval(2.00361, 2.00361) - (1.0 + e0 * e0) * 2.0,
+        note="2(1+e^2) <= 2.00361 for e <= 0.04248",
+    )
+    spot_margins = []
+    for pv in (2.0, 2.25, 2.5, 2.75, 3.0):
+        for i in range(1, 11):
+            e = Interval(EPS0 * i / 10.0, EPS0 * i / 10.0)
+            piv = Interval(pv, pv)
+            lhs = pow_real(1.0 + e, piv) - pow_real(1.0 - e, piv)
+            spot_margins.append(Interval(2.00361, 2.00361) * piv * e - lhs)
+    spots = point_check(
+        "taylor-bound/direct-spots",
+        imin(spot_margins),
+        note="redundant pointwise evaluations on the (e, p) grid",
+    )
+    ch_b = combine("taylor-power-bound", [room, square_room, spots])
 
-        # t <= (c/sin c) sin t on [0, c]: concavity of the margin in t
-        c = Interval(SINE_CUT, SINE_CUT)
-        slope = c / c.sin()
+    # t <= (c/sin c) sin t on [0, c]: concavity of the margin in t
+    c = Interval(SINE_CUT, SINE_CUT)
+    slope = c / c.sin()
 
-        def sine_margin_neg_dd(t: Interval) -> Interval:
-            return slope * t.sin()  # -(m'') where m = slope sin t - t
+    def sine_margin_neg_dd(t: Interval) -> Interval:
+        return slope * t.sin()  # -(m'') where m = slope sin t - t
 
-        ch_c = concave_nonneg_check(
-            "sine-chord-bound",
-            sine_margin_neg_dd,
-            slope * Interval(0.0, 0.0).sin() - 0.0,
-            slope * c.sin() - c,
-            0.0,
-            SINE_CUT,
-            note="t <= (c/sin c) sin t on [0, c], c = 0.06672",
-        )
+    ch_c = concave_nonneg_check(
+        "sine-chord-bound",
+        sine_margin_neg_dd,
+        slope * Interval(0.0, 0.0).sin() - 0.0,
+        slope * c.sin() - c,
+        0.0,
+        SINE_CUT,
+        note="t <= (c/sin c) sin t on [0, c], c = 0.06672",
+    )
 
-        # constant chain: 2.00361/(1-eps0^2)^3 <= 2.0145 and 2.0145 c/sin c <= 2.02
-        e0 = Interval(EPS0, EPS0)
-        ch_d = combine(
-            "constant-chain",
-            [
-                point_check(
-                    "into-2.0145",
-                    Interval(2.0145, 2.0145) * (1.0 - e0 * e0) ** 3 - 2.00361,
-                ),
-                point_check(
-                    "into-2.02",
-                    Interval(2.02, 2.02) * c.sin() - Interval(2.0145, 2.0145) * c,
-                ),
-            ],
-            note="denominator (1-e^2)^p >= (1-eps0^2)^3 for e <= eps0, p <= 3",
-        )
+    # constant chain: 2.00361/(1-eps0^2)^3 <= 2.0145 and 2.0145 c/sin c <= 2.02
+    e0 = Interval(EPS0, EPS0)
+    ch_d = combine(
+        "constant-chain",
+        [
+            point_check(
+                "into-2.0145",
+                Interval(2.0145, 2.0145) * (1.0 - e0 * e0) ** 3 - 2.00361,
+            ),
+            point_check(
+                "into-2.02",
+                Interval(2.02, 2.02) * c.sin() - Interval(2.0145, 2.0145) * c,
+            ),
+        ],
+        note="denominator (1-e^2)^p >= (1-eps0^2)^3 for e <= eps0, p <= 3",
+    )
 
-        d2 = d_coefficient(Interval(2.0, 2.0), zeta_terms=10_000)
-        d3 = d_coefficient(Interval(3.0, 3.0), zeta_terms=10_000)
-        ch_e = combine(
-            "d2-d3-bounds",
-            [
-                point_check("d2-below-0.5482", Interval(0.5482, 0.5482) - d2),
-                point_check("d3-below-0.3367", Interval(0.3367, 0.3367) - d3),
-            ],
-        )
+    d2 = d_coefficient(Interval(2.0, 2.0), zeta_terms=10_000)
+    d3 = d_coefficient(Interval(3.0, 3.0), zeta_terms=10_000)
+    ch_e = combine(
+        "d2-d3-bounds",
+        [
+            point_check("d2-below-0.5482", Interval(0.5482, 0.5482) - d2),
+            point_check("d3-below-0.3367", Interval(0.3367, 0.3367) - d3),
+        ],
+    )
 
-        def dp_line_margin(p: Interval) -> Interval:
-            return Interval(0.98, 0.98) - Interval(0.2115, 0.2115) * p - d_coefficient(p)
+    def dp_line_margin(p: Interval) -> Interval:
+        return Interval(0.98, 0.98) - Interval(0.2115, 0.2115) * p - d_coefficient(p)
 
-        ch_f = subdivision_check(
-            "dp-below-line", dp_line_margin, 2.0, 3.0, max_evals=3000,
-            note="d_p <= 0.98 - 0.2115 p on adaptively refined p boxes",
-        )
+    ch_f = subdivision_check(
+        "dp-below-line", dp_line_margin, 2.0, 3.0, max_evals=3000,
+        note="d_p <= 0.98 - 0.2115 p on adaptively refined p boxes",
+    )
 
-        ch_g = subdivision_check(
-            "line-max-1.14",
-            lambda p: Interval(1.14, 1.14) - p * (Interval(0.98, 0.98) - Interval(0.2115, 0.2115) * p),
-            2.0,
-            3.0,
-            max_evals=20_000,
-        )
+    ch_g = subdivision_check(
+        "line-max-1.14",
+        lambda p: Interval(1.14, 1.14) - p * (Interval(0.98, 0.98) - Interval(0.2115, 0.2115) * p),
+        2.0,
+        3.0,
+        max_evals=20_000,
+    )
 
-        # e^t / (2t)^(p/2) >= 1.14 for t >= 2.7, p in [2, 3]
-        t_dom = Interval(2.7, INF)
-        ch_h = combine(
-            "gaussian-side-floor",
-            [
-                point_check(
-                    "increasing-in-t",
-                    Interval(1.0, 1.0) - Interval(2.0, 3.0) / (t_dom * 2.0),
-                    note="d/dt [t - (p/2) ln 2t] = 1 - p/(2t) > 0 for t >= 2.7",
-                ),
-                point_check(
-                    "decreasing-in-p",
-                    (Interval(2.7, 2.7) * 2.0).ln(),
-                    note="ln 2t > 0 makes (2t)^(p/2) increasing in p; worst p is 3",
-                ),
-                point_check(
-                    "anchor-value",
-                    Interval(2.7, 2.7).exp()
-                    / pow_real(Interval(5.4, 5.4), Interval(1.5, 1.5))
-                    - 1.14,
-                    note="e^2.7/5.4^1.5 = 1.1858; the printed 1.8 holds only at p=2",
-                ),
-                point_check("rho-maps-above-2.7", (1.0 / riv).ln() - 2.7,
-                            note="t = ln(1/x) >= ln 15 > 2.7 for x <= rho"),
-            ],
-        )
+    # e^t / (2t)^(p/2) >= 1.14 for t >= 2.7, p in [2, 3]
+    t_dom = Interval(2.7, INF)
+    ch_h = combine(
+        "gaussian-side-floor",
+        [
+            point_check(
+                "increasing-in-t",
+                Interval(1.0, 1.0) - Interval(2.0, 3.0) / (t_dom * 2.0),
+                note="d/dt [t - (p/2) ln 2t] = 1 - p/(2t) > 0 for t >= 2.7",
+            ),
+            point_check(
+                "decreasing-in-p",
+                (Interval(2.7, 2.7) * 2.0).ln(),
+                note="ln 2t > 0 makes (2t)^(p/2) increasing in p; worst p is 3",
+            ),
+            point_check(
+                "anchor-value",
+                Interval(2.7, 2.7).exp()
+                / pow_real(Interval(5.4, 5.4), Interval(1.5, 1.5))
+                - 1.14,
+                note="e^2.7/5.4^1.5 = 1.1858; the printed 1.8 holds only at p=2",
+            ),
+            point_check("rho-maps-above-2.7", (1.0 / riv).ln() - 2.7,
+                        note="t = ln(1/x) >= ln 15 > 2.7 for x <= rho"),
+        ],
+    )
 
-        grid_margins = []
-        for p in (2.0, 2.5, 3.0):
-            mp = MeasureParams(Interval(p, p))
-            for i in range(1, 31):
-                x = Interval(rho * i / 30.0, rho * i / 30.0)
-                grid_margins.append(g_star(x, mp) - f_star(x, mp))
-        ch_grid = point_check(
-            "direct-negativity-grid",
-            imin(grid_margins),
-            note="g_star - f_star > 0 at 30 x points for p in {2, 2.5, 3}",
-        )
+    grid_margins = []
+    for p in (2.0, 2.5, 3.0):
+        mp = MeasureParams(Interval(p, p))
+        for i in range(1, 31):
+            x = Interval(RHO * i / 30.0, RHO * i / 30.0)
+            grid_margins.append(g_star(x, mp) - f_star(x, mp))
+    ch_grid = point_check(
+        "direct-negativity-grid",
+        imin(grid_margins),
+        note="g_star - f_star > 0 at 30 x points for p in {2, 2.5, 3}",
+    )
 
-        res = combine(
-            "cond1/small-x",
-            [ch_a, ch_b, ch_c, ch_d, ch_e, ch_f, ch_g, ch_h, ch_grid],
-            note=f"rho = 1/15; chain gives F_* <= d_p x <= (0.98-0.2115p) x <= G_*",
-        )
-    return tm.stamp(res)
+    return combine(
+        "cond1/small-x",
+        [ch_a, ch_b, ch_c, ch_d, ch_e, ch_f, ch_g, ch_h, ch_grid],
+        note=f"rho = 1/15; chain gives F_* <= d_p x <= (0.98-0.2115p) x <= G_*",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,58 +291,56 @@ def check_reduction_to_p2() -> CheckResult:
     (pi^3 - 3 pi^2 t + 3 pi t^2) ln(A^2) >= 2 t^3 ln((pi-t)/t), settled by the
     series lower bound for ln(A^2) and a tangent comparison at t0 = 1.
     """
-    with timer() as tm:
-        # (a) A >= 1 from the first series coefficient
-        coeff_pos = point_check(
-            "series-coefficients-positive",
-            Interval.from_fraction(min(LN_COS_COEFFS[:3])),
-            note="-2 ln cos t >= t^2 (1 + t^2/6 + 2t^4/45); A^2 >= 1",
-        )
+    # (a) A >= 1 from the first series coefficient
+    coeff_pos = point_check(
+        "series-coefficients-positive",
+        Interval.from_fraction(min(LN_COS_COEFFS[:3])),
+        note="-2 ln cos t >= t^2 (1 + t^2/6 + 2t^4/45); A^2 >= 1",
+    )
 
-        # (b) ln(A^2) >= t^2/6: quadratic ln bound plus positive t^4 coefficient
-        t_end = Interval(T_END, T_END)
-        x_hi = (t_end**2 / 6.0 + t_end**4 * Fraction(2, 45)).hi
-        ln_bound = lemma_ln1p_quadratic(x_hi)
+    # (b) ln(A^2) >= t^2/6: quadratic ln bound plus positive t^4 coefficient
+    t_end = Interval(T_END, T_END)
+    x_hi = (t_end**2 / 6.0 + t_end**4 * Fraction(2, 45)).hi
+    ln_bound = lemma_ln1p_quadratic(x_hi)
 
-        def t4_coeff(t: Interval) -> Interval:
-            inner = Interval.from_fraction(Fraction(1, 6)) + t * t * Fraction(2, 45)
-            return Interval.from_fraction(Fraction(2, 45)) - inner * inner * 0.5
+    def t4_coeff(t: Interval) -> Interval:
+        inner = Interval.from_fraction(Fraction(1, 6)) + t * t * Fraction(2, 45)
+        return Interval.from_fraction(Fraction(2, 45)) - inner * inner * 0.5
 
-        coeff_ok = subdivision_check(
-            "t4-coefficient-positive", t4_coeff, 0.0, HALF_PI.hi, max_evals=10_000
-        )
+    coeff_ok = subdivision_check(
+        "t4-coefficient-positive", t4_coeff, 0.0, HALF_PI.hi, max_evals=10_000
+    )
 
-        # (c) pi^3 - 3 pi^2 t + 3 pi t^2 >= 12 t ln((pi-t)/t) via the tangent at 1
-        def neg_L_second(t: Interval) -> Interval:
-            inv_t = Interval(1.0 / t.hi, INF) if t.lo <= 0.0 else 1.0 / t
-            pit = PI - t
-            return 1.0 / pit + PI / (pit * pit) + inv_t
+    # (c) pi^3 - 3 pi^2 t + 3 pi t^2 >= 12 t ln((pi-t)/t) via the tangent at 1
+    def neg_L_second(t: Interval) -> Interval:
+        inv_t = Interval(1.0 / t.hi, INF) if t.lo <= 0.0 else 1.0 / t
+        pit = PI - t
+        return 1.0 / pit + PI / (pit * pit) + inv_t
 
-        concavity = subdivision_check(
-            "t-ln-term-concave", neg_L_second, 0.0, T_END, max_evals=10_000,
-            note="-(d^2/dt^2)[t ln((pi-t)/t)] = 1/(pi-t) + pi/(pi-t)^2 + 1/t > 0",
-        )
-        pim1 = PI - 1.0
-        L1 = pim1.ln()
-        Lp1 = pim1.ln() - 1.0 / pim1 - 1.0
+    concavity = subdivision_check(
+        "t-ln-term-concave", neg_L_second, 0.0, T_END, max_evals=10_000,
+        note="-(d^2/dt^2)[t ln((pi-t)/t)] = 1/(pi-t) + pi/(pi-t)^2 + 1/t > 0",
+    )
+    pim1 = PI - 1.0
+    L1 = pim1.ln()
+    Lp1 = pim1.ln() - 1.0 / pim1 - 1.0
 
-        def tangent_gap(t: Interval) -> Interval:
-            quad = PI**3 - PI**2 * t * 3.0 + PI * t * t * 3.0
-            return quad - (L1 + Lp1 * (t - 1.0)) * 12.0
+    def tangent_gap(t: Interval) -> Interval:
+        quad = PI**3 - PI**2 * t * 3.0 + PI * t * t * 3.0
+        return quad - (L1 + Lp1 * (t - 1.0)) * 12.0
 
-        tangent = subdivision_check(
-            "quadratic-above-tangent", tangent_gap, 0.0, T_END, max_evals=20_000
-        )
-        quad_pos = point_check(
-            "quadratic-positive",
-            PI * ((Interval(0.0, T_END) - HALF_PI) ** 2 * 3.0 + PI**2 * 0.25),
-            note="pi^3 - 3pi^2 t + 3pi t^2 = pi (3 (t - pi/2)^2 + pi^2/4)",
-        )
-        res = combine(
-            "cond1/reduction-to-p2",
-            [coeff_pos, ln_bound, coeff_ok, concavity, tangent, quad_pos],
-        )
-    return tm.stamp(res)
+    tangent = subdivision_check(
+        "quadratic-above-tangent", tangent_gap, 0.0, T_END, max_evals=20_000
+    )
+    quad_pos = point_check(
+        "quadratic-positive",
+        PI * ((Interval(0.0, T_END) - HALF_PI) ** 2 * 3.0 + PI**2 * 0.25),
+        note="pi^3 - 3pi^2 t + 3pi t^2 = pi (3 (t - pi/2)^2 + pi^2/4)",
+    )
+    return combine(
+        "cond1/reduction-to-p2",
+        [coeff_pos, ln_bound, coeff_ok, concavity, tangent, quad_pos],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,135 +358,133 @@ _M1_SCALED = {(0, 5): _FR(1), (3, 2): _FR(1), (4, 1): _FR(3), (5, 0): _FR(6)}
 
 def check_case1_polynomials() -> CheckResult:
     """The three minorants of the p = 2 expression and their composition on (0, 1]."""
-    with timer() as tm:
-        children = []
+    children = []
 
-        # (a) 1/t^3 + 1/(pi-t)^3 >= (1/t^3)(1 + t^3/pi^3 + 3t^4/pi^4 + 6t^5/pi^5)
-        # reduces exactly to t^3 (10 pi^2 - 15 pi t + 6 t^2) >= 0
-        pi_minus_t = {(0, 1): _FR(1), (1, 0): _FR(-1)}
-        prod = p_mul(
-            {(0, 2): _FR(1), (1, 1): _FR(3), (2, 0): _FR(6)},  # pi^2+3pi t+6t^2
-            p_mul(p_mul(pi_minus_t, pi_minus_t), pi_minus_t),  # (pi - t)^3
+    # (a) 1/t^3 + 1/(pi-t)^3 >= (1/t^3)(1 + t^3/pi^3 + 3t^4/pi^4 + 6t^5/pi^5)
+    # reduces exactly to t^3 (10 pi^2 - 15 pi t + 6 t^2) >= 0
+    pi_minus_t = {(0, 1): _FR(1), (1, 0): _FR(-1)}
+    prod = p_mul(
+        {(0, 2): _FR(1), (1, 1): _FR(3), (2, 0): _FR(6)},  # pi^2+3pi t+6t^2
+        p_mul(p_mul(pi_minus_t, pi_minus_t), pi_minus_t),  # (pi - t)^3
+    )
+    reduced = p_sub(_PI5, prod)
+    expected = {(3, 2): _FR(10), (4, 1): _FR(-15), (5, 0): _FR(6)}
+    if reduced != expected:
+        raise AssertionError("geometric-series reduction identity failed")
+    quot_a = p_to_iv(p_shift_div(reduced, 3))
+    children.append(
+        subdivision_check(
+            "first-factor-minorant",
+            lambda t: ipoly_eval(quot_a, t),
+            0.0,
+            1.0,
+            max_evals=5000,
+            note="exact reduction to 10 pi^2 - 15 pi t + 6 t^2 > 0",
         )
-        reduced = p_sub(_PI5, prod)
-        expected = {(3, 2): _FR(10), (4, 1): _FR(-15), (5, 0): _FR(6)}
-        if reduced != expected:
-            raise AssertionError("geometric-series reduction identity failed")
-        quot_a = p_to_iv(p_shift_div(reduced, 3))
-        children.append(
-            subdivision_check(
-                "first-factor-minorant",
-                lambda t: ipoly_eval(quot_a, t),
-                0.0,
-                1.0,
-                max_evals=5000,
-                note="exact reduction to 10 pi^2 - 15 pi t + 6 t^2 > 0",
-            )
-        )
+    )
 
-        # (b) [-2 ln cos t]^2 >= t^4 (1 + t^2/3 + 7t^4/60): exact square expansion
-        m = poly(1, 0, _FR(1, 6), 0, _FR(2, 45))
-        leftover = p_sub(p_mul(m, m), _M2_POLY)
-        if any(tp < 5 for tp, _ in leftover) or any(c < 0 for c in leftover.values()):
-            raise AssertionError("square-expansion identity failed")
-        children.append(
-            point_check(
-                "square-minorant",
-                Interval(0.0, Interval.from_fraction(sum(leftover.values())).hi),
-                strict=False,
-                note="(1+t^2/6+2t^4/45)^2 - (1+t^2/3+7t^4/60) = 2t^6/135 + 4t^8/2025 >= 0",
-            )
+    # (b) [-2 ln cos t]^2 >= t^4 (1 + t^2/3 + 7t^4/60): exact square expansion
+    m = poly(1, 0, _FR(1, 6), 0, _FR(2, 45))
+    leftover = p_sub(p_mul(m, m), _M2_POLY)
+    if any(tp < 5 for tp, _ in leftover) or any(c < 0 for c in leftover.values()):
+        raise AssertionError("square-expansion identity failed")
+    children.append(
+        point_check(
+            "square-minorant",
+            Interval(0.0, Interval.from_fraction(sum(leftover.values())).hi),
+            strict=False,
+            note="(1+t^2/6+2t^4/45)^2 - (1+t^2/3+7t^4/60) = 2t^6/135 + 4t^8/2025 >= 0",
         )
+    )
 
-        # (c) cot t >= 1/t - t/3 - t^3/40 via D(t) = t cos t - sin t (1-t^2/3-t^4/40)
-        cot1 = Interval(1.0, 1.0).cos() / Interval(1.0, 1.0).sin()
-        children.append(
-            point_check(
-                "cot-anchor",
-                Interval.from_fraction(_FR(1, 40)) - (1.0 - Interval.from_fraction(_FR(1, 3)) - cot1),
-                note="1 - 1/3 - cot 1 <= 1/40",
-            )
+    # (c) cot t >= 1/t - t/3 - t^3/40 via D(t) = t cos t - sin t (1-t^2/3-t^4/40)
+    cot1 = Interval(1.0, 1.0).cos() / Interval(1.0, 1.0).sin()
+    children.append(
+        point_check(
+            "cot-anchor",
+            Interval.from_fraction(_FR(1, 40)) - (1.0 - Interval.from_fraction(_FR(1, 3)) - cot1),
+            note="1 - 1/3 - cot 1 <= 1/40",
         )
-        # t cos t - M3 sin t; on |t| <= 1, where |M3| <= 1, the remainders
-        # t (2/18!) t^18 and M3 (2/19!) t^19 sum to at most (2/18! + 2/19!) t^19
-        ct, st = cos_taylor(8), sin_taylor(8)
-        d_series = TaylorEnclosure(
-            p_mul(poly(0, 1), ct.poly), ct.rem_coeff + st.rem_coeff, 19, 1.0
+    )
+    # t cos t - M3 sin t; on |t| <= 1, where |M3| <= 1, the remainders
+    # t (2/18!) t^18 and M3 (2/19!) t^19 sum to at most (2/18! + 2/19!) t^19
+    ct, st = cos_taylor(8), sin_taylor(8)
+    d_series = TaylorEnclosure(
+        p_mul(poly(0, 1), ct.poly), ct.rem_coeff + st.rem_coeff, 19, 1.0
+    )
+    children.append(
+        subdivision_check(
+            "cot-minorant-core",
+            d_series.quotient(5, minus=p_mul(st.poly, _M3_POLY)),
+            0.0,
+            1.0,
+            max_evals=50_000,
+            note="(t cos t - sin t (1 - t^2/3 - t^4/40))/t^5 > 0 on (0, 1]",
         )
-        children.append(
-            subdivision_check(
-                "cot-minorant-core",
-                d_series.quotient(5, minus=p_mul(st.poly, _M3_POLY)),
-                0.0,
-                1.0,
-                max_evals=50_000,
-                note="(t cos t - sin t (1 - t^2/3 - t^4/40))/t^5 > 0 on (0, 1]",
-            )
+    )
+    children.append(
+        subdivision_check(
+            "sin-positive", lambda t: t.sin(), 1e-6, 1.0, max_evals=1000
         )
-        children.append(
-            subdivision_check(
-                "sin-positive", lambda t: t.sin(), 1e-6, 1.0, max_evals=1000
-            )
-        )
+    )
 
-        # (d) proposition: m1 * m3 >= 1 - t^2/3 + t^3/40, scaled by pi^5
-        diff = p_sub(p_mul(_M1_SCALED, _M3_POLY), p_mul(_COR_LHS, _PI5))
-        quot_d = p_to_iv(p_shift_div(diff, 3))
-        children.append(
-            subdivision_check(
-                "product-inequality",
-                lambda t: ipoly_eval(quot_d, t),
-                0.0,
-                1.0,
-                max_evals=50_000,
-                note="margin scaled by pi^5 and factored by t^3",
-            )
+    # (d) proposition: m1 * m3 >= 1 - t^2/3 + t^3/40, scaled by pi^5
+    diff = p_sub(p_mul(_M1_SCALED, _M3_POLY), p_mul(_COR_LHS, _PI5))
+    quot_d = p_to_iv(p_shift_div(diff, 3))
+    children.append(
+        subdivision_check(
+            "product-inequality",
+            lambda t: ipoly_eval(quot_d, t),
+            0.0,
+            1.0,
+            max_evals=50_000,
+            note="margin scaled by pi^5 and factored by t^3",
         )
+    )
 
-        # (e) corollary: (1 - t^2/3 + t^3/40)(1 + t^2/3 + 7t^4/60) >= 1
-        cor = p_to_iv(p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), poly(1)), 3))
-        children.append(
-            subdivision_check(
-                "corollary-product",
-                lambda t: ipoly_eval(cor, t),
-                0.0,
-                1.0,
-                max_evals=50_000,
-                note="verified from the exact expansion, factored by t^3",
-            )
+    # (e) corollary: (1 - t^2/3 + t^3/40)(1 + t^2/3 + 7t^4/60) >= 1
+    cor = p_to_iv(p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), poly(1)), 3))
+    children.append(
+        subdivision_check(
+            "corollary-product",
+            lambda t: ipoly_eval(cor, t),
+            0.0,
+            1.0,
+            max_evals=50_000,
+            note="verified from the exact expansion, factored by t^3",
         )
+    )
 
-        # (f) composition of the three minorants, scaled by pi^5
-        comp = p_sub(p_mul(p_mul(_M1_SCALED, _M2_POLY), _M3_POLY), _PI5)
-        quot_f = p_to_iv(p_shift_div(comp, 3))
-        children.append(
-            subdivision_check(
-                "three-minorant-composition",
-                lambda t: ipoly_eval(quot_f, t),
-                0.0,
-                1.0,
-                max_evals=50_000,
-                note="(m1 m2 m3 - 1) pi^5 / t^3 > 0 on (0, 1]",
-            )
+    # (f) composition of the three minorants, scaled by pi^5
+    comp = p_sub(p_mul(p_mul(_M1_SCALED, _M2_POLY), _M3_POLY), _PI5)
+    quot_f = p_to_iv(p_shift_div(comp, 3))
+    children.append(
+        subdivision_check(
+            "three-minorant-composition",
+            lambda t: ipoly_eval(quot_f, t),
+            0.0,
+            1.0,
+            max_evals=50_000,
+            note="(m1 m2 m3 - 1) pi^5 / t^3 > 0 on (0, 1]",
         )
-        # positivity side conditions for chaining the minorants
-        m3, cor_lhs = p_to_iv(_M3_POLY), p_to_iv(_COR_LHS)
+    )
+    # positivity side conditions for chaining the minorants
+    m3, cor_lhs = p_to_iv(_M3_POLY), p_to_iv(_COR_LHS)
 
-        def minorants_floor(t: Interval) -> Interval:
-            return imin([ipoly_eval(m3, t), ipoly_eval(cor_lhs, t)])
+    def minorants_floor(t: Interval) -> Interval:
+        return imin([ipoly_eval(m3, t), ipoly_eval(cor_lhs, t)])
 
-        children.append(
-            subdivision_check(
-                "minorants-positive",
-                minorants_floor,
-                0.0,
-                1.0,
-                max_evals=5000,
-                note="t cot t minorant and corollary factor stay positive",
-            )
+    children.append(
+        subdivision_check(
+            "minorants-positive",
+            minorants_floor,
+            0.0,
+            1.0,
+            max_evals=5000,
+            note="t cot t minorant and corollary factor stay positive",
         )
-        res = combine("cond1/case1-polynomials", children)
-    return tm.stamp(res)
+    )
+    return combine("cond1/case1-polynomials", children)
 
 
 # ---------------------------------------------------------------------------
@@ -521,98 +509,96 @@ def _f_case2(t: Interval) -> Interval:
 def check_case2_convexity() -> CheckResult:
     """g >= f on [1, 1.50412] by tangents to g, with the convexity of f
     certified through its reduced inequality in s = -ln cos t."""
-    with timer() as tm:
-        children = []
+    children = []
 
-        # s^2 - 3s + 3 - 3 e^{-2s} >= 0 for s > 0 (convexity of f reduces here)
-        sq = p_sub(p_mul(poly(3, -3, 1), poly(1, 2, 2)), poly(3))
-        if p_shift_div(sq, 1) != poly(3, 1, -4, 2):
-            raise AssertionError("case-2 algebraic identity failed")
-        children.append(
-            point_check(
-                "quadratic-floor",
-                Interval.from_fraction(_FR(3, 4)),
-                note="s^2 - 3s + 3 = (s - 3/2)^2 + 3/4 >= 3/4",
-            )
+    # s^2 - 3s + 3 - 3 e^{-2s} >= 0 for s > 0 (convexity of f reduces here)
+    sq = p_sub(p_mul(poly(3, -3, 1), poly(1, 2, 2)), poly(3))
+    if p_shift_div(sq, 1) != poly(3, 1, -4, 2):
+        raise AssertionError("case-2 algebraic identity failed")
+    children.append(
+        point_check(
+            "quadratic-floor",
+            Interval.from_fraction(_FR(3, 4)),
+            note="s^2 - 3s + 3 = (s - 3/2)^2 + 3/4 >= 3/4",
         )
-        children.append(
-            subdivision_check(
-                "exp-minorant",
-                exp_taylor(34, a=2).quotient(3, minus=poly(1, 2, 2)),
-                0.0,
-                3.0,
-                max_evals=2000,
-                note="(e^{2s} - 1 - 2s - 2s^2)/s^3 > 0",
-            )
+    )
+    children.append(
+        subdivision_check(
+            "exp-minorant",
+            exp_taylor(34, a=2).quotient(3, minus=poly(1, 2, 2)),
+            0.0,
+            3.0,
+            max_evals=2000,
+            note="(e^{2s} - 1 - 2s - 2s^2)/s^3 > 0",
         )
-        cubic = p_to_iv(poly(3, 1, -4, 2))
-        children.append(
-            subdivision_check(
-                "cubic-factor",
-                lambda s: ipoly_eval(cubic, s),
-                0.0,
-                3.0,
-                max_evals=20_000,
-                note="((s^2-3s+3)(1+2s+2s^2) - 3)/s = 2s^3 - 4s^2 + s + 3 > 0",
-            )
+    )
+    cubic = p_to_iv(poly(3, 1, -4, 2))
+    children.append(
+        subdivision_check(
+            "cubic-factor",
+            lambda s: ipoly_eval(cubic, s),
+            0.0,
+            3.0,
+            max_evals=20_000,
+            note="((s^2-3s+3)(1+2s+2s^2) - 3)/s = 2s^3 - 4s^2 + s + 3 > 0",
         )
-        far = Interval(3.0, INF)
-        far_floor = Interval(3.0, 3.0) - (far * -2.0).exp() * 3.0
-        children.append(
-            point_check(
-                "far-piece",
-                far_floor,
-                note="s^2 - 3s + 3 - 3e^{-2s} >= s(s-3) + 3 - 3e^{-6} >= 3 - 3e^{-6}",
-            )
+    )
+    far = Interval(3.0, INF)
+    far_floor = Interval(3.0, 3.0) - (far * -2.0).exp() * 3.0
+    children.append(
+        point_check(
+            "far-piece",
+            far_floor,
+            note="s^2 - 3s + 3 - 3e^{-2s} >= s(s-3) + 3 - 3e^{-6} >= 3 - 3e^{-6}",
         )
+    )
 
-        # convexity of g
-        children.append(
-            subdivision_check(
-                "g-convex",
-                lambda t: 12.0 / t**5 + 12.0 / (PI - t) ** 5,
-                1.0,
-                T_END,
-                max_evals=2000,
-            )
+    # convexity of g
+    children.append(
+        subdivision_check(
+            "g-convex",
+            lambda t: 12.0 / t**5 + 12.0 / (PI - t) ** 5,
+            1.0,
+            T_END,
+            max_evals=2000,
         )
+    )
 
-        # tangent comparisons
-        for t0, pts in ((1.1, (1.0, 1.25)), (1.45, (1.24, T_END))):
-            t0v = Interval(t0, t0)
-            g0 = _g_case2(t0v)
-            g1 = _g_case2_prime(t0v)
-            for x in pts:
-                xv = Interval(x, x)
-                tangent = g0 + g1 * (xv - t0v)
-                children.append(
-                    point_check(
-                        f"tangent-{t0}-at-{x}",
-                        tangent - _f_case2(xv),
-                        note="tangent to g dominates f at the bracket ends",
-                    )
+    # tangent comparisons
+    for t0, pts in ((1.1, (1.0, 1.25)), (1.45, (1.24, T_END))):
+        t0v = Interval(t0, t0)
+        g0 = _g_case2(t0v)
+        g1 = _g_case2_prime(t0v)
+        for x in pts:
+            xv = Interval(x, x)
+            tangent = g0 + g1 * (xv - t0v)
+            children.append(
+                point_check(
+                    f"tangent-{t0}-at-{x}",
+                    tangent - _f_case2(xv),
+                    note="tangent to g dominates f at the bracket ends",
                 )
-        children.append(
-            point_check(
-                "bracket-overlap",
-                Interval(1.25, 1.25) - 1.24,
-                note="[1, 1.25] and [1.24, 1.50412] cover [1, 1.50412]",
             )
+    children.append(
+        point_check(
+            "bracket-overlap",
+            Interval(1.25, 1.25) - 1.24,
+            note="[1, 1.25] and [1.24, 1.50412] cover [1, 1.50412]",
         )
+    )
 
-        # redundant direct comparison
-        children.append(
-            subdivision_check(
-               "direct-gap",
-                lambda t: _g_case2(t) - _f_case2(t),
-                1.0,
-                T_END,
-                max_evals=100_000,
-                note="g - f > 0 verified directly as well",
-            )
+    # redundant direct comparison
+    children.append(
+        subdivision_check(
+           "direct-gap",
+            lambda t: _g_case2(t) - _f_case2(t),
+            1.0,
+            T_END,
+            max_evals=100_000,
+            note="g - f > 0 verified directly as well",
         )
-        res = combine("cond1/case2-convexity", children)
-    return tm.stamp(res)
+    )
+    return combine("cond1/case2-convexity", children)
 
 
 # ---------------------------------------------------------------------------
@@ -629,34 +615,32 @@ def _rhs13(t: Interval, p: Interval) -> Interval:
     return (pow_real(A2, half) + pow_real(B2, half)) * L.sqrt() * t.cos() / t.sin()
 
 
-def check_cond1_monotone(rho: float = RHO) -> CheckResult:
+def check_cond1_monotone() -> CheckResult:
     """F_* - G_* increasing on (rho, 1): the ratio F'/G' stays above 1.
 
     Children: the endpoint guard, the reduction to p = 2, the two p = 2 cases,
     and a redundant grid of direct evaluations of the ratio bound.
     """
-    with timer() as tm:
-        a_rho = Interval(rho, rho).arccos()
-        endpoint = point_check(
-            "endpoint-guard",
-            Interval(T_END_GUARD, T_END_GUARD) - a_rho,
-            note=f"arccos(rho) <= {T_END_GUARD}; checks run to {T_END}",
-        )
-        reduction = check_reduction_to_p2()
-        case1 = check_case1_polynomials()
-        case2 = check_case2_convexity()
-        spots = []
-        for p in (2.0, 2.5, 3.0):
-            for i in range(1, 16):
-                t = min(0.1 * i, T_END)
-                spots.append(_rhs13(Interval(t, t), Interval(p, p)) - 1.0)
-        spot_check = point_check(
-            "ratio-grid",
-            imin(spots),
-            note="direct interval evaluations of the ratio bound minus 1",
-        )
-        res = combine(
-            "cond1/monotone",
-            [endpoint, reduction, case1, case2, spot_check],
-        )
-    return tm.stamp(res)
+    a_rho = Interval(RHO, RHO).arccos()
+    endpoint = point_check(
+        "endpoint-guard",
+        Interval(T_END_GUARD, T_END_GUARD) - a_rho,
+        note=f"arccos(rho) <= {T_END_GUARD}; checks run to {T_END}",
+    )
+    reduction = check_reduction_to_p2()
+    case1 = check_case1_polynomials()
+    case2 = check_case2_convexity()
+    spots = []
+    for p in (2.0, 2.5, 3.0):
+        for i in range(1, 16):
+            t = min(0.1 * i, T_END)
+            spots.append(_rhs13(Interval(t, t), Interval(p, p)) - 1.0)
+    spot_check = point_check(
+        "ratio-grid",
+        imin(spots),
+        note="direct interval evaluations of the ratio bound minus 1",
+    )
+    return combine(
+        "cond1/monotone",
+        [endpoint, reduction, case1, case2, spot_check],
+    )

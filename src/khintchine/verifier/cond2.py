@@ -29,7 +29,7 @@ from .engine import (
     point_check,
     subdivision_check,
 )
-from .result import CheckResult, combine, timer
+from .result import CheckResult, combine
 
 # certified replacement for the printed 0.043369 (see module docstring)
 LAMBDA_TAIL_CONST = 0.0433
@@ -76,206 +76,204 @@ def check_cond2_hprime() -> CheckResult:
     each quadrature has its own fixed target width.  Every integrand also
     runs on a Jet.
     """
-    with timer() as tm:
-        # -- piece [0, 1] ---------------------------------------------------
-        c1 = Interval(1.0, 1.0) / (SQRT2 * 6.0)
-        c144 = Interval.from_fraction(_FR(1, 144))
+    # -- piece [0, 1] ---------------------------------------------------
+    c1 = Interval(1.0, 1.0) / (SQRT2 * 6.0)
+    c144 = Interval.from_fraction(_FR(1, 144))
 
-        def minorant_a(t: Interval) -> Interval:
-            poly = t * c1 - (t**5) * c144
-            return (1.0 - t) * _exp_gauss(t) * poly
+    def minorant_a(t: Interval) -> Interval:
+        poly = t * c1 - (t**5) * c144
+        return (1.0 - t) * _exp_gauss(t) * poly
 
-        qa = integrate(minorant_a, 0.0, 1.0, QuadConfig(target_width=2e-5))
-        piece_a_val = qa.value
-        piece_a = combine(
-            "piece-near-0",
-            [
-                _cos_majorant_chain(),
-                lemma_one_minus_exp_quadratic(0.12, name="one-minus-exp-on-[0,0.12]"),
-                lemma_neg_log_affine(),
-                subdivision_check(
-                    "minorant-polynomial-nonneg",
-                    lambda t: c1 - (t**4) * c144,
-                    0.0,
-                    1.0,
-                    max_evals=1000,
-                    note="t/(6 sqrt2) - t^5/144 = t (1/(6 sqrt2) - t^4/144) >= 0",
-                ),
-                point_check(
-                    "integral-above-0.0153",
-                    piece_a_val - 0.0153,
-                    note=note_missed(
-                        f"enclosure {piece_a_val!r} via {qa.cells} quadrature cells", qa
-                    ),
-                ),
-            ],
-            note="b = t^4/(6 sqrt2); b - b^2/2 with b^2/2 = t^8/144 exactly",
-        )
-
-        # -- piece [1, pi/2] --------------------------------------------------
-        e_at_1 = _exp_gauss(Interval(1.0, 1.0))
-        e_at_hp = _exp_gauss(HALF_PI)
-        slope = (e_at_hp - e_at_1) / (HALF_PI - 1.0)
-
-        def secant(t: Interval) -> Interval:
-            return e_at_1 + slope * (t - 1.0)
-
-        s12 = pow_real(Interval(1.2, 1.2).cos(), SQRT2)
-        s14 = pow_real(Interval(1.4, 1.4).cos(), SQRT2)
-        cfg_j = QuadConfig(target_width=4e-6)
-        j1 = integrate(lambda t: (t - 1.0) * (secant(t) - s12) / t**3, 1.0, 1.2, cfg_j)
-        j2 = integrate(lambda t: (t - 1.0) * (secant(t) - s14) / t**3, 1.2, 1.4, cfg_j)
-        j3 = integrate(
-            lambda t: (t - 1.0) * secant(t) / t**3, 1.4, HALF_PI.hi, cfg_j
-        )
-        J = j1.value + j2.value + j3.value
-        piece_b = combine(
-            "piece-middle",
-            [
-                lemma_log_le_affine(HALF_PI.hi),
-                subdivision_check(
-                    "gauss-factor-convex",
-                    lambda t: t * t * 2.0 - SQRT2,
-                    1.0,
-                    HALF_PI.hi,
-                    max_evals=1000,
-                    note="(e^{-t^2/sqrt2})'' has sign 2t^2 - sqrt2; secant dominates",
-                ),
-                subdivision_check(
-                    "cos-decreasing-here",
-                    lambda t: t.sin(),
-                    1.0,
-                    HALF_PI.hi,
-                    max_evals=1000,
-                    note="sin > 0 so the step minorants of |cos t|^sqrt2 are valid",
-                ),
-                point_check(
-                    "secant-steps-ordered",
-                    imin([secant(Interval(1.0, 1.2)) - s12,
-                          secant(Interval(1.2, 1.4)) - s14]),
-                    note="secant majorant stays above the step minorants",
-                ),
-                point_check(
-                    "J-below-0.0147",
-                    Interval(0.0147, 0.0147) - J,
-                    note=note_missed(f"J enclosure {J!r}", j1, j2, j3),
-                ),
-            ],
-            note="middle piece of H' is bounded below by -J",
-        )
-
-        # -- tail piece [pi/2, inf) ------------------------------------------
-        lemma_511 = combine(
-            "log-weight-lower",
-            [
-                point_check(
-                    "increasing-in-t",
-                    (Interval(0.0, 1.0) * Interval(HALF_PI.lo, float("inf")).ln())
-                    + 1.0,
-                    note="(ln t) t^(3-p) increases on [pi/2, inf) for p <= 3",
-                ),
-                point_check(
-                    "anchor",
-                    HALF_PI.ln() * HALF_PI**3 - 1.75,
-                    note="ln(pi/2)(pi/2)^3 = 1.75024 >= 1.75",
-                ),
-            ],
-            note="ln t / t^(p+1) >= 1.75 (2/pi)^p / t^4 on [pi/2, inf)",
-        )
-        from .engine import lemma_exp_affine
-
-        lemma_512 = combine(
-            "log-weight-upper",
-            [
-                lemma_exp_affine(),
-                point_check(
-                    "substitution-positive",
-                    Interval(HALF_PI.lo, HALF_PI.lo).ln(),
-                    note="v = (p-1) ln t > 0 on the domain; e v <= e^v applies",
-                ),
-            ],
-            note="ln t / t^(p+1) <= 1/(e (p-1) t^2), max at t = e^(1/(p-1))",
-        )
-
-        cfg_i1 = QuadConfig(target_width=2e-5, max_cells=500_000)
-        q1 = integrate(
-            lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
-            HALF_PI.lo,
-            50.0,
-            cfg_i1,
-        )
-        I1 = q1.value + tail_bound_mu_p("cos_power", Interval(2.0, 2.0), Interval(3.0, 3.0), 50.0)
-        i1_child = point_check(
-            "cos-integral-floor",
-            I1 * 1.75 - LAMBDA_TAIL_CONST,
-            note=note_missed(
-                f"1.75 I1 = {(I1 * 1.75)!r}; printed 0.043369 exceeds the true "
-                "value 0.0433640 and is repaired to 0.0433",
-                q1,
+    qa = integrate(minorant_a, 0.0, 1.0, QuadConfig(target_width=2e-5))
+    piece_a_val = qa.value
+    piece_a = combine(
+        "piece-near-0",
+        [
+            _cos_majorant_chain(),
+            lemma_one_minus_exp_quadratic(0.12, name="one-minus-exp-on-[0,0.12]"),
+            lemma_neg_log_affine(),
+            subdivision_check(
+                "minorant-polynomial-nonneg",
+                lambda t: c1 - (t**4) * c144,
+                0.0,
+                1.0,
+                max_evals=1000,
+                note="t/(6 sqrt2) - t^5/144 = t (1/(6 sqrt2) - t^4/144) >= 0",
             ),
-        )
-
-        cfg_i2 = QuadConfig(target_width=1e-6, max_cells=500_000)
-        q2 = integrate(
-            lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, cfg_i2
-        )
-        T8 = Interval(8.0, 8.0)
-        gauss_tail_hi = (SQRT2 / T8**3 * (-(T8**2) / SQRT2).exp()).hi
-        I2 = q2.value + Interval(0.0, gauss_tail_hi)
-        i2_child = point_check(
-            "gauss-integral-ceiling",
-            EULER_E * 0.00705 - I2,
-            note=note_missed(f"I2 = {I2!r} <= 0.00705 e; margin is a few 1e-6", q2),
-        )
-
-        def cmp_margin(const: float, b: Interval) -> Interval:
-            return (b - 1.0) * pow_real(
-                Interval(2.0, 2.0) / PI, b
-            ) * const - 0.00705
-
-        boxes = p_boxes()
-        printed_margins = [cmp_margin(LAMBDA_TAIL_CONST_PRINTED, b) for b in boxes]
-        used_margins = [cmp_margin(LAMBDA_TAIL_CONST, b) for b in boxes]
-        cmp_printed_const = point_check(
-            "tail-comparison-printed-constant",
-            imin(printed_margins),
-            note=f"0.043369 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
-        )
-        cmp_used = point_check(
-            "tail-comparison-certified-constant",
-            imin(used_margins),
-            note=f"0.0433 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
-        )
-        cos_power_vs_square = point_check(
-            "cos-power-dominates-square",
-            Interval(2.0, 2.0) - SQRT2,
-            note="|cos|^sqrt2 >= cos^2 since |cos| <= 1",
-        )
-        tail_piece = combine(
-            "piece-tail",
-            [lemma_511, lemma_512, i1_child, i2_child, cos_power_vs_square,
-             cmp_printed_const, cmp_used],
-        )
-
-        # -- net over p boxes -------------------------------------------------
-        two_over_pi = Interval(2.0, 2.0) / PI
-        nets = []
-        for b in boxes:
-            lam = pow_real(two_over_pi, b) * 1.75
-            Lam = Interval(1.0, 1.0) / (EULER_E * (b - 1.0))
-            nets.append(piece_a_val - J + lam * I1 - Lam * I2)
-        net = point_check(
-            "net-lower-bound",
-            imin(nets),
-            note=note_missed(
-                "piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
-                qa, j1, j2, j3, q1, q2,
+            point_check(
+                "integral-above-0.0153",
+                piece_a_val - 0.0153,
+                note=note_missed(
+                    f"enclosure {piece_a_val!r} via {qa.cells} quadrature cells", qa
+                ),
             ),
-        )
-        res = combine(
-            "cond2/hprime", [piece_a, piece_b, tail_piece, net]
-        )
-    return tm.stamp(res)
+        ],
+        note="b = t^4/(6 sqrt2); b - b^2/2 with b^2/2 = t^8/144 exactly",
+    )
+
+    # -- piece [1, pi/2] --------------------------------------------------
+    e_at_1 = _exp_gauss(Interval(1.0, 1.0))
+    e_at_hp = _exp_gauss(HALF_PI)
+    slope = (e_at_hp - e_at_1) / (HALF_PI - 1.0)
+
+    def secant(t: Interval) -> Interval:
+        return e_at_1 + slope * (t - 1.0)
+
+    s12 = pow_real(Interval(1.2, 1.2).cos(), SQRT2)
+    s14 = pow_real(Interval(1.4, 1.4).cos(), SQRT2)
+    cfg_j = QuadConfig(target_width=4e-6)
+    j1 = integrate(lambda t: (t - 1.0) * (secant(t) - s12) / t**3, 1.0, 1.2, cfg_j)
+    j2 = integrate(lambda t: (t - 1.0) * (secant(t) - s14) / t**3, 1.2, 1.4, cfg_j)
+    j3 = integrate(
+        lambda t: (t - 1.0) * secant(t) / t**3, 1.4, HALF_PI.hi, cfg_j
+    )
+    J = j1.value + j2.value + j3.value
+    piece_b = combine(
+        "piece-middle",
+        [
+            lemma_log_le_affine(HALF_PI.hi),
+            subdivision_check(
+                "gauss-factor-convex",
+                lambda t: t * t * 2.0 - SQRT2,
+                1.0,
+                HALF_PI.hi,
+                max_evals=1000,
+                note="(e^{-t^2/sqrt2})'' has sign 2t^2 - sqrt2; secant dominates",
+            ),
+            subdivision_check(
+                "cos-decreasing-here",
+                lambda t: t.sin(),
+                1.0,
+                HALF_PI.hi,
+                max_evals=1000,
+                note="sin > 0 so the step minorants of |cos t|^sqrt2 are valid",
+            ),
+            point_check(
+                "secant-steps-ordered",
+                imin([secant(Interval(1.0, 1.2)) - s12,
+                      secant(Interval(1.2, 1.4)) - s14]),
+                note="secant majorant stays above the step minorants",
+            ),
+            point_check(
+                "J-below-0.0147",
+                Interval(0.0147, 0.0147) - J,
+                note=note_missed(f"J enclosure {J!r}", j1, j2, j3),
+            ),
+        ],
+        note="middle piece of H' is bounded below by -J",
+    )
+
+    # -- tail piece [pi/2, inf) ------------------------------------------
+    lemma_511 = combine(
+        "log-weight-lower",
+        [
+            point_check(
+                "increasing-in-t",
+                (Interval(0.0, 1.0) * Interval(HALF_PI.lo, float("inf")).ln())
+                + 1.0,
+                note="(ln t) t^(3-p) increases on [pi/2, inf) for p <= 3",
+            ),
+            point_check(
+                "anchor",
+                HALF_PI.ln() * HALF_PI**3 - 1.75,
+                note="ln(pi/2)(pi/2)^3 = 1.75024 >= 1.75",
+            ),
+        ],
+        note="ln t / t^(p+1) >= 1.75 (2/pi)^p / t^4 on [pi/2, inf)",
+    )
+    from .engine import lemma_exp_affine
+
+    lemma_512 = combine(
+        "log-weight-upper",
+        [
+            lemma_exp_affine(),
+            point_check(
+                "substitution-positive",
+                Interval(HALF_PI.lo, HALF_PI.lo).ln(),
+                note="v = (p-1) ln t > 0 on the domain; e v <= e^v applies",
+            ),
+        ],
+        note="ln t / t^(p+1) <= 1/(e (p-1) t^2), max at t = e^(1/(p-1))",
+    )
+
+    cfg_i1 = QuadConfig(target_width=2e-5, max_cells=500_000)
+    q1 = integrate(
+        lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
+        HALF_PI.lo,
+        50.0,
+        cfg_i1,
+    )
+    I1 = q1.value + tail_bound_mu_p("cos_power", Interval(2.0, 2.0), Interval(3.0, 3.0), 50.0)
+    i1_child = point_check(
+        "cos-integral-floor",
+        I1 * 1.75 - LAMBDA_TAIL_CONST,
+        note=note_missed(
+            f"1.75 I1 = {(I1 * 1.75)!r}; printed 0.043369 exceeds the true "
+            "value 0.0433640 and is repaired to 0.0433",
+            q1,
+        ),
+    )
+
+    cfg_i2 = QuadConfig(target_width=1e-6, max_cells=500_000)
+    q2 = integrate(
+        lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, cfg_i2
+    )
+    T8 = Interval(8.0, 8.0)
+    gauss_tail_hi = (SQRT2 / T8**3 * (-(T8**2) / SQRT2).exp()).hi
+    I2 = q2.value + Interval(0.0, gauss_tail_hi)
+    i2_child = point_check(
+        "gauss-integral-ceiling",
+        EULER_E * 0.00705 - I2,
+        note=note_missed(f"I2 = {I2!r} <= 0.00705 e; margin is a few 1e-6", q2),
+    )
+
+    def cmp_margin(const: float, b: Interval) -> Interval:
+        return (b - 1.0) * pow_real(
+            Interval(2.0, 2.0) / PI, b
+        ) * const - 0.00705
+
+    boxes = p_boxes()
+    printed_margins = [cmp_margin(LAMBDA_TAIL_CONST_PRINTED, b) for b in boxes]
+    used_margins = [cmp_margin(LAMBDA_TAIL_CONST, b) for b in boxes]
+    cmp_printed_const = point_check(
+        "tail-comparison-printed-constant",
+        imin(printed_margins),
+        note=f"0.043369 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
+    )
+    cmp_used = point_check(
+        "tail-comparison-certified-constant",
+        imin(used_margins),
+        note=f"0.0433 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
+    )
+    cos_power_vs_square = point_check(
+        "cos-power-dominates-square",
+        Interval(2.0, 2.0) - SQRT2,
+        note="|cos|^sqrt2 >= cos^2 since |cos| <= 1",
+    )
+    tail_piece = combine(
+        "piece-tail",
+        [lemma_511, lemma_512, i1_child, i2_child, cos_power_vs_square,
+         cmp_printed_const, cmp_used],
+    )
+
+    # -- net over p boxes -------------------------------------------------
+    two_over_pi = Interval(2.0, 2.0) / PI
+    nets = []
+    for b in boxes:
+        lam = pow_real(two_over_pi, b) * 1.75
+        Lam = Interval(1.0, 1.0) / (EULER_E * (b - 1.0))
+        nets.append(piece_a_val - J + lam * I1 - Lam * I2)
+    net = point_check(
+        "net-lower-bound",
+        imin(nets),
+        note=note_missed(
+            "piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
+            qa, j1, j2, j3, q1, q2,
+        ),
+    )
+    return combine(
+        "cond2/hprime", [piece_a, piece_b, tail_piece, net]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,176 +362,174 @@ def check_cond2_h2() -> CheckResult:
     quadrature integrand also runs on a Jet; the piece-C majorant falls
     back to the first-order enclosure on a cell where it switches pieces.
     """
-    with timer() as tm:
-        s2_6inv = Interval(1.0, 1.0) / (SQRT2 * 6.0)  # = sqrt2/12
-        quarter_pi = PI * 0.25
-        qp_sq = quarter_pi * quarter_pi
+    s2_6inv = Interval(1.0, 1.0) / (SQRT2 * 6.0)  # = sqrt2/12
+    quarter_pi = PI * 0.25
+    qp_sq = quarter_pi * quarter_pi
 
-        # -- piece A ----------------------------------------------------------
-        c2 = SQRT2 / 45.0 - qp_sq * (s2_6inv + SQRT2 / 45.0 * qp_sq) ** 2 * 0.5
-        U = qp_sq / SQRT2
-        eU = (-U).exp()
-        a_closed = (1.0 - eU) * _FR(1, 12) + c2 * (1.0 - (U + 1.0) * eU)
-        qa = integrate(
-            lambda t: _exp_gauss(t) * (t * s2_6inv + (t**3) * c2),
-            0.0,
-            float(quarter_pi.lo),
-            QuadConfig(target_width=1e-5),
-        )
-        piece_a = combine(
-            "piece-A",
-            [
-                _cos_majorant_chain(),
-                lemma_one_minus_exp_quadratic(0.06, name="one-minus-exp-on-[0,0.06]"),
-                point_check(
-                    "sixth-order-coefficient",
-                    c2,
-                    note="sqrt2/45 - (pi/4)^2 (sqrt2/12 + sqrt2 (pi/4)^2/45)^2 / 2 > 0",
+    # -- piece A ----------------------------------------------------------
+    c2 = SQRT2 / 45.0 - qp_sq * (s2_6inv + SQRT2 / 45.0 * qp_sq) ** 2 * 0.5
+    U = qp_sq / SQRT2
+    eU = (-U).exp()
+    a_closed = (1.0 - eU) * _FR(1, 12) + c2 * (1.0 - (U + 1.0) * eU)
+    qa = integrate(
+        lambda t: _exp_gauss(t) * (t * s2_6inv + (t**3) * c2),
+        0.0,
+        float(quarter_pi.lo),
+        QuadConfig(target_width=1e-5),
+    )
+    piece_a = combine(
+        "piece-A",
+        [
+            _cos_majorant_chain(),
+            lemma_one_minus_exp_quadratic(0.06, name="one-minus-exp-on-[0,0.06]"),
+            point_check(
+                "sixth-order-coefficient",
+                c2,
+                note="sqrt2/45 - (pi/4)^2 (sqrt2/12 + sqrt2 (pi/4)^2/45)^2 / 2 > 0",
+            ),
+            point_check(
+                "closed-form-floor",
+                a_closed - 0.03129,
+                note=f"A = {a_closed!r}; margin is about 5e-8",
+            ),
+            _overlap_check(
+                "closed-form-vs-quadrature", a_closed, qa.value, note_missed("", qa)
+            ),
+        ],
+        note="substitution u = t^2/sqrt2 reduces the minorant to e^-u(a'+b'u)",
+    )
+
+    # -- piece B ----------------------------------------------------------
+    b_exact = eU / (qp_sq * 2.0) + ei_neg(-U) / (SQRT2 * 2.0)
+    T = 6.0
+    qb = integrate(
+        lambda t: _exp_gauss(t) / (t**3),
+        float(quarter_pi.lo),
+        T,
+        QuadConfig(target_width=1e-5),
+    )
+    Tiv = Interval(T, T)
+    b_tail_hi = ((SQRT2 / Tiv**4) * (-(Tiv**2) / SQRT2).exp()).hi
+    piece_b = combine(
+        "piece-B",
+        [
+            point_check(
+                "exact-value-floor",
+                b_exact - GAUSS_PIECE_FLOOR,
+                note=(
+                    f"B = {b_exact!r}; true value 0.2958653 sits below the "
+                    "printed 0.29587, floor repaired to 0.29586"
                 ),
-                point_check(
-                    "closed-form-floor",
-                    a_closed - 0.03129,
-                    note=f"A = {a_closed!r}; margin is about 5e-8",
-                ),
-                _overlap_check(
-                    "closed-form-vs-quadrature", a_closed, qa.value, note_missed("", qa)
-                ),
-            ],
-            note="substitution u = t^2/sqrt2 reduces the minorant to e^-u(a'+b'u)",
-        )
+            ),
+            _overlap_check(
+                "exact-vs-quadrature",
+                b_exact,
+                qb.value + Interval(0.0, b_tail_hi),
+                note_missed("", qb),
+            ),
+        ],
+        note="int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2)",
+    )
 
-        # -- piece B ----------------------------------------------------------
-        b_exact = eU / (qp_sq * 2.0) + ei_neg(-U) / (SQRT2 * 2.0)
-        T = 6.0
-        qb = integrate(
-            lambda t: _exp_gauss(t) / (t**3),
-            float(quarter_pi.lo),
-            T,
-            QuadConfig(target_width=1e-5),
-        )
-        Tiv = Interval(T, T)
-        b_tail_hi = ((SQRT2 / Tiv**4) * (-(Tiv**2) / SQRT2).exp()).hi
-        piece_b = combine(
-            "piece-B",
-            [
-                point_check(
-                    "exact-value-floor",
-                    b_exact - GAUSS_PIECE_FLOOR,
-                    note=(
-                        f"B = {b_exact!r}; true value 0.2958653 sits below the "
-                        "printed 0.29587, floor repaired to 0.29586"
-                    ),
-                ),
-                _overlap_check(
-                    "exact-vs-quadrature",
-                    b_exact,
-                    qb.value + Interval(0.0, b_tail_hi),
-                    note_missed("", qb),
-                ),
-            ],
-            note="int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2)",
-        )
+    # -- piece C ----------------------------------------------------------
+    aq = SQRT2 - 1.0
+    b1 = 2.0 - SQRT2 - 0.126
+    b2 = 0.6355
+    gam = QUAD_MAJORANT_SHIFT
+    t1 = Interval(0.25, 0.25).arccos()
+    t2 = PI - t1
+    three_qpi = PI * 0.75
 
-        # -- piece C ----------------------------------------------------------
-        aq = SQRT2 - 1.0
-        b1 = 2.0 - SQRT2 - 0.126
-        b2 = 0.6355
-        gam = QUAD_MAJORANT_SHIFT
-        t1 = Interval(0.25, 0.25).arccos()
-        t2 = PI - t1
-        three_qpi = PI * 0.75
+    lemma_piece1 = _lemma52_piece1()
+    lemma_piece2 = lemma52_piece2_margin(gam)
 
-        lemma_piece1 = _lemma52_piece1()
-        lemma_piece2 = lemma52_piece2_margin(gam)
+    dF23_1 = _F23(t1) - _F23(quarter_pi)
+    dFc_1 = _Fc(t1) - _Fc(quarter_pi)
+    dI_1 = _inv_sq_half(t1) - _inv_sq_half(quarter_pi)
+    seg1 = dF23_1 * aq + dFc_1 * b2 + dI_1 * gam
 
-        dF23_1 = _F23(t1) - _F23(quarter_pi)
-        dFc_1 = _Fc(t1) - _Fc(quarter_pi)
-        dI_1 = _inv_sq_half(t1) - _inv_sq_half(quarter_pi)
-        seg1 = dF23_1 * aq + dFc_1 * b2 + dI_1 * gam
+    dF23_2 = _F23(HALF_PI) - _F23(t1)
+    dFc_2 = _Fc(HALF_PI) - _Fc(t1)
+    seg2 = dF23_2 * aq + dFc_2 * b1
 
-        dF23_2 = _F23(HALF_PI) - _F23(t1)
-        dFc_2 = _Fc(HALF_PI) - _Fc(t1)
-        seg2 = dF23_2 * aq + dFc_2 * b1
+    dF23_3 = _F23(t2) - _F23(HALF_PI)
+    dFc_3 = _Fc(t2) - _Fc(HALF_PI)
+    seg3 = dF23_3 * aq - dFc_3 * b1
 
-        dF23_3 = _F23(t2) - _F23(HALF_PI)
-        dFc_3 = _Fc(t2) - _Fc(HALF_PI)
-        seg3 = dF23_3 * aq - dFc_3 * b1
+    dF23_4 = _F23(three_qpi) - _F23(t2)
+    dFc_4 = _Fc(three_qpi) - _Fc(t2)
+    dI_4 = _inv_sq_half(three_qpi) - _inv_sq_half(t2)
+    seg4 = dF23_4 * aq - dFc_4 * b2 + dI_4 * gam
 
-        dF23_4 = _F23(three_qpi) - _F23(t2)
-        dFc_4 = _Fc(three_qpi) - _Fc(t2)
-        dI_4 = _inv_sq_half(three_qpi) - _inv_sq_half(t2)
-        seg4 = dF23_4 * aq - dFc_4 * b2 + dI_4 * gam
+    c_total = seg1 + seg2 + seg3 + seg4
 
-        c_total = seg1 + seg2 + seg3 + seg4
+    def c_majorant(t):
+        ac = t.cos().abs()
+        quad_part = ac * ac * aq
+        outer = (quad_part + ac * b2 + gam) / t**3  # |cos| in [1/4, sqrt2/2]
+        inner = (quad_part + ac * b1) / t**3  # |cos| in [0, 1/4]
+        acv = ac.v if type(ac) is Jet else ac
+        if acv.lo >= 0.25:
+            return outer
+        if acv.hi <= 0.25:
+            return inner
+        if type(ac) is Jet:  # no derivative where the majorant switches
+            raise DomainError("majorant switches pieces inside the cell")
+        return Interval.hull(outer, inner)  # cell straddles the split
 
-        def c_majorant(t):
-            ac = t.cos().abs()
-            quad_part = ac * ac * aq
-            outer = (quad_part + ac * b2 + gam) / t**3  # |cos| in [1/4, sqrt2/2]
-            inner = (quad_part + ac * b1) / t**3  # |cos| in [0, 1/4]
-            acv = ac.v if type(ac) is Jet else ac
-            if acv.lo >= 0.25:
-                return outer
-            if acv.hi <= 0.25:
-                return inner
-            if type(ac) is Jet:  # no derivative where the majorant switches
-                raise DomainError("majorant switches pieces inside the cell")
-            return Interval.hull(outer, inner)  # cell straddles the split
+    qc = integrate(
+        c_majorant, float(quarter_pi.lo), float(three_qpi.hi),
+        QuadConfig(target_width=2e-4, max_cells=200_000),
+    )
+    piece_c = combine(
+        "piece-C",
+        [
+            lemma_piece1,
+            lemma_piece2,
+            point_check(
+                "majorant-integral-ceiling",
+                Interval(0.2577, 0.2577) - c_total,
+                note=f"C = {c_total!r} via the ci primitives",
+            ),
+            _overlap_check(
+                "primitives-vs-quadrature", c_total, qc.value, note_missed("", qc)
+            ),
+        ],
+        note="second majorant shift repaired to -0.0439 (printed -0.04399 fails)",
+    )
 
-        qc = integrate(
-            c_majorant, float(quarter_pi.lo), float(three_qpi.hi),
-            QuadConfig(target_width=2e-4, max_cells=200_000),
-        )
-        piece_c = combine(
-            "piece-C",
-            [
-                lemma_piece1,
-                lemma_piece2,
-                point_check(
-                    "majorant-integral-ceiling",
-                    Interval(0.2577, 0.2577) - c_total,
-                    note=f"C = {c_total!r} via the ci primitives",
-                ),
-                _overlap_check(
-                    "primitives-vs-quadrature", c_total, qc.value, note_missed("", qc)
-                ),
-            ],
-            note="second majorant shift repaired to -0.0439 (printed -0.04399 fails)",
-        )
+    # -- piece D ----------------------------------------------------------
+    muX = Interval(1.0, 1.0) / (three_qpi * three_qpi * 2.0)
+    S = -_F23(three_qpi)
+    d_bound = pow_real(muX, 1.0 - SQRT2 * 0.5) * pow_real(S, SQRT2 * 0.5)
+    T2 = 50.0
+    qs = integrate(
+        lambda t: (t.cos() ** 2) / t**3,
+        float(three_qpi.lo),
+        T2,
+        QuadConfig(target_width=2e-4, max_cells=200_000),
+    )
+    s_quad = qs.value + Interval(0.0, (Interval(1.0, 1.0) / Interval(T2, T2) ** 2 * 0.5).hi)
+    piece_d = combine(
+        "piece-D",
+        [
+            point_check("cos-square-tail-positive", S),
+            point_check(
+                "hoelder-ceiling",
+                Interval(0.0667, 0.0667) - d_bound,
+                note=f"D bound = {d_bound!r} = mu(X)^(1-s/2) (int cos^2 dmu)^(s/2)",
+            ),
+            _overlap_check("tail-vs-quadrature", S, s_quad, note_missed("", qs)),
+        ],
+        note="Hoelder on ((3pi/4, inf), dt/t^3) with s = sqrt2",
+    )
 
-        # -- piece D ----------------------------------------------------------
-        muX = Interval(1.0, 1.0) / (three_qpi * three_qpi * 2.0)
-        S = -_F23(three_qpi)
-        d_bound = pow_real(muX, 1.0 - SQRT2 * 0.5) * pow_real(S, SQRT2 * 0.5)
-        T2 = 50.0
-        qs = integrate(
-            lambda t: (t.cos() ** 2) / t**3,
-            float(three_qpi.lo),
-            T2,
-            QuadConfig(target_width=2e-4, max_cells=200_000),
-        )
-        s_quad = qs.value + Interval(0.0, (Interval(1.0, 1.0) / Interval(T2, T2) ** 2 * 0.5).hi)
-        piece_d = combine(
-            "piece-D",
-            [
-                point_check("cos-square-tail-positive", S),
-                point_check(
-                    "hoelder-ceiling",
-                    Interval(0.0667, 0.0667) - d_bound,
-                    note=f"D bound = {d_bound!r} = mu(X)^(1-s/2) (int cos^2 dmu)^(s/2)",
-                ),
-                _overlap_check("tail-vs-quadrature", S, s_quad, note_missed("", qs)),
-            ],
-            note="Hoelder on ((3pi/4, inf), dt/t^3) with s = sqrt2",
-        )
-
-        net = point_check(
-            "net-margin",
-            a_closed + b_exact - c_total - d_bound,
-            note="A + B - C - D; about 0.0030 with the repaired constants "
-            "(the printed summands give 0.0026)",
-        )
-        res = combine(
-            "cond2/h2", [piece_a, piece_b, piece_c, piece_d, net]
-        )
-    return tm.stamp(res)
+    net = point_check(
+        "net-margin",
+        a_closed + b_exact - c_total - d_bound,
+        note="A + B - C - D; about 0.0030 with the repaired constants "
+        "(the printed summands give 0.0026)",
+    )
+    return combine(
+        "cond2/h2", [piece_a, piece_b, piece_c, piece_d, net]
+    )

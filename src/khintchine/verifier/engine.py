@@ -119,14 +119,14 @@ def prove_positive_1d(
     *,
     strict: bool = True,
     max_evals: int = DEFAULT_BUDGET,
-    min_width: float = 1e-12,
 ) -> tuple[Interval, int, str]:
-    """Certify f >= 0 (strictly > 0 when strict) on [lo, hi].
+    """Certify f >= 0 (strictly > 0 when strict) on [lo, hi], bisecting
+    down to cells of width 1e-12.
 
     Returns (enclosure of inf f over final cells, evaluations, status).
     """
     return _prove_positive(
-        lambda box: f(Interval(*box[0])), ((lo, hi),), strict, max_evals, min_width
+        lambda box: f(Interval(*box[0])), ((lo, hi),), strict, max_evals, 1e-12
     )
 
 
@@ -135,17 +135,16 @@ def prove_positive_2d(
     xdom: tuple[float, float],
     ydom: tuple[float, float],
     *,
-    strict: bool = True,
     max_evals: int = DEFAULT_BUDGET,
-    min_width: float = 1e-10,
 ) -> tuple[Interval, int, str]:
-    """Certify f(x, y) >= 0 on a rectangle; same contract as the 1d prover."""
+    """Certify f(x, y) > 0 on a rectangle, bisecting down to cells of width
+    1e-10; otherwise the contract of the 1d prover."""
     return _prove_positive(
         lambda box: f(Interval(*box[0]), Interval(*box[1])),
         (xdom, ydom),
-        strict,
+        True,
         max_evals,
-        min_width,
+        1e-10,
     )
 
 
@@ -157,13 +156,10 @@ def subdivision_check(
     *,
     strict: bool = True,
     max_evals: int = DEFAULT_BUDGET,
-    min_width: float = 1e-12,
     note: str = "",
 ) -> CheckResult:
     # grading the prover's margin gives back the prover's status
-    margin, evals, _ = prove_positive_1d(
-        f, lo, hi, strict=strict, max_evals=max_evals, min_width=min_width
-    )
+    margin, evals, _ = prove_positive_1d(f, lo, hi, strict=strict, max_evals=max_evals)
     return leaf(name, margin, strict=strict, evaluations=evals, note=note)
 
 
@@ -181,7 +177,6 @@ def monotone_nonneg_check(
     hi: float,
     *,
     increasing_from_left: bool = True,
-    max_evals: int = 50_000,
     note: str = "",
 ) -> CheckResult:
     """Certify f >= 0 on [lo, hi] from an anchor value and a derivative sign.
@@ -198,7 +193,7 @@ def monotone_nonneg_check(
         lo,
         hi,
         strict=False,
-        max_evals=max_evals,
+        max_evals=50_000,
     )
     anchor_res = point_check(f"{name}/anchor-{side}", anchor, strict=False)
     return combine(name, [anchor_res, deriv], note=note, margin=anchor)
@@ -212,7 +207,6 @@ def concave_nonneg_check(
     lo: float,
     hi: float,
     *,
-    max_evals: int = 50_000,
     note: str = "",
 ) -> CheckResult:
     """Certify f >= 0 on [lo, hi] from concavity and endpoint values.
@@ -222,7 +216,7 @@ def concave_nonneg_check(
     """
     conc = subdivision_check(
         f"{name}/concavity", neg_second_derivative, lo, hi,
-        strict=False, max_evals=max_evals,
+        strict=False, max_evals=50_000,
     )
     e1 = point_check(f"{name}/value-left", value_lo, strict=False)
     e2 = point_check(f"{name}/value-right", value_hi, strict=False)
@@ -234,13 +228,14 @@ def concave_nonneg_check(
 # -- stock elementary bounds --------------------------------------------------
 
 
-def lemma_exp_affine(name: str = "exp-ge-1-plus-x") -> CheckResult:
+def lemma_exp_affine() -> CheckResult:
     """e^x >= 1 + x for all real x (needed on [-1, inf)).
 
     On [-1, 4] via the series quotient (e^x - 1 - x)/x^2 = sum x^k/(k+2)!,
     whose enclosure is evaluated directly; on [4, inf) by monotonicity of
     e^x - 1 - x (derivative e^x - 1 > 0) from the anchor at 4.
     """
+    name = "exp-ge-1-plus-x"
     quotient = exp_taylor(24).quotient(2, minus=poly(1, 1))
     series_part = subdivision_check(
         f"{name}/series-quotient", quotient, -1.0, 4.0, strict=True,
@@ -283,7 +278,7 @@ def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad")
     )
 
 
-def lemma_neg_log_affine(name: str = "neg-log-ge-1-minus-t") -> CheckResult:
+def lemma_neg_log_affine() -> CheckResult:
     """-ln t >= 1 - t on (0, 1]: m(t) = -ln t - 1 + t, m(1) = 0, m' = 1 - 1/t <= 0."""
 
     def neg_deriv(t: Interval) -> Interval:
@@ -292,7 +287,7 @@ def lemma_neg_log_affine(name: str = "neg-log-ge-1-minus-t") -> CheckResult:
         return inv - 1.0
 
     return monotone_nonneg_check(
-        name,
+        "neg-log-ge-1-minus-t",
         neg_deriv,
         Interval(0.0, 0.0),  # m(1) = 0 exactly
         0.0,
@@ -302,10 +297,10 @@ def lemma_neg_log_affine(name: str = "neg-log-ge-1-minus-t") -> CheckResult:
     )
 
 
-def lemma_log_le_affine(t_hi: float, name: str = "log-le-t-minus-1") -> CheckResult:
+def lemma_log_le_affine(t_hi: float) -> CheckResult:
     """ln t <= t - 1 on [1, t_hi]: m = t - 1 - ln t, m(1) = 0, m' = 1 - 1/t >= 0."""
     return monotone_nonneg_check(
-        name,
+        "log-le-t-minus-1",
         lambda t: Interval(1.0, 1.0) - 1.0 / t,
         Interval(0.0, 0.0),
         1.0,
@@ -315,10 +310,10 @@ def lemma_log_le_affine(t_hi: float, name: str = "log-le-t-minus-1") -> CheckRes
     )
 
 
-def lemma_ln1p_quadratic(x_hi: float, name: str = "ln1p-ge-x-minus-half-x2") -> CheckResult:
+def lemma_ln1p_quadratic(x_hi: float) -> CheckResult:
     """ln(1+x) >= x - x^2/2 on [0, x_hi]: m' = x^2/(1+x) >= 0, m(0) = 0."""
     return monotone_nonneg_check(
-        name,
+        "ln1p-ge-x-minus-half-x2",
         lambda x: x * x / (x + 1.0),
         Interval(0.0, 0.0),
         0.0,

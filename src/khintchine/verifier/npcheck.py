@@ -37,10 +37,11 @@ from .result import (
     combine,
     leaf,
     status_from_margin,
-    timer,
 )
 
 FnEnclosure = Callable[[Interval], Interval]
+
+Y_LO = 1e-3  # left end of np_generic's classifier window
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +52,10 @@ FnEnclosure = Callable[[Interval], Interval]
 def np_generic(
     F: FnEnclosure,
     G: FnEnclosure,
-    Y: float,
-    s0: float,
-    integral_check: Callable[[], Interval],
+    integral: Interval,
     grid: int = 64,
     *,
-    y_lo: float = 1e-3,
-    y_hi: float | None = None,
+    y_hi: float = 0.999,
     y_tol: float = 1e-4,
     max_evals: int = 20_000,
     name: str = "np-generic",
@@ -71,20 +69,18 @@ def np_generic(
     a cell [a, b] it is enclosed by [F(a).lo, F(b).hi].  Endpoint enclosures
     that certify a decrease raise ValueError.
 
-    The difference is classified on a refining partition of [y_lo, y_hi],
+    The difference is classified on a refining partition of [Y_LO, y_hi],
     bisected by the engine's bisect_boxes; cells straddling the sign change
     shrink below y_tol.  A cell's sign is certified when d or -d grades as a
     proved nonstrict margin.  More than one sign change, or a rightmost cell
     certified negative, fails the check; unresolved cells where the
     nonnegative phase could still lie leave it inconclusive.
-    integral_check must return a rigorous enclosure of
-    int (g^s0 - f^s0) d(mu); assembling it (cutoffs, tails) is the caller's
-    business, and integral_note is added to that leaf's note.
+    integral must be a rigorous enclosure of int (g^s0 - f^s0) d(mu);
+    assembling it (cutoffs, tails) is the caller's business, and
+    integral_note, which names s0, is that leaf's note.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
-    if y_hi is None:
-        y_hi = 0.999 * Y
 
     # neighbouring cells share endpoints; each one is evaluated once
     at_point: dict[float, tuple[Interval, Interval]] = {}
@@ -112,7 +108,7 @@ def np_generic(
             flat or status_from_margin(d, strict=False) == PROVED,
         )
 
-    start = [((c.lo, c.hi),) for c in Interval(y_lo, y_hi).split(grid)]
+    start = [((c.lo, c.hi),) for c in Interval(Y_LO, y_hi).split(grid)]
     # terminal cells come back left to right
     cells, evals = bisect_boxes(
         start, evaluate, lambda enc: enc[1] or enc[2],
@@ -159,7 +155,7 @@ def np_generic(
                 verdict = FAILED
                 diag = "difference still negative at the right edge of the window"
         else:
-            gap_lo = last_neg_end if last_neg_end is not None else y_lo
+            gap_lo = last_neg_end if last_neg_end is not None else Y_LO
             gap_hi = first_pos_start if first_pos_start is not None else y_hi
             outside = [s for s in straddles if s[0] < gap_lo or s[1] > gap_hi]
             # a straddle wider than y_tol was cut short by the budget
@@ -180,13 +176,12 @@ def np_generic(
         note=diag or f"y0 in [{y0_lo:.6g}, {y0_hi:.6g}]",
         verdict=verdict,
     )
-    integral = integral_check()
     hyp2 = leaf(
         f"{name}/integral-at-s0",
         integral,
         strict=False,
         evaluations=1,
-        note=f"s0 = {s0}" + (f"; {integral_note}" if integral_note else ""),
+        note=integral_note,
     )
     return combine(name, [hyp1, hyp2], note=hyp1.note)
 
@@ -274,26 +269,24 @@ def check_conclusion_direct(
         s_grid = (float(SQRT2.lo), 2.0, 4.0, 16.0)
     if any(s < float(SQRT2.lo) - 1e-12 for s in s_grid):
         raise ValueError("conclusion holds for s >= sqrt(2) only")
-    with timer() as tm:
-        children = _near_zero_children(_GAP_DELTA)
-        for p in p_grid:
-            row = []
-            for s in s_grid:
-                enc, quads = gauss_cos_gap_integral(
-                    Interval(p, p), Interval(s, s)
+    children = _near_zero_children(_GAP_DELTA)
+    for p in p_grid:
+        row = []
+        for s in s_grid:
+            enc, quads = gauss_cos_gap_integral(
+                Interval(p, p), Interval(s, s)
+            )
+            row.append(
+                leaf(
+                    f"integral-p{p}-s{round(s, 6)}",
+                    enc,
+                    strict=False,
+                    evaluations=sum(q.cells for q in quads),
+                    note=note_missed("", *quads),
                 )
-                row.append(
-                    leaf(
-                        f"integral-p{p}-s{round(s, 6)}",
-                        enc,
-                        strict=False,
-                        evaluations=sum(q.cells for q in quads),
-                        note=note_missed("", *quads),
-                    )
-                )
-            children.append(combine(f"p-{p}", row))
-        res = combine("np/conclusion-direct", children)
-    return tm.stamp(res)
+            )
+        children.append(combine(f"p-{p}", row))
+    return combine("np/conclusion-direct", children)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +306,14 @@ def check_np_cos_gauss(
     def G(x: Interval) -> Interval:
         return g_star(x, mp)
 
-    with timer() as tm:
-        enc, quads = gauss_cos_gap_integral(
-            Interval(p, p), Interval(SQRT2.lo, SQRT2.hi)
-        )
-        res = np_generic(
-            F, G, 1.0, float(SQRT2.lo), lambda: enc, grid=grid,
-            y_hi=0.99, y_tol=1e-5, max_evals=40_000,
-            name=f"np/cos-gauss-p{p}", integral_note=note_missed("", *quads),
-        )
-    return tm.stamp(res)
+    enc, quads = gauss_cos_gap_integral(
+        Interval(p, p), Interval(SQRT2.lo, SQRT2.hi)
+    )
+    return np_generic(
+        F, G, enc, grid=grid, y_hi=0.99, y_tol=1e-5, max_evals=40_000,
+        name=f"np/cos-gauss-p{p}",
+        integral_note=note_missed(f"s0 = {float(SQRT2.lo)}", *quads),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,67 +354,65 @@ def _moment_integral(
     return near0 + fin.value + Interval(lower.lo, upper.hi), (fin,)
 
 
-def check_fp_convergence(p: float = 2.5, s_list=(4.0, 16.0, 64.0)) -> CheckResult:
+FP_P = 2.5  # the exponent of the moment-convergence check
+FP_S = (4.0, 16.0, 64.0)  # its increasing cosine powers s
+
+
+def check_fp_convergence() -> CheckResult:
     """The rescaled cosine-moment integral approaches its gaussian limit.
 
-    Deviations |I(s) - I(inf)| must decrease along s_list and the last one
+    Deviations |I(s) - I(inf)| must decrease along FP_S and the last one
     must sit within 1% of I(inf).  The deviations are enclosed two ways: from
     the direct quadratures, and through the substitution t -> t sqrt(s), under
     which I(inf) - I(s) equals s^(-p/2) times the gaussian/cosine gap
     integral.  The tight route drives the assertions; the routes must overlap.
     """
-    if list(s_list) != sorted(s_list) or s_list[0] < 2.0:
-        raise ValueError("s_list must be increasing with min >= 2")
-    if p <= 2.05:
-        raise ValueError("tail bound needs p above 2")
-    with timer() as tm:
-        piv = Interval(p, p)
-        I_inf, inf_quads = _moment_integral(piv, None)
-        children = [
-            point_check(
-                "limit-positive",
-                I_inf,
-                note=note_missed(f"I(inf) = {I_inf!r}", *inf_quads),
-            ),
-        ]
-        devs = []
-        for s in s_list:
-            I_s, s_quads = _moment_integral(piv, s)
-            direct = (I_s - I_inf).abs()
-            gap, gap_quads = gauss_cos_gap_integral(piv, Interval(s, s))
-            tight = pow_real(Interval(s, s), -piv * 0.5) * gap
-            gap_m = min(direct.hi - tight.lo, tight.hi - direct.lo)
-            children.append(
-                point_check(
-                    f"deviation-routes-overlap-s{s}",
-                    Interval(gap_m, gap_m),
-                    note=note_missed(
-                        f"direct {direct!r} vs rescaled-gap {tight!r}",
-                        *inf_quads, *s_quads, *gap_quads,
-                    ),
-                )
-            )
-            devs.append((s, tight, gap_quads))
-        for (s1, d1, q1), (s2, d2, q2) in zip(devs, devs[1:]):
-            children.append(
-                point_check(
-                    f"deviation-decreasing-{s1}-to-{s2}",
-                    d1 - d2,
-                    note=note_missed(
-                        f"|I({s1})-I(inf)| = {d1!r} vs |I({s2})-I(inf)| = {d2!r}",
-                        *q1, *q2,
-                    ),
-                )
-            )
-        s_last, d_last, q_last = devs[-1]
+    piv = Interval(FP_P, FP_P)
+    I_inf, inf_quads = _moment_integral(piv, None)
+    children = [
+        point_check(
+            "limit-positive",
+            I_inf,
+            note=note_missed(f"I(inf) = {I_inf!r}", *inf_quads),
+        ),
+    ]
+    devs = []
+    for s in FP_S:
+        I_s, s_quads = _moment_integral(piv, s)
+        direct = (I_s - I_inf).abs()
+        gap, gap_quads = gauss_cos_gap_integral(piv, Interval(s, s))
+        tight = pow_real(Interval(s, s), -piv * 0.5) * gap
+        gap_m = min(direct.hi - tight.lo, tight.hi - direct.lo)
         children.append(
             point_check(
-                "final-within-1-percent",
-                I_inf * 0.01 - d_last,
+                f"deviation-routes-overlap-s{s}",
+                Interval(gap_m, gap_m),
                 note=note_missed(
-                    f"|I({s_last})-I(inf)| below I(inf)/100", *inf_quads, *q_last
+                    f"direct {direct!r} vs rescaled-gap {tight!r}",
+                    *inf_quads, *s_quads, *gap_quads,
                 ),
             )
         )
-        res = combine(f"np/moment-convergence-p{p}", children)
-    return tm.stamp(res)
+        devs.append((s, tight, gap_quads))
+    for (s1, d1, q1), (s2, d2, q2) in zip(devs, devs[1:]):
+        children.append(
+            point_check(
+                f"deviation-decreasing-{s1}-to-{s2}",
+                d1 - d2,
+                note=note_missed(
+                    f"|I({s1})-I(inf)| = {d1!r} vs |I({s2})-I(inf)| = {d2!r}",
+                    *q1, *q2,
+                ),
+            )
+        )
+    s_last, d_last, q_last = devs[-1]
+    children.append(
+        point_check(
+            "final-within-1-percent",
+            I_inf * 0.01 - d_last,
+            note=note_missed(
+                f"|I({s_last})-I(inf)| below I(inf)/100", *inf_quads, *q_last
+            ),
+        )
+    )
+    return combine(f"np/moment-convergence-p{FP_P}", children)

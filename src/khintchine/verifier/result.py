@@ -7,7 +7,6 @@ conjunction of their parts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -62,7 +61,6 @@ class CheckResult:
     strict: bool = True
     children: list["CheckResult"] = field(default_factory=list)
     evaluations: int = 0
-    elapsed: float = 0.0
     note: str = ""
 
     def walk(self):
@@ -70,8 +68,8 @@ class CheckResult:
         for c in self.children:
             yield from c.walk()
 
-    def to_dict(self, with_elapsed: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "status": self.status,
             "margin_lo": self.margin.lo,
@@ -79,11 +77,8 @@ class CheckResult:
             "strict": self.strict,
             "evaluations": self.evaluations,
             "note": self.note,
-            "children": [c.to_dict(with_elapsed) for c in self.children],
+            "children": [c.to_dict() for c in self.children],
         }
-        if with_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
 
 
 def leaf(name: str, margin: Interval, strict: bool = True, evaluations: int = 0,
@@ -115,18 +110,3 @@ def combine(name: str, children: list[CheckResult], note: str = "",
         note=note,
     )
 
-
-class timer:
-    """Context manager stamping CheckResult.elapsed."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.dt = time.perf_counter() - self.t0
-        return False
-
-    def stamp(self, result: CheckResult) -> CheckResult:
-        result.elapsed = time.perf_counter() - self.t0
-        return result

@@ -4,6 +4,9 @@ This is the kernel as it was before its operators got inline fast paths and a
 private float-endpoint constructor.  ``test_interval_differential`` checks
 that the live kernel returns bit-for-bit the endpoints this copy returns.  Do
 not edit it to follow the live kernel: it is the fixed point of comparison.
+The one edit since it was frozen mends a containment bug both copies shared:
+``pow_real`` of an unbounded base with an exponent below 0 and above 0 now
+has lower end 0, because x**sigma tends to 0 as x grows for sigma < 0.
 """
 
 from __future__ import annotations
@@ -330,9 +333,11 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
         if a.lo == INF:
             raise DomainError("pow_real at +inf")
         lower = pow_real(Interval(a.lo, a.lo), s)
-        if s.hi > 0:
-            return Interval(min(lower.lo, 1.0) if s.lo <= 0 else lower.lo, INF)
-        return Interval.hull(lower, Interval(0.0, lower.hi))
+        if s.hi <= 0:
+            return Interval.hull(lower, Interval(0.0, lower.hi))
+        if s.lo < 0:
+            return Interval(0.0, INF)
+        return Interval(min(lower.lo, 1.0) if s.lo == 0 else lower.lo, INF)
     return (s * a.ln()).exp()
 
 

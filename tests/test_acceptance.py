@@ -22,7 +22,6 @@ import pytest
 from mpmath import mp
 
 from khintchine.cli import RunConfig, run
-from khintchine.distfn import MeasureParams, brute_force_dist, f_star
 from khintchine.interval import Interval
 from khintchine.oracle import (
     CoefficientVector,
@@ -69,12 +68,11 @@ def _find(result, name):
 def h2_result():
     t0 = time.perf_counter()
     res = check_cond2_h2()
-    res.elapsed = time.perf_counter() - t0
-    return res
+    return res, time.perf_counter() - t0
 
 
 def test_criterion_1_h2_pieces(h2_result):
-    res = h2_result
+    res, elapsed = h2_result
     a = _find(res, "closed-form-floor").margin + 0.03129
     b = _find(res, "exact-value-floor").margin + 0.29586
     c = 0.2577 - _find(res, "majorant-integral-ceiling").margin
@@ -87,13 +85,13 @@ def test_criterion_1_h2_pieces(h2_result):
         and d.hi <= 0.0667
         and all(x.width <= 5e-4 for x in (a, b, c, d))
         and net.lo > 0
-        and res.elapsed <= 30.0
+        and elapsed <= 30.0
     )
     _report(
         "1",
         ok,
         f"A={a!r} B={b!r} C={c!r} D={d!r} net={net!r} "
-        f"({res.elapsed:.1f}s; expected net ~0.0026-0.0030)",
+        f"({elapsed:.1f}s; expected net ~0.0026-0.0030)",
     )
 
 
@@ -103,7 +101,7 @@ def test_criterion_1_h2_pieces(h2_result):
     "its own value rounded up and no rigorous enclosure can clear it",
 )
 def test_criterion_1_piece_b_printed_floor(h2_result):
-    b = _find(h2_result, "exact-value-floor").margin + 0.29586
+    b = _find(h2_result[0], "exact-value-floor").margin + 0.29586
     assert b.lo >= 0.29587
 
 
@@ -170,16 +168,11 @@ def test_criterion_4_conclusion_direct():
 # -- criterion 5: distribution-function cross-validation -----------------------
 
 
-def test_criterion_5_cross_validation():
+def test_criterion_5_cross_validation(f_star_vs_brute_force):
     worst_hull = 0.0
-    for p in (2.0, 2.25, 2.5, 2.75, 3.0):
-        mpp = MeasureParams(Interval(p, p))
-        for i in range(50):
-            x = 0.02 + 0.96 * i / 49
-            f = f_star(Interval(x, x), mpp, K=400)
-            b = brute_force_dist(x, mpp, "cos", K=1000)
-            assert f.intersects(b), (p, x)
-            worst_hull = max(worst_hull, Interval.hull(f, b).width)
+    for p, x, f, b in f_star_vs_brute_force:
+        assert f.intersects(b), (p, x)
+        worst_hull = max(worst_hull, Interval.hull(f, b).width)
     ok = worst_hull <= 1e-6
     _report("5", ok, f"250 points overlap; worst combined width {worst_hull:.3g}")
 

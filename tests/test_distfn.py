@@ -120,16 +120,11 @@ def test_k_pi_table():
         assert _k_pi(K) is table
 
 
-def test_cross_validation_overlap():
-    for p in (2.0, 2.25, 2.5, 2.75, 3.0):
-        mpp = MeasureParams(iv(p))
-        for i in range(50):
-            x = 0.02 + 0.96 * i / 49
-            f = f_star(iv(x), mpp, K=400)
-            b = brute_force_dist(x, mpp, "cos", K=1000)
-            assert f.intersects(b), (p, x)
-            hull = Interval.hull(f, b)
-            assert hull.width <= 1e-6, (p, x, hull.width)
+def test_cross_validation_overlap(f_star_vs_brute_force):
+    for p, x, f, b in f_star_vs_brute_force:
+        assert f.intersects(b), (p, x)
+        hull = Interval.hull(f, b)
+        assert hull.width <= 1e-6, (p, x, hull.width)
 
 
 def test_brute_force_gauss_matches_g_star():
@@ -140,7 +135,7 @@ def test_brute_force_gauss_matches_g_star():
 
 
 def test_brute_force_sigma_value():
-    enc = brute_force_dist(0.97, MP2, "cos", K=1000)
+    enc = brute_force_dist(0.97, MP2, "cos")
     assert 8.2 < enc.lo and enc.hi < 8.3
 
 

@@ -70,6 +70,15 @@ def test_pow_real_examples():
     assert v.contains(float(mpf("0.5") ** mp.sqrt(2)))
 
 
+def test_pow_real_unbounded_base_contains_samples():
+    # on [2, inf) the exponent range [-1, 1] reaches every value in (0, inf):
+    # x**-1 tends to 0 as x grows, and x**1 grows without bound
+    enc = pow_real(Interval(2, math.inf), Interval(-1, 1))
+    for x in (2.0, 3.0, 1e3, 1e6, 1e300):
+        for sigma in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            assert enc.contains(x**sigma), (x, sigma)
+
+
 def test_pow_real_domain():
     with pytest.raises(DomainError):
         pow_real(Interval(-1, 1), Interval(2, 2))

@@ -29,7 +29,7 @@ COS2_T4_TAIL = 0.0247794406641325
 
 
 def test_constant_integrand():
-    r = integrate(lambda t: Interval(1.0, 1.0), 0.0, 1.0)
+    r = integrate(lambda t: Interval(1.0, 1.0), 0.0, 1.0, QuadConfig())
     assert r.value.contains(1.0) and r.value.width <= 1e-9
     assert r.ok
 
@@ -40,7 +40,7 @@ def test_inexact_cell_width_enclosed():
     # times the rounded difference
     a, b, c = 0.1, 2.1, 0.95
     assert Fraction(b - a) != Fraction(b) - Fraction(a)
-    r = integrate(lambda t: Interval(c, c), a, b)
+    r = integrate(lambda t: Interval(c, c), a, b, QuadConfig())
     exact = Fraction(c) * (Fraction(b) - Fraction(a))
     assert Fraction(r.value.lo) <= exact <= Fraction(r.value.hi)
     assert r.value.encloses(Interval(c, c) * (Interval(b, b) - Interval(a, a)))
@@ -197,4 +197,4 @@ def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
     assert leaf.note == "quadrature target missed (wide, 82 cells)"
-    assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0)) == "x"
+    assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0, QuadConfig())) == "x"

@@ -1,8 +1,6 @@
 """Condition-1 checks: everything proves, spec examples hold, degenerate
 parameters fail as they should."""
 
-import pytest
-
 from khintchine.interval import Interval
 from khintchine.verifier import (
     PROVED,
@@ -45,11 +43,6 @@ def test_sign_bound_fails_at_half():
     # documents why sigma = 0.97: the explicit bound is useless at sigma = 0.5
     enc = _rhs_sign_bound(Interval(0.5, 0.5), Interval(2.0, 2.0))
     assert enc.hi < 0
-
-
-def test_sign_check_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        check_cond1_sign_at_sigma(sigma=0.5)
 
 
 def test_small_x_proves():

@@ -17,7 +17,7 @@ from khintchine.verifier import (
 
 def test_np_generic_identical_enclosures():
     res = np_generic(
-        lambda x: x, lambda x: x, 1.0, 2.0, lambda: Interval(0.0, 0.0),
+        lambda x: x, lambda x: x, Interval(0.0, 0.0),
         name="same",
     )
     assert res.status == PROVED
@@ -28,9 +28,7 @@ def test_np_generic_single_crossing():
     res = np_generic(
         lambda x: x,
         lambda x: Interval(0.5, 0.5),
-        1.0,
-        2.0,
-        lambda: Interval(1.0, 1.0),
+        Interval(1.0, 1.0),
         name="crossing",
     )
     assert res.status == PROVED
@@ -43,9 +41,7 @@ def test_np_generic_shifted_fails():
     res = np_generic(
         lambda x: x,
         lambda x: x + 1.0,
-        1.0,
-        2.0,
-        lambda: Interval(1.0, 1.0),
+        Interval(1.0, 1.0),
         name="shifted",
     )
     assert res.status == FAILED
@@ -57,7 +53,7 @@ def test_np_generic_double_crossing_fails():
         return x * 3.0 + (x - 0.3) * (x - 0.7)
 
     res = np_generic(
-        F, lambda x: x * 3.0, 1.0, 2.0, lambda: Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, Interval(1.0, 1.0),
         name="double",
     )
     assert res.status == FAILED
@@ -71,9 +67,7 @@ def test_np_generic_budget_never_proves():
     res = np_generic(
         lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
         lambda x: Interval(0.5, 0.5),
-        1.0,
-        2.0,
-        lambda: Interval(1.0, 1.0),
+        Interval(1.0, 1.0),
         max_evals=10,
         name="fuzzy",
     )
@@ -93,7 +87,7 @@ def test_np_generic_unresolved_right_edge_inconclusive():
         return x * 3.0 + cubic + Interval(-0.05, 0.05)
 
     res = np_generic(
-        F, lambda x: x * 3.0, 1.0, 2.0, lambda: Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, Interval(1.0, 1.0),
         max_evals=10, name="blurred-cubic",
     )
     assert res.status == INCONCLUSIVE
@@ -104,8 +98,8 @@ def test_np_generic_unresolved_right_edge_inconclusive():
 def test_np_generic_rejects_decreasing_input():
     with pytest.raises(ValueError, match="nondecreasing"):
         np_generic(
-            lambda x: -x, lambda x: Interval(0.5, 0.5), 1.0, 2.0,
-            lambda: Interval(1.0, 1.0), name="decreasing",
+            lambda x: -x, lambda x: Interval(0.5, 0.5), Interval(1.0, 1.0),
+            name="decreasing",
         )
 
 
@@ -120,7 +114,7 @@ def test_np_generic_evaluates_each_endpoint_once():
 
     res = np_generic(
         record("F", lambda x: x), record("G", lambda x: Interval(0.4, 0.4)),
-        1.0, 2.0, lambda: Interval(1.0, 1.0), grid=64, name="endpoints",
+        Interval(1.0, 1.0), grid=64, name="endpoints",
     )
     assert res.status == PROVED
     cells = res.children[0].evaluations
@@ -133,7 +127,7 @@ def test_np_generic_evaluates_each_endpoint_once():
 
 def test_np_generic_rejects_small_grid():
     with pytest.raises(ValueError):
-        np_generic(lambda x: x, lambda x: x, 1.0, 2.0, lambda: Interval(0, 0), grid=4)
+        np_generic(lambda x: x, lambda x: x, Interval(0, 0), grid=4)
 
 
 def test_np_cos_gauss_cases():

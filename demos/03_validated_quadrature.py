@@ -4,24 +4,25 @@ Each cell [u,v] carries the intersection of the first-order enclosure
 f([u,v]) * (v-u) and a second-order Taylor enclosure around the midpoint c,
 f(c) (v-u) + f''([u,v]) (v-u)^3/24, with f'' from one evaluation of the
 integrand on an interval jet.  Bisection is driven by a priority queue on the
-width of the cell integrals, so the budget flows to where the integrand is
-hardest.  Stopping early never invalidates the answer, it only widens it.
+width of the cell integrals, so refinement flows to where the integrand is
+hardest.  Stopping early (at quad.MAX_CELLS cells) never invalidates the
+answer, it only widens it.
 """
 
 import math
 
 from khintchine.interval import Interval, SQRT2, pow_real
-from khintchine.quad import QuadConfig, integrate, tail_bound_mu_p
+from khintchine.quad import integrate, tail_bound_mu_p
 
 print("== warm-up: enclosing int_0^pi sin t dt = 2 ==")
 for width in (1e-2, 1e-4, 3e-5):
-    r = integrate(lambda t: t.sin(), 0.0, math.pi, QuadConfig(target_width=width))
+    r = integrate(lambda t: t.sin(), 0.0, math.pi, width)
     print(f"target {width:7.0e}: {r.value}  ({r.cells} cells, {r.status})")
 
 print()
 print("== an oscillatory proof integrand: int_{pi/2}^inf cos^2 t / t^4 dt ==")
 f = lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0))
-fin = integrate(f, math.pi / 2, 50.0, QuadConfig(target_width=2e-5))
+fin = integrate(f, math.pi / 2, 50.0, 2e-5)
 tail = tail_bound_mu_p("cos_power", SQRT2, Interval(3.0, 3.0), 50.0)
 total = fin.value + tail
 print(f"finite part to 50: {fin.value}  ({fin.cells} cells)")

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .interval import Interval, DomainError, IntervalError, pow_real
 from .distfn import MeasureParams
-from .quad import QuadConfig, QuadResult, integrate, tail_bound_mu_p
+from .quad import QuadResult, integrate, tail_bound_mu_p
 from .specfun import b_constant
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "IntervalError",
     "pow_real",
     "MeasureParams",
-    "QuadConfig",
     "QuadResult",
     "integrate",
     "tail_bound_mu_p",

@@ -15,7 +15,7 @@ import numpy as np
 from .interval import Interval
 from .specfun import b_constant
 
-ENUM_LIMIT = 26  # 2^(n-1) patterns with the sign symmetry; keeps runs fast
+ENUM_LIMIT = 16  # 2^(n-1) patterns with the sign symmetry; keeps runs fast
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class CoefficientVector:
 
 def _half_pattern_sums(a: tuple[float, ...]) -> np.ndarray:
     """Values of sum a_k e_k over all sign patterns with e_1 = +1 fixed."""
-    n = len(a)
     rest = np.array([0.0])
     for x in a[1:]:
         rest = np.concatenate([rest + x, rest - x])
@@ -45,33 +44,17 @@ def _half_pattern_sums(a: tuple[float, ...]) -> np.ndarray:
 
 
 def exact_moment(a: CoefficientVector, p: float) -> float:
-    """E|sum a_k e_k|^p by exhaustive enumeration (n <= 26).
+    """E|sum a_k e_k|^p by exhaustive enumeration (n <= ENUM_LIMIT).
 
     Uses the e -> -e symmetry: only the 2^(n-1) patterns with the first sign
-    positive are enumerated.  Deterministic: fixed enumeration order, fsum
-    reduction over fixed-size chunks.
+    positive are enumerated.  Deterministic: fixed enumeration order.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if a.n > ENUM_LIMIT:
         raise ValueError(f"enumeration capped at n = {ENUM_LIMIT}")
-    if a.n <= 16:
-        sums = _half_pattern_sums(a.a)
-        return float((np.abs(sums) ** p).mean())
-    # chunked meet-in-the-middle for larger n
-    k = a.n // 2
-    left = _half_pattern_sums(a.a[:k])  # first sign fixed positive
-    right = np.array([0.0])
-    for x in a.a[k:]:
-        right = np.concatenate([right + x, right - x])
-    total = 0.0
-    count = 0
-    for chunk_start in range(0, len(right), 1 << 14):
-        chunk = right[chunk_start : chunk_start + (1 << 14)]
-        block = np.abs(left[:, None] + chunk[None, :]) ** p
-        total += float(block.sum())
-        count += block.size
-    return total / count
+    sums = _half_pattern_sums(a.a)
+    return float((np.abs(sums) ** p).mean())
 
 
 def khintchine_check(a: CoefficientVector, p: float) -> tuple[float, float, bool]:

@@ -29,16 +29,7 @@ from .jet import Jet
 FnEnclosure = Callable[[Interval], Interval]
 
 MAX_DEPTH = 40  # bisection depth at which a cell is kept as it is
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    target_width: float = 1e-6
-    max_cells: int = 2_000_000
-
-    def __post_init__(self):
-        if self.target_width <= 0.0:
-            raise ValueError("target_width must be positive")
+MAX_CELLS = 500_000  # cells enclosed before a run stops "wide"
 
 
 @dataclass
@@ -84,15 +75,17 @@ def _cell(f, lo: float, hi: float) -> Interval:
     return Interval(max(crude.lo, taylor.lo), min(crude.hi, taylor.hi))
 
 
-def integrate(f: FnEnclosure, a: float, b: float, cfg: QuadConfig) -> QuadResult:
+def integrate(f: FnEnclosure, a: float, b: float, target_width: float) -> QuadResult:
     """Enclosure of the integral of f over the finite interval [a, b].
 
     The widest cell integral is bisected until the widths sum to at most
-    cfg.target_width; a run cut short by MAX_DEPTH or max_cells is "wide".
+    target_width; a run cut short by MAX_DEPTH or MAX_CELLS is "wide".
     cells counts the cells enclosed.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
+    if not target_width > 0.0:
+        raise ValueError("target_width must be positive")
     enc = _cell(f, a, b)
     # heap of (-cell_integral_width, lo, hi, depth, cell_integral); widest first
     heap = [(-enc.width, a, b, 0, enc)]
@@ -101,15 +94,15 @@ def integrate(f: FnEnclosure, a: float, b: float, cfg: QuadConfig) -> QuadResult
     evals = 1
     status = "ok"
     while heap:
-        if total <= cfg.target_width:
+        if total <= target_width:
             # the running sum still carries the rounding of early, huge
             # widths (4e11 on the first gap-integral cell): re-add exactly
             total = math.fsum([-e[0] for e in heap] + [e.width for _, e in done])
-            if total <= cfg.target_width:
+            if total <= target_width:
                 break
         negw, lo, hi, depth, cell_enc = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if depth >= MAX_DEPTH or evals + 2 > cfg.max_cells or not lo < mid < hi:
+        if depth >= MAX_DEPTH or evals + 2 > MAX_CELLS or not lo < mid < hi:
             done.append((lo, cell_enc))
             status = "wide"
             continue

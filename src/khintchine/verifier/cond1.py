@@ -151,7 +151,6 @@ def check_cond1_small_x() -> CheckResult:
 
     room = subdivision_check(
         "taylor-bound/cubic-coefficient-room", binom_room, 2.0, 3.0,
-        max_evals=5000,
         note="2C(p,3) e^3 + 2R <= 2p e^3, so lhs <= 2p(1+e^2) e",
     )
     square_room = point_check(
@@ -221,7 +220,7 @@ def check_cond1_small_x() -> CheckResult:
         return Interval(0.98, 0.98) - Interval(0.2115, 0.2115) * p - d_coefficient(p)
 
     ch_f = subdivision_check(
-        "dp-below-line", dp_line_margin, 2.0, 3.0, max_evals=3000,
+        "dp-below-line", dp_line_margin, 2.0, 3.0,
         note="d_p <= 0.98 - 0.2115 p on adaptively refined p boxes",
     )
 
@@ -230,7 +229,6 @@ def check_cond1_small_x() -> CheckResult:
         lambda p: Interval(1.14, 1.14) - p * (Interval(0.98, 0.98) - Interval(0.2115, 0.2115) * p),
         2.0,
         3.0,
-        max_evals=20_000,
     )
 
     # e^t / (2t)^(p/2) >= 1.14 for t >= 2.7, p in [2, 3]
@@ -307,9 +305,7 @@ def check_reduction_to_p2() -> CheckResult:
         inner = Interval.from_fraction(Fraction(1, 6)) + t * t * Fraction(2, 45)
         return Interval.from_fraction(Fraction(2, 45)) - inner * inner * 0.5
 
-    coeff_ok = subdivision_check(
-        "t4-coefficient-positive", t4_coeff, 0.0, HALF_PI.hi, max_evals=10_000
-    )
+    coeff_ok = subdivision_check("t4-coefficient-positive", t4_coeff, 0.0, HALF_PI.hi)
 
     # (c) pi^3 - 3 pi^2 t + 3 pi t^2 >= 12 t ln((pi-t)/t) via the tangent at 1
     def neg_L_second(t: Interval) -> Interval:
@@ -318,7 +314,7 @@ def check_reduction_to_p2() -> CheckResult:
         return 1.0 / pit + PI / (pit * pit) + inv_t
 
     concavity = subdivision_check(
-        "t-ln-term-concave", neg_L_second, 0.0, T_END, max_evals=10_000,
+        "t-ln-term-concave", neg_L_second, 0.0, T_END,
         note="-(d^2/dt^2)[t ln((pi-t)/t)] = 1/(pi-t) + pi/(pi-t)^2 + 1/t > 0",
     )
     pim1 = PI - 1.0
@@ -329,9 +325,7 @@ def check_reduction_to_p2() -> CheckResult:
         quad = PI**3 - PI**2 * t * 3.0 + PI * t * t * 3.0
         return quad - (L1 + Lp1 * (t - 1.0)) * 12.0
 
-    tangent = subdivision_check(
-        "quadratic-above-tangent", tangent_gap, 0.0, T_END, max_evals=20_000
-    )
+    tangent = subdivision_check("quadratic-above-tangent", tangent_gap, 0.0, T_END)
     quad_pos = point_check(
         "quadratic-positive",
         PI * ((Interval(0.0, T_END) - HALF_PI) ** 2 * 3.0 + PI**2 * 0.25),
@@ -378,7 +372,6 @@ def check_case1_polynomials() -> CheckResult:
             lambda t: ipoly_eval(quot_a, t),
             0.0,
             1.0,
-            max_evals=5000,
             note="exact reduction to 10 pi^2 - 15 pi t + 6 t^2 > 0",
         )
     )
@@ -418,15 +411,10 @@ def check_case1_polynomials() -> CheckResult:
             d_series.quotient(5, minus=p_mul(st.poly, _M3_POLY)),
             0.0,
             1.0,
-            max_evals=50_000,
             note="(t cos t - sin t (1 - t^2/3 - t^4/40))/t^5 > 0 on (0, 1]",
         )
     )
-    children.append(
-        subdivision_check(
-            "sin-positive", lambda t: t.sin(), 1e-6, 1.0, max_evals=1000
-        )
-    )
+    children.append(subdivision_check("sin-positive", lambda t: t.sin(), 1e-6, 1.0))
 
     # (d) proposition: m1 * m3 >= 1 - t^2/3 + t^3/40, scaled by pi^5
     diff = p_sub(p_mul(_M1_SCALED, _M3_POLY), p_mul(_COR_LHS, _PI5))
@@ -437,7 +425,6 @@ def check_case1_polynomials() -> CheckResult:
             lambda t: ipoly_eval(quot_d, t),
             0.0,
             1.0,
-            max_evals=50_000,
             note="margin scaled by pi^5 and factored by t^3",
         )
     )
@@ -450,7 +437,6 @@ def check_case1_polynomials() -> CheckResult:
             lambda t: ipoly_eval(cor, t),
             0.0,
             1.0,
-            max_evals=50_000,
             note="verified from the exact expansion, factored by t^3",
         )
     )
@@ -464,7 +450,6 @@ def check_case1_polynomials() -> CheckResult:
             lambda t: ipoly_eval(quot_f, t),
             0.0,
             1.0,
-            max_evals=50_000,
             note="(m1 m2 m3 - 1) pi^5 / t^3 > 0 on (0, 1]",
         )
     )
@@ -480,7 +465,6 @@ def check_case1_polynomials() -> CheckResult:
             minorants_floor,
             0.0,
             1.0,
-            max_evals=5000,
             note="t cot t minorant and corollary factor stay positive",
         )
     )
@@ -528,7 +512,6 @@ def check_case2_convexity() -> CheckResult:
             exp_taylor(34, a=2).quotient(3, minus=poly(1, 2, 2)),
             0.0,
             3.0,
-            max_evals=2000,
             note="(e^{2s} - 1 - 2s - 2s^2)/s^3 > 0",
         )
     )
@@ -539,7 +522,6 @@ def check_case2_convexity() -> CheckResult:
             lambda s: ipoly_eval(cubic, s),
             0.0,
             3.0,
-            max_evals=20_000,
             note="((s^2-3s+3)(1+2s+2s^2) - 3)/s = 2s^3 - 4s^2 + s + 3 > 0",
         )
     )
@@ -560,7 +542,6 @@ def check_case2_convexity() -> CheckResult:
             lambda t: 12.0 / t**5 + 12.0 / (PI - t) ** 5,
             1.0,
             T_END,
-            max_evals=2000,
         )
     )
 
@@ -594,7 +575,6 @@ def check_case2_convexity() -> CheckResult:
             lambda t: _g_case2(t) - _f_case2(t),
             1.0,
             T_END,
-            max_evals=100_000,
             note="g - f > 0 verified directly as well",
         )
     )

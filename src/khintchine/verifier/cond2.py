@@ -19,13 +19,14 @@ from fractions import Fraction
 from ..interval import E as EULER_E
 from ..interval import HALF_PI, PI, SQRT2, DomainError, Interval, imin, pow_real
 from ..jet import Jet
-from ..quad import QuadConfig, integrate, note_missed, tail_bound_mu_p
+from ..quad import integrate, note_missed, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg
 from .cond1 import P_BOXES, p_boxes
 from .engine import (
     lemma_log_le_affine,
     lemma_neg_log_affine,
     lemma_one_minus_exp_quadratic,
+    overlap_check,
     point_check,
     subdivision_check,
 )
@@ -40,15 +41,11 @@ QUAD_MAJORANT_SHIFT = -0.0439
 QUAD_MAJORANT_SHIFT_PRINTED = -0.04399
 
 _FR = Fraction
+_ROUTES = "two routes overlap"  # note of the closed-form vs quadrature leaves
 
 
 def _exp_gauss(t: Interval) -> Interval:
     return (-(t * t) / SQRT2).exp()
-
-
-def _overlap_check(name: str, a: Interval, b: Interval, note: str = "") -> CheckResult:
-    gap = min(a.hi - b.lo, b.hi - a.lo)
-    return point_check(name, Interval(gap, gap), note=note or "two routes overlap")
 
 
 def _cos_majorant_chain() -> CheckResult:
@@ -84,7 +81,7 @@ def check_cond2_hprime() -> CheckResult:
         poly = t * c1 - (t**5) * c144
         return (1.0 - t) * _exp_gauss(t) * poly
 
-    qa = integrate(minorant_a, 0.0, 1.0, QuadConfig(target_width=2e-5))
+    qa = integrate(minorant_a, 0.0, 1.0, 2e-5)
     piece_a_val = qa.value
     piece_a = combine(
         "piece-near-0",
@@ -97,7 +94,6 @@ def check_cond2_hprime() -> CheckResult:
                 lambda t: c1 - (t**4) * c144,
                 0.0,
                 1.0,
-                max_evals=1000,
                 note="t/(6 sqrt2) - t^5/144 = t (1/(6 sqrt2) - t^4/144) >= 0",
             ),
             point_check(
@@ -121,12 +117,9 @@ def check_cond2_hprime() -> CheckResult:
 
     s12 = pow_real(Interval(1.2, 1.2).cos(), SQRT2)
     s14 = pow_real(Interval(1.4, 1.4).cos(), SQRT2)
-    cfg_j = QuadConfig(target_width=4e-6)
-    j1 = integrate(lambda t: (t - 1.0) * (secant(t) - s12) / t**3, 1.0, 1.2, cfg_j)
-    j2 = integrate(lambda t: (t - 1.0) * (secant(t) - s14) / t**3, 1.2, 1.4, cfg_j)
-    j3 = integrate(
-        lambda t: (t - 1.0) * secant(t) / t**3, 1.4, HALF_PI.hi, cfg_j
-    )
+    j1 = integrate(lambda t: (t - 1.0) * (secant(t) - s12) / t**3, 1.0, 1.2, 4e-6)
+    j2 = integrate(lambda t: (t - 1.0) * (secant(t) - s14) / t**3, 1.2, 1.4, 4e-6)
+    j3 = integrate(lambda t: (t - 1.0) * secant(t) / t**3, 1.4, HALF_PI.hi, 4e-6)
     J = j1.value + j2.value + j3.value
     piece_b = combine(
         "piece-middle",
@@ -137,7 +130,6 @@ def check_cond2_hprime() -> CheckResult:
                 lambda t: t * t * 2.0 - SQRT2,
                 1.0,
                 HALF_PI.hi,
-                max_evals=1000,
                 note="(e^{-t^2/sqrt2})'' has sign 2t^2 - sqrt2; secant dominates",
             ),
             subdivision_check(
@@ -145,7 +137,6 @@ def check_cond2_hprime() -> CheckResult:
                 lambda t: t.sin(),
                 1.0,
                 HALF_PI.hi,
-                max_evals=1000,
                 note="sin > 0 so the step minorants of |cos t|^sqrt2 are valid",
             ),
             point_check(
@@ -196,12 +187,11 @@ def check_cond2_hprime() -> CheckResult:
         note="ln t / t^(p+1) <= 1/(e (p-1) t^2), max at t = e^(1/(p-1))",
     )
 
-    cfg_i1 = QuadConfig(target_width=2e-5, max_cells=500_000)
     q1 = integrate(
         lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
         HALF_PI.lo,
         50.0,
-        cfg_i1,
+        2e-5,
     )
     I1 = q1.value + tail_bound_mu_p("cos_power", Interval(2.0, 2.0), Interval(3.0, 3.0), 50.0)
     i1_child = point_check(
@@ -214,10 +204,7 @@ def check_cond2_hprime() -> CheckResult:
         ),
     )
 
-    cfg_i2 = QuadConfig(target_width=1e-6, max_cells=500_000)
-    q2 = integrate(
-        lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, cfg_i2
-    )
+    q2 = integrate(lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, 1e-6)
     T8 = Interval(8.0, 8.0)
     gauss_tail_hi = (SQRT2 / T8**3 * (-(T8**2) / SQRT2).exp()).hi
     I2 = q2.value + Interval(0.0, gauss_tail_hi)
@@ -299,7 +286,7 @@ def _inv_sq_half(t: Interval) -> Interval:
     return Interval(-1.0, -1.0) / (t * t * 2.0)
 
 
-def lemma52_piece2_margin(gamma: float, max_evals: int = 100_000):
+def lemma52_piece2_margin(gamma: float) -> CheckResult:
     """Subdivision margin of (sqrt2-1)x^2 + 0.6355x + gamma - x^sqrt2 on
     [0.25, sqrt2/2]; exposed so the printed constant can be shown to fail."""
     aq = SQRT2 - 1.0
@@ -312,7 +299,6 @@ def lemma52_piece2_margin(gamma: float, max_evals: int = 100_000):
         margin,
         0.25,
         float((SQRT2 / 2.0).hi),
-        max_evals=max_evals,
         note=f"second cosine-power majorant with shift {gamma}",
     )
 
@@ -330,7 +316,6 @@ def _lemma52_piece1() -> CheckResult:
         lambda x: SQRT2 / 2.0 - pow_real(x, 2.0 - SQRT2),
         0.0,
         0.25,
-        max_evals=5000,
         note="f0'' = (sqrt2-1)(2 - sqrt2 x^(sqrt2-2)) < 0 iff x^(2-sqrt2) < sqrt2/2",
     )
     anchor = point_check(
@@ -344,7 +329,7 @@ def _lemma52_piece1() -> CheckResult:
         return aq * x + (b_full - 0.126) - pow_real(x, SQRT2 - 1.0)
 
     direct = subdivision_check(
-        "direct-quotient", quotient, 0.0, 0.25, max_evals=100_000,
+        "direct-quotient", quotient, 0.0, 0.25,
         note="((sqrt2-1)x^2 + (2-sqrt2-0.126)x - x^sqrt2)/x on (0, 1/4]",
     )
     return combine("quad-majorant-low", [concavity, anchor, origin, direct])
@@ -375,7 +360,7 @@ def check_cond2_h2() -> CheckResult:
         lambda t: _exp_gauss(t) * (t * s2_6inv + (t**3) * c2),
         0.0,
         float(quarter_pi.lo),
-        QuadConfig(target_width=1e-5),
+        1e-5,
     )
     piece_a = combine(
         "piece-A",
@@ -392,8 +377,9 @@ def check_cond2_h2() -> CheckResult:
                 a_closed - 0.03129,
                 note=f"A = {a_closed!r}; margin is about 5e-8",
             ),
-            _overlap_check(
-                "closed-form-vs-quadrature", a_closed, qa.value, note_missed("", qa)
+            overlap_check(
+                "closed-form-vs-quadrature", a_closed, qa.value,
+                note=note_missed(_ROUTES, qa),
             ),
         ],
         note="substitution u = t^2/sqrt2 reduces the minorant to e^-u(a'+b'u)",
@@ -406,7 +392,7 @@ def check_cond2_h2() -> CheckResult:
         lambda t: _exp_gauss(t) / (t**3),
         float(quarter_pi.lo),
         T,
-        QuadConfig(target_width=1e-5),
+        1e-5,
     )
     Tiv = Interval(T, T)
     b_tail_hi = ((SQRT2 / Tiv**4) * (-(Tiv**2) / SQRT2).exp()).hi
@@ -421,11 +407,11 @@ def check_cond2_h2() -> CheckResult:
                     "printed 0.29587, floor repaired to 0.29586"
                 ),
             ),
-            _overlap_check(
+            overlap_check(
                 "exact-vs-quadrature",
                 b_exact,
                 qb.value + Interval(0.0, b_tail_hi),
-                note_missed("", qb),
+                note=note_missed(_ROUTES, qb),
             ),
         ],
         note="int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2)",
@@ -477,10 +463,7 @@ def check_cond2_h2() -> CheckResult:
             raise DomainError("majorant switches pieces inside the cell")
         return Interval.hull(outer, inner)  # cell straddles the split
 
-    qc = integrate(
-        c_majorant, float(quarter_pi.lo), float(three_qpi.hi),
-        QuadConfig(target_width=2e-4, max_cells=200_000),
-    )
+    qc = integrate(c_majorant, float(quarter_pi.lo), float(three_qpi.hi), 2e-4)
     piece_c = combine(
         "piece-C",
         [
@@ -491,8 +474,9 @@ def check_cond2_h2() -> CheckResult:
                 Interval(0.2577, 0.2577) - c_total,
                 note=f"C = {c_total!r} via the ci primitives",
             ),
-            _overlap_check(
-                "primitives-vs-quadrature", c_total, qc.value, note_missed("", qc)
+            overlap_check(
+                "primitives-vs-quadrature", c_total, qc.value,
+                note=note_missed(_ROUTES, qc),
             ),
         ],
         note="second majorant shift repaired to -0.0439 (printed -0.04399 fails)",
@@ -507,7 +491,7 @@ def check_cond2_h2() -> CheckResult:
         lambda t: (t.cos() ** 2) / t**3,
         float(three_qpi.lo),
         T2,
-        QuadConfig(target_width=2e-4, max_cells=200_000),
+        2e-4,
     )
     s_quad = qs.value + Interval(0.0, (Interval(1.0, 1.0) / Interval(T2, T2) ** 2 * 0.5).hi)
     piece_d = combine(
@@ -519,7 +503,9 @@ def check_cond2_h2() -> CheckResult:
                 Interval(0.0667, 0.0667) - d_bound,
                 note=f"D bound = {d_bound!r} = mu(X)^(1-s/2) (int cos^2 dmu)^(s/2)",
             ),
-            _overlap_check("tail-vs-quadrature", S, s_quad, note_missed("", qs)),
+            overlap_check(
+                "tail-vs-quadrature", S, s_quad, note=note_missed(_ROUTES, qs)
+            ),
         ],
         note="Hoelder on ((3pi/4, inf), dt/t^3) with s = sqrt2",
     )

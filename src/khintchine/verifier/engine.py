@@ -3,8 +3,9 @@
 bisect_boxes is the one subdivision routine of the verifier: the provers use
 it to certify "f >= 0 on a box" from interval enclosures, returning a
 rigorous enclosure of the infimum, and np_generic uses it to classify the
-sign of F - G.  Exceeding the evaluation budget yields inconclusive, never a
-false proof.
+sign of F - G.  Every enclosure holds wherever refinement stops, so BUDGET
+only bounds the cost of a search that cannot settle: exceeding it yields
+inconclusive, never a false proof.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ INF = math.inf
 Box = tuple[tuple[float, float], ...]
 E = TypeVar("E")
 
-DEFAULT_BUDGET = 200_000
+BUDGET = 200_000  # evaluations before a bisect_boxes search stops
 
 
 def bisect_boxes(
@@ -38,7 +39,6 @@ def bisect_boxes(
     evaluate: Callable[[Box], E],
     settled: Callable[[E], bool],
     *,
-    max_evals: int,
     min_width: float,
     halt: Callable[[E], bool] | None = None,
 ) -> tuple[list[tuple[Box, E]], int]:
@@ -47,7 +47,7 @@ def bisect_boxes(
     A box is a tuple of (lo, hi) pairs, one per axis.  A box whose enclosure
     passes `settled` is terminal.  Otherwise its widest axis, with widths
     measured relative to the extent of the starting boxes, is halved -- unless
-    the evaluation budget is spent, no axis is wider than min_width, or the
+    BUDGET evaluations are spent, no axis is wider than min_width, or the
     midpoint is not strictly inside; then the box is terminal unsettled.  A
     box whose enclosure passes `halt` ends the search as the last terminal box.
 
@@ -77,7 +77,7 @@ def bisect_boxes(
         a, b = box[axis]
         mid = 0.5 * (a + b)
         if (
-            evals >= max_evals
+            evals >= BUDGET
             or max(hi - lo for lo, hi in box) <= min_width
             or not a < mid < b
         ):
@@ -92,7 +92,6 @@ def _prove_positive(
     evaluate: Callable[[Box], Interval],
     box: Box,
     strict: bool,
-    max_evals: int,
     min_width: float,
 ) -> tuple[Interval, int, str]:
     """Certify the enclosure >= 0 (> 0 when strict) on box; stop at a refutation.
@@ -104,7 +103,7 @@ def _prove_positive(
     cells, evals = bisect_boxes(
         [box], evaluate,
         lambda enc: status_from_margin(enc, strict) == PROVED,
-        max_evals=max_evals, min_width=min_width,
+        min_width=min_width,
         halt=lambda enc: status_from_margin(enc, strict) == FAILED,
     )
     encs = [enc for _, enc in cells]
@@ -118,24 +117,19 @@ def prove_positive_1d(
     hi: float,
     *,
     strict: bool = True,
-    max_evals: int = DEFAULT_BUDGET,
 ) -> tuple[Interval, int, str]:
     """Certify f >= 0 (strictly > 0 when strict) on [lo, hi], bisecting
     down to cells of width 1e-12.
 
     Returns (enclosure of inf f over final cells, evaluations, status).
     """
-    return _prove_positive(
-        lambda box: f(Interval(*box[0])), ((lo, hi),), strict, max_evals, 1e-12
-    )
+    return _prove_positive(lambda box: f(Interval(*box[0])), ((lo, hi),), strict, 1e-12)
 
 
 def prove_positive_2d(
     f: Callable[[Interval, Interval], Interval],
     xdom: tuple[float, float],
     ydom: tuple[float, float],
-    *,
-    max_evals: int = DEFAULT_BUDGET,
 ) -> tuple[Interval, int, str]:
     """Certify f(x, y) > 0 on a rectangle, bisecting down to cells of width
     1e-10; otherwise the contract of the 1d prover."""
@@ -143,7 +137,6 @@ def prove_positive_2d(
         lambda box: f(Interval(*box[0]), Interval(*box[1])),
         (xdom, ydom),
         True,
-        max_evals,
         1e-10,
     )
 
@@ -155,11 +148,10 @@ def subdivision_check(
     hi: float,
     *,
     strict: bool = True,
-    max_evals: int = DEFAULT_BUDGET,
     note: str = "",
 ) -> CheckResult:
     # grading the prover's margin gives back the prover's status
-    margin, evals, _ = prove_positive_1d(f, lo, hi, strict=strict, max_evals=max_evals)
+    margin, evals, _ = prove_positive_1d(f, lo, hi, strict=strict)
     return leaf(name, margin, strict=strict, evaluations=evals, note=note)
 
 
@@ -167,6 +159,13 @@ def point_check(
     name: str, margin: Interval, *, strict: bool = True, note: str = ""
 ) -> CheckResult:
     return leaf(name, margin, strict=strict, evaluations=1, note=note)
+
+
+def overlap_check(name: str, a: Interval, b: Interval, *, note: str) -> CheckResult:
+    """A point leaf certifying that two enclosures of one quantity intersect:
+    its margin is the smaller of a.hi - b.lo and b.hi - a.lo."""
+    gap = min(a.hi - b.lo, b.hi - a.lo)
+    return point_check(name, Interval(gap, gap), note=note)
 
 
 def monotone_nonneg_check(
@@ -193,7 +192,6 @@ def monotone_nonneg_check(
         lo,
         hi,
         strict=False,
-        max_evals=50_000,
     )
     anchor_res = point_check(f"{name}/anchor-{side}", anchor, strict=False)
     return combine(name, [anchor_res, deriv], note=note, margin=anchor)
@@ -215,8 +213,7 @@ def concave_nonneg_check(
     below by the smaller endpoint value.
     """
     conc = subdivision_check(
-        f"{name}/concavity", neg_second_derivative, lo, hi,
-        strict=False, max_evals=50_000,
+        f"{name}/concavity", neg_second_derivative, lo, hi, strict=False
     )
     e1 = point_check(f"{name}/value-left", value_lo, strict=False)
     e2 = point_check(f"{name}/value-right", value_hi, strict=False)
@@ -238,8 +235,7 @@ def lemma_exp_affine() -> CheckResult:
     name = "exp-ge-1-plus-x"
     quotient = exp_taylor(24).quotient(2, minus=poly(1, 1))
     series_part = subdivision_check(
-        f"{name}/series-quotient", quotient, -1.0, 4.0, strict=True,
-        max_evals=20_000,
+        f"{name}/series-quotient", quotient, -1.0, 4.0, strict=True
     )
     far = monotone_nonneg_check(
         f"{name}/far-piece",
@@ -268,7 +264,6 @@ def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad")
         0.0,
         b_hi,
         strict=False,
-        max_evals=20_000,
     )
     a1 = point_check(f"{name}/mprime-at-0", Interval(0.0, 0.0), strict=False)
     a0 = point_check(f"{name}/m-at-0", Interval(0.0, 0.0), strict=False)

@@ -15,7 +15,6 @@ from ..distfn import SERIES_K, MeasureParams, f_star, g_star
 from ..interval import Interval, imin, pow_real
 from ..polytools import poly
 from ..quad import (
-    QuadConfig,
     QuadResult,
     integrate,
     near_zero_bound,
@@ -26,6 +25,7 @@ from ..specfun import SQRT2, cos_taylor, neg_ln_cos_excess
 from .engine import (
     bisect_boxes,
     monotone_nonneg_check,
+    overlap_check,
     point_check,
     subdivision_check,
 )
@@ -41,7 +41,11 @@ from .result import (
 
 FnEnclosure = Callable[[Interval], Interval]
 
-Y_LO = 1e-3  # left end of np_generic's classifier window
+# np_generic's classifier window [Y_LO, Y_HI], and the cell width below
+# which a straddling cell is no longer bisected
+Y_LO = 1e-3
+Y_HI = 0.99
+Y_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +59,6 @@ def np_generic(
     integral: Interval,
     grid: int = 64,
     *,
-    y_hi: float = 0.999,
-    y_tol: float = 1e-4,
-    max_evals: int = 20_000,
     name: str = "np-generic",
     integral_note: str = "",
 ) -> CheckResult:
@@ -69,9 +70,9 @@ def np_generic(
     a cell [a, b] it is enclosed by [F(a).lo, F(b).hi].  Endpoint enclosures
     that certify a decrease raise ValueError.
 
-    The difference is classified on a refining partition of [Y_LO, y_hi],
+    The difference is classified on a refining partition of [Y_LO, Y_HI],
     bisected by the engine's bisect_boxes; cells straddling the sign change
-    shrink below y_tol.  A cell's sign is certified when d or -d grades as a
+    shrink below Y_TOL.  A cell's sign is certified when d or -d grades as a
     proved nonstrict margin.  More than one sign change, or a rightmost cell
     certified negative, fails the check; unresolved cells where the
     nonnegative phase could still lie leave it inconclusive.
@@ -108,11 +109,10 @@ def np_generic(
             flat or status_from_margin(d, strict=False) == PROVED,
         )
 
-    start = [((c.lo, c.hi),) for c in Interval(Y_LO, y_hi).split(grid)]
+    start = [((c.lo, c.hi),) for c in Interval(Y_LO, Y_HI).split(grid)]
     # terminal cells come back left to right
     cells, evals = bisect_boxes(
-        start, evaluate, lambda enc: enc[1] or enc[2],
-        max_evals=max_evals, min_width=y_tol,
+        start, evaluate, lambda enc: enc[1] or enc[2], min_width=Y_TOL
     )
 
     # certified-negative cells must all lie left of certified-positive ones;
@@ -156,10 +156,10 @@ def np_generic(
                 diag = "difference still negative at the right edge of the window"
         else:
             gap_lo = last_neg_end if last_neg_end is not None else Y_LO
-            gap_hi = first_pos_start if first_pos_start is not None else y_hi
+            gap_hi = first_pos_start if first_pos_start is not None else Y_HI
             outside = [s for s in straddles if s[0] < gap_lo or s[1] > gap_hi]
-            # a straddle wider than y_tol was cut short by the budget
-            cut = [s for s in straddles if s[1] - s[0] > y_tol]
+            # a straddle wider than Y_TOL was cut short by the budget
+            cut = [s for s in straddles if s[1] - s[0] > Y_TOL]
             if outside:
                 verdict = INCONCLUSIVE
                 diag = f"{len(outside)} cells unresolved outside the transition gap"
@@ -193,6 +193,7 @@ def np_generic(
 # the near-zero cut of the gauss/cos gap integral; its C4 bound is certified
 # by _near_zero_children
 _GAP_DELTA = 1e-3
+_GAP_TARGET = 2e-4  # target width of each of its two quadratures
 
 # (cos t - 1 + t^2/2) / t^4
 _COS_QUOT = cos_taylor(6).quotient(4, minus=poly(1, 0, Fraction(-1, 2)))
@@ -205,7 +206,6 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
         _COS_QUOT,
         0.0,
         delta,
-        max_evals=2000,
         note="(cos t - 1 + t^2/2)/t^4 >= 0; cos t >= 1 - t^2/2",
     )
     ln_upper = monotone_nonneg_check(
@@ -220,12 +220,7 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
     return [cos_lower, ln_upper]
 
 
-def gauss_cos_gap_integral(
-    p: Interval,
-    s: Interval,
-    *,
-    cfg: QuadConfig | None = None,
-) -> tuple[Interval, tuple[QuadResult, ...]]:
+def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[QuadResult, ...]]:
     """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
     the quadratures of its finite pieces.
 
@@ -236,8 +231,6 @@ def gauss_cos_gap_integral(
     is fine.  The tails past 30 use the stock mu_p majorants.  Both integrands
     also run on a Jet.
     """
-    if cfg is None:
-        cfg = QuadConfig(target_width=2e-4, max_cells=150_000)
     delta, T = _GAP_DELTA, 30.0
     div = Interval(delta, delta)
     C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
@@ -253,8 +246,8 @@ def gauss_cos_gap_integral(
         gap = (-(t * t) * s * 0.5).exp() - pow_real(t.cos().abs(), s)
         return gap * pow_real(t, minus_p1)
 
-    fin1 = integrate(integrand_series, delta, 1.2, cfg)
-    fin2 = integrate(integrand_direct, 1.2, T, cfg)
+    fin1 = integrate(integrand_series, delta, 1.2, _GAP_TARGET)
+    fin2 = integrate(integrand_direct, 1.2, T, _GAP_TARGET)
     gauss = tail_bound_mu_p("gauss", s, p, T)
     cospow = tail_bound_mu_p("cos_power", s, p, T)
     total = near0 + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
@@ -273,9 +266,7 @@ def check_conclusion_direct(
     for p in p_grid:
         row = []
         for s in s_grid:
-            enc, quads = gauss_cos_gap_integral(
-                Interval(p, p), Interval(s, s)
-            )
+            enc, quads = gauss_cos_gap_integral(Interval(p, p), Interval(s, s))
             row.append(
                 leaf(
                     f"integral-p{p}-s{round(s, 6)}",
@@ -310,8 +301,7 @@ def check_np_cos_gauss(
         Interval(p, p), Interval(SQRT2.lo, SQRT2.hi)
     )
     return np_generic(
-        F, G, enc, grid=grid, y_hi=0.99, y_tol=1e-5, max_evals=40_000,
-        name=f"np/cos-gauss-p{p}",
+        F, G, enc, grid=grid, name=f"np/cos-gauss-p{p}",
         integral_note=note_missed(f"s0 = {float(SQRT2.lo)}", *quads),
     )
 
@@ -346,8 +336,7 @@ def _moment_integral(
             h = pow_real((t / rt).cos().abs(), siv)
             return (t * t * 0.5 - 1.0 + h) * pow_real(t, minus_p1)
 
-    cfg = QuadConfig(target_width=2e-3, max_cells=120_000)
-    fin = integrate(integrand, delta, T, cfg)
+    fin = integrate(integrand, delta, T, 2e-3)
     Tiv = Interval(T, T)
     upper = pow_real(Tiv, 2.0 - p) / ((p - 2.0) * 2.0)
     lower = upper - pow_real(Tiv, -p) / p
@@ -382,11 +371,11 @@ def check_fp_convergence() -> CheckResult:
         direct = (I_s - I_inf).abs()
         gap, gap_quads = gauss_cos_gap_integral(piv, Interval(s, s))
         tight = pow_real(Interval(s, s), -piv * 0.5) * gap
-        gap_m = min(direct.hi - tight.lo, tight.hi - direct.lo)
         children.append(
-            point_check(
+            overlap_check(
                 f"deviation-routes-overlap-s{s}",
-                Interval(gap_m, gap_m),
+                direct,
+                tight,
                 note=note_missed(
                     f"direct {direct!r} vs rescaled-gap {tight!r}",
                     *inf_quads, *s_quads, *gap_quads,

@@ -75,7 +75,7 @@ def test_power_mean_monotone_in_p():
 
 
 def test_binomial_matches_enumeration():
-    for n in (2, 5, 10, 16, 20):
+    for n in (2, 5, 10, 16):
         v = CoefficientVector(tuple([1 / math.sqrt(n)] * n))
         for p in (2.0, 2.5, 3.0):
             enum = exact_moment(v, p)
@@ -130,16 +130,10 @@ def test_capacity_and_domain_errors():
     with pytest.raises(ValueError):
         exact_moment(CoefficientVector(tuple([0.1] * 30)), 2.0)
     with pytest.raises(ValueError):
+        exact_moment(CoefficientVector(tuple([0.1] * 17)), 2.0)
+    with pytest.raises(ValueError):
         khintchine_check(CoefficientVector((0.0, 0.0)), 2.5)
     with pytest.raises(ValueError):
         monte_carlo_moment(CoefficientVector((1.0,)), 2.0, 10, seed=0)
     with pytest.raises(ValueError):
         steckin_convergence(2.5, (20_000,))
-
-
-def test_meet_in_middle_path():
-    # n = 18 goes through the chunked enumeration; compare with binomial mode
-    n = 18
-    v = CoefficientVector(tuple([1 / math.sqrt(n)] * n))
-    (_, binom, _) = steckin_convergence(2.7, (n,))[0]
-    assert abs(exact_moment(v, 2.7) - binom) < 1e-12

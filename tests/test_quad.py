@@ -6,14 +6,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from khintchine import quad
 from khintchine.interval import Interval, SQRT2, DomainError, pow_real
-from khintchine.quad import (
-    QuadConfig,
-    integrate,
-    near_zero_bound,
-    note_missed,
-    tail_bound_mu_p,
-)
+from khintchine.quad import integrate, near_zero_bound, note_missed, tail_bound_mu_p
+from khintchine.verifier import npcheck
 from khintchine.verifier.npcheck import gauss_cos_gap_integral
 
 
@@ -29,7 +25,7 @@ COS2_T4_TAIL = 0.0247794406641325
 
 
 def test_constant_integrand():
-    r = integrate(lambda t: Interval(1.0, 1.0), 0.0, 1.0, QuadConfig())
+    r = integrate(lambda t: Interval(1.0, 1.0), 0.0, 1.0, 1e-6)
     assert r.value.contains(1.0) and r.value.width <= 1e-9
     assert r.ok
 
@@ -40,55 +36,54 @@ def test_inexact_cell_width_enclosed():
     # times the rounded difference
     a, b, c = 0.1, 2.1, 0.95
     assert Fraction(b - a) != Fraction(b) - Fraction(a)
-    r = integrate(lambda t: Interval(c, c), a, b, QuadConfig())
+    r = integrate(lambda t: Interval(c, c), a, b, 1e-6)
     exact = Fraction(c) * (Fraction(b) - Fraction(a))
     assert Fraction(r.value.lo) <= exact <= Fraction(r.value.hi)
     assert r.value.encloses(Interval(c, c) * (Interval(b, b) - Interval(a, a)))
 
 
 def test_sin_integral():
-    r = integrate(
-        lambda t: t.sin(), 0.0, math.pi, QuadConfig(target_width=3e-5)
-    )
+    r = integrate(lambda t: t.sin(), 0.0, math.pi, 3e-5)
     assert r.value.contains(2.0)
     assert r.value.width <= 3.5e-5
 
 
 def test_oscillatory_mu_p_integral():
     f = lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0))
-    r = integrate(f, math.pi / 2, 50.0, QuadConfig(target_width=5e-5))
+    r = integrate(f, math.pi / 2, 50.0, 5e-5)
     tail = tail_bound_mu_p("cos_power", SQRT2, Interval(3.0, 3.0), 50.0)
     total = r.value + tail
     assert total.contains(COS2_T4_TAIL)
     assert total.width <= 3e-4
 
 
-def test_refinement_never_widens():
+def test_refinement_never_widens(monkeypatch):
     f = lambda t: (t * t - 1.0).exp()
-    shallow = integrate(f, 0.0, 2.0, QuadConfig(target_width=1e-14, max_cells=5000))
-    deep = integrate(f, 0.0, 2.0, QuadConfig(target_width=1e-14, max_cells=20000))
+    monkeypatch.setattr(quad, "MAX_CELLS", 5000)
+    shallow = integrate(f, 0.0, 2.0, 1e-14)
+    monkeypatch.setattr(quad, "MAX_CELLS", 20000)
+    deep = integrate(f, 0.0, 2.0, 1e-14)
     assert shallow.value.encloses(deep.value)
 
 
 def test_split_consistency():
     f = lambda t: t.sin() * t
-    whole = integrate(f, 0.0, 2.0, QuadConfig(target_width=4e-5))
-    left = integrate(f, 0.0, 0.7, QuadConfig(target_width=2e-5))
-    right = integrate(f, 0.7, 2.0, QuadConfig(target_width=2e-5))
+    whole = integrate(f, 0.0, 2.0, 4e-5)
+    left = integrate(f, 0.0, 0.7, 2e-5)
+    right = integrate(f, 0.7, 2.0, 2e-5)
     assert whole.value.intersects(left.value + right.value)
 
 
-def test_budget_exhaustion_is_flagged_but_valid():
-    r = integrate(
-        lambda t: t.sin(), 0.0, math.pi, QuadConfig(target_width=1e-12, max_cells=512)
-    )
+def test_budget_exhaustion_is_flagged_but_valid(monkeypatch):
+    monkeypatch.setattr(quad, "MAX_CELLS", 512)
+    r = integrate(lambda t: t.sin(), 0.0, math.pi, 1e-12)
     assert r.status == "wide"
     assert r.value.contains(2.0)
 
 
 def test_domain_error_propagates():
     with pytest.raises(DomainError):
-        integrate(lambda t: t.ln(), -1.0, 1.0, QuadConfig(target_width=1e-3))
+        integrate(lambda t: t.ln(), -1.0, 1.0, 1e-3)
 
 
 def test_tail_bounds():
@@ -109,9 +104,7 @@ def test_tail_bounds():
 
 def test_gaussian_sanity():
     # int_0^inf e^{-t^2/2} dt = sqrt(pi/2); finite part to 10 plus majorant tail
-    r = integrate(
-        lambda t: (-(t * t) * 0.5).exp(), 0.0, 10.0, QuadConfig(target_width=2e-5)
-    )
+    r = integrate(lambda t: (-(t * t) * 0.5).exp(), 0.0, 10.0, 2e-5)
     T = Interval(10.0, 10.0)
     tail_hi = ((1.0 / T) * (-(T * T) * 0.5).exp()).hi
     total = r.value + Interval(0.0, tail_hi)
@@ -131,7 +124,7 @@ def test_near_zero_bound():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        QuadConfig(target_width=0.0)
+        integrate(lambda t: t, 0.0, 1.0, 0.0)
 
 
 # -- second-order cell enclosures --------------------------------------------
@@ -151,11 +144,9 @@ def _gap_pieces_truth(p, s):
 @pytest.mark.parametrize("target", [2e-4, 1e-5])
 @pytest.mark.parametrize("p", [2.1, 2.9])
 @pytest.mark.parametrize("s", [float(SQRT2.lo), 4.0])
-def test_gap_integral_pieces_contain_mpmath(p, s, target):
-    cfg = QuadConfig(target_width=target, max_cells=150_000)
-    _, (series, direct) = gauss_cos_gap_integral(
-        Interval(p, p), Interval(s, s), cfg=cfg
-    )
+def test_gap_integral_pieces_contain_mpmath(p, s, target, monkeypatch):
+    monkeypatch.setattr(npcheck, "_GAP_TARGET", target)
+    _, (series, direct) = gauss_cos_gap_integral(Interval(p, p), Interval(s, s))
     for q, truth in zip((series, direct), _gap_pieces_truth(p, s)):
         assert q.ok
         assert q.value.width <= target
@@ -166,7 +157,7 @@ def test_cell_enclosure_falls_back_across_a_kink():
     # |cos t|^sqrt2 has an unbounded f'' at pi/2: the jet raises there and
     # those cells keep the first-order enclosure
     f = lambda t: pow_real(t.cos().abs(), SQRT2) / t**3
-    r = integrate(f, 1.0, 2.0, QuadConfig(target_width=1e-6))
+    r = integrate(f, 1.0, 2.0, 1e-6)
     g = lambda t: abs(mp.cos(t)) ** mp.sqrt(2) / t**3
     truth = mp.quad(g, [1, mp.pi / 2, 2])
     assert r.ok and r.value.width <= 1e-6
@@ -175,7 +166,7 @@ def test_cell_enclosure_falls_back_across_a_kink():
 
 def test_constant_integrand_on_inexact_cells():
     third = Interval.from_fraction(Fraction(1, 3))
-    r = integrate(lambda t: third, 0.1, 2.1, QuadConfig(target_width=1e-12))
+    r = integrate(lambda t: third, 0.1, 2.1, 1e-12)
     exact = Fraction(1, 3) * (Fraction(2.1) - Fraction(0.1))
     assert Fraction(r.value.lo) <= exact <= Fraction(r.value.hi)
     assert r.ok and r.cells == 1
@@ -189,12 +180,10 @@ def test_gap_integral_cell_count():
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
-    from khintchine.verifier import npcheck
-
-    capped = lambda **kw: QuadConfig(**{**kw, "max_cells": 41})
-    monkeypatch.setattr(npcheck, "QuadConfig", capped)
+    monkeypatch.setattr(quad, "MAX_CELLS", 41)
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
     assert leaf.note == "quadrature target missed (wide, 82 cells)"
-    assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0, QuadConfig())) == "x"
+    monkeypatch.undo()
+    assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0, 1e-6)) == "x"

@@ -72,7 +72,7 @@ def test_hprime_piece_values():
 def test_lambda_constant_repair_is_necessary():
     # the printed 0.043369 exceeds 1.75 * int cos^2/t^4 = 0.0433640...; the
     # certified enclosure must refute it while the repaired 0.0433 clears it
-    from khintchine.quad import QuadConfig, integrate, tail_bound_mu_p
+    from khintchine.quad import integrate, tail_bound_mu_p
     from khintchine.interval import pow_real
     import math
 
@@ -80,7 +80,7 @@ def test_lambda_constant_repair_is_necessary():
         lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
         math.pi / 2,
         50.0,
-        QuadConfig(target_width=1.5e-6, max_cells=1_200_000),
+        1.5e-6,
     )
     I1 = q.value + tail_bound_mu_p(
         "cos_power", Interval(2.0, 2.0), Interval(3.0, 3.0), 50.0
@@ -132,11 +132,34 @@ def test_gauss_piece_printed_floor_fails():
 
 def test_quadratic_majorant_shift_repair():
     # printed -0.04399 fails near x = sqrt2/2 (margin -6.4e-5); -0.0439 holds
-    bad = lemma52_piece2_margin(QUAD_MAJORANT_SHIFT_PRINTED, max_evals=20_000)
+    bad = lemma52_piece2_margin(QUAD_MAJORANT_SHIFT_PRINTED)
     assert bad.status == FAILED
-    good = lemma52_piece2_margin(QUAD_MAJORANT_SHIFT, max_evals=200_000)
+    good = lemma52_piece2_margin(QUAD_MAJORANT_SHIFT)
     assert good.status == PROVED
     # mpmath cross-check of the failure point
     x = mp.sqrt(2) / 2
     val = (mp.sqrt(2) - 1) * x**2 + mp.mpf("0.6355") * x - mp.mpf("0.04399") - x ** mp.sqrt(2)
     assert float(val) < -6e-5
+
+
+def test_wide_quadratures_reach_the_cond2_leaf_notes(monkeypatch):
+    # with the cell cap at 5, every cond2 quadrature stops wide; each leaf
+    # that reads a quadrature must say so
+    from khintchine import quad
+
+    monkeypatch.setattr(quad, "MAX_CELLS", 5)
+    h2 = check_cond2_h2()
+    overlaps = [n for n in h2.walk() if n.name.endswith("-vs-quadrature")]
+    assert [n.name for n in overlaps] == [
+        "closed-form-vs-quadrature",
+        "exact-vs-quadrature",
+        "primitives-vs-quadrature",
+        "tail-vs-quadrature",
+    ]
+    hprime = check_cond2_hprime()
+    leaves = overlaps + [
+        _find(hprime, "integral-above-0.0153"),
+        _find(hprime, "J-below-0.0147"),
+    ]
+    for node in leaves:
+        assert "quadrature target missed (wide, " in node.note, node.name

@@ -80,32 +80,31 @@ def test_prove_positive_1d_outcomes():
     m, _, st = prove_positive_1d(lambda t: t * t - 2.0, -1.0, 1.0)
     assert st == FAILED and m.hi < 0
     # x^2 touches zero: strict fails to resolve, non-strict proves
-    _, _, st = prove_positive_1d(
-        lambda t: t * t, -1.0, 1.0, strict=True, max_evals=500
-    )
+    _, _, st = prove_positive_1d(lambda t: t * t, -1.0, 1.0, strict=True)
     assert st == INCONCLUSIVE
     m, _, st = prove_positive_1d(lambda t: t * t, -1.0, 1.0, strict=False)
     assert st == PROVED and abs(m.lo) <= 1e-10
 
 
-def test_prove_positive_budget_never_lies():
+def test_prove_positive_budget_never_lies(monkeypatch):
     # a sharp positive dip needs many cells; tiny budget must degrade to
     # inconclusive rather than proving or refuting
     f = lambda t: (t - 0.3333) * (t - 0.3333) + 1e-8
-    _, _, st = prove_positive_1d(f, 0.0, 1.0, max_evals=10)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "BUDGET", 10)
+        _, _, st = prove_positive_1d(f, 0.0, 1.0)
     assert st == INCONCLUSIVE
-    _, _, st = prove_positive_1d(f, 0.0, 1.0, max_evals=200_000)
+    _, _, st = prove_positive_1d(f, 0.0, 1.0)
     assert st == PROVED
 
 
-def test_prove_positive_2d():
+def test_prove_positive_2d(monkeypatch):
     m, _, st = prove_positive_2d(
         lambda x, y: x * x + y * y + 0.5, (-1.0, 1.0), (-1.0, 1.0)
     )
     assert st == PROVED and m.lo >= 0.5 - 1e-12
-    _, _, st = prove_positive_2d(
-        lambda x, y: x + y, (-1.0, 1.0), (-1.0, 1.0), max_evals=100
-    )
+    monkeypatch.setattr(engine, "BUDGET", 100)
+    _, _, st = prove_positive_2d(lambda x, y: x + y, (-1.0, 1.0), (-1.0, 1.0))
     assert st != PROVED
 
 
@@ -134,18 +133,20 @@ def test_prove_positive_2d_anisotropic_domain():
     assert st == PROVED and evals == 285 and m.lo > 0.0
 
 
-def test_subdivision_check_wrapper():
+def test_subdivision_check_wrapper(monkeypatch):
     # the leaf grades the prover's margin; it must land on the prover's status
     dip = lambda t: (t - 0.3333) * (t - 0.3333) + 1e-8
     cases = [
-        ("pos", lambda t: t.exp(), {}, PROVED),
-        ("touching", lambda t: t * t, {"strict": False}, PROVED),
-        ("refuted", lambda t: t * t - 2.0, {}, FAILED),
-        ("refuted-nonstrict", lambda t: t * t - 2.0, {"strict": False}, FAILED),
-        ("budget", dip, {"max_evals": 10}, INCONCLUSIVE),
-        ("budget-nonstrict", dip, {"strict": False, "max_evals": 10}, INCONCLUSIVE),
+        ("pos", lambda t: t.exp(), {}, engine.BUDGET, PROVED),
+        ("touching", lambda t: t * t, {"strict": False}, engine.BUDGET, PROVED),
+        ("refuted", lambda t: t * t - 2.0, {}, engine.BUDGET, FAILED),
+        ("refuted-nonstrict", lambda t: t * t - 2.0, {"strict": False},
+         engine.BUDGET, FAILED),
+        ("budget", dip, {}, 10, INCONCLUSIVE),
+        ("budget-nonstrict", dip, {"strict": False}, 10, INCONCLUSIVE),
     ]
-    for name, f, kw, expected in cases:
+    for name, f, kw, budget, expected in cases:
+        monkeypatch.setattr(engine, "BUDGET", budget)
         r = subdivision_check(name, f, -2.0, 2.0, **kw)
         m, evals, st = prove_positive_1d(f, -2.0, 2.0, **kw)
         assert r.status == st == expected, name

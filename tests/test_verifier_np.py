@@ -3,6 +3,7 @@
 import pytest
 
 from khintchine.interval import Interval, SQRT2
+from khintchine.verifier import engine
 from khintchine.verifier import (
     FAILED,
     INCONCLUSIVE,
@@ -60,15 +61,15 @@ def test_np_generic_double_crossing_fails():
     assert "negative again" in res.note
 
 
-def test_np_generic_budget_never_proves():
+def test_np_generic_budget_never_proves(monkeypatch):
     # the enclosure of F straddles G = 1/2 on every cell within 0.3 of the
-    # crossing, however fine; a budget spent before those cells reach y_tol
+    # crossing, however fine; a budget spent before those cells reach Y_TOL
     # leaves the sign change unresolved, never proved
+    monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
         lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
         lambda x: Interval(0.5, 0.5),
         Interval(1.0, 1.0),
-        max_evals=10,
         name="fuzzy",
     )
     assert res.status == INCONCLUSIVE
@@ -77,7 +78,7 @@ def test_np_generic_budget_never_proves():
     assert "budget" in res.note
 
 
-def test_np_generic_unresolved_right_edge_inconclusive():
+def test_np_generic_unresolved_right_edge_inconclusive(monkeypatch):
     # F - G = (x-0.2)(x-0.5)(x-0.8) is positive on (0.8, 1], and
     # F' = 3 + (the cubic)' >= 2.91; every point value of F is blurred by
     # +-0.05, so with a tiny budget no cell is certified positive, yet no
@@ -86,9 +87,9 @@ def test_np_generic_unresolved_right_edge_inconclusive():
         cubic = (x - 0.2) * (x - 0.5) * (x - 0.8)
         return x * 3.0 + cubic + Interval(-0.05, 0.05)
 
+    monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
-        F, lambda x: x * 3.0, Interval(1.0, 1.0),
-        max_evals=10, name="blurred-cubic",
+        F, lambda x: x * 3.0, Interval(1.0, 1.0), name="blurred-cubic"
     )
     assert res.status == INCONCLUSIVE
     assert res.children[0].status == INCONCLUSIVE

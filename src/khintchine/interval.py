@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as _Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Interval",
@@ -465,6 +465,48 @@ def horner_nonneg(coeffs: Sequence[Interval], x: Interval) -> Interval:
             raise DomainError(f"horner_nonneg needs coefficients >= 0, got {c}")
         lo = _nextafter(lo * xlo, -INF) + c_lo
         hi = _nextafter(hi * xhi, INF) + c.hi
+        if lo != 0.0:
+            lo = _nextafter(lo, -INF)
+        if hi != 0.0:
+            hi = _nextafter(hi, INF)
+    return _make(lo, hi)
+
+
+def exp_sum(s: Interval, xs: Iterable[Interval], acc: Interval) -> Interval:
+    """Enclosure of acc + sum_x exp(s * x) for s.hi <= 0 < x.lo.
+
+    Bit for bit the loop ``acc = acc + (s * x).exp()``.  Under these signs
+    the corners of s * x are ordered: s.lo * x.hi is the least and
+    s.hi * x.lo the greatest, and rounding is monotone, so ``*`` keeps
+    exactly those two (a 0 * inf corner counts as 0) and moves each one ulp
+    outward; a tie between 0.0 and -0.0 does not matter after that step.
+    The product's upper end is at most 5e-324, so ``exp`` cannot overflow;
+    both ends move ELEM_ULPS ulps outward and a lower end <= 0 becomes 0.
+    Each sum moves one ulp outward unless it is exactly 0, as in ``+``.
+    Only the endpoints are carried, so no intermediate Interval is built.
+    """
+    s_lo, s_hi = s.lo, s.hi
+    if s_hi > 0.0:
+        raise DomainError(f"exp_sum needs s <= 0, got {s}")
+    lo, hi = acc.lo, acc.hi
+    exp = math.exp
+    for x in xs:
+        x_lo = x.lo
+        if not x_lo > 0.0:
+            raise DomainError(f"exp_sum needs x > 0, got {x}")
+        a = s_lo * x.hi
+        b = s_hi * x_lo
+        if a != a:  # 0 * inf
+            a = 0.0
+        if b != b:
+            b = 0.0
+        t_lo = exp(_nextafter(a, -INF))
+        t_hi = exp(_nextafter(b, INF))
+        for _ in _ELEM_STEPS:
+            t_lo = _nextafter(t_lo, -INF)
+            t_hi = _nextafter(t_hi, INF)
+        lo += t_lo if t_lo > 0.0 else 0.0  # -0.0 + 0.0 is 0.0, as in ``+``
+        hi += t_hi
         if lo != 0.0:
             lo = _nextafter(lo, -INF)
         if hi != 0.0:

@@ -10,7 +10,10 @@ and bounded by twice the first omitted term.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from .interval import (
     EULER_GAMMA,
@@ -18,6 +21,7 @@ from .interval import (
     SQRT2,
     DomainError,
     Interval,
+    exp_sum,
     horner_nonneg,
     pow_real,
 )
@@ -221,21 +225,36 @@ def ci(x: Interval) -> Interval:
     return EULER_GAMMA + x.ln() + series
 
 
+_LN_K: list[Interval] = []  # _LN_K[k - 2] encloses ln k; grown by _ln_k
+
+
+def _ln_k(K: int) -> Iterator[Interval]:
+    """The enclosures (ln 2, ln 3, ..., ln K), each built once, on first use."""
+    if len(_LN_K) < K - 1:
+        _LN_K.extend(Interval(k, k).ln() for k in range(len(_LN_K) + 2, K + 1))
+    return islice(_LN_K, K - 1)
+
+
 def zeta_sum(q: Interval, terms: int = 10000) -> Interval:
     """Enclosure of zeta(q) = sum k^-q for q in [2, 4.5].
 
     Partial sum plus the integral bracket
     [ int_{K+1}^inf x^-q dx,  int_K^inf x^-q dx ].
+    Each term k^-q is pow_real(k, -q) = exp(-q ln k), summed by ``exp_sum``;
+    results are memoised on (q.lo, q.hi, K).
     """
     if not (2.0 <= q.lo and q.hi <= 4.5):
         raise DomainError(f"zeta_sum domain is [2, 4.5], got {q}")
     K = int(terms)
     if K < 10:
         raise ValueError("terms must be >= 10")
-    neg_q = -q
-    acc = Interval(1.0, 1.0)
-    for k in range(2, K + 1):
-        acc = acc + pow_real(Interval(k, k), neg_q)
+    return _zeta_partial(q.lo, q.hi, K)
+
+
+@lru_cache(maxsize=64)
+def _zeta_partial(q_lo: float, q_hi: float, K: int) -> Interval:
+    q = Interval(q_lo, q_hi)
+    acc = exp_sum(-q, _ln_k(K), Interval(1.0, 1.0))
     qm1 = q - 1.0
     lo_tail = pow_real(Interval(K + 1, K + 1), 1.0 - q) / qm1
     hi_tail = pow_real(Interval(K, K), 1.0 - q) / qm1

@@ -102,26 +102,26 @@ def check_cond1_sign_at_sigma() -> CheckResult:
 # small x: F_* - G_* < 0 on (0, rho]
 # ---------------------------------------------------------------------------
 
-_ZETA_CACHE: dict[tuple[float, float, int], Interval] = {}
-
-
-def _zeta(q: Interval, terms: int) -> Interval:
-    key = (q.lo, q.hi, terms)
-    out = _ZETA_CACHE.get(key)
-    if out is None:
-        out = _ZETA_CACHE[key] = zeta_sum(q, terms)
-    return out
-
-
 def d_coefficient(p: Interval, zeta_terms: int = 2000) -> Interval:
-    """d_p = 2.02 (2/pi)^(p+1) (1 - 2^-(p+1)) zeta(p+1)."""
+    """d_p = 2.02 (2/pi)^(p+1) (1 - 2^-(p+1)) zeta(p+1).
+
+    zeta decreases in q = p + 1, and rounding is monotone, so each end of
+    ``zeta_sum(q)`` (terms, tail and division) is computed from one end of q
+    only: its lower end from q.hi, its upper end from q.lo.  The hull of the
+    sums at the two ends of the box is therefore ``zeta_sum(p + 1.0)`` bit
+    for bit, and neighbouring boxes share an end sum through its cache.
+    """
     q = p + 1.0
     two_over_pi = Interval(2.0, 2.0) / PI
+    zeta = Interval(
+        zeta_sum(Interval(p.hi, p.hi) + 1.0, zeta_terms).lo,
+        zeta_sum(Interval(p.lo, p.lo) + 1.0, zeta_terms).hi,
+    )
     return (
         Interval(2.02, 2.02)
         * pow_real(two_over_pi, q)
         * (Interval(1.0, 1.0) - pow_real(Interval(2.0, 2.0), -q))
-        * _zeta(q, zeta_terms)
+        * zeta
     )
 
 

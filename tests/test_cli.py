@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from khintchine import specfun as sf
 from khintchine.cli import Report, RunConfig, build_parser, exit_code, main, run
 from khintchine.interval import Interval
 from khintchine.verifier import leaf
@@ -41,6 +42,16 @@ def test_constants_suite_report(tmp_path):
     )
     del doc["timestamp"], doc["elapsed_seconds"]
     assert json.dumps(doc, sort_keys=True) == json.dumps(body, sort_keys=True)
+
+
+def test_cold_and_warm_caches_give_one_certificate():
+    def bodies():
+        return [json.dumps(run(RunConfig(suite=s)).body(), sort_keys=True)
+                for s in ("cond1", "constants")]
+
+    sf._zeta_partial.cache_clear()
+    sf._LN_K.clear()
+    assert bodies() == bodies()
 
 
 def test_text_report_format():

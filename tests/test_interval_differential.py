@@ -4,7 +4,8 @@ Every operator, elementary function and ``pow_real`` must return bit-for-bit
 the endpoints of ``reference_interval`` (compared with ``float.hex``, so -0.0
 and 0.0 differ), and raise where it raises.  ``horner_nonneg`` must equal the
 interval Horner loop for positive coefficients at a positive argument and stay
-an enclosure elsewhere.
+an enclosure elsewhere.  ``exp_sum`` must equal the interval loop
+``acc = acc + (s * x).exp()`` on its domain s <= 0 < x and raise off it.
 """
 
 import math
@@ -23,6 +24,7 @@ from khintchine.interval import (
     TRIG_ARG_LIMIT,
     DomainError,
     Interval,
+    exp_sum,
     horner_nonneg,
     pow_real,
 )
@@ -233,6 +235,74 @@ def test_horner_nonneg_rejects_negative_coefficients():
         horner_nonneg([Interval(1.0, 1.0), Interval(-1.0, 1.0)], Interval(0.5, 0.5))
     with pytest.raises(DomainError):
         horner_nonneg([Interval(-1.0, 1.0), Interval(1.0, 1.0)], Interval(0.5, 0.5))
+
+
+# -- exp_sum -----------------------------------------------------------------
+
+
+def _loop_exp_sum(cls, s, xs, acc):
+    s = cls(s.lo, s.hi)
+    acc = cls(acc.lo, acc.hi)
+    for x in xs:
+        acc = acc + (s * cls(x.lo, x.hi)).exp()
+    return acc
+
+
+def _same_exp_sum(s, xs, acc):
+    got = _outcome(exp_sum, s, xs, acc)
+    assert got == _outcome(_loop_exp_sum, Interval, s, xs, acc), (s, xs, acc)
+    assert got == _outcome(_loop_exp_sum, ref.Interval, s, xs, acc), (s, xs, acc)
+
+
+def _positive(rng):
+    lo = 10.0 ** rng.uniform(-320, 300)
+    return Interval(lo, lo * (1.0 + rng.choice((0.0, 1e-15, rng.uniform(0.0, 3.0)))))
+
+
+def test_exp_sum_matches_interval_loop_on_random_draws():
+    rng = random.Random(28)
+    for _ in range(2_000):
+        hi = -rng.choice((0.0, 10.0 ** rng.uniform(-320, 3)))
+        s = Interval(hi - rng.choice((0.0, 10.0 ** rng.uniform(-320, 3))), hi)
+        xs = [_positive(rng) for _ in range(rng.randint(0, 12))]
+        a = rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-320, 5)))
+        acc = Interval(a, a + rng.choice((0.0, rng.uniform(0.0, 1.0))))
+        _same_exp_sum(s, xs, acc)
+
+
+def test_exp_sum_matches_interval_loop_at_the_edges():
+    xs_edge = [Interval(a, b) for a in (TINY, 1e-310, MIN_NORMAL, 0.5, 1.0, 1e300, MAX)
+               for b in (TINY, 1e-310, MIN_NORMAL, 1.0, 1e300, MAX, INF) if a <= b]
+    xs_edge += [Interval(INF, INF)]
+    s_edge = [Interval(lo, hi) for lo in (-INF, -MAX, -1e300, -800.0, -3.0, -1.0, -TINY,
+                                          -0.0, 0.0)
+              for hi in (-800.0, -3.0, -1.0, -1e-310, -TINY, -0.0, 0.0) if lo <= hi]
+    accs = [Interval(a, b) for a, b in ((0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (-TINY, TINY),
+                                        (1.0, 1.0), (-1.0, 2.0), (-INF, INF), (MAX, INF))]
+    for s in s_edge:
+        for acc in accs:
+            _same_exp_sum(s, xs_edge, acc)
+            for x in xs_edge:
+                _same_exp_sum(s, [x], acc)
+    # every exp underflows to 0: the lower end stays put but for the sum's step
+    for acc in accs:
+        _same_exp_sum(Interval(-1000.0, -800.0), [Interval(1.0, 2.0)] * 5, acc)
+
+
+def test_exp_sum_matches_interval_loop_over_10000_terms():
+    ln_k = [Interval(k, k).ln() for k in range(2, 10_001)]
+    for s in (Interval(-3.0, -3.0), Interval(-4.5, -2.0), Interval(-2.0, -0.0)):
+        _same_exp_sum(s, ln_k, Interval(1.0, 1.0))
+
+
+def test_exp_sum_rejects_points_off_its_domain():
+    with pytest.raises(DomainError):
+        exp_sum(Interval(-1.0, TINY), [Interval(1.0, 2.0)], Interval(0.0, 0.0))
+    with pytest.raises(DomainError):
+        exp_sum(Interval(1.0, 2.0), [], Interval(0.0, 0.0))
+    for x in (Interval(0.0, 1.0), Interval(-0.0, 1.0), Interval(-1.0, 1.0)):
+        with pytest.raises(DomainError):
+            exp_sum(Interval(-2.0, -1.0), [Interval(1.0, 1.0), x], Interval(0.0, 0.0))
 
 
 def test_lncos_series_at_zero_contains_mpmath():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from khintchine.interval import Interval, DomainError
+from khintchine.interval import Interval, DomainError, pow_real
 from khintchine import specfun as sf
 from khintchine.polytools import poly
 
@@ -169,6 +169,45 @@ def test_zeta_values():
     assert z4.contains(math.pi**4 / 90)
     with pytest.raises(DomainError):
         sf.zeta_sum(iv(1.5))
+
+
+# the zeta points and box the proof and the tests below use
+ZETA_QS = [iv(2.0), iv(2.5), iv(3.0), iv(4.0), iv(4.5), Interval(3.0625, 3.125)]
+
+
+def _zeta_loop(q, K):
+    """zeta_sum written out with one pow_real per term and no cache."""
+    neg_q = -q
+    acc = Interval(1.0, 1.0)
+    for k in range(2, K + 1):
+        acc = acc + pow_real(Interval(k, k), neg_q)
+    qm1 = q - 1.0
+    lo_tail = pow_real(Interval(K + 1, K + 1), 1.0 - q) / qm1
+    hi_tail = pow_real(Interval(K, K), 1.0 - q) / qm1
+    return acc + Interval(lo_tail.lo, hi_tail.hi)
+
+
+def _hexes(z):
+    return float.hex(z.lo), float.hex(z.hi)
+
+
+@pytest.mark.parametrize("K", [2000, 10_000])
+def test_zeta_sum_equals_the_per_term_loop(K):
+    sf._zeta_partial.cache_clear()
+    sf._LN_K.clear()
+    for q in ZETA_QS:
+        want = _hexes(_zeta_loop(q, K))
+        assert _hexes(sf.zeta_sum(q, K)) == want, q  # cold
+        assert _hexes(sf.zeta_sum(q, K)) == want, q  # from the cache
+
+
+def test_zeta_contains_mpmath_at_mpf_endpoints():
+    with mp.workdps(50):
+        for K in (2000, 10_000):
+            for q in ZETA_QS:
+                z = sf.zeta_sum(q, K)
+                # zeta decreases in q: its range on the box is [zeta(q.hi), zeta(q.lo)]
+                assert mpf(z.lo) <= mp.zeta(mpf(q.hi)) <= mp.zeta(mpf(q.lo)) <= mpf(z.hi)
 
 
 def test_gamma_anchors():

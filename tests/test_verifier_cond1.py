@@ -1,7 +1,8 @@
 """Condition-1 checks: everything proves, spec examples hold, degenerate
 parameters fail as they should."""
 
-from khintchine.interval import Interval
+from khintchine import specfun as sf
+from khintchine.interval import PI, Interval, pow_real
 from khintchine.verifier import (
     PROVED,
     check_case1_polynomials,
@@ -14,6 +15,7 @@ from khintchine.verifier import (
     d_coefficient,
     status_from_margin,
 )
+from khintchine.verifier import cond1
 from khintchine.verifier.cond1 import _rhs_sign_bound, _rhs13
 
 
@@ -71,6 +73,41 @@ def test_d_coefficient_values():
     d3 = d_coefficient(Interval(3.0, 3.0), zeta_terms=10_000)
     # d3 = 2.02/6 exactly
     assert d3.contains(2.02 / 6)
+
+
+def _d_direct(p, terms):
+    """d_p with zeta summed on the whole p box."""
+    q = p + 1.0
+    return (
+        Interval(2.02, 2.02)
+        * pow_real(Interval(2.0, 2.0) / PI, q)
+        * (Interval(1.0, 1.0) - pow_real(Interval(2.0, 2.0), -q))
+        * sf.zeta_sum(q, terms)
+    )
+
+
+def test_d_coefficient_equals_the_box_formula(monkeypatch):
+    calls = []
+
+    def recording(p, zeta_terms=2000):
+        d = d_coefficient(p, zeta_terms)
+        calls.append((p, zeta_terms, d))
+        return d
+
+    monkeypatch.setattr(cond1, "d_coefficient", recording)
+    check_cond1_small_x()
+    boxes = [p for p, terms, _ in calls if terms == 2000]
+    assert len(boxes) == 37 and all(p.lo < p.hi for p in boxes)  # dp-below-line
+    for p, terms, d in calls:
+        want = _d_direct(p, terms)
+        assert (float.hex(d.lo), float.hex(d.hi)) == (float.hex(want.lo), float.hex(want.hi))
+
+
+def test_small_x_shares_zeta_sums_between_boxes():
+    sf._zeta_partial.cache_clear()
+    check_cond1_small_x()
+    # d2 and d3 at 10,000 terms and the 20 distinct box ends at 2,000 terms
+    assert sf._zeta_partial.cache_info().misses == 22
 
 
 def test_reduction_proves():

@@ -171,7 +171,7 @@ def test_zeta_values():
         sf.zeta_sum(iv(1.5))
 
 
-# the zeta points and box the proof and the tests below use
+# points across the zeta_sum domain and one q box
 ZETA_QS = [iv(2.0), iv(2.5), iv(3.0), iv(4.0), iv(4.5), Interval(3.0625, 3.125)]
 
 

@@ -8,11 +8,11 @@ import math
 
 from khintchine.interval import Interval
 from khintchine.specfun import (
+    LN_COS_COEFFS,
     b_constant,
     ci,
-    cos_upper_bounds,
     ei_neg,
-    neg_ln_cos_lower,
+    neg_ln_cos_excess,
     si,
     zeta_sum,
 )
@@ -45,10 +45,9 @@ print("B_2 contains exactly 1, the Euclidean-norm case.")
 
 print()
 print("== the -ln cos series that powers the cosine majorants ==")
-t = iv(1.0)
-print(f"partial sums at t=1: K=1 {neg_ln_cos_lower(t, 1)},")
-print(f"                     K=3 {neg_ln_cos_lower(t, 3)}")
-print(f"true -ln cos 1 = {-math.log(math.cos(1.0)):.12f} (always above)")
-b1, b2, b3 = cos_upper_bounds(t)
-print(f"majorant chain at t=1: {b3.mid:.6f} <= {b2.mid:.6f} <= {b1.mid:.6f}")
-print(f"each one bounds cos 1 = {math.cos(1.0):.6f} from above")
+print("-ln cos t = sum c_k t^(2k), first coefficients:",
+      ", ".join(str(c) for c in LN_COS_COEFFS[:4]))
+excess = neg_ln_cos_excess(iv(1.0))
+print(f"-ln cos 1 - 1/2 in {excess}")
+print(f"true -ln cos 1 - 1/2 = {-math.log(math.cos(1.0)) - 0.5:.12f}")
+print("positive coefficients give |cos t|^s <= exp(-s (t^2/2 + c_2 t^4 + ...))")

@@ -6,7 +6,8 @@ coefficients are exact polynomials in pi.  Zero coefficients are never
 stored, so equal polynomials compare equal.  All manipulation is exact, so
 cancellations (the usual source of boundary-degenerate margins) are detected
 exactly rather than numerically; pi only becomes an interval when `p_to_iv`
-converts the coefficients once for repeated `ipoly_eval`.
+converts the coefficients once for repeated `ipoly_eval`, as `p_quotient`
+does for an exact quotient by t^k.
 
 A ``TaylorEnclosure`` is a truncated series f(t) in poly(t) +- rem |t|^power,
 valid for |t| <= t_limit.  It reaches a proof only through
@@ -79,6 +80,13 @@ def p_to_iv(a: Poly) -> list[Interval]:
     return [Interval(0.0, 0.0) if c is None else c for c in out]
 
 
+def p_quotient(num: Poly, k: int) -> Callable[[Interval], Interval]:
+    """Evaluator of num(t) / t^k, divided exactly and converted once, here;
+    a low-order term of num raises ValueError."""
+    coeffs = p_to_iv(p_shift_div(num, k))
+    return lambda t: ipoly_eval(coeffs, t)
+
+
 @dataclass(frozen=True)
 class TaylorEnclosure:
     """f(t) in poly(t) + [-1, 1] rem_coeff |t|^rem_power for |t| <= t_limit."""
@@ -98,8 +106,7 @@ class TaylorEnclosure:
         raises DomainError past t_limit and adds the band
         rem_coeff |t|^(rem_power - k).
         """
-        num = self.poly if minus is None else p_sub(self.poly, minus)
-        coeffs = p_to_iv(p_shift_div(num, k))
+        quot = p_quotient(self.poly if minus is None else p_sub(self.poly, minus), k)
         rem = Interval.from_fraction(self.rem_coeff)
         power, t_limit = self.rem_power - k, self.t_limit
 
@@ -107,6 +114,6 @@ class TaylorEnclosure:
             if t.mag > t_limit:
                 raise DomainError(f"Taylor enclosure valid to |t|<={t_limit}")
             band = rem * (t.abs() ** power)
-            return ipoly_eval(coeffs, t) + Interval(-band.hi, band.hi)
+            return quot(t) + Interval(-band.hi, band.hi)
 
         return evaluate

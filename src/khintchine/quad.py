@@ -28,7 +28,6 @@ from .jet import Jet
 
 FnEnclosure = Callable[[Interval], Interval]
 
-MAX_DEPTH = 40  # bisection depth at which a cell is kept as it is
 MAX_CELLS = 500_000  # cells enclosed before a run stops "wide"
 
 
@@ -79,16 +78,18 @@ def integrate(f: FnEnclosure, a: float, b: float, target_width: float) -> QuadRe
     """Enclosure of the integral of f over the finite interval [a, b].
 
     The widest cell integral is bisected until the widths sum to at most
-    target_width; a run cut short by MAX_DEPTH or MAX_CELLS is "wide".
-    cells counts the cells enclosed.
+    target_width.  A run that stops short is "wide" and its enclosure still
+    holds: it stops at MAX_CELLS, or at a cell whose float midpoint does not
+    fall strictly inside it, which is kept as it is.  cells counts the cells
+    enclosed.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if not target_width > 0.0:
         raise ValueError("target_width must be positive")
     enc = _cell(f, a, b)
-    # heap of (-cell_integral_width, lo, hi, depth, cell_integral); widest first
-    heap = [(-enc.width, a, b, 0, enc)]
+    # heap of (-cell_integral_width, lo, hi, cell_integral); widest first
+    heap = [(-enc.width, a, b, enc)]
     done: list[tuple[float, Interval]] = []
     total = enc.width
     evals = 1
@@ -100,9 +101,9 @@ def integrate(f: FnEnclosure, a: float, b: float, target_width: float) -> QuadRe
             total = math.fsum([-e[0] for e in heap] + [e.width for _, e in done])
             if total <= target_width:
                 break
-        negw, lo, hi, depth, cell_enc = heapq.heappop(heap)
+        negw, lo, hi, cell_enc = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if depth >= MAX_DEPTH or evals + 2 > MAX_CELLS or not lo < mid < hi:
+        if evals + 2 > MAX_CELLS or not lo < mid < hi:
             done.append((lo, cell_enc))
             status = "wide"
             continue
@@ -110,9 +111,9 @@ def integrate(f: FnEnclosure, a: float, b: float, target_width: float) -> QuadRe
         right = _cell(f, mid, hi)
         evals += 2
         total += negw + left.width + right.width  # negw removes the old cell
-        heapq.heappush(heap, (-left.width, lo, mid, depth + 1, left))
-        heapq.heappush(heap, (-right.width, mid, hi, depth + 1, right))
-    done.extend((lo, enc) for (_, lo, _, _, enc) in heap)
+        heapq.heappush(heap, (-left.width, lo, mid, left))
+        heapq.heappush(heap, (-right.width, mid, hi, right))
+    done.extend((lo, enc) for (_, lo, _, enc) in heap)
     # deterministic summation in position order
     done.sort(key=lambda c: c[0])
     acc = Interval(0.0, 0.0)

@@ -3,8 +3,8 @@
 Series with hard-coded exact rational coefficients, explicit tail bounds, and
 interval evaluation throughout.  Tail rule for the exponential-type series
 (ei/si/ci): the term-ratio magnitude is monotonically decreasing in the index,
-so once it is provably <= 1/2 the remainder is dominated by a geometric series
-and bounded by twice the first omitted term.
+so once an interval ratio has magnitude <= 1/2 the remainder is dominated by a
+geometric series and bounded by twice the first omitted term.
 """
 
 from __future__ import annotations
@@ -83,21 +83,6 @@ _ZETA4_UPPER = Interval.from_fraction(Fraction(11, 10))  # >= zeta(4) = 1.0823..
 _FOUR_OVER_PI2 = Interval(4.0, 4.0) / (PI * PI)
 
 
-def neg_ln_cos_lower(t: Interval, K: int) -> Interval:
-    """Enclosure of the K-term partial sum of the -ln cos series.
-
-    All coefficients are positive, so this is a certified lower bound of
-    -ln cos t on [0, pi/2).
-    """
-    if not (0.0 <= t.lo and t.hi <= 1.55):
-        raise DomainError(f"neg_ln_cos_lower domain is [0, 1.55], got {t}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    K = min(K, MAX_LNCOS_TERMS)
-    u = t * t
-    return horner_nonneg(_LN_COS_COEFFS_IV[:K], u) * u
-
-
 EXCESS_TERMS = 14  # neg_ln_cos_excess sums c_k t^{2k} exactly up to this k
 
 
@@ -138,62 +123,41 @@ def neg_ln_cos_excess(t: Interval | Jet) -> Interval | Jet:
     return t.chain(value, d1, d2)
 
 
-def cos_upper_bounds(t: Interval) -> tuple[Interval, Interval, Interval]:
-    """The chain of cosine majorants exp(-t^2/2 - ... ) on [0, pi/2)."""
-    if t.lo < 0.0:
-        raise DomainError(f"cos_upper_bounds needs t >= 0, got {t}")
-    u = t * t
-    s1 = u * Fraction(1, 2)
-    s2 = s1 + (u**2) * Fraction(1, 12)
-    s3 = s2 + (u**3) * Fraction(1, 45)
-    return (-s1).exp(), (-s2).exp(), (-s3).exp()
-
-
-def _series_with_geometric_tail(
-    first_term: Interval,
-    ratio_fn,
-    ratio_sup_fn,
-) -> Interval:
+def _series_with_geometric_tail(first_term: Interval, ratio_fn) -> Interval:
     """Sum term_1 + term_2 + ... where term_{k+1} = term_k * ratio_fn(k).
 
-    ratio_sup_fn(k) must be a monotonically nonincreasing upper bound of the
-    term-ratio magnitude; once it is <= 1/2 the remainder past any later term
-    is enclosed by [-2|next term|, 2|next term|].
+    ratio_fn(k) must enclose the ratio of term k+1 to term k, and the true
+    ratio's magnitude must be nonincreasing in k.  Then once the enclosure's
+    magnitude is <= 1/2, a rigorous upper bound of every later ratio, the
+    remainder past any later term is enclosed by [-2|next term|, 2|next term|].
     Terms keep being added until that band stops mattering at double
-    precision, then the band is attached.
+    precision, then the band is attached.  A series whose ratio is still
+    above 1/2 after MAX_SERIES_TERMS terms raises DomainError.
     """
     term = first_term
     acc = term
-    tail = None
     for k in range(1, MAX_SERIES_TERMS):
-        nxt = term * ratio_fn(k)
-        if ratio_sup_fn(k) <= 0.5:
+        ratio = ratio_fn(k)
+        nxt = term * ratio
+        if ratio.mag <= 0.5:
             bound = 2.0 * nxt.mag
             if bound <= 1e-16 * (acc.mag + 1e-300) or bound < 5e-324:
-                tail = Interval(-bound, bound)
                 break
         acc = acc + nxt
         term = nxt
     else:
-        k_last = MAX_SERIES_TERMS - 1
-        if ratio_sup_fn(k_last) > 0.5:
+        ratio = ratio_fn(MAX_SERIES_TERMS - 1)
+        if ratio.mag > 0.5:
             raise DomainError("series did not reach the geometric-tail regime")
-        nxt = term * ratio_fn(k_last)
-        bound = 2.0 * nxt.mag
-        tail = Interval(-bound, bound)
-    return acc + tail
+        bound = 2.0 * (term * ratio).mag
+    return acc + Interval(-bound, bound)
 
 
 def ei_neg(x: Interval) -> Interval:
     """Enclosure of Ei(x) for x < 0 via C + ln(-x) + sum x^k/(k k!)."""
     if not (-30.0 <= x.lo and x.hi <= -1e-6):
         raise DomainError(f"ei_neg domain is [-30, -1e-6], got {x}")
-    mag = x.mag
-    series = _series_with_geometric_tail(
-        x,
-        lambda k: x * Fraction(k, (k + 1) ** 2),
-        lambda k: mag * k / (k + 1) ** 2,
-    )
+    series = _series_with_geometric_tail(x, lambda k: x * Fraction(k, (k + 1) ** 2))
     return EULER_GAMMA + (-x).ln() + series
 
 
@@ -202,11 +166,9 @@ def si(x: Interval) -> Interval:
     if not (0.0 < x.lo and x.hi <= 50.0):
         raise DomainError(f"si domain is (0, 50], got {x}")
     x2 = x * x
-    m2 = x2.hi
     series = _series_with_geometric_tail(
         -x,  # k=1 term of sum (-1)^k x^{2k-1}/((2k-1)(2k-1)!)
         lambda k: -x2 * Fraction(2 * k - 1, (2 * k + 1) ** 2 * (2 * k)),
-        lambda k: m2 * (2 * k - 1) / ((2 * k + 1) ** 2 * (2 * k)),
     )
     return -(PI * 0.5) - series
 
@@ -216,11 +178,9 @@ def ci(x: Interval) -> Interval:
     if not (0.0 < x.lo and x.hi <= 50.0):
         raise DomainError(f"ci domain is (0, 50], got {x}")
     x2 = x * x
-    m2 = x2.hi
     series = _series_with_geometric_tail(
         -x2 * Fraction(1, 4),
         lambda k: -x2 * Fraction(k, (k + 1) * (2 * k + 2) * (2 * k + 1)),
-        lambda k: m2 * k / ((k + 1) * (2 * k + 2) * (2 * k + 1)),
     )
     return EULER_GAMMA + x.ln() + series
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import HALF_PI, PI, Interval, imin, ipoly_eval, pow_real
-from ..polytools import TaylorEnclosure, p_mul, p_shift_div, p_sub, p_to_iv, poly
+from ..interval import HALF_PI, PI, Interval, imin, pow_real
+from ..polytools import TaylorEnclosure, p_mul, p_quotient, p_shift_div, p_sub, poly
 from ..specfun import LN_COS_COEFFS, cos_taylor, exp_taylor, sin_taylor, zeta_sum
 from .engine import (
     INF,
@@ -365,11 +365,10 @@ def check_case1_polynomials() -> CheckResult:
     expected = {(3, 2): _FR(10), (4, 1): _FR(-15), (5, 0): _FR(6)}
     if reduced != expected:
         raise AssertionError("geometric-series reduction identity failed")
-    quot_a = p_to_iv(p_shift_div(reduced, 3))
     children.append(
         subdivision_check(
             "first-factor-minorant",
-            lambda t: ipoly_eval(quot_a, t),
+            p_quotient(reduced, 3),
             0.0,
             1.0,
             note="exact reduction to 10 pi^2 - 15 pi t + 6 t^2 > 0",
@@ -418,11 +417,10 @@ def check_case1_polynomials() -> CheckResult:
 
     # (d) proposition: m1 * m3 >= 1 - t^2/3 + t^3/40, scaled by pi^5
     diff = p_sub(p_mul(_M1_SCALED, _M3_POLY), p_mul(_COR_LHS, _PI5))
-    quot_d = p_to_iv(p_shift_div(diff, 3))
     children.append(
         subdivision_check(
             "product-inequality",
-            lambda t: ipoly_eval(quot_d, t),
+            p_quotient(diff, 3),
             0.0,
             1.0,
             note="margin scaled by pi^5 and factored by t^3",
@@ -430,11 +428,10 @@ def check_case1_polynomials() -> CheckResult:
     )
 
     # (e) corollary: (1 - t^2/3 + t^3/40)(1 + t^2/3 + 7t^4/60) >= 1
-    cor = p_to_iv(p_shift_div(p_sub(p_mul(_COR_LHS, _M2_POLY), poly(1)), 3))
     children.append(
         subdivision_check(
             "corollary-product",
-            lambda t: ipoly_eval(cor, t),
+            p_quotient(p_sub(p_mul(_COR_LHS, _M2_POLY), poly(1)), 3),
             0.0,
             1.0,
             note="verified from the exact expansion, factored by t^3",
@@ -443,21 +440,20 @@ def check_case1_polynomials() -> CheckResult:
 
     # (f) composition of the three minorants, scaled by pi^5
     comp = p_sub(p_mul(p_mul(_M1_SCALED, _M2_POLY), _M3_POLY), _PI5)
-    quot_f = p_to_iv(p_shift_div(comp, 3))
     children.append(
         subdivision_check(
             "three-minorant-composition",
-            lambda t: ipoly_eval(quot_f, t),
+            p_quotient(comp, 3),
             0.0,
             1.0,
             note="(m1 m2 m3 - 1) pi^5 / t^3 > 0 on (0, 1]",
         )
     )
     # positivity side conditions for chaining the minorants
-    m3, cor_lhs = p_to_iv(_M3_POLY), p_to_iv(_COR_LHS)
+    m3, cor_lhs = p_quotient(_M3_POLY, 0), p_quotient(_COR_LHS, 0)
 
     def minorants_floor(t: Interval) -> Interval:
-        return imin([ipoly_eval(m3, t), ipoly_eval(cor_lhs, t)])
+        return imin([m3(t), cor_lhs(t)])
 
     children.append(
         subdivision_check(
@@ -515,11 +511,10 @@ def check_case2_convexity() -> CheckResult:
             note="(e^{2s} - 1 - 2s - 2s^2)/s^3 > 0",
         )
     )
-    cubic = p_to_iv(poly(3, 1, -4, 2))
     children.append(
         subdivision_check(
             "cubic-factor",
-            lambda s: ipoly_eval(cubic, s),
+            p_quotient(poly(3, 1, -4, 2), 0),
             0.0,
             3.0,
             note="((s^2-3s+3)(1+2s+2s^2) - 3)/s = 2s^3 - 4s^2 + s + 3 > 0",

@@ -23,6 +23,7 @@ from ..quad import integrate, note_missed, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg
 from .cond1 import P_BOXES, p_boxes
 from .engine import (
+    lemma_exp_affine,
     lemma_log_le_affine,
     lemma_neg_log_affine,
     lemma_one_minus_exp_quadratic,
@@ -42,6 +43,11 @@ QUAD_MAJORANT_SHIFT_PRINTED = -0.04399
 
 _FR = Fraction
 _ROUTES = "two routes overlap"  # note of the closed-form vs quadrature leaves
+
+_SQRT2_M1 = SQRT2 - 1.0  # quadratic coefficient of both cosine-power majorants
+_TWO_M_SQRT2 = 2.0 - SQRT2
+_INV_6_SQRT2 = Interval(1.0, 1.0) / (SQRT2 * 6.0)  # = sqrt2/12
+_TWO_OVER_PI = Interval(2.0, 2.0) / PI
 
 
 def _exp_gauss(t: Interval) -> Interval:
@@ -74,11 +80,10 @@ def check_cond2_hprime() -> CheckResult:
     runs on a Jet.
     """
     # -- piece [0, 1] ---------------------------------------------------
-    c1 = Interval(1.0, 1.0) / (SQRT2 * 6.0)
     c144 = Interval.from_fraction(_FR(1, 144))
 
     def minorant_a(t: Interval) -> Interval:
-        poly = t * c1 - (t**5) * c144
+        poly = t * _INV_6_SQRT2 - (t**5) * c144
         return (1.0 - t) * _exp_gauss(t) * poly
 
     qa = integrate(minorant_a, 0.0, 1.0, 2e-5)
@@ -91,7 +96,7 @@ def check_cond2_hprime() -> CheckResult:
             lemma_neg_log_affine(),
             subdivision_check(
                 "minorant-polynomial-nonneg",
-                lambda t: c1 - (t**4) * c144,
+                lambda t: _INV_6_SQRT2 - (t**4) * c144,
                 0.0,
                 1.0,
                 note="t/(6 sqrt2) - t^5/144 = t (1/(6 sqrt2) - t^4/144) >= 0",
@@ -172,8 +177,6 @@ def check_cond2_hprime() -> CheckResult:
         ],
         note="ln t / t^(p+1) >= 1.75 (2/pi)^p / t^4 on [pi/2, inf)",
     )
-    from .engine import lemma_exp_affine
-
     lemma_512 = combine(
         "log-weight-upper",
         [
@@ -205,9 +208,7 @@ def check_cond2_hprime() -> CheckResult:
     )
 
     q2 = integrate(lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, 1e-6)
-    T8 = Interval(8.0, 8.0)
-    gauss_tail_hi = (SQRT2 / T8**3 * (-(T8**2) / SQRT2).exp()).hi
-    I2 = q2.value + Interval(0.0, gauss_tail_hi)
+    I2 = q2.value + tail_bound_mu_p("gauss", SQRT2, Interval(1.0, 1.0), 8.0)
     i2_child = point_check(
         "gauss-integral-ceiling",
         EULER_E * 0.00705 - I2,
@@ -215,9 +216,7 @@ def check_cond2_hprime() -> CheckResult:
     )
 
     def cmp_margin(const: float, b: Interval) -> Interval:
-        return (b - 1.0) * pow_real(
-            Interval(2.0, 2.0) / PI, b
-        ) * const - 0.00705
+        return (b - 1.0) * pow_real(_TWO_OVER_PI, b) * const - 0.00705
 
     boxes = p_boxes()
     printed_margins = [cmp_margin(LAMBDA_TAIL_CONST_PRINTED, b) for b in boxes]
@@ -234,7 +233,7 @@ def check_cond2_hprime() -> CheckResult:
     )
     cos_power_vs_square = point_check(
         "cos-power-dominates-square",
-        Interval(2.0, 2.0) - SQRT2,
+        _TWO_M_SQRT2,
         note="|cos|^sqrt2 >= cos^2 since |cos| <= 1",
     )
     tail_piece = combine(
@@ -244,10 +243,9 @@ def check_cond2_hprime() -> CheckResult:
     )
 
     # -- net over p boxes -------------------------------------------------
-    two_over_pi = Interval(2.0, 2.0) / PI
     nets = []
     for b in boxes:
-        lam = pow_real(two_over_pi, b) * 1.75
+        lam = pow_real(_TWO_OVER_PI, b) * 1.75
         Lam = Interval(1.0, 1.0) / (EULER_E * (b - 1.0))
         nets.append(piece_a_val - J + lam * I1 - Lam * I2)
     net = point_check(
@@ -289,10 +287,8 @@ def _inv_sq_half(t: Interval) -> Interval:
 def lemma52_piece2_margin(gamma: float) -> CheckResult:
     """Subdivision margin of (sqrt2-1)x^2 + 0.6355x + gamma - x^sqrt2 on
     [0.25, sqrt2/2]; exposed so the printed constant can be shown to fail."""
-    aq = SQRT2 - 1.0
-
     def margin(x: Interval) -> Interval:
-        return aq * x * x + x * 0.6355 + gamma - pow_real(x, SQRT2)
+        return _SQRT2_M1 * x * x + x * 0.6355 + gamma - pow_real(x, SQRT2)
 
     return subdivision_check(
         f"quad-majorant-high/{gamma}",
@@ -305,15 +301,12 @@ def lemma52_piece2_margin(gamma: float) -> CheckResult:
 
 def _lemma52_piece1() -> CheckResult:
     """(sqrt2-1)x^2 + (2-sqrt2-0.126)x >= x^sqrt2 on [0, 0.25]."""
-    aq = SQRT2 - 1.0
-    b_full = 2.0 - SQRT2
-
     def f0(x: Interval) -> Interval:
-        return aq * x * x + b_full * x - pow_real(x, SQRT2)
+        return _SQRT2_M1 * x * x + _TWO_M_SQRT2 * x - pow_real(x, SQRT2)
 
     concavity = subdivision_check(
         "concave-on-piece",
-        lambda x: SQRT2 / 2.0 - pow_real(x, 2.0 - SQRT2),
+        lambda x: SQRT2 / 2.0 - pow_real(x, _TWO_M_SQRT2),
         0.0,
         0.25,
         note="f0'' = (sqrt2-1)(2 - sqrt2 x^(sqrt2-2)) < 0 iff x^(2-sqrt2) < sqrt2/2",
@@ -326,7 +319,7 @@ def _lemma52_piece1() -> CheckResult:
     origin = point_check("origin-value", f0(Interval(0.0, 0.0)), strict=False)
 
     def quotient(x: Interval) -> Interval:
-        return aq * x + (b_full - 0.126) - pow_real(x, SQRT2 - 1.0)
+        return _SQRT2_M1 * x + (_TWO_M_SQRT2 - 0.126) - pow_real(x, _SQRT2_M1)
 
     direct = subdivision_check(
         "direct-quotient", quotient, 0.0, 0.25,
@@ -347,17 +340,16 @@ def check_cond2_h2() -> CheckResult:
     quadrature integrand also runs on a Jet; the piece-C majorant falls
     back to the first-order enclosure on a cell where it switches pieces.
     """
-    s2_6inv = Interval(1.0, 1.0) / (SQRT2 * 6.0)  # = sqrt2/12
     quarter_pi = PI * 0.25
     qp_sq = quarter_pi * quarter_pi
 
     # -- piece A ----------------------------------------------------------
-    c2 = SQRT2 / 45.0 - qp_sq * (s2_6inv + SQRT2 / 45.0 * qp_sq) ** 2 * 0.5
+    c2 = SQRT2 / 45.0 - qp_sq * (_INV_6_SQRT2 + SQRT2 / 45.0 * qp_sq) ** 2 * 0.5
     U = qp_sq / SQRT2
     eU = (-U).exp()
     a_closed = (1.0 - eU) * _FR(1, 12) + c2 * (1.0 - (U + 1.0) * eU)
     qa = integrate(
-        lambda t: _exp_gauss(t) * (t * s2_6inv + (t**3) * c2),
+        lambda t: _exp_gauss(t) * (t * _INV_6_SQRT2 + (t**3) * c2),
         0.0,
         float(quarter_pi.lo),
         1e-5,
@@ -394,8 +386,7 @@ def check_cond2_h2() -> CheckResult:
         T,
         1e-5,
     )
-    Tiv = Interval(T, T)
-    b_tail_hi = ((SQRT2 / Tiv**4) * (-(Tiv**2) / SQRT2).exp()).hi
+    b_tail = tail_bound_mu_p("gauss", SQRT2, Interval(2.0, 2.0), T)
     piece_b = combine(
         "piece-B",
         [
@@ -410,7 +401,7 @@ def check_cond2_h2() -> CheckResult:
             overlap_check(
                 "exact-vs-quadrature",
                 b_exact,
-                qb.value + Interval(0.0, b_tail_hi),
+                qb.value + b_tail,
                 note=note_missed(_ROUTES, qb),
             ),
         ],
@@ -418,8 +409,8 @@ def check_cond2_h2() -> CheckResult:
     )
 
     # -- piece C ----------------------------------------------------------
-    aq = SQRT2 - 1.0
-    b1 = 2.0 - SQRT2 - 0.126
+    aq = _SQRT2_M1
+    b1 = _TWO_M_SQRT2 - 0.126
     b2 = 0.6355
     gam = QUAD_MAJORANT_SHIFT
     t1 = Interval(0.25, 0.25).arccos()
@@ -429,25 +420,19 @@ def check_cond2_h2() -> CheckResult:
     lemma_piece1 = _lemma52_piece1()
     lemma_piece2 = lemma52_piece2_margin(gam)
 
-    dF23_1 = _F23(t1) - _F23(quarter_pi)
-    dFc_1 = _Fc(t1) - _Fc(quarter_pi)
-    dI_1 = _inv_sq_half(t1) - _inv_sq_half(quarter_pi)
-    seg1 = dF23_1 * aq + dFc_1 * b2 + dI_1 * gam
+    def segment(lo, hi, b, shift=None):
+        """int_lo^hi (aq cos^2 t + b cos t + shift) / t^3 dt by the primitives."""
+        seg = (_F23(hi) - _F23(lo)) * aq + (_Fc(hi) - _Fc(lo)) * b
+        if shift is None:
+            return seg
+        return seg + (_inv_sq_half(hi) - _inv_sq_half(lo)) * shift
 
-    dF23_2 = _F23(HALF_PI) - _F23(t1)
-    dFc_2 = _Fc(HALF_PI) - _Fc(t1)
-    seg2 = dF23_2 * aq + dFc_2 * b1
-
-    dF23_3 = _F23(t2) - _F23(HALF_PI)
-    dFc_3 = _Fc(t2) - _Fc(HALF_PI)
-    seg3 = dF23_3 * aq - dFc_3 * b1
-
-    dF23_4 = _F23(three_qpi) - _F23(t2)
-    dFc_4 = _Fc(three_qpi) - _Fc(t2)
-    dI_4 = _inv_sq_half(three_qpi) - _inv_sq_half(t2)
-    seg4 = dF23_4 * aq - dFc_4 * b2 + dI_4 * gam
-
-    c_total = seg1 + seg2 + seg3 + seg4
+    c_total = (
+        segment(quarter_pi, t1, b2, gam)
+        + segment(t1, HALF_PI, b1)
+        + segment(HALF_PI, t2, -b1)
+        + segment(t2, three_qpi, -b2, gam)
+    )
 
     def c_majorant(t):
         ac = t.cos().abs()
@@ -493,7 +478,7 @@ def check_cond2_h2() -> CheckResult:
         T2,
         2e-4,
     )
-    s_quad = qs.value + Interval(0.0, (Interval(1.0, 1.0) / Interval(T2, T2) ** 2 * 0.5).hi)
+    s_quad = qs.value + tail_bound_mu_p("cos_power", Interval(2.0, 2.0), Interval(2.0, 2.0), T2)
     piece_d = combine(
         "piece-D",
         [

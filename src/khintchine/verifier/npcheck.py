@@ -199,8 +199,14 @@ _GAP_TARGET = 2e-4  # target width of each of its two quadratures
 _COS_QUOT = cos_taylor(6).quotient(4, minus=poly(1, 0, Fraction(-1, 2)))
 
 
+def _c4(delta: float) -> Interval:
+    """C4 = 1/(8 (1 - delta^2/2)), certified by _near_zero_children(delta)."""
+    div = Interval(delta, delta)
+    return Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
+
+
 def _near_zero_children(delta: float) -> list[CheckResult]:
-    """Certificates for -ln cos t - t^2/2 <= t^4 / (8 (1 - delta^2/2)) on [0, delta]."""
+    """Certificates for -ln cos t - t^2/2 <= C4 t^4 on [0, delta], C4 = _c4(delta)."""
     cos_lower = subdivision_check(
         "cos-above-quadratic",
         _COS_QUOT,
@@ -232,9 +238,7 @@ def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[Qu
     also run on a Jet.
     """
     delta, T = _GAP_DELTA, 30.0
-    div = Interval(delta, delta)
-    C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
-    near0 = near_zero_bound(s * C4, 3.0 - p, delta, nonneg=True)
+    near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta, nonneg=True)
     minus_p1 = -(p + 1.0)
 
     def integrand_series(t: Interval) -> Interval:
@@ -310,6 +314,8 @@ def check_np_cos_gauss(
 # convergence of the rescaled moment integrals
 # ---------------------------------------------------------------------------
 
+_MOMENT_DELTA = 1e-2  # the near-zero cut of the moment integrals
+
 
 def _moment_integral(
     p: Interval, s: float | None
@@ -318,11 +324,9 @@ def _moment_integral(
     |cos(t/sqrt(s))|^s (s finite) or exp(-t^2/2) (s None), and the
     quadrature of its finite piece on [1e-2, 150].  The integrand also runs
     on a Jet."""
-    delta, T = 1e-2, 150.0
-    div = Interval(delta, delta)
-    C4 = Interval(1.0, 1.0) / ((1.0 - div * div * 0.5) * 8.0)
+    delta, T = _MOMENT_DELTA, 150.0
     # |t^2/2 - 1 + h| <= (1/8 + C4) t^4 near zero (both pieces of the split)
-    near0 = near_zero_bound(C4 + 0.125, 3.0 - p, delta, nonneg=False)
+    near0 = near_zero_bound(_c4(delta) + 0.125, 3.0 - p, delta, nonneg=False)
     minus_p1 = -(p + 1.0)
     if s is None:
         def integrand(t: Interval) -> Interval:
@@ -355,6 +359,9 @@ def check_fp_convergence() -> CheckResult:
     the direct quadratures, and through the substitution t -> t sqrt(s), under
     which I(inf) - I(s) equals s^(-p/2) times the gaussian/cosine gap
     integral.  The tight route drives the assertions; the routes must overlap.
+    The node also carries _near_zero_children(_MOMENT_DELTA), which certifies
+    the C4 of the near-zero bound; their margins are anchored at 0, so the
+    node's margin is that of the integral comparisons.
     """
     piv = Interval(FP_P, FP_P)
     I_inf, inf_quads = _moment_integral(piv, None)
@@ -404,4 +411,8 @@ def check_fp_convergence() -> CheckResult:
             ),
         )
     )
-    return combine(f"np/moment-convergence-p{FP_P}", children)
+    return combine(
+        f"np/moment-convergence-p{FP_P}",
+        _near_zero_children(_MOMENT_DELTA) + children,
+        margin=imin([c.margin for c in children]),
+    )

@@ -313,6 +313,3 @@ def test_lncos_series_at_zero_contains_mpmath():
             excess = sf.neg_ln_cos_excess(t)
             for v in (mpf(0), mpf(b) / 2, mpf(b)):
                 assert mpf(excess.lo) <= -mp.log(mp.cos(v)) - v**2 / 2 <= mpf(excess.hi)
-            lower = sf.neg_ln_cos_lower(t, 20)
-            assert mpf(lower.lo) <= 0 <= mpf(lower.hi)
-            assert mpf(lower.lo) <= -mp.log(mp.cos(mpf(b)))

@@ -81,6 +81,17 @@ def test_budget_exhaustion_is_flagged_but_valid(monkeypatch):
     assert r.value.contains(2.0)
 
 
+def test_float_resolution_stops_wide():
+    # 64 ulps wide: bisection reaches cells one ulp wide, whose float
+    # midpoint is an endpoint, long before the target or MAX_CELLS
+    a = 1.0
+    b = a + 64 * math.ulp(a)
+    r = integrate(lambda t: t * t, a, b, 1e-300)
+    assert r.status == "wide" and r.cells < quad.MAX_CELLS
+    exact = (Fraction(b) ** 3 - Fraction(a) ** 3) / 3
+    assert Fraction(r.value.lo) <= exact <= Fraction(r.value.hi)
+
+
 def test_domain_error_propagates():
     with pytest.raises(DomainError):
         integrate(lambda t: t.ln(), -1.0, 1.0, 1e-3)
@@ -96,6 +107,21 @@ def test_tail_bounds():
         mp.quad(lambda t: mp.e ** (-mp.sqrt(2) * t**2 / 2) / t**3, [5, mp.inf])
     )
     assert true_tail <= g.hi
+    # the cond2 tails, against their integrands at mpf endpoints
+    gauss = lambda k: lambda t: mp.e ** (-(t**2) / mp.sqrt(2)) / t**k
+    for kind, s, p, T, truth in (
+        ("gauss", SQRT2, 1.0, 8.0, mp.quad(gauss(2), [8, mp.inf])),
+        ("gauss", SQRT2, 2.0, 6.0, mp.quad(gauss(3), [6, mp.inf])),
+        (
+            "cos_power",
+            Interval(2.0, 2.0),
+            2.0,
+            50.0,
+            mp.quadosc(lambda t: mp.cos(t) ** 2 / t**3, [50, mp.inf], period=mp.pi),
+        ),
+    ):
+        bound = tail_bound_mu_p(kind, s, Interval(p, p), T)
+        assert bound.lo == 0.0 and mpf(bound.hi) >= truth, (kind, T)
     with pytest.raises(DomainError):
         tail_bound_mu_p("cos_power", Interval(1.0, 1.0), Interval(2.0, 2.0), 1.0)
     with pytest.raises(ValueError):

@@ -52,27 +52,6 @@ def test_lncos_coefficients_zeta_identity():
             assert float(sf.LN_COS_COEFFS[k - 1]) <= maj
 
 
-def test_neg_ln_cos_lower_examples():
-    at0 = sf.neg_ln_cos_lower(iv(0.0), 5)
-    assert at0.contains(0.0) and at0.width <= 1e-300
-    v = sf.neg_ln_cos_lower(iv(1.0), 3)
-    assert v.contains(0.5 + 1 / 12 + 1 / 45)
-    true = float(-mp.log(mp.cos(1)))
-    assert v.hi <= true
-    # monotone in K, always below the true value
-    rng = random.Random(3)
-    for _ in range(300):
-        t = rng.uniform(0.0, 1.55)
-        prev = None
-        truth = float(-mp.log(mp.cos(mpf(t))))
-        for K in (1, 2, 5, 12, 20):
-            cur = sf.neg_ln_cos_lower(iv(t), K)
-            assert cur.lo <= truth + 1e-15
-            if prev is not None:
-                assert cur.hi >= prev.lo - 1e-15
-            prev = cur
-
-
 def test_lncos_coefficient_intervals():
     # the Horner loops use these enclosures in place of converting per call
     assert len(sf._LN_COS_COEFFS_IV) == len(sf.LN_COS_COEFFS)
@@ -106,20 +85,6 @@ def test_neg_ln_cos_excess_contains_truth():
                 assert mpf(enc.lo) <= _excess_truth(t) <= mpf(enc.hi), (a, b)
 
 
-def test_cos_upper_bounds_chain():
-    one = iv(1.0)
-    e1, e2, e3 = sf.cos_upper_bounds(one)
-    assert e1.contains(math.exp(-0.5))
-    assert e3.lo <= e2.hi and e2.lo <= e1.hi  # ordered chain
-    rng = random.Random(8)
-    for _ in range(1000):
-        t = rng.uniform(0.0, 1.55)
-        b1, b2, b3 = sf.cos_upper_bounds(iv(t))
-        c = float(mp.cos(mpf(t)))
-        assert b3.hi + 1e-15 >= c and b2.hi + 1e-15 >= c and b1.hi + 1e-15 >= c
-        assert b3.lo <= b2.hi and b2.lo <= b1.hi
-
-
 def test_ei_anchors():
     e = sf.ei_neg(iv(-1.0))
     assert e.contains(EI_M1) and e.width <= 1e-10
@@ -149,6 +114,27 @@ def test_series_containment_random():
         x = rng.uniform(1e-3, 30.0)
         assert sf.si(iv(x)).contains(float(mp.si(mpf(x)) - mp.pi / 2))
         assert sf.ci(iv(x)).contains(float(mp.ci(mpf(x))))
+
+
+def test_series_contain_mpmath_at_domain_ends():
+    # points and boxes at the ends of each domain, compared at mpf endpoints
+    def holds(enc, truth):
+        return mpf(enc.lo) <= truth <= mpf(enc.hi)
+
+    for a, b in ((-30.0, -30.0), (-1e-6, -1e-6), (-30.0, -29.5), (-1e-3, -1e-6)):
+        enc = sf.ei_neg(Interval(a, b))
+        assert all(holds(enc, mp.ei(mpf(x))) for x in (a, b)), (a, b)
+    for a, b in ((1e-300, 1e-300), (50.0, 50.0), (1e-300, 1e-3), (49.5, 50.0)):
+        s_enc, c_enc = sf.si(Interval(a, b)), sf.ci(Interval(a, b))
+        for x in (mpf(a), mpf(b)):
+            assert holds(s_enc, mp.si(x) - mp.pi / 2), (a, b)
+            assert holds(c_enc, mp.ci(x)), (a, b)
+
+
+def test_series_without_geometric_tail_regime():
+    # a term ratio that never falls to 1/2 has no certified tail
+    with pytest.raises(DomainError):
+        sf._series_with_geometric_tail(iv(1.0), lambda k: iv(0.9))
 
 
 def test_series_domains():

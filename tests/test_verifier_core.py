@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from khintchine.interval import PI, DomainError, Interval, ipoly_eval
-from khintchine.polytools import p_add, p_mul, p_shift_div, p_sub, p_to_iv, poly
+from khintchine.polytools import p_add, p_mul, p_quotient, p_shift_div, p_sub, p_to_iv, poly
 from khintchine.verifier import cond1, engine, npcheck
 from khintchine.verifier import (
     FAILED,
@@ -175,6 +175,15 @@ def test_poly_helpers():
     assert p_shift_div(poly(0, 0, 3), 2) == poly(3)
     enc = ipoly_eval(p_to_iv(poly(1, Fraction(1, 3))), Interval(3.0, 3.0))
     assert enc.contains(2.0)
+    # p_quotient is the exact division and one conversion, bit for bit
+    num = {(3, 2): Fraction(10), (4, 1): Fraction(-15), (5, 0): Fraction(6)}
+    cases = ((3, Interval(0.0, 1.0)), (3, Interval(0.3, 0.3)), (0, Interval(-1.0, 2.0)))
+    for k, t in cases:
+        want = ipoly_eval(p_to_iv(p_shift_div(num, k)), t)
+        got = p_quotient(num, k)(t)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+    with pytest.raises(ValueError):
+        p_quotient(poly(1, 0, 0, 1), 3)
 
 
 def test_pi_poly_helpers():

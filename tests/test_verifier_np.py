@@ -2,7 +2,7 @@
 
 import pytest
 
-from khintchine.interval import Interval, SQRT2
+from khintchine.interval import Interval, SQRT2, imin
 from khintchine.verifier import engine
 from khintchine.verifier import (
     FAILED,
@@ -170,3 +170,10 @@ def test_fp_convergence():
     names = [c.name for c in res.children]
     assert "final-within-1-percent" in names
     assert any("deviation-decreasing" in n for n in names)
+    # the near-zero bound of the moment integrals is certified in the node,
+    # and its anchor at 0 does not become the node's margin
+    cert = {"cos-above-quadratic", "ln-reciprocal-quadratic"}
+    assert cert <= set(names)
+    assert all(c.status == PROVED for c in res.children if c.name in cert)
+    rest = [c.margin for c in res.children if c.name not in cert]
+    assert res.margin == imin(rest) and res.margin.lo > 0.0

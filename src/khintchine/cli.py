@@ -38,6 +38,7 @@ from .verifier import (
     check_cond2_h2,
     check_cond2_hprime,
     check_fp_convergence,
+    check_gap_near_zero,
     check_np_cos_gauss,
     conjunction,
     leaf,
@@ -195,6 +196,7 @@ def run(config: RunConfig) -> Report:
     if suite in ("np", "all"):
         for p in (2.0, 2.5, 2.9):
             results.append(check_np_cos_gauss(p))
+        results.append(check_gap_near_zero())
     if suite in ("conclusion", "all"):
         results.append(check_conclusion_direct())
         results.append(check_fp_convergence())

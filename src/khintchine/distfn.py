@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .interval import PI, DomainError, Interval, pow_real
+from .interval import PI, DomainError, Interval, pow_gap_sum, pow_real
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,17 @@ def f_star(x: Interval, mp: MeasureParams, K: int = SERIES_K) -> Interval:
         raise ValueError("K must be >= 1")
     _check_x(x)
     p = mp.p
+    neg_p = -p
     a = x.arccos()
 
     def term(upi: Interval) -> Interval:
-        return pow_real(upi - a, -p) - pow_real(upi + a, -p)
+        return pow_real(upi - a, neg_p) - pow_real(upi + a, neg_p)
 
     def integral(cpi: Interval) -> Interval:
         q = 1.0 - p
         return (pow_real(cpi - a, q) - pow_real(cpi + a, q)) / ((p - 1.0) * PI)
 
-    acc = pow_real(a, -p)
-    for kpi in _k_pi(K)[1:]:
-        acc = acc - term(kpi)
+    acc = pow_gap_sum(pow_real(a, neg_p), neg_p, _k_pi(K)[1:], a)
     return (acc - _convex_tail(term, integral, K)) / p
 
 

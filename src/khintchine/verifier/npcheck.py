@@ -289,6 +289,13 @@ def check_conclusion_direct(
 # ---------------------------------------------------------------------------
 
 
+def check_gap_near_zero() -> CheckResult:
+    """The C4 certificate that every check_np_cos_gauss gap integral rests on
+    (at delta = _GAP_DELTA); kept outside those nodes so their leaves stay as
+    they are."""
+    return combine("np/gap-near-zero", _near_zero_children(_GAP_DELTA))
+
+
 def check_np_cos_gauss(
     p: float, K: int = SERIES_K, grid: int = 64
 ) -> CheckResult:

@@ -117,3 +117,16 @@ def test_report_config_keys():
     body = Report("v", RunConfig(), [leaf("a", Interval(1, 2))], "proved", 0.0, "t").body()
     assert set(body["config"]) == {"format", "out_path", "seed", "suite"}
     assert body["schema_version"] == 2
+
+
+def test_np_suite_carries_the_gap_near_zero_certificate():
+    # every np/cos-gauss gap integral rests on C4 at delta = 1e-3
+    report = run(RunConfig(suite="np"))
+    assert report.overall == "proved"
+    names = [r.name for r in report.results]
+    assert names == ["np/cos-gauss-p2.0", "np/cos-gauss-p2.5", "np/cos-gauss-p2.9",
+                     "np/gap-near-zero"]
+    node = report.results[-1]
+    assert node.status == "proved"
+    assert [(c.name, c.status) for c in node.children] == [
+        ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]

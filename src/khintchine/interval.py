@@ -354,11 +354,11 @@ def _coerce(x) -> Interval:
 
 def _operand(x):
     """_coerce for a binary operator: NotImplemented for a foreign type, so
-    Python tries that operand's reflected method (a Jet's, for instance)."""
-    try:
+    Python tries that operand's reflected method (a Jet's, for instance).
+    The type test comes first: _coerce's TypeError formats repr(x)."""
+    if isinstance(x, (Interval, int, float, _Fraction)):
         return _coerce(x)
-    except TypeError:
-        return NotImplemented
+    return NotImplemented
 
 
 def _ipow(x: float, n: int) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,13 @@ def exact_moment(a: CoefficientVector, p: float) -> float:
     return float((np.abs(sums) ** p).mean())
 
 
+@lru_cache(maxsize=8)
+def _b_mid(p: float) -> float:
+    """Midpoint of the B_p enclosure; a sweep over many vectors at one p
+    computes it once."""
+    return b_constant(Interval(p, p))[1].mid
+
+
 def khintchine_check(a: CoefficientVector, p: float) -> tuple[float, float, bool]:
     """(moment ratio, B_p midpoint, ratio within [1, B_p])."""
     if not 2.0 <= p <= 3.0:
@@ -65,8 +73,7 @@ def khintchine_check(a: CoefficientVector, p: float) -> tuple[float, float, bool
     if norm == 0.0:
         raise ValueError("zero coefficient vector")
     ratio = exact_moment(a, p) ** (1.0 / p) / norm
-    _, B = b_constant(Interval(p, p))
-    bound = B.mid
+    bound = _b_mid(p)
     ok = (ratio <= bound + 1e-12) and (ratio >= 1.0 - 1e-12)
     return ratio, bound, ok
 

@@ -13,6 +13,7 @@ from typing import Callable
 
 from ..distfn import SERIES_K, MeasureParams, f_star, g_star
 from ..interval import Interval, imin, pow_real
+from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
     QuadResult,
@@ -226,9 +227,30 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
     return [cos_lower, ln_upper]
 
 
-def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[QuadResult, ...]]:
+def _memo(fn, memo: dict, keep: bool):
+    """fn read through memo by cell argument, storing what fn computes if
+    keep; a factor that raises DomainError is not stored.  quad._cell passes
+    Jet.var(X), the midpoint and, as its fallback, X itself, so a jet's key
+    carries a flag that keeps it apart from X's."""
+    if not (memo or keep):
+        return fn
+
+    def read(t):
+        key = (t.v.lo, t.v.hi, True) if type(t) is Jet else (t.lo, t.hi)
+        if key not in memo:
+            if not keep:
+                return fn(t)
+            memo[key] = fn(t)
+        return memo[key]
+
+    return read
+
+
+def gauss_cos_gap_integrals(
+    pairs: list[tuple[Interval, Interval]],
+) -> list[tuple[Interval, tuple[QuadResult, ...]]]:
     """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
-    the quadratures of its finite pieces.
+    the quadratures of its finite pieces, for every (p, s) in pairs.
 
     Near zero, on [0, delta] with delta = 1e-3, the integrand lies in
     [0, s C4 t^(3-p)] with C4 = 1/(8 (1 - delta^2/2)).  On [delta, 1.2] the
@@ -236,26 +258,45 @@ def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[Qu
     with R the certified -ln cos t - t^2/2 series; on [1.2, 30] the direct form
     is fine.  The tails past 30 use the stock mu_p majorants.  Both integrands
     also run on a Jet.
+
+    Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
+    share the t-only factors, the s-factor by s and the p-factor by p through
+    memos of this call (_memo), each stored only where a later pair may read
+    it and dropped after its piece; results equal one-pair calls' bit for bit.
     """
     delta, T = _GAP_DELTA, 30.0
-    near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta, nonneg=True)
-    minus_p1 = -(p + 1.0)
+    fins: list[list[QuadResult]] = [[] for _ in pairs]
+    for a, b, t_fn, s_gap in (
+        (delta, 1.2, neg_ln_cos_excess,
+         lambda s, t2, R: (t2 * s * 0.5).exp() * (Interval(1.0, 1.0) - (-(R * s)).exp())),
+        (1.2, T, lambda t: t.cos().abs(),
+         lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)),
+    ):
+        t_memo, by_s, by_p = {}, {}, {}
+        for i, (p, s) in enumerate(pairs):
+            # integrate runs in this iteration, so the closures see this pair
+            later = pairs[i + 1 :]
+            t_only = _memo(lambda t: (-(t * t), t_fn(t)), t_memo, bool(later))
+            s_factor = _memo(lambda t: s_gap(s, *t_only(t)),
+                             by_s.setdefault(s, {}), s in {q for _, q in later})
+            minus_p1 = -(p + 1.0)
+            p_factor = _memo(lambda t: pow_real(t, minus_p1),
+                             by_p.setdefault(p, {}), p in {q for q, _ in later})
+            fins[i].append(
+                integrate(lambda t: s_factor(t) * p_factor(t), a, b, _GAP_TARGET))
+    out = []
+    for (p, s), (fin1, fin2) in zip(pairs, fins):
+        near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta, nonneg=True)
+        gauss = tail_bound_mu_p("gauss", s, p, T)
+        cospow = tail_bound_mu_p("cos_power", s, p, T)
+        total = near0 + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
+        out.append((total, (fin1, fin2)))
+    return out
 
-    def integrand_series(t: Interval) -> Interval:
-        R = neg_ln_cos_excess(t)
-        drop = Interval(1.0, 1.0) - (-(R * s)).exp()
-        return (-(t * t) * s * 0.5).exp() * drop * pow_real(t, minus_p1)
 
-    def integrand_direct(t: Interval) -> Interval:
-        gap = (-(t * t) * s * 0.5).exp() - pow_real(t.cos().abs(), s)
-        return gap * pow_real(t, minus_p1)
-
-    fin1 = integrate(integrand_series, delta, 1.2, _GAP_TARGET)
-    fin2 = integrate(integrand_direct, 1.2, T, _GAP_TARGET)
-    gauss = tail_bound_mu_p("gauss", s, p, T)
-    cospow = tail_bound_mu_p("cos_power", s, p, T)
-    total = near0 + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
-    return total, (fin1, fin2)
+def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[QuadResult, ...]]:
+    """gauss_cos_gap_integrals at the one pair (p, s)."""
+    return gauss_cos_gap_integrals([(p, s)])[0]
 
 
 def check_conclusion_direct(
@@ -267,10 +308,12 @@ def check_conclusion_direct(
     if any(s < float(SQRT2.lo) - 1e-12 for s in s_grid):
         raise ValueError("conclusion holds for s >= sqrt(2) only")
     children = _near_zero_children(_GAP_DELTA)
+    grid = [(Interval(p, p), Interval(s, s)) for p in p_grid for s in s_grid]
+    gaps = iter(gauss_cos_gap_integrals(grid))
     for p in p_grid:
         row = []
         for s in s_grid:
-            enc, quads = gauss_cos_gap_integral(Interval(p, p), Interval(s, s))
+            enc, quads = next(gaps)
             row.append(
                 leaf(
                     f"integral-p{p}-s{round(s, 6)}",
@@ -380,10 +423,10 @@ def check_fp_convergence() -> CheckResult:
         ),
     ]
     devs = []
-    for s in FP_S:
+    gaps = gauss_cos_gap_integrals([(piv, Interval(s, s)) for s in FP_S])
+    for s, (gap, gap_quads) in zip(FP_S, gaps):
         I_s, s_quads = _moment_integral(piv, s)
         direct = (I_s - I_inf).abs()
-        gap, gap_quads = gauss_cos_gap_integral(piv, Interval(s, s))
         tight = pow_real(Interval(s, s), -piv * 0.5) * gap
         children.append(
             overlap_check(

@@ -141,3 +141,17 @@ def test_domain_errors():
         neg_ln_cos_excess(Jet.var(Interval(1.1, 1.3)))
     with pytest.raises(TypeError):
         Jet.var(Interval(1.0, 2.0)) ** 0.5
+
+
+def test_interval_operand_defers_to_jet():
+    # Interval op Jet returns NotImplemented without coercing the jet, and
+    # the jet's reflected method gives the same endpoints as jet op Interval
+    j = neg_ln_cos_excess(Jet.var(Interval(0.3, 0.31)))
+    one, two = Interval(1.0, 1.0), Interval(2.0, 2.0)
+    diff, prod = one - j, two * j
+    assert (diff.v, diff.d, diff.dd) == (one - j.v, -j.d, -j.dd)
+    assert (prod.v, prod.d, prod.dd) == (j.v * two, j.d * two, j.dd * two)
+    with pytest.raises(TypeError):
+        one + "x"
+    with pytest.raises(TypeError, match="cannot interpret"):
+        "x" - one  # __rsub__ coerces directly and keeps the message

@@ -14,6 +14,7 @@ from khintchine.verifier import (
     gauss_cos_gap_integral,
     np_generic,
 )
+from khintchine.verifier.npcheck import FP_P, FP_S, gauss_cos_gap_integrals
 
 
 def test_np_generic_identical_enclosures():
@@ -154,6 +155,34 @@ def test_conclusion_direct_grid():
             mids.append(child.margin.mid)
         # margins grow with s at fixed p
         assert all(a < b for a, b in zip(mids, mids[1:]))
+    # the batch's memos belong to one call: a second call in this process
+    # computes the same tree
+    assert _tree(check_conclusion_direct()) == _tree(res)
+
+
+def _tree(node):
+    return (
+        node.name, node.status, node.margin.lo.hex(), node.margin.hi.hex(),
+        node.evaluations, node.note, [_tree(c) for c in node.children],
+    )
+
+
+def _gap_bits(enc, quads):
+    return (
+        enc.lo.hex(), enc.hi.hex(),
+        [(q.value.lo.hex(), q.value.hi.hex(), q.cells, q.status) for q in quads],
+    )
+
+
+@pytest.mark.parametrize("grid", [
+    [(p, s) for p in (2.1, 2.9) for s in (float(SQRT2.lo), 4.0)],
+    [(FP_P, s) for s in FP_S],
+], ids=["gap-integrals", "fp-convergence"])
+def test_gap_integrals_batch_equals_one_pair_calls(grid):
+    pairs = [(Interval(p, p), Interval(s, s)) for p, s in grid]
+    batch = gauss_cos_gap_integrals(pairs)
+    alone = [gauss_cos_gap_integral(p, s) for p, s in pairs]
+    assert [_gap_bits(*r) for r in batch] == [_gap_bits(*r) for r in alone]
 
 
 def test_gap_integral_h2_consistency():

@@ -146,16 +146,12 @@ def tail_bound_mu_p(kind: str, s: Interval, p: Interval, T: float) -> Interval:
     raise ValueError(f"unknown tail kind {kind!r}")
 
 
-def near_zero_bound(
-    C: Interval, m: Interval, delta: float, nonneg: bool = False
-) -> Interval:
-    """Enclosure of int_0^delta g(t) dt given |g(t)| <= C t^m on (0, delta].
-
-    m > -1 is required for integrability; with nonneg=True the lower end is 0.
-    """
+def near_zero_bound(C: Interval, m: Interval, delta: float) -> Interval:
+    """Enclosure [0, b] of int_0^delta g(t) dt given 0 <= g(t) <= C t^m on
+    (0, delta]; m > -1 is required for integrability."""
     if m.lo <= -1.0:
         raise DomainError("near-zero majorant must have exponent > -1")
     if C.lo < 0.0:
         raise DomainError("near-zero majorant coefficient must be >= 0")
     b = (C * pow_real(Interval(delta, delta), m + 1.0) / (m + 1.0)).hi
-    return Interval(0.0 if nonneg else -b, b)
+    return Interval(0.0, b)

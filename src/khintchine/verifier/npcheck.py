@@ -1,18 +1,20 @@
-"""Generic single-sign-change checker and direct quadrature cross-checks.
+"""Generic single-sign-change checker and direct cross-checks.
 
 np_generic certifies the two hypotheses of the distribution-function
 comparison lemma for arbitrary enclosures F, G; the direct checks enclose the
 conclusion integrals themselves at sample exponents, independently of the
-piecewise proofs.
+piecewise proofs, and compare exact Rademacher moments with their gaussian
+limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from ..distfn import SERIES_K, MeasureParams, f_star, g_star
-from ..interval import Interval, imin, pow_real
+from ..interval import PI, Interval, imin, pow_real
 from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
@@ -22,7 +24,7 @@ from ..quad import (
     note_missed,
     tail_bound_mu_p,
 )
-from ..specfun import SQRT2, cos_taylor, neg_ln_cos_excess
+from ..specfun import SQRT2, cos_taylor, gamma_iv, neg_ln_cos_excess
 from .engine import (
     bisect_boxes,
     monotone_nonneg_check,
@@ -286,7 +288,7 @@ def gauss_cos_gap_integrals(
                 integrate(lambda t: s_factor(t) * p_factor(t), a, b, _GAP_TARGET))
     out = []
     for (p, s), (fin1, fin2) in zip(pairs, fins):
-        near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta, nonneg=True)
+        near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta)
         gauss = tail_bound_mu_p("gauss", s, p, T)
         cospow = tail_bound_mu_p("cos_power", s, p, T)
         total = near0 + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
@@ -361,108 +363,68 @@ def check_np_cos_gauss(
 
 
 # ---------------------------------------------------------------------------
-# convergence of the rescaled moment integrals
+# convergence of the Rademacher moments to the gaussian one
 # ---------------------------------------------------------------------------
 
-_MOMENT_DELTA = 1e-2  # the near-zero cut of the moment integrals
-
-
-def _moment_integral(
-    p: Interval, s: float | None
-) -> tuple[Interval, tuple[QuadResult, ...]]:
-    """Enclosure of int_0^inf (t^2/2 - 1 + h(t)) / t^(p+1) dt where h is
-    |cos(t/sqrt(s))|^s (s finite) or exp(-t^2/2) (s None), and the
-    quadrature of its finite piece on [1e-2, 150].  The integrand also runs
-    on a Jet."""
-    delta, T = _MOMENT_DELTA, 150.0
-    # |t^2/2 - 1 + h| <= (1/8 + C4) t^4 near zero (both pieces of the split)
-    near0 = near_zero_bound(_c4(delta) + 0.125, 3.0 - p, delta, nonneg=False)
-    minus_p1 = -(p + 1.0)
-    if s is None:
-        def integrand(t: Interval) -> Interval:
-            gap = t * t * 0.5 - 1.0 + (-(t * t) * 0.5).exp()
-            return gap * pow_real(t, minus_p1)
-    else:
-        siv = Interval(s, s)
-        rt = siv.sqrt()
-
-        def integrand(t: Interval) -> Interval:
-            h = pow_real((t / rt).cos().abs(), siv)
-            return (t * t * 0.5 - 1.0 + h) * pow_real(t, minus_p1)
-
-    fin = integrate(integrand, delta, T, 2e-3)
-    Tiv = Interval(T, T)
-    upper = pow_real(Tiv, 2.0 - p) / ((p - 2.0) * 2.0)
-    lower = upper - pow_real(Tiv, -p) / p
-    return near0 + fin.value + Interval(lower.lo, upper.hi), (fin,)
-
-
 FP_P = 2.5  # the exponent of the moment-convergence check
-FP_S = (4.0, 16.0, 64.0)  # its increasing cosine powers s
+FP_S = (4, 16, 64)  # its increasing numbers n of random signs
+
+
+def rademacher_moment(n: int, p: Interval) -> Interval:
+    """E|S_n/sqrt(n)|^p for S_n a sum of n random signs: the binomial sum
+    2^(1-n) sum_{j<n/2} C(n, j) |n - 2j|^p / n^(p/2), with exact weights."""
+    terms = [
+        Interval.from_fraction(Fraction(2 * comb(n, j), 2**n)) * pow_real(Interval(n - 2 * j), p)
+        for j in range((n + 1) // 2)
+    ]
+    return sum(terms, Interval(0.0)) / pow_real(Interval(n), p * 0.5)
+
+
+def gauss_moment(p: Interval) -> Interval:
+    """B_p^p = E|G|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi), G standard gaussian."""
+    return pow_real(Interval(2.0), p * 0.5) * gamma_iv((p + 1.0) * 0.5) / PI.sqrt()
+
+
+def gauss_moment_integral(p: Interval) -> Interval:
+    """int_0^inf (t^2/2 - 1 + e^(-t^2/2)) t^(-p-1) dt = 2^(-(p+2)/2) Gamma(-p/2)
+    on 2 < p < 4, with Gamma(a) = Gamma(a+3)/(a(a+1)(a+2)) at a = -p/2."""
+    a = p * -0.5
+    return pow_real(Interval(2.0), a - 1.0) * gamma_iv(a + 3.0) / (a * (a + 1.0) * (a + 2.0))
 
 
 def check_fp_convergence() -> CheckResult:
-    """The rescaled cosine-moment integral approaches its gaussian limit.
+    """The Rademacher moments m_n = E|S_n/sqrt(n)|^p rise toward B_p^p.
 
-    Deviations |I(s) - I(inf)| must decrease along FP_S and the last one
-    must sit within 1% of I(inf).  The deviations are enclosed two ways: from
-    the direct quadratures, and through the substitution t -> t sqrt(s), under
-    which I(inf) - I(s) equals s^(-p/2) times the gaussian/cosine gap
-    integral.  The tight route drives the assertions; the routes must overlap.
-    The node also carries _near_zero_children(_MOMENT_DELTA), which certifies
-    the C4 of the near-zero bound; their margins are anchored at 0, so the
-    node's margin is that of the integral comparisons.
+    By Haagerup's formula I(n)/I(inf) = m_n/B_p^p for even n, where I(n) is
+    int_0^inf (t^2/2 - 1 + |cos(t/sqrt(n))|^n) t^(-p-1) dt and I(inf) its
+    gaussian limit: the deviations I(inf) - I(n) fall along FP_S as the m_n
+    rise, and the last is below I(inf)/100 when m_n >= 0.99 B_p^p.  At n = 4
+    the formula is held to the quadrature route, n^(-p/2) times the gap
+    integral; the node carries that integral's near-zero certificate, whose
+    margins, anchored at 0, do not enter the node's margin.
     """
-    piv = Interval(FP_P, FP_P)
-    I_inf, inf_quads = _moment_integral(piv, None)
+    piv = Interval(FP_P)
+    bpp = gauss_moment(piv)
+    m = {n: rademacher_moment(n, piv) for n in FP_S}
+    n0, n_last = FP_S[0], FP_S[-1]
+    gap, quads = gauss_cos_gap_integral(piv, Interval(n0))
+    by_quad = pow_real(Interval(n0), -piv * 0.5) * gap  # I(inf) - I(n0)
+    exact = gauss_moment_integral(piv) * (1.0 - m[n0] / bpp)
+    lanczos = "Gamma by Lanczos, whose error bound is empirical"
     children = [
-        point_check(
-            "limit-positive",
-            I_inf,
-            note=note_missed(f"I(inf) = {I_inf!r}", *inf_quads),
+        overlap_check(
+            f"haagerup-formula-n{n0}", by_quad, exact,
+            note=note_missed(f"n^(-p/2) gap integral {by_quad!r} vs "
+                             f"I(inf)(1 - m_n/B_p^p) {exact!r}; {lanczos}", *quads),
         ),
+        *(point_check(f"deviation-decreasing-{a}-to-{b}", m[b] - m[a],
+                      note=f"m_{a} = {m[a]!r} vs m_{b} = {m[b]!r}")
+          for a, b in zip(FP_S, FP_S[1:])),
+        point_check("final-within-1-percent", m[n_last] - bpp * 0.99,
+                    note=f"m_{n_last} = {m[n_last]!r} vs B_p^p = {bpp!r}; {lanczos}"),
     ]
-    devs = []
-    gaps = gauss_cos_gap_integrals([(piv, Interval(s, s)) for s in FP_S])
-    for s, (gap, gap_quads) in zip(FP_S, gaps):
-        I_s, s_quads = _moment_integral(piv, s)
-        direct = (I_s - I_inf).abs()
-        tight = pow_real(Interval(s, s), -piv * 0.5) * gap
-        children.append(
-            overlap_check(
-                f"deviation-routes-overlap-s{s}",
-                direct,
-                tight,
-                note=note_missed(
-                    f"direct {direct!r} vs rescaled-gap {tight!r}",
-                    *inf_quads, *s_quads, *gap_quads,
-                ),
-            )
-        )
-        devs.append((s, tight, gap_quads))
-    for (s1, d1, q1), (s2, d2, q2) in zip(devs, devs[1:]):
-        children.append(
-            point_check(
-                f"deviation-decreasing-{s1}-to-{s2}",
-                d1 - d2,
-                note=note_missed(
-                    f"|I({s1})-I(inf)| = {d1!r} vs |I({s2})-I(inf)| = {d2!r}",
-                    *q1, *q2,
-                ),
-            )
-        )
-    s_last, d_last, q_last = devs[-1]
-    children.append(
-        point_check(
-            "final-within-1-percent",
-            I_inf * 0.01 - d_last,
-            note=note_missed(
-                f"|I({s_last})-I(inf)| below I(inf)/100", *inf_quads, *q_last
-            ),
-        )
-    )
     return combine(
         f"np/moment-convergence-p{FP_P}",
-        _near_zero_children(_MOMENT_DELTA) + children,
+        _near_zero_children(_GAP_DELTA) + children,
         margin=imin([c.margin for c in children]),
     )

@@ -4,6 +4,7 @@ import pytest
 
 from khintchine.distfn import MeasureParams, brute_force_dist, f_star
 from khintchine.interval import Interval
+from khintchine.verifier import check_conclusion_direct
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +19,9 @@ def f_star_vs_brute_force():
             f = f_star(Interval(x, x), mpp, K=400)
             pairs.append((p, x, f, brute_force_dist(x, mpp, "cos")))
     return pairs
+
+
+@pytest.fixture(scope="session")
+def conclusion_direct():
+    """One check_conclusion_direct() run, shared by the tests that only read it."""
+    return check_conclusion_direct()

@@ -33,7 +33,6 @@ from khintchine.oracle import (
 from khintchine.specfun import ci, ei_neg, si, zeta_sum
 from khintchine.verifier import (
     PROVED,
-    check_conclusion_direct,
     check_cond1_monotone,
     check_cond1_sign_at_sigma,
     check_cond1_small_x,
@@ -152,10 +151,9 @@ def test_criterion_3_condition1():
 # -- criterion 4: direct NP conclusion ----------------------------------------
 
 
-def test_criterion_4_conclusion_direct():
-    res = check_conclusion_direct(p_grid=(2.1, 2.5, 2.9))
+def test_criterion_4_conclusion_direct(conclusion_direct):
     leaves = [
-        n for n in res.walk() if n.name.startswith("integral-p")
+        n for n in conclusion_direct.walk() if n.name.startswith("integral-p")
     ]
     assert len(leaves) == 12
     ok = all(n.margin.lo > -1e-8 for n in leaves) and all(

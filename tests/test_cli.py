@@ -130,3 +130,14 @@ def test_np_suite_carries_the_gap_near_zero_certificate():
     assert node.status == "proved"
     assert [(c.name, c.status) for c in node.children] == [
         ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]
+
+
+def test_conclusion_suite_carries_the_gap_near_zero_certificate():
+    # both nodes rest on gap integrals, so on C4 at delta = 1e-3
+    report = run(RunConfig(suite="conclusion"))
+    assert report.overall == "proved"
+    names = [r.name for r in report.results]
+    assert names == ["np/conclusion-direct", "np/moment-convergence-p2.5"]
+    for node in report.results:
+        assert [(c.name, c.status) for c in node.children[:2]] == [
+            ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]

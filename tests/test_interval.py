@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from mpmath import mp, mpf
 
 from khintchine.interval import (
@@ -17,7 +18,9 @@ from khintchine.interval import (
     DomainError,
     Interval,
     IntervalError,
+    exp_sum,
     imin,
+    pow_gap_sum,
     pow_real,
 )
 
@@ -232,3 +235,52 @@ def test_elem_domain_errors():
         Interval(-2, -1).sqrt()
     with pytest.raises(DomainError):
         Interval(0.5, 1.5).arccos()
+
+
+# -- kernel sums: containment of the mpmath value at the box's points ---------
+
+
+def _within(enc, truth):
+    return mpf(enc.lo) <= truth <= mpf(enc.hi)
+
+
+@seed(1)
+@settings(max_examples=25, deadline=None)
+@given(
+    s_lo=st.floats(-4.0, -1.0),
+    width=st.sampled_from([0.0, 1e-12, 1e-3, 0.5]),
+    K=st.integers(2, 2000),
+)
+def test_exp_sum_contains_mpmath(s_lo, width, K):
+    # zeta_sum's partial sum 1 + sum_{k=2}^K exp(s ln k) over an s-box
+    s = Interval(s_lo, min(s_lo + width, -1.0))
+    enc = exp_sum(s, [Interval(k).ln() for k in range(2, K + 1)], Interval(1.0))
+    with mp.workdps(50):
+        for end in (s.lo, s.hi):
+            truth = 1 + mp.fsum(mpf(k) ** mpf(end) for k in range(2, K + 1))
+            assert _within(enc, truth), (s, K, end)
+
+
+@seed(2)
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(2.0, 3.0),
+    a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.sampled_from([0.0, 1e-12, 1e-3]),
+    K=st.integers(1, 32),
+)
+def test_pow_gap_sum_contains_mpmath(p, a, width, K):
+    # f_star's partial sum a^s - sum_{k=1}^K ((k pi - a)^s - (k pi + a)^s),
+    # s = -p, over a (p, a)-box
+    s = Interval(-(p + width), -p)
+    a_box = Interval(a, a * (1.0 + width))
+    enc = pow_gap_sum(pow_real(a_box, s), s, [PI * k for k in range(1, K + 1)], a_box)
+    with mp.workdps(50):
+        for s_end in (s.lo, s.hi):
+            for a_end in (a_box.lo, a_box.hi):
+                S, A = mpf(s_end), mpf(a_end)
+                gaps = (
+                    (k * mp.pi - A) ** S - (k * mp.pi + A) ** S for k in range(1, K + 1)
+                )
+                truth = A**S - mp.fsum(gaps)
+                assert _within(enc, truth), (s, a_box, K, s_end, a_end)

@@ -1,6 +1,9 @@
 """Generic sign-change checker and the direct conclusion quadratures."""
 
+from math import comb
+
 import pytest
+from mpmath import mp, mpf
 
 from khintchine.interval import Interval, SQRT2, imin
 from khintchine.verifier import engine
@@ -14,7 +17,15 @@ from khintchine.verifier import (
     gauss_cos_gap_integral,
     np_generic,
 )
-from khintchine.verifier.npcheck import FP_P, FP_S, gauss_cos_gap_integrals
+from khintchine.verifier.npcheck import (
+    FP_P,
+    FP_S,
+    _near_zero_children,
+    gauss_cos_gap_integrals,
+    gauss_moment,
+    gauss_moment_integral,
+    rademacher_moment,
+)
 
 
 def test_np_generic_identical_enclosures():
@@ -142,8 +153,8 @@ def test_np_cos_gauss_cases():
 
 
 @pytest.mark.slow
-def test_conclusion_direct_grid():
-    res = check_conclusion_direct()
+def test_conclusion_direct_grid(conclusion_direct):
+    res = conclusion_direct
     assert res.status == PROVED
     p_blocks = [c for c in res.children if c.name.startswith("p-")]
     assert len(p_blocks) == 3
@@ -192,17 +203,48 @@ def test_gap_integral_h2_consistency():
     assert enc.contains(0.00775) or (0.005 < enc.mid < 0.010)
 
 
-@pytest.mark.slow
+def _contains(enc, truth):
+    return mpf(enc.lo) <= truth <= mpf(enc.hi)
+
+
 def test_fp_convergence():
     res = check_fp_convergence()
     assert res.status == PROVED
     names = [c.name for c in res.children]
-    assert "final-within-1-percent" in names
-    assert any("deviation-decreasing" in n for n in names)
-    # the near-zero bound of the moment integrals is certified in the node,
+    cert = ["cos-above-quadratic", "ln-reciprocal-quadratic"]
+    assert names == cert + [
+        "haagerup-formula-n4",
+        "deviation-decreasing-4-to-16",
+        "deviation-decreasing-16-to-64",
+        "final-within-1-percent",
+    ]
+    assert all(c.status == PROVED for c in res.children)
+    # the one gap integral's near-zero bound is certified at delta = 1e-3,
     # and its anchor at 0 does not become the node's margin
-    cert = {"cos-above-quadratic", "ln-reciprocal-quadratic"}
-    assert cert <= set(names)
-    assert all(c.status == PROVED for c in res.children if c.name in cert)
-    rest = [c.margin for c in res.children if c.name not in cert]
+    trees = [_tree(c) for c in res.children[:2]]
+    assert trees == [_tree(c) for c in _near_zero_children(1e-3)]
+    assert trees != [_tree(c) for c in _near_zero_children(1e-2)]
+    rest = [c.margin for c in res.children[2:]]
     assert res.margin == imin(rest) and res.margin.lo > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_rademacher_moment_contains_the_binomial_sum(n, p):
+    enc = rademacher_moment(n, Interval(p))
+    with mp.workdps(50):
+        P = mpf(p)
+        truth = sum(comb(n, j) * abs(mpf(n - 2 * j)) ** P for j in range(n + 1))
+        truth = truth / mpf(2) ** n / mpf(n) ** (P / 2)
+        assert _contains(enc, truth)
+    if p == 2.0:
+        assert enc.contains(1.0)  # E S_n^2 = n
+
+
+@pytest.mark.parametrize("p", [2.1, 2.5, 2.9])
+def test_gauss_moment_closed_forms_contain_mpmath(p):
+    piv = Interval(p)
+    with mp.workdps(50):
+        P = mpf(p)
+        assert _contains(gauss_moment(piv), 2 ** (P / 2) * mp.gamma((P + 1) / 2) / mp.sqrt(mp.pi))
+        assert _contains(gauss_moment_integral(piv), 2 ** (-(P + 2) / 2) * mp.gamma(-P / 2))

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from mpmath import mp, mpf
 
 from khintchine.interval import PI, Interval, DomainError
@@ -113,7 +113,7 @@ def test_f_star_contains_closed_form(p, x, K):
 
 def test_k_pi_table():
     # f_star and derivatives read k*pi from this table instead of rebuilding it
-    for K in (200, 400):
+    for K in (SERIES_K, 400):
         table = _k_pi(K)
         assert len(table) == K + 1
         assert all(kpi == PI * k for k, kpi in enumerate(table))
@@ -163,6 +163,18 @@ def test_derivatives():
         fd_g = (g_star(iv(x + h), MP2).mid - g_star(iv(x - h), MP2).mid) / (2 * h)
         assert abs(fd_f - fpv.mid) <= 1e-2 * abs(fd_f)
         assert abs(fd_g - gpv.mid) <= 1e-2 * abs(fd_g)
+
+
+@seed(18)
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(2.0, 3.0),
+    x=st.floats(1e-3, 0.99),
+    K=st.integers(1, 64),
+)
+def test_derivatives_contain_closed_form(p, x, K):
+    fpv, _ = derivatives(iv(x), MeasureParams(iv(p)), K=K)
+    assert _contains(fpv, _ref_f_prime(x, p))
 
 
 def test_ratio_above_one_at_cos1():

@@ -8,7 +8,8 @@ an enclosure elsewhere.  ``exp_sum`` must equal the interval loop
 ``acc = acc + (s * x).exp()`` on its domain s <= 0 < x and raise off it.
 ``pow_gap_sum`` must equal the loop
 ``acc = acc - (pow_real(c - a, s) - pow_real(c + a, s))`` everywhere, raising
-what it raises, and ``f_star`` must equal its earlier term-by-term loop.
+what it raises.  ``f_star`` must contain the closed form and be no wider than
+its earlier term-by-term loop with a convex tail.
 """
 
 import math
@@ -393,8 +394,18 @@ def test_pow_gap_sum_touching_zero_takes_the_fallback():
         is tuple
 
 
-def test_f_star_matches_the_term_by_term_loop():
-    def old_f_star(x, p, K):
+def _closed_form_f_star(x, p):
+    """F_*(x) = (a^-p - pi^-p [zeta(p, 1 - a/pi) - zeta(p, 1 + a/pi)]) / p."""
+    a = mp.acos(x)
+    tails = mp.zeta(p, 1 - a / mp.pi) - mp.zeta(p, 1 + a / mp.pi)
+    return (a**-p - mp.pi**-p * tails) / p
+
+
+def test_f_star_contains_closed_form_within_the_convex_tail_width():
+    # the K-term loop closed by the trapezoid/midpoint bracket of a convex
+    # summand, which f_star computed before its Euler-Maclaurin tail: a width
+    # yardstick only
+    def convex_tail_f_star(x, p, K):
         a = x.arccos()
 
         def term(upi):
@@ -412,14 +423,30 @@ def test_f_star_matches_the_term_by_term_loop():
         upper = integral(kernel.PI * (K + 0.5))
         return (acc - Interval(lower.lo, upper.hi)) / p
 
+    def contains_truth(got, x, p):
+        # an enclosure over an x interval or a p box holds the value at each corner
+        return all(
+            mpf(got.lo) <= _closed_form_f_star(mpf(xe), mpf(pe)) <= mpf(got.hi)
+            for xe in {x.lo, x.hi} for pe in {p.lo, p.hi}
+        )
+
     xs = [Interval(x, x) for x in (1e-3, 0.02, 0.117, 0.2306, 0.5, 0.5361, 0.9, 0.98, 0.99)]
     xs += [Interval(0.3, 0.31), Interval(0.536072, 0.53623)]
-    ps = [Interval(p, p) for p in (2.0, 2.5, 2.9, 3.0)] + [Interval(2.2, 2.3)]
-    for K in (1, 32, 400):
-        for p in ps:
-            for x in xs[::3] if K == 400 else xs:
-                got = f_star(x, MeasureParams(p), K=K)
-                assert _hexes(got) == _hexes(old_f_star(x, p, K)), (K, p, x)
+    points = [Interval(p, p) for p in (2.0, 2.5, 2.9, 3.0)]
+    with mp.workdps(40):
+        for p in points:
+            for x in xs:
+                got = f_star(x, MeasureParams(p))
+                assert contains_truth(got, x, p), (p, x)
+                # on a wide x most of the width is F_*'s own rise over x, which
+                # the longer tail from K = 6 widens by a few parts in 1,000
+                if x.lo == x.hi:
+                    assert got.width <= convex_tail_f_star(x, p, 32).width, (p, x)
+        # the asymptotic series diverges at K = 1, so there it only encloses
+        for K in (1, 32, 400):
+            for p in points + [Interval(2.2, 2.3)]:
+                for x in xs[::3] if K == 400 else xs:
+                    assert contains_truth(f_star(x, MeasureParams(p), K=K), x, p), (K, p, x)
 
 
 def test_lncos_series_at_zero_contains_mpmath():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .interval import PI, DomainError, Interval, pow_gap_sum, pow_real
+from .interval import PI, DomainError, Interval, pow_real
 from .specfun import BERNOULLI_ABS
 
 
@@ -106,7 +106,9 @@ def f_star(x: Interval, mp: MeasureParams, K: int = SERIES_K) -> Interval:
     a = x.arccos()
     kpi = _k_pi(K)
     lo_end, hi_end = kpi[K] - a, kpi[K] + a
-    acc = pow_gap_sum(pow_real(a, neg_p), neg_p, kpi[1:K], a)
+    acc = pow_real(a, neg_p)
+    for c in kpi[1:K]:
+        acc = acc - (pow_real(c - a, neg_p) - pow_real(c + a, neg_p))
     tail = _em_tail(p, lo_end, pow_real(lo_end, neg_p), hi_end, -pow_real(hi_end, neg_p))
     return (acc - tail) / p
 
@@ -155,9 +157,9 @@ def brute_force_dist(y: float, mp: MeasureParams, which: str) -> Interval:
 
     For |cos|: the sublevel set {|cos t| < y} is the union of the intervals
     (k pi + arccos y, (k+1) pi - arccos y); each one's measure is evaluated
-    from the antiderivative t^-p/p and summed directly for k < K = BRUTE_K.
-    The omitted solution intervals live inside (K pi, inf), whose full
-    measure bounds the tail.
+    from the antiderivative t^-p/p, with k pi read from _k_pi, and summed
+    directly for k < K = BRUTE_K, divided by p once.  The omitted solution
+    intervals live inside (K pi, inf), whose full measure bounds the tail.
     For the gaussian: closed form on (sqrt(2 ln(1/y)), inf).
     """
     if not 0.01 < y < 0.99:
@@ -168,13 +170,12 @@ def brute_force_dist(y: float, mp: MeasureParams, which: str) -> Interval:
         T = (yiv.ln() * -2.0).sqrt()
         return pow_real(T, -p) / p
     if which == "cos":
+        neg_p = -p
         a = yiv.arccos()
-        acc = Interval(0.0, 0.0)
+        kpi = _k_pi(BRUTE_K)
+        acc = _ZERO
         for k in range(BRUTE_K):
-            kpi = PI * k
-            lo_end = kpi + a
-            hi_end = kpi + PI - a
-            acc = acc + (pow_real(lo_end, -p) - pow_real(hi_end, -p)) / p
-        tail = pow_real(PI * BRUTE_K, -p) / p
-        return acc + Interval(0.0, tail.hi)
+            acc = acc + (pow_real(kpi[k] + a, neg_p) - pow_real(kpi[k + 1] - a, neg_p))
+        tail = pow_real(kpi[BRUTE_K], neg_p)
+        return (acc + Interval(0.0, tail.hi)) / p
     raise ValueError(f"unknown distribution kind {which!r}")

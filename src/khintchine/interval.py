@@ -394,52 +394,6 @@ def _contains_multiple(a: Interval, offset: "Interval") -> bool:
     return math.floor(q.hi) >= math.ceil(q.lo)
 
 
-def _pow_ends(s_lo: float, s_hi: float, x_lo: float, x_hi: float) -> tuple[float, float]:
-    """Endpoints of ``(s * x.ln()).exp()`` for 0 < x.lo and x.hi < inf.
-
-    The one copy of the rounding recipe of ``pow_real``'s main branch and of
-    ``pow_gap_sum``: ``ln`` moves both ends ELEM_ULPS ulps outward, ``*``
-    hulls the four corners as ``_hull4`` does and moves each end one ulp
-    outward, and ``exp`` (an overflow is inf) moves both ends ELEM_ULPS ulps
-    outward and clamps a lower end <= 0 to 0.  The ends of ln x are finite
-    and nonzero (libm's log is 0 only at 1, and the widening moves that off
-    0), so no corner is 0 * inf and ``*``'s ``_prod`` fallback never applies.
-    """
-    l_lo = _log(x_lo)
-    l_hi = _log(x_hi)
-    for _ in _ELEM_STEPS:
-        l_lo = _nextafter(l_lo, -INF)
-        l_hi = _nextafter(l_hi, INF)
-    lo = hi = s_lo * l_lo
-    v = s_lo * l_hi
-    if v < lo:
-        lo = v
-    elif v > hi:
-        hi = v
-    v = s_hi * l_lo
-    if v < lo:
-        lo = v
-    elif v > hi:
-        hi = v
-    v = s_hi * l_hi
-    if v < lo:
-        lo = v
-    elif v > hi:
-        hi = v
-    try:
-        lo = _exp(_nextafter(lo, -INF))
-    except OverflowError:
-        lo = INF
-    try:
-        hi = _exp(_nextafter(hi, INF))
-    except OverflowError:
-        hi = INF
-    for _ in _ELEM_STEPS:
-        lo = _nextafter(lo, -INF)
-        hi = _nextafter(hi, INF)
-    return (lo if lo > 0.0 else 0.0), hi
-
-
 def pow_real(a: Interval, s: Interval | float) -> Interval:
     """Enclosure of {x**sigma : x in a, sigma in s} for a >= 0.
 
@@ -450,7 +404,46 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
     if type(a) is not Interval:
         return a.pow_real(s)
     if 0.0 < a.lo and a.hi < INF:
-        return _make(*_pow_ends(s.lo, s.hi, a.lo, a.hi))
+        # the endpoints of (s * a.ln()).exp(), carried as floats: ln moves
+        # both ends ELEM_ULPS ulps outward; * hulls the four corners and moves
+        # each end one ulp outward; exp (an overflow is inf) moves both ends
+        # ELEM_ULPS ulps outward and clamps a lower end <= 0 to 0.  The ends
+        # of ln a are finite and nonzero (libm's log is 0 only at 1, and the
+        # widening moves that off 0), so no corner is 0 * inf.
+        l_lo = _log(a.lo)
+        l_hi = _log(a.hi)
+        for _ in _ELEM_STEPS:
+            l_lo = _nextafter(l_lo, -INF)
+            l_hi = _nextafter(l_hi, INF)
+        s_lo, s_hi = s.lo, s.hi
+        lo = hi = s_lo * l_lo
+        v = s_lo * l_hi
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        v = s_hi * l_lo
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        v = s_hi * l_hi
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        try:
+            lo = _exp(_nextafter(lo, -INF))
+        except OverflowError:
+            lo = INF
+        try:
+            hi = _exp(_nextafter(hi, INF))
+        except OverflowError:
+            hi = INF
+        for _ in _ELEM_STEPS:
+            lo = _nextafter(lo, -INF)
+            hi = _nextafter(hi, INF)
+        return _make(lo if lo > 0.0 else 0.0, hi)
     if a.lo < 0.0:
         raise DomainError(f"pow_real of interval {a} with negative values")
     if a.lo == 0.0:
@@ -559,62 +552,6 @@ def exp_sum(s: Interval, xs: Iterable[Interval], acc: Interval) -> Interval:
             lo = _nextafter(lo, -INF)
         if hi != 0.0:
             hi = _nextafter(hi, INF)
-    return _make(lo, hi)
-
-
-def pow_gap_sum(acc: Interval, s: Interval, cs: Iterable[Interval], a: Interval) -> Interval:
-    """Enclosure of acc - sum_c ((c - a)^s - (c + a)^s).
-
-    Bit for bit the loop ``acc = acc - (pow_real(c - a, s) - pow_real(c + a, s))``.
-    Each end of c - a and c + a moves one ulp outward unless it is exactly 0,
-    as in ``-`` and ``+``.  Where both lie in pow_real's main branch (lower
-    end > 0, upper end < inf) the powers come from ``_pow_ends``; elsewhere
-    (c - a reaching 0, an infinite or NaN end) the term goes through the
-    Interval operations and raises what they raise.  The term difference and
-    the accumulator move one ulp outward unless exactly 0, and an inf - inf
-    in the accumulator raises IntervalError, as ``-`` does.  Only the
-    endpoints are carried, so no intermediate Interval is built.
-    """
-    s_lo, s_hi = s.lo, s.hi
-    a_lo, a_hi = a.lo, a.hi
-    lo, hi = acc.lo, acc.hi
-    nextafter = _nextafter
-    pow_ends = _pow_ends
-    for c in cs:
-        d_lo = c.lo - a_hi
-        d_hi = c.hi - a_lo
-        u_lo = c.lo + a_lo
-        u_hi = c.hi + a_hi
-        if d_lo != 0.0:
-            d_lo = nextafter(d_lo, -INF)
-        if d_hi != 0.0:
-            d_hi = nextafter(d_hi, INF)
-        if u_lo != 0.0:
-            u_lo = nextafter(u_lo, -INF)
-        if u_hi != 0.0:
-            u_hi = nextafter(u_hi, INF)
-        if 0.0 < d_lo and d_hi < INF and 0.0 < u_lo and u_hi < INF:
-            m_lo, m_hi = pow_ends(s_lo, s_hi, d_lo, d_hi)
-            p_lo, p_hi = pow_ends(s_lo, s_hi, u_lo, u_hi)
-            # m_lo and p_lo are finite (an overflow widens to below inf), so
-            # the difference has no inf - inf and t_lo <= t_hi
-            t_lo = m_lo - p_hi
-            t_hi = m_hi - p_lo
-            if t_lo != 0.0:
-                t_lo = nextafter(t_lo, -INF)
-            if t_hi != 0.0:
-                t_hi = nextafter(t_hi, INF)
-        else:
-            t = pow_real(c - a, s) - pow_real(c + a, s)
-            t_lo, t_hi = t.lo, t.hi
-        lo -= t_hi
-        hi -= t_lo
-        if lo != 0.0:
-            lo = nextafter(lo, -INF)
-        if hi != 0.0:
-            hi = nextafter(hi, INF)
-        if not lo <= hi:  # also catches NaN ends
-            raise IntervalError(f"invalid interval endpoints [{lo!r}, {hi!r}]")
     return _make(lo, hi)
 
 

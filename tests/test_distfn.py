@@ -127,6 +127,11 @@ def test_cross_validation_overlap(f_star_vs_brute_force):
         assert hull.width <= 1e-6, (p, x, hull.width)
 
 
+def test_brute_force_contains_closed_form(f_star_vs_brute_force):
+    for p, x, _, b in f_star_vs_brute_force:
+        assert _contains(b, _ref_f_star(x, p)), (p, x)
+
+
 def test_brute_force_gauss_matches_g_star():
     for p in (2.0, 2.7):
         mpp = MeasureParams(iv(p))

@@ -6,10 +6,8 @@ and 0.0 differ), and raise where it raises.  ``horner_nonneg`` must equal the
 interval Horner loop for positive coefficients at a positive argument and stay
 an enclosure elsewhere.  ``exp_sum`` must equal the interval loop
 ``acc = acc + (s * x).exp()`` on its domain s <= 0 < x and raise off it.
-``pow_gap_sum`` must equal the loop
-``acc = acc - (pow_real(c - a, s) - pow_real(c + a, s))`` everywhere, raising
-what it raises.  ``f_star`` must contain the closed form and be no wider than
-its earlier term-by-term loop with a convex tail.
+``f_star`` must contain the closed form and be no wider than its earlier
+term-by-term loop with a convex tail.
 """
 
 import math
@@ -32,7 +30,6 @@ from khintchine.interval import (
     Interval,
     exp_sum,
     horner_nonneg,
-    pow_gap_sum,
     pow_real,
 )
 
@@ -312,86 +309,7 @@ def test_exp_sum_rejects_points_off_its_domain():
             exp_sum(Interval(-2.0, -1.0), [Interval(1.0, 1.0), x], Interval(0.0, 0.0))
 
 
-# -- pow_gap_sum --------------------------------------------------------------
-
-
-def _loop_pow_gap_sum(mod, acc, s, cs, a):
-    cls = mod.Interval
-    acc = cls(acc.lo, acc.hi)
-    s = cls(s.lo, s.hi)
-    a = cls(a.lo, a.hi)
-    for c in cs:
-        c = cls(c.lo, c.hi)
-        acc = acc - (mod.pow_real(c - a, s) - mod.pow_real(c + a, s))
-    return acc
-
-
-def _same_pow_gap_sum(acc, s, cs, a):
-    got = _outcome(pow_gap_sum, acc, s, cs, a)
-    assert got == _outcome(_loop_pow_gap_sum, kernel, acc, s, cs, a), (acc, s, cs, a)
-    assert got == _outcome(_loop_pow_gap_sum, ref, acc, s, cs, a), (acc, s, cs, a)
-    return got
-
-
-def _box(rng, lo):
-    return Interval(lo, lo + abs(lo) * rng.choice((0.0, 1e-15, rng.uniform(0.0, 1.0))))
-
-
-def test_pow_gap_sum_matches_interval_loop_on_random_draws():
-    rng = random.Random(29)
-    raised = 0
-    for _ in range(2_000):
-        a = _box(rng, rng.choice((rng.uniform(1e-3, 1.6), 10.0 ** rng.uniform(-320, 3))))
-        s_lo = rng.choice((rng.uniform(-6.0, 6.0), rng.uniform(-400.0, 400.0)))
-        s = Interval(s_lo, s_lo + rng.choice((0.0, 1e-12, rng.uniform(0.0, 3.0))))
-        # mostly c - a > 0; a few c below a send a term through the fallback
-        cs = [_box(rng, a.hi * (rng.uniform(0.0, 1.0) if rng.random() < 0.03
-                                else 1.0 + 10.0 ** rng.uniform(-15, 3)))
-              for _ in range(rng.randint(0, 12))]
-        acc = _box(rng, rng.choice((0.0, rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-5, 5))))
-        raised += type(_same_pow_gap_sum(acc, s, cs, a)) is str
-    assert 0 < raised < 1_000  # both the fast path and the fallback's raise are drawn
-
-
-def test_pow_gap_sum_matches_interval_loop_at_the_edges():
-    u = math.nextafter(1.0, INF)
-    cs_edge = [Interval(a, b) for a, b in (
-        (0.5, 0.5), (0.5, u), (1.0, 1.0), (1.0, u), (u, u), (TINY, TINY), (0.0, 1.0),
-        (1e-310, 2e-310), (MIN_NORMAL, MIN_NORMAL), (3.0, 3.0), (3.0, 1e300),
-        (1e300, MAX), (MAX, MAX), (1.0, INF), (INF, INF), (-1.0, 2.0))]
-    a_edge = [Interval(a, b) for a, b in (
-        (0.0, 0.0), (-0.0, -0.0), (TINY, TINY), (TINY, 2 * TINY), (1e-310, 1e-310),
-        (0.5, 0.5), (0.25, 0.5), (1.0, 1.0), (1.0, INF))]
-    s_edge = [Interval(a, b) for a, b in (
-        (-2.5, -2.5), (-3.0, -2.0), (-1.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (0.0, 2.0),
-        (2.5, 2.5), (-800.0, -800.0), (800.0, 800.0), (-INF, -1.0), (1.0, INF))]
-    accs = [Interval(a, b) for a, b in (
-        (0.0, 0.0), (-0.0, -0.0), (-TINY, TINY), (1.0, 1.0), (-1.0, 2.0), (-INF, INF),
-        (MAX, INF), (INF, INF), (-INF, -INF))]
-    outcomes = set()
-    for a in a_edge:
-        for s in s_edge:
-            for acc in accs:
-                outcomes.add(_same_pow_gap_sum(acc, s, cs_edge, a))
-                for c in cs_edge:
-                    outcomes.add(_same_pow_gap_sum(acc, s, [c], a))
-    assert {"DomainError", "IntervalError"} <= outcomes
-
-
-def test_pow_gap_sum_touching_zero_takes_the_fallback():
-    # the lower end of c - a rounds to 0 or below: the interval path raises
-    # for s < 0 and takes the limit 0**sigma = 0 for s > 0
-    half = Interval(0.5, 0.5)
-    for c, a in ((half, half), (Interval(0.5, 1.0), half), (Interval(0.4, 1.0), half),
-                 (Interval(2 * TINY, 1.0), Interval(TINY, TINY))):
-        assert _same_pow_gap_sum(Interval(1.0, 1.0), Interval(-2.5, -2.5), [c], a) \
-            == "DomainError"
-        got = _same_pow_gap_sum(Interval(1.0, 1.0), Interval(2.5, 2.5), [c], a)
-        assert (type(got) is tuple) == (c.lo >= a.hi)
-    # one ulp above a, c - a stays positive and the fast path answers
-    c = Interval(math.nextafter(0.5, INF), 1.0)
-    assert type(_same_pow_gap_sum(Interval(1.0, 1.0), Interval(-2.5, -2.5), [c], half)) \
-        is tuple
+# -- f_star ------------------------------------------------------------------
 
 
 def _closed_form_f_star(x, p):

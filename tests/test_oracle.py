@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from mpmath import mp, mpf
 
 from khintchine.oracle import (
     CoefficientVector,
@@ -93,6 +94,19 @@ def test_steckin_examples():
     rows = steckin_convergence(2.5, (16, 64, 256, 1024))
     devs = [abs(m - t) for (_, m, t) in rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
+
+
+def test_binomial_mode_matches_mpmath_at_large_n():
+    # correctly rounded weights C(n, k)/2^n keep the sum within a few ulps
+    with mp.workdps(50):
+        for n in (256, 1024):
+            for p in (2.5, 3.0):
+                truth = mp.fsum(
+                    mp.binomial(n, k) * abs((2 * k - n) / mp.sqrt(n)) ** mpf(p)
+                    for k in range(n + 1)
+                ) / mpf(2) ** n
+                (_, binom, _) = steckin_convergence(p, (n,))[0]
+                assert abs(binom - truth) / truth < 1e-15, (n, p)
 
 
 def test_khintchine_check_examples():

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from ..distfn import SERIES_K, MeasureParams, f_star, g_star
+from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star
 from ..interval import PI, Interval, imin, pow_real
 from ..jet import Jet
 from ..polytools import poly
@@ -59,6 +59,7 @@ Y_TOL = 1e-5
 def np_generic(
     F: FnEnclosure,
     G: FnEnclosure,
+    slope: FnEnclosure,
     integral: Interval,
     grid: int = 64,
     *,
@@ -69,16 +70,28 @@ def np_generic(
     s0-integral is nonnegative.
 
     F and G must be nondecreasing, as distribution functions are: each is
-    called only on point intervals, once per distinct cell endpoint, and on
-    a cell [a, b] it is enclosed by [F(a).lo, F(b).hi].  Endpoint enclosures
-    that certify a decrease raise ValueError.
+    called only on point intervals, once per distinct point, and on a cell
+    X = [a, b] the difference is first enclosed by the monotone hull
+    [F(a).lo - G(b).hi, F(b).hi - G(a).lo].  slope(X) must enclose (F - G)'
+    at every x in X.  Where the hull leaves a cell's sign open, F and G are
+    also evaluated at its midpoint m, the point bisection would add, and the
+    enclosure becomes the hull intersected with the mean-value forms
+    (F(y) - G(y)) + slope(X) (X - y) about y = m, a and b (Moore, Kearfott &
+    Cloud, Introduction to Interval Analysis, 2009, section 6.4).  So F and G
+    are evaluated at cell endpoints and at the midpoints of cells where the
+    forms were tried.  Endpoint enclosures that certify a decrease, or
+    enclosures with no common point, which a wrong slope can give, raise
+    ValueError.
 
     The difference is classified on a refining partition of [Y_LO, Y_HI],
     bisected by the engine's bisect_boxes; cells straddling the sign change
     shrink below Y_TOL.  A cell's sign is certified when d or -d grades as a
     proved nonstrict margin.  More than one sign change, or a rightmost cell
     certified negative, fails the check; unresolved cells where the
-    nonnegative phase could still lie leave it inconclusive.
+    nonnegative phase could still lie leave it inconclusive.  Unresolved
+    cells between the last negative and the first positive cell (the
+    transition gap) pass only when slope over the whole gap is certified
+    positive, so that F - G crosses zero at most once there.
     integral must be a rigorous enclosure of int (g^s0 - f^s0) d(mu);
     assembling it (cutoffs, tails) is the caller's business, and
     integral_note, which names s0, is that leaf's note.
@@ -86,7 +99,8 @@ def np_generic(
     if grid < 16:
         raise ValueError("grid must be >= 16")
 
-    # neighbouring cells share endpoints; each one is evaluated once
+    # neighbouring cells share endpoints, and a split cell's midpoint is its
+    # children's endpoint; each point is evaluated once
     at_point: dict[float, tuple[Interval, Interval]] = {}
 
     def endpoint(y: float) -> tuple[Interval, Interval]:
@@ -94,6 +108,13 @@ def np_generic(
             pt = Interval(y, y)
             at_point[y] = (F(pt), G(pt))
         return at_point[y]
+
+    def graded(d: Interval) -> tuple[Interval, bool, bool]:
+        return (
+            d,
+            status_from_margin(-d, strict=False) == PROVED,
+            status_from_margin(d, strict=False) == PROVED,
+        )
 
     def evaluate(box) -> tuple[Interval, bool, bool]:
         ((a, b),) = box
@@ -103,14 +124,27 @@ def np_generic(
                 f"F or G decreases on [{a:.17g}, {b:.17g}]; both must be nondecreasing"
             )
         fe, ge = Interval(fa.lo, fb.hi), Interval(ga.lo, gb.hi)
-        d = fe - ge
         # identical enclosures satisfy both sign conditions
-        flat = fe == ge
-        return (
-            d,
-            flat or status_from_margin(-d, strict=False) == PROVED,
-            flat or status_from_margin(d, strict=False) == PROVED,
-        )
+        if fe == ge:
+            return fe - ge, True, True
+        d, is_neg, is_pos = graded(fe - ge)
+        if is_neg or is_pos:
+            return d, is_neg, is_pos
+        m = 0.5 * (a + b)
+        fm, gm = endpoint(m)
+        X = Interval(a, b)
+        s = slope(X)
+        lo, hi = d.lo, d.hi
+        for y, fy, gy in ((m, fm, gm), (a, fa, ga), (b, fb, gb)):
+            form = (fy - gy) + s * (X - Interval(y, y))
+            lo, hi = max(lo, form.lo), min(hi, form.hi)
+        if lo > hi:
+            raise ValueError(
+                f"the monotone hull and the mean-value forms of F - G do not "
+                f"intersect on [{a:.17g}, {b:.17g}] (slope {s}); F, G or slope "
+                "is unsound"
+            )
+        return graded(Interval(lo, hi))
 
     start = [((c.lo, c.hi),) for c in Interval(Y_LO, Y_HI).split(grid)]
     # terminal cells come back left to right
@@ -169,14 +203,27 @@ def np_generic(
             elif cut:
                 verdict = INCONCLUSIVE
                 diag = f"{len(cut)} cells unresolved when the evaluation budget ran out"
-            y0_lo, y0_hi = gap_lo, gap_hi
+            note = f"y0 in [{gap_lo:.6g}, {gap_hi:.6g}]"
+            if straddles and verdict is PROVED:
+                # every unresolved cell lies in the gap; F - G crosses zero
+                # there at most once only if it rises across the whole gap
+                rise = slope(Interval(gap_lo, gap_hi))
+                rise_note = f"(F - G)' in [{rise.lo:.6g}, {rise.hi:.6g}]"
+                note += f"; {rise_note} on it"
+                if not rise.lo > 0.0:
+                    verdict = INCONCLUSIVE
+                    diag = (
+                        f"{len(straddles)} cells unresolved in the transition gap "
+                        f"[{gap_lo:.6g}, {gap_hi:.6g}], where {rise_note} is not "
+                        "certified positive"
+                    )
 
     hyp1 = leaf(
         f"{name}/single-sign-change",
         imin(margins or [Interval(0.0, 0.0)]),
         strict=False,
         evaluations=evals,
-        note=diag or f"y0 in [{y0_lo:.6g}, {y0_hi:.6g}]",
+        note=diag or note,
         verdict=verdict,
     )
     hyp2 = leaf(
@@ -353,11 +400,15 @@ def check_np_cos_gauss(
     def G(x: Interval) -> Interval:
         return g_star(x, mp)
 
+    def slope(x: Interval) -> Interval:
+        f_prime, g_prime = derivatives(x, mp, K=K)
+        return f_prime - g_prime
+
     enc, quads = gauss_cos_gap_integral(
         Interval(p, p), Interval(SQRT2.lo, SQRT2.hi)
     )
     return np_generic(
-        F, G, enc, grid=grid, name=f"np/cos-gauss-p{p}",
+        F, G, slope, enc, grid=grid, name=f"np/cos-gauss-p{p}",
         integral_note=note_missed(f"s0 = {float(SQRT2.lo)}", *quads),
     )
 

@@ -182,6 +182,28 @@ def test_derivatives_contain_closed_form(p, x, K):
     assert _contains(fpv, _ref_f_prime(x, p))
 
 
+def _ref_g_prime(x, p):
+    """G_*'(x) = (-2 ln x)^(-p/2 - 1) / x."""
+    return (-2 * mp.log(x)) ** (-mpf(p) / 2 - 1) / x
+
+
+@seed(20)
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.floats(2.0, 3.0),
+    a=st.floats(1e-3, 0.99),
+    w=st.floats(0.0, 1.0 / 64.0),
+)
+def test_derivatives_contain_closed_form_on_cells(p, a, w):
+    # np_generic's slope forms and its transition gap read derivatives on
+    # whole cells [a, a + w] of its window [1e-3, 0.99]
+    b = min(a + w, 0.99)
+    fpv, gpv = derivatives(Interval(a, b), MeasureParams(iv(p)))
+    for x in (a, 0.5 * (a + b), b):
+        assert _contains(fpv, _ref_f_prime(x, p)), (p, a, b, x)
+        assert _contains(gpv, _ref_g_prime(mpf(x), p)), (p, a, b, x)
+
+
 def test_ratio_above_one_at_cos1():
     x = math.cos(1.0)
     fp, gp = derivatives(iv(x), MP2, K=400)

@@ -1,12 +1,13 @@
 """Generic sign-change checker and the direct conclusion quadratures."""
 
-from math import comb
+import re
+from math import comb, inf
 
 import pytest
 from mpmath import mp, mpf
 
 from khintchine.interval import Interval, SQRT2, imin
-from khintchine.verifier import engine
+from khintchine.verifier import engine, npcheck
 from khintchine.verifier import (
     FAILED,
     INCONCLUSIVE,
@@ -26,9 +27,18 @@ from khintchine.verifier.npcheck import (
 )
 
 
+# the slope of F - G that the fuzzy and blurred F's below can promise
+UNKNOWN_SLOPE = Interval(-inf, inf)
+
+
+def _y0(note):
+    lo, hi = re.search(r"y0 in \[([^,]+), ([^\]]+)\]", note).groups()
+    return float(lo), float(hi)
+
+
 def test_np_generic_identical_enclosures():
     res = np_generic(
-        lambda x: x, lambda x: x, Interval(0.0, 0.0),
+        lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0), Interval(0.0, 0.0),
         name="same",
     )
     assert res.status == PROVED
@@ -39,19 +49,22 @@ def test_np_generic_single_crossing():
     res = np_generic(
         lambda x: x,
         lambda x: Interval(0.5, 0.5),
+        lambda x: Interval(1.0, 1.0),
         Interval(1.0, 1.0),
         name="crossing",
     )
     assert res.status == PROVED
     assert "y0 in" in res.note
-    lo, hi = res.note.split("[")[1].rstrip("]").split(",")
-    assert float(lo) <= 0.5 <= float(hi)
+    lo, hi = _y0(res.note)
+    assert lo <= 0.5 <= hi
+    assert "(F - G)' in [1, 1] on it" in res.note
 
 
 def test_np_generic_shifted_fails():
     res = np_generic(
         lambda x: x,
         lambda x: x + 1.0,
+        lambda x: Interval(0.0, 0.0),
         Interval(1.0, 1.0),
         name="shifted",
     )
@@ -64,7 +77,7 @@ def test_np_generic_double_crossing_fails():
         return x * 3.0 + (x - 0.3) * (x - 0.7)
 
     res = np_generic(
-        F, lambda x: x * 3.0, Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, lambda x: x * 2.0 - 1.0, Interval(1.0, 1.0),
         name="double",
     )
     assert res.status == FAILED
@@ -79,6 +92,7 @@ def test_np_generic_budget_never_proves(monkeypatch):
     res = np_generic(
         lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
         lambda x: Interval(0.5, 0.5),
+        lambda x: UNKNOWN_SLOPE,
         Interval(1.0, 1.0),
         name="fuzzy",
     )
@@ -99,7 +113,8 @@ def test_np_generic_unresolved_right_edge_inconclusive(monkeypatch):
 
     monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
-        F, lambda x: x * 3.0, Interval(1.0, 1.0), name="blurred-cubic"
+        F, lambda x: x * 3.0, lambda x: UNKNOWN_SLOPE, Interval(1.0, 1.0),
+        name="blurred-cubic",
     )
     assert res.status == INCONCLUSIVE
     assert res.children[0].status == INCONCLUSIVE
@@ -109,13 +124,15 @@ def test_np_generic_unresolved_right_edge_inconclusive(monkeypatch):
 def test_np_generic_rejects_decreasing_input():
     with pytest.raises(ValueError, match="nondecreasing"):
         np_generic(
-            lambda x: -x, lambda x: Interval(0.5, 0.5), Interval(1.0, 1.0),
+            lambda x: -x, lambda x: Interval(0.5, 0.5),
+            lambda x: Interval(-1.0, -1.0), Interval(1.0, 1.0),
             name="decreasing",
         )
 
 
 def test_np_generic_evaluates_each_endpoint_once():
     seen = {"F": [], "G": []}
+    slopes = []
 
     def record(key, f):
         def wrapped(x):
@@ -123,22 +140,34 @@ def test_np_generic_evaluates_each_endpoint_once():
             return f(x)
         return wrapped
 
+    def slope(x):
+        slopes.append((x.lo, x.hi))
+        return Interval(1.0, 1.0)
+
     res = np_generic(
         record("F", lambda x: x), record("G", lambda x: Interval(0.4, 0.4)),
-        Interval(1.0, 1.0), grid=64, name="endpoints",
+        slope, Interval(1.0, 1.0), grid=64, name="endpoints",
     )
     assert res.status == PROVED
     cells = res.children[0].evaluations
     splits = (cells - 64) // 2
     assert splits > 0
+    # one slope call per cell the hull left open, then one over the gap;
+    # each such cell adds its midpoint, which its children reuse if it splits
+    tried = slopes[:-1]
+    assert splits <= len(tried)
     for calls in seen.values():
         assert all(lo == hi for lo, hi in calls)
-        assert len(set(calls)) == len(calls) == 65 + splits
+        assert len(set(calls)) == len(calls) == 65 + len(tried)
+        assert {(0.5 * (a + b),) * 2 for a, b in tried} <= set(calls)
 
 
 def test_np_generic_rejects_small_grid():
     with pytest.raises(ValueError):
-        np_generic(lambda x: x, lambda x: x, Interval(0, 0), grid=4)
+        np_generic(
+            lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0),
+            Interval(0, 0), grid=4,
+        )
 
 
 def test_np_cos_gauss_cases():
@@ -146,8 +175,50 @@ def test_np_cos_gauss_cases():
         res = check_np_cos_gauss(p)
         assert res.status == PROVED, p
         # y0 localized inside (rho, sigma) = (1/15, 0.97)
-        lo, hi = res.note.split("[")[1].rstrip("]").split(",")
-        assert 1.0 / 15.0 < float(lo) <= float(hi) < 0.97
+        lo, hi = _y0(res.note)
+        assert 1.0 / 15.0 < lo <= hi < 0.97
+        # the slope forms settle the cells near x = 1 that the monotone hull
+        # alone bisects (1,594 evaluations at p = 2.0 without them)
+        assert res.children[0].evaluations <= 400, p
+        assert "(F - G)' in [0.12" in res.note, p
+
+
+def test_np_generic_wide_gap_needs_a_slope(monkeypatch):
+    # F - G lies within 0.3 of x - 1/2 and its sign is unknown on
+    # [0.2, 0.8]: the unresolved cells fill that gap, so a single crossing
+    # there rests on the slope alone.  Y_TOL only sets how many cells fill
+    # it (159,042 evaluations at 1e-5, 1,236 at 1e-3), not the verdict
+    monkeypatch.setattr(npcheck, "Y_TOL", 1e-3)
+
+    def run(slope):
+        return np_generic(
+            lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
+            lambda x: Interval(0.5, 0.5),
+            lambda x: slope,
+            Interval(1.0, 1.0),
+            name="fuzzy-gap",
+        )
+
+    res = run(UNKNOWN_SLOPE)
+    assert res.status == INCONCLUSIVE
+    assert res.children[0].status == INCONCLUSIVE
+    assert "transition gap" in res.note and "not certified positive" in res.note
+    # an F - G that rises with slope 1 crosses zero once, somewhere in the gap
+    res = run(Interval(1.0, 1.0))
+    assert res.status == PROVED
+    lo, hi = _y0(res.note)
+    assert lo < 0.21 and hi > 0.79
+
+
+def test_np_generic_rejects_wrong_slope():
+    # F - G = x - 1/2 rises; a slope of -10 predicts values at the ends of
+    # the straddling cell that miss F - G there
+    with pytest.raises(ValueError, match="unsound"):
+        np_generic(
+            lambda x: x, lambda x: Interval(0.5, 0.5),
+            lambda x: Interval(-10.0, -10.0), Interval(1.0, 1.0),
+            name="wrong-slope",
+        )
 
 
 @pytest.mark.slow

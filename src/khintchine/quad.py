@@ -12,8 +12,9 @@ the result is a true enclosure no matter where refinement stops.  A cell
 where the jet raises DomainError (|cos t|^s at a zero of cos, a kink), or an
 integrand that does not return a Jet (a constant), keeps the first-order
 enclosure alone.  Improper integrals against d(mu_p) = dt/t^(p+1) are
-assembled by the callers from a finite part, a certified tail bound, and
-(where the integrand is singular-looking at 0) a declared near-zero majorant.
+assembled by the callers from a finite part, a series part integrated in
+closed form, a certified tail bound, and (where the integrand is
+singular-looking at 0) a near-zero majorant.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, factorial
 from typing import Callable
 
 from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star
-from ..interval import PI, Interval, imin, pow_real
+from ..interval import PI, DomainError, Interval, imin, ipoly_eval, pow_real
 from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
@@ -24,7 +25,7 @@ from ..quad import (
     note_missed,
     tail_bound_mu_p,
 )
-from ..specfun import SQRT2, cos_taylor, gamma_iv, neg_ln_cos_excess
+from ..specfun import LN_COS_COEFFS, SQRT2, cos_taylor, gamma_iv, neg_ln_cos_excess
 from .engine import (
     bisect_boxes,
     monotone_nonneg_check,
@@ -195,24 +196,24 @@ def np_generic(
             gap_lo = last_neg_end if last_neg_end is not None else Y_LO
             gap_hi = first_pos_start if first_pos_start is not None else Y_HI
             outside = [s for s in straddles if s[0] < gap_lo or s[1] > gap_hi]
-            # a straddle wider than Y_TOL was cut short by the budget
-            cut = [s for s in straddles if s[1] - s[0] > Y_TOL]
+            note = f"y0 in [{gap_lo:.6g}, {gap_hi:.6g}]"
             if outside:
                 verdict = INCONCLUSIVE
                 diag = f"{len(outside)} cells unresolved outside the transition gap"
-            elif cut:
-                verdict = INCONCLUSIVE
-                diag = f"{len(cut)} cells unresolved when the evaluation budget ran out"
-            note = f"y0 in [{gap_lo:.6g}, {gap_hi:.6g}]"
-            if straddles and verdict is PROVED:
+            elif straddles:
                 # every unresolved cell lies in the gap; F - G crosses zero
-                # there at most once only if it rises across the whole gap
+                # there at most once if it rises across the whole gap, however
+                # wide the budget left its cells
                 rise = slope(Interval(gap_lo, gap_hi))
                 rise_note = f"(F - G)' in [{rise.lo:.6g}, {rise.hi:.6g}]"
                 note += f"; {rise_note} on it"
+                # a straddle wider than Y_TOL was cut short by the budget
+                cut = [s for s in straddles if s[1] - s[0] > Y_TOL]
                 if not rise.lo > 0.0:
                     verdict = INCONCLUSIVE
                     diag = (
+                        f"{len(cut)} cells unresolved when the evaluation budget ran out"
+                        if cut else
                         f"{len(straddles)} cells unresolved in the transition gap "
                         f"[{gap_lo:.6g}, {gap_hi:.6g}], where {rise_note} is not "
                         "certified positive"
@@ -242,8 +243,12 @@ def np_generic(
 
 # the near-zero cut of the gauss/cos gap integral; its C4 bound is certified
 # by _near_zero_children
-_GAP_DELTA = 1e-3
+_GAP_DELTA = 1e-4
 _GAP_TARGET = 2e-4  # target width of each of its two quadratures
+# a series covers [_GAP_DELTA, _SERIES_T1] (_gap_series); its orders (K, N, L),
+# N odd and L even, cut -ln cos t - t^2/2 below t^(2K), 1 - e^{-b} below b^N, e^{-a} below a^L
+_SERIES_T1 = 0.5
+_SERIES_ORDERS = (10, 7, 16)
 
 # (cos t - 1 + t^2/2) / t^4
 _COS_QUOT = cos_taylor(6).quotient(4, minus=poly(1, 0, Fraction(-1, 2)))
@@ -295,28 +300,95 @@ def _memo(fn, memo: dict, keep: bool):
     return read
 
 
+def _poly_mul(x: list[Interval], y: list[Interval]) -> list[Interval]:
+    """Product of two coefficient lists."""
+    out = [Interval(0.0, 0.0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@cache
+def _excess_powers(k: int, n: int) -> tuple[list[list[Interval]], Interval, Interval]:
+    """Q^j for 0 < j < n in u = t^2, where u^2 Q = R_K is R = -ln cos t - t^2/2
+    below u^k (specfun.LN_COS_COEFFS); with every c_i > 0, Q(u1) and
+    (R - R_K)(u1)/u1^k are the largest Q and (R - R_K)/u^k on [0, u1 = t1^2]."""
+    u1 = Interval(_SERIES_T1**2)
+    q = [Interval.from_fraction(c) for c in LN_COS_COEFFS[1 : k - 1]]
+    powers = [q]
+    while len(powers) < n - 1:
+        powers.append(_poly_mul(powers[-1], q))
+    rq = ipoly_eval(q, u1)
+    return powers, rq, (neg_ln_cos_excess(Interval(_SERIES_T1)) - rq * u1 * u1) / u1**k
+
+
+def _gap_series(s: Interval) -> list[tuple[int, Interval]]:
+    """Terms (j, c_j) with e^{-s t^2/2} - |cos t|^s in sum_j c_j u^j, u = t^2,
+    on [0, t1]; the remainders are terms with c_j = [0, r].
+
+    The integrand is E G, E = e^{-a} with a = s u/2 and G = 1 - e^{-b} with
+    b = s R, so the exponentials' difference is never formed: R's c_1 = 1/2
+    cancels exactly, and G_p below has the factor u^2.  With (K, N, L) =
+    _SERIES_ORDERS, E_p = sum_{i<L} (-a)^i/i! leaves a remainder of sign
+    (-1)^L and size at most a^L/L!, and G_p = sum_{0<j<N} -(-b_K)^j/j!,
+    b_K = s R_K, one of sign (-1)^(N+1) and size at most b_K^N/N! <=
+    (s rq u^2)^N/N!; R's tail adds at most s tau u^K, as G rises in b with
+    slope e^{-b} <= 1.  With L even, N odd and b_K <= 2, 0 <= G_p <= s rq u^2
+    and 0 < E <= 1, so 0 <= E G - E_p G_p = E (G - G_p) + (E - E_p) G_p.
+    """
+    k, n, l = _SERIES_ORDERS
+    powers, rq, tau = _excess_powers(k, n)
+    if not (s * rq).hi * _SERIES_T1**4 <= 2.0:
+        raise DomainError(f"gap series needs s R(t1) <= 2, got s = {s}")
+    g = [Interval(0.0, 0.0)] * (len(powers[-1]) + 2 * n - 4)  # G_p / u^2
+    for j, qj in enumerate(powers, 1):
+        w = s**j * Fraction((-1) ** (j + 1), factorial(j))
+        for i, c in enumerate(qj, 2 * j - 2):
+            g[i] = g[i] + w * c
+    half = s * 0.5
+    e = [half**i * Fraction((-1) ** i, factorial(i)) for i in range(l)]
+    rems = [(2 * n, (s * rq) ** n * Fraction(1, factorial(n))), (k, s * tau),
+            (l + 2, half**l * Fraction(1, factorial(l)) * (s * rq))]
+    return [*enumerate(_poly_mul(e, g), 2)] + [(j, Interval(0.0, r.hi)) for j, r in rems]
+
+
+def _gap_series_integral(terms: list[tuple[int, Interval]], p: Interval) -> Interval:
+    """int_delta^t1 sum_j c_j t^(2j-p-1) dt over terms (j, c_j), each power in
+    closed form: (t1^(2j-p) - delta^(2j-p))/(2j-p), which is > 0."""
+    t1, delta = Interval(_SERIES_T1), Interval(_GAP_DELTA)
+    total = Interval(0.0, 0.0)
+    for j, c in terms:
+        e = 2.0 * j - p
+        total = total + c * ((pow_real(t1, e) - pow_real(delta, e)) / e)
+    return total
+
+
 def gauss_cos_gap_integrals(
     pairs: list[tuple[Interval, Interval]],
 ) -> list[tuple[Interval, tuple[QuadResult, ...]]]:
     """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
     the quadratures of its finite pieces, for every (p, s) in pairs.
 
-    Near zero, on [0, delta] with delta = 1e-3, the integrand lies in
-    [0, s C4 t^(3-p)] with C4 = 1/(8 (1 - delta^2/2)).  On [delta, 1.2] the
-    difference is evaluated cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)})
-    with R the certified -ln cos t - t^2/2 series; on [1.2, 30] the direct form
-    is fine.  The tails past 30 use the stock mu_p majorants.  Both integrands
+    Near zero, on [0, delta] with delta = 1e-4, the integrand lies in
+    [0, s C4 t^(3-p)] with C4 = 1/(8 (1 - delta^2/2)).  On [delta, t1],
+    t1 = 0.5, a series in t^2 with one-sided remainders (_gap_series) is
+    integrated in closed form.  On [t1, 1.2] the difference is evaluated
+    cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)}) with R the certified
+    -ln cos t - t^2/2 series; on [1.2, 30] the direct form is fine.  The
+    tails past 30 use the stock mu_p majorants.  Both quadrature integrands
     also run on a Jet.
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
     share the t-only factors, the s-factor by s and the p-factor by p through
     memos of this call (_memo), each stored only where a later pair may read
-    it and dropped after its piece; results equal one-pair calls' bit for bit.
+    it and dropped after its piece, and the series coefficients by s; results
+    equal one-pair calls' bit for bit.
     """
     delta, T = _GAP_DELTA, 30.0
     fins: list[list[QuadResult]] = [[] for _ in pairs]
     for a, b, t_fn, s_gap in (
-        (delta, 1.2, neg_ln_cos_excess,
+        (_SERIES_T1, 1.2, neg_ln_cos_excess,
          lambda s, t2, R: (t2 * s * 0.5).exp() * (Interval(1.0, 1.0) - (-(R * s)).exp())),
         (1.2, T, lambda t: t.cos().abs(),
          lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)),
@@ -333,12 +405,15 @@ def gauss_cos_gap_integrals(
                              by_p.setdefault(p, {}), p in {q for q, _ in later})
             fins[i].append(
                 integrate(lambda t: s_factor(t) * p_factor(t), a, b, _GAP_TARGET))
-    out = []
+    out, series_by_s = [], {}
     for (p, s), (fin1, fin2) in zip(pairs, fins):
+        if s not in series_by_s:
+            series_by_s[s] = _gap_series(s)
+        series = _gap_series_integral(series_by_s[s], p)
         near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta)
         gauss = tail_bound_mu_p("gauss", s, p, T)
         cospow = tail_bound_mu_p("cos_power", s, p, T)
-        total = near0 + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
+        total = near0 + series + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
         out.append((total, (fin1, fin2)))
     return out
 

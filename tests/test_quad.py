@@ -1,5 +1,6 @@
 """Validated quadrature: enclosures, refinement monotonicity, tail bounds."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -153,15 +154,20 @@ def test_config_validation():
 # -- second-order cell enclosures --------------------------------------------
 
 
-def _gap_pieces_truth(p, s):
-    """mpmath values of the series piece [1e-3, 1.2] and the direct piece
-    [1.2, 30] of the gauss/cos gap integral, split at the zeros of cos."""
+def _gap_integrand(p, s):
     p, s = mpf(p), mpf(s)
-    f = lambda t: (mp.exp(-s * t * t / 2) - abs(mp.cos(t)) ** s) / t ** (p + 1)
+    return lambda t: (mp.exp(-s * t * t / 2) - abs(mp.cos(t)) ** s) / t ** (p + 1)
+
+
+def _gap_pieces_truth(p, s):
+    """mpmath values of the near piece [delta, 1.2] (series on [delta, t1],
+    then quadrature) and the direct piece [1.2, 30] of the gauss/cos gap
+    integral, split at the zeros of cos."""
+    f = _gap_integrand(p, s)
     zeros = [mp.pi / 2 + k * mp.pi for k in range(10)]
-    series = mp.quad(f, [mpf(0.001), mpf(1.2)])
+    near = mp.quad(f, [mpf(npcheck._GAP_DELTA), mpf(0.01), mpf(npcheck._SERIES_T1), mpf(1.2)])
     direct = mp.quad(f, [mpf(1.2)] + [z for z in zeros if z < 30] + [mpf(30)])
-    return series, direct
+    return near, direct
 
 
 @pytest.mark.parametrize("target", [2e-4, 1e-5])
@@ -169,11 +175,51 @@ def _gap_pieces_truth(p, s):
 @pytest.mark.parametrize("s", [float(SQRT2.lo), 4.0])
 def test_gap_integral_pieces_contain_mpmath(p, s, target, monkeypatch):
     monkeypatch.setattr(npcheck, "_GAP_TARGET", target)
-    _, (series, direct) = gauss_cos_gap_integral(Interval(p, p), Interval(s, s))
-    for q, truth in zip((series, direct), _gap_pieces_truth(p, s)):
+    piv, siv = Interval(p, p), Interval(s, s)
+    _, (quad1, direct) = gauss_cos_gap_integral(piv, siv)
+    series = npcheck._gap_series_integral(npcheck._gap_series(siv), piv)
+    for q in (quad1, direct):
         assert q.ok
         assert q.value.width <= target
-        assert mpf(q.value.lo) <= truth <= mpf(q.value.hi)
+    for enc, truth in zip((series + quad1.value, direct.value), _gap_pieces_truth(p, s)):
+        assert mpf(enc.lo) <= truth <= mpf(enc.hi)
+
+
+@functools.cache
+def _gap_series_truth(p, s):
+    """int_delta^t1 of the gap integrand, 30 digits at mpf endpoints."""
+    with mp.workdps(30):
+        f = _gap_integrand(p, s)
+        return mp.quad(f, [mpf(npcheck._GAP_DELTA), mpf(0.01), mpf(0.1), mpf(npcheck._SERIES_T1)])
+
+
+# the four gap-integrals pairs, and the largest s any suite uses
+SERIES_PAIRS = [(2.1, float(SQRT2.lo)), (2.1, 4.0), (2.9, float(SQRT2.lo)), (2.9, 4.0), (2.9, 16.0)]
+SERIES_ORDERS = npcheck._SERIES_ORDERS
+
+
+# the production orders, then orders at which one remainder dominates: R's
+# tail (K = 4), that of 1 - e^{-b} (N = 3) and that of e^{-a} (L = 4)
+@pytest.mark.parametrize("orders", [SERIES_ORDERS, (4, 7, 16), (20, 3, 16), (20, 7, 4)])
+def test_gap_series_contains_mpmath(orders, monkeypatch):
+    monkeypatch.setattr(npcheck, "_SERIES_ORDERS", orders)
+    for p, s in SERIES_PAIRS:
+        enc = npcheck._gap_series_integral(npcheck._gap_series(Interval(s)), Interval(p))
+        assert mpf(enc.lo) <= _gap_series_truth(p, s) <= mpf(enc.hi), (p, s)
+        if orders == SERIES_ORDERS:
+            assert enc.width <= 1e-9, (p, s)
+    # a p-box times an s-box holds the integral at every (p, s) in it
+    P, S = Interval(2.0, 2.0625), Interval(SQRT2.lo, 1.5)
+    enc = npcheck._gap_series_integral(npcheck._gap_series(S), P)
+    for p in (P.lo, P.mid, P.hi):
+        for s in (S.lo, S.hi):
+            assert mpf(enc.lo) <= _gap_series_truth(p, s) <= mpf(enc.hi), (p, s)
+
+
+def test_gap_series_needs_a_small_exponent():
+    # the alternating sum of 1 - e^{-b} is bounded only while b <= 2 on [0, t1]
+    with pytest.raises(DomainError):
+        npcheck._gap_series(Interval(400.0))
 
 
 def test_cell_enclosure_falls_back_across_a_kink():
@@ -196,10 +242,10 @@ def test_constant_integrand_on_inexact_cells():
 
 
 def test_gap_integral_cell_count():
-    # deterministic: the second-order enclosure needs about 500 cells here,
-    # the first-order one needed 143k
+    # deterministic: the second-order enclosure needs 210 cells on [t1, 30]
+    # here (496 on [1e-3, 30] before the series), the first-order one 143k
     _, quads = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
-    assert sum(q.cells for q in quads) <= 2_000
+    assert sum(q.cells for q in quads) <= 260
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):

@@ -218,7 +218,7 @@ def _production_quotients(monkeypatch):
 
         monkeypatch.setattr(mod, "subdivision_check", spy)
     engine.lemma_exp_affine()
-    npcheck._near_zero_children(1e-3)
+    npcheck._near_zero_children(1e-4)
     cond1.check_case1_polynomials()
     cond1.check_case2_convexity()
     assert set(got) == wanted
@@ -231,7 +231,7 @@ def test_production_quotients_contain_mpmath(monkeypatch):
         "exp-ge-1-plus-x/series-quotient": (
             lambda x: (mp.exp(x) - 1 - x) / x**2, -1.0, 4.0),
         "cos-above-quadratic": (
-            lambda t: (mp.cos(t) - 1 + t**2 / 2) / t**4, 0.0, 1e-3),
+            lambda t: (mp.cos(t) - 1 + t**2 / 2) / t**4, 0.0, 1e-4),
         "cot-minorant-core": (
             lambda t: (t * mp.cos(t) - m3(t) * mp.sin(t)) / t**5, 0.0, 1.0),
         "exp-minorant": (

@@ -102,6 +102,20 @@ def test_np_generic_budget_never_proves(monkeypatch):
     assert "budget" in res.note
 
 
+def test_np_generic_budget_cut_gap_with_a_slope_proves(monkeypatch):
+    # the budget stops the straddling cell wider than Y_TOL, but F - G rises
+    # with slope 1 across the gap, so it crosses zero there once
+    monkeypatch.setattr(engine, "BUDGET", 10)
+    res = np_generic(
+        lambda x: x, lambda x: Interval(0.5, 0.5), lambda x: Interval(1.0, 1.0),
+        Interval(1.0, 1.0), name="cut-gap",
+    )
+    assert res.status == PROVED
+    lo, hi = _y0(res.note)
+    assert lo <= 0.5 <= hi and hi - lo > npcheck.Y_TOL
+    assert "(F - G)' in [1, 1] on it" in res.note
+
+
 def test_np_generic_unresolved_right_edge_inconclusive(monkeypatch):
     # F - G = (x-0.2)(x-0.5)(x-0.8) is positive on (0.8, 1], and
     # F' = 3 + (the cubic)' >= 2.91; every point value of F is blurred by
@@ -287,11 +301,11 @@ def test_fp_convergence():
         "final-within-1-percent",
     ]
     assert all(c.status == PROVED for c in res.children)
-    # the one gap integral's near-zero bound is certified at delta = 1e-3,
+    # the one gap integral's near-zero bound is certified at delta = 1e-4,
     # and its anchor at 0 does not become the node's margin
     trees = [_tree(c) for c in res.children[:2]]
-    assert trees == [_tree(c) for c in _near_zero_children(1e-3)]
-    assert trees != [_tree(c) for c in _near_zero_children(1e-2)]
+    assert trees == [_tree(c) for c in _near_zero_children(1e-4)]
+    assert trees != [_tree(c) for c in _near_zero_children(1e-3)]
     rest = [c.margin for c in res.children[2:]]
     assert res.margin == imin(rest) and res.margin.lo > 0.0
 

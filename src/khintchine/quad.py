@@ -13,8 +13,9 @@ where the jet raises DomainError (|cos t|^s at a zero of cos, a kink), or an
 integrand that does not return a Jet (a constant), keeps the first-order
 enclosure alone.  Improper integrals against d(mu_p) = dt/t^(p+1) are
 assembled by the callers from a finite part, a series part integrated in
-closed form, a certified tail bound, and (where the integrand is
-singular-looking at 0) a near-zero majorant.
+closed form, certified tails (the gaussian majorant of tail_bound_mu_p, and
+cos_power_tail's two-sided |cos t|^s tail from a zero of cos), and (where
+the integrand is singular-looking at 0) a near-zero majorant.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
-from .interval import Interval, DomainError, pow_real
+from .interval import HALF_PI, PI, DomainError, Interval, pow_real
 from .jet import Jet
 
 FnEnclosure = Callable[[Interval], Interval]
@@ -123,28 +125,76 @@ def integrate(f: FnEnclosure, a: float, b: float, target_width: float) -> QuadRe
     return QuadResult(acc, status, evals)
 
 
-def tail_bound_mu_p(kind: str, s: Interval, p: Interval, T: float) -> Interval:
-    """Enclosure of int_T^inf h(t) / t^(p+1) dt for the two stock majorants.
-
-    kind="cos_power": h = |cos t|^s <= 1
-    kind="gauss":     h = exp(-s t^2/2) <= exp(-s T t / 2) for t >= T
-    """
+def tail_bound_mu_p(s: Interval, p: Interval, T: float) -> Interval:
+    """Enclosure [0, b] of the gaussian tail int_T^inf exp(-s t^2/2) / t^(p+1) dt,
+    from exp(-s t^2/2) <= exp(-s T t / 2) for t >= T; cos_power_tail is the
+    |cos t|^s tail."""
     if T < 1.5707963267948966:
         raise DomainError(f"tail cutoff {T} below pi/2")
+    if s.lo < 1.0:
+        raise DomainError("gauss tail bound requires s >= 1")
     Tiv = Interval(T, T)
-    if kind == "cos_power":
-        return Interval(0.0, (pow_real(Tiv, -p) / p).hi)
-    if kind == "gauss":
-        if s.lo < 1.0:
-            raise DomainError("gauss tail bound requires s >= 1")
-        sT = s * Tiv
-        bound = (
-            (Interval(2.0, 2.0) / sT)
-            * pow_real(Tiv, -(p + 1.0))
-            * (-(sT * Tiv) * 0.5).exp()
-        )
-        return Interval(0.0, bound.hi)
-    raise ValueError(f"unknown tail kind {kind!r}")
+    sT = s * Tiv
+    bound = (
+        (Interval(2.0, 2.0) / sT)
+        * pow_real(Tiv, -(p + 1.0))
+        * (-(sT * Tiv) * 0.5).exp()
+    )
+    return Interval(0.0, bound.hi)
+
+
+@lru_cache(maxsize=8)
+def _cos_power_mean(s_lo: float, s_hi: float, budget: int) -> tuple[Interval, QuadResult]:
+    """m_s = (2/pi) int_0^{pi/2} cos^s u du, the mean of |cos|^s over a
+    period, for every s in [s_lo, s_hi], and its quadrature (target 1e-4),
+    once per s and budget (MAX_CELLS, where a run stops wide).  The
+    quadrature stops at the float HALF_PI.lo below pi/2; the integrand is
+    at most 1 on the sliver between them."""
+    s = Interval(s_lo, s_hi)
+    q = integrate(lambda u: pow_real(u.cos().abs(), s), 0.0, HALF_PI.lo, 1e-4)
+    sliver = Interval(0.0, (HALF_PI - HALF_PI.lo).hi)
+    return (q.value + sliver) / HALF_PI, q
+
+
+def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval, QuadResult]:
+    """The float end T = (PI (k + 1/2)).hi, an enclosure of
+    int_T^inf |cos t|^s / t^(p+1) dt, and the quadrature behind m_s.
+
+    At the zero T* = (k + 1/2) pi of cos,
+
+        int_{T*}^inf |cos t|^s t^(-p-1) dt
+            in m_s T*^(-p)/p + [-(pi^2/32)(p+1) T*^(-p-2), 0],
+
+    with m_s = (2/pi) int_0^{pi/2} cos^s u du (_cos_power_mean).  Proof:
+    let g = |cos|^s - m_s, Phi(t) = int_{T*}^t g and Psi(t) = int_{T*}^t Phi.
+    g is pi-periodic with mean 0, so Phi is pi-periodic and vanishes at T*.
+    g is symmetric about the maximum T* + pi/2, so Phi(T* + pi - v) =
+    -Phi(T* + v): Phi has mean 0 over a period and Psi is pi-periodic and
+    vanishes at T* too.  On [T*, T* + pi/2] g rises from -m_s to 1 - m_s,
+    so Phi falls and then rises to Phi(T* + pi/2) = 0: Phi <= 0 on the first
+    half-period and >= 0 on the second, so Psi <= 0, with its minimum at
+    T* + pi/2.  As |Phi(T* + v)| <= min(m_s v,
+    (1 - m_s)(pi/2 - v)) on [0, pi/2], that minimum is >= -(pi^2/8)
+    m_s (1 - m_s) >= -pi^2/32 (mpmath gives -0.236, -1/4, -1/4 and -0.182 at
+    s = sqrt2, 2, 4 and 16).  With w = t^(-p-1), integrating g w by parts
+    twice, where Phi and Psi vanish at T* and stay bounded, leaves
+    int_{T*}^inf Psi w'' dt with w'' = (p+1)(p+2) t^(-p-3) > 0, which lies in
+    [-(pi^2/32)(p+1) T*^(-p-2), 0].  The band is O(T*^(-p-2)), against the
+    one-sided [0, T*^(-p)/p] of |cos|^s <= 1.
+
+    T* is enclosed by PI (k + 1/2); the sliver [T*, T] is subtracted,
+    bounded by its width times T*^(-p-1).  p may be an interval with p > 0,
+    s one with s > 0.
+    """
+    if k < 0 or not (p.lo > 0.0 and s.lo > 0.0):
+        raise DomainError(f"cos-power tail needs k >= 0, p > 0 and s > 0, got {k}, {p}, {s}")
+    m, q = _cos_power_mean(s.lo, s.hi, MAX_CELLS)
+    t_star = PI * (k + 0.5)
+    T = t_star.hi
+    band = PI * PI / 32.0 * (p + 1.0) * pow_real(t_star, -(p + 2.0))
+    sliver = (Interval(T) - t_star) * pow_real(t_star, -(p + 1.0))
+    tail = m * pow_real(t_star, -p) / p - Interval(0.0, band.hi + sliver.hi)
+    return T, tail, q
 
 
 def near_zero_bound(C: Interval, m: Interval, delta: float) -> Interval:

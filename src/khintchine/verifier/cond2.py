@@ -19,7 +19,7 @@ from fractions import Fraction
 from ..interval import E as EULER_E
 from ..interval import HALF_PI, PI, SQRT2, DomainError, Interval, imin, pow_real
 from ..jet import Jet
-from ..quad import integrate, note_missed, tail_bound_mu_p
+from ..quad import cos_power_tail, integrate, note_missed, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg
 from .cond1 import P_BOXES, p_boxes
 from .engine import (
@@ -190,25 +190,27 @@ def check_cond2_hprime() -> CheckResult:
         note="ln t / t^(p+1) <= 1/(e (p-1) t^2), max at t = e^(1/(p-1))",
     )
 
+    # the cos-power tail from the float end of 9 pi/2 (k = 4)
+    T1, tail1, m1 = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
     q1 = integrate(
         lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
         HALF_PI.lo,
-        50.0,
+        T1,
         2e-5,
     )
-    I1 = q1.value + tail_bound_mu_p("cos_power", Interval(2.0, 2.0), Interval(3.0, 3.0), 50.0)
+    I1 = q1.value + tail1
     i1_child = point_check(
         "cos-integral-floor",
         I1 * 1.75 - LAMBDA_TAIL_CONST,
         note=note_missed(
             f"1.75 I1 = {(I1 * 1.75)!r}; printed 0.043369 exceeds the true "
             "value 0.0433640 and is repaired to 0.0433",
-            q1,
+            q1, m1,
         ),
     )
 
     q2 = integrate(lambda t: _exp_gauss(t) / (t * t), HALF_PI.lo, 8.0, 1e-6)
-    I2 = q2.value + tail_bound_mu_p("gauss", SQRT2, Interval(1.0, 1.0), 8.0)
+    I2 = q2.value + tail_bound_mu_p(SQRT2, Interval(1.0, 1.0), 8.0)
     i2_child = point_check(
         "gauss-integral-ceiling",
         EULER_E * 0.00705 - I2,
@@ -253,7 +255,7 @@ def check_cond2_hprime() -> CheckResult:
         imin(nets),
         note=note_missed(
             "piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
-            qa, j1, j2, j3, q1, q2,
+            qa, j1, j2, j3, q1, m1, q2,
         ),
     )
     return combine(
@@ -386,7 +388,7 @@ def check_cond2_h2() -> CheckResult:
         T,
         1e-5,
     )
-    b_tail = tail_bound_mu_p("gauss", SQRT2, Interval(2.0, 2.0), T)
+    b_tail = tail_bound_mu_p(SQRT2, Interval(2.0, 2.0), T)
     piece_b = combine(
         "piece-B",
         [
@@ -471,14 +473,15 @@ def check_cond2_h2() -> CheckResult:
     muX = Interval(1.0, 1.0) / (three_qpi * three_qpi * 2.0)
     S = -_F23(three_qpi)
     d_bound = pow_real(muX, 1.0 - SQRT2 * 0.5) * pow_real(S, SQRT2 * 0.5)
-    T2 = 50.0
+    # the cos-power tail from the float end of 7 pi/2 (k = 3)
+    T2, tail2, m2 = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
     qs = integrate(
         lambda t: (t.cos() ** 2) / t**3,
         float(three_qpi.lo),
         T2,
         2e-4,
     )
-    s_quad = qs.value + tail_bound_mu_p("cos_power", Interval(2.0, 2.0), Interval(2.0, 2.0), T2)
+    s_quad = qs.value + tail2
     piece_d = combine(
         "piece-D",
         [
@@ -489,7 +492,7 @@ def check_cond2_h2() -> CheckResult:
                 note=f"D bound = {d_bound!r} = mu(X)^(1-s/2) (int cos^2 dmu)^(s/2)",
             ),
             overlap_check(
-                "tail-vs-quadrature", S, s_quad, note=note_missed(_ROUTES, qs)
+                "tail-vs-quadrature", S, s_quad, note=note_missed(_ROUTES, qs, m2)
             ),
         ],
         note="Hoelder on ((3pi/4, inf), dt/t^3) with s = sqrt2",

@@ -4,7 +4,9 @@ np_generic certifies the two hypotheses of the distribution-function
 comparison lemma for arbitrary enclosures F, G; the direct checks enclose the
 conclusion integrals themselves at sample exponents, independently of the
 piecewise proofs, and compare exact Rademacher moments with their gaussian
-limit.
+limit.  Each conclusion integral (gauss_cos_gap_integrals) is a near-zero
+majorant, a series integrated in closed form, two quadratures that end at
+7 pi/2, and the gaussian and two-sided cos-power tails past it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
     QuadResult,
+    cos_power_tail,
     integrate,
     near_zero_bound,
     note_missed,
@@ -375,9 +378,11 @@ def gauss_cos_gap_integrals(
     t1 = 0.5, a series in t^2 with one-sided remainders (_gap_series) is
     integrated in closed form.  On [t1, 1.2] the difference is evaluated
     cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)}) with R the certified
-    -ln cos t - t^2/2 series; on [1.2, 30] the direct form is fine.  The
-    tails past 30 use the stock mu_p majorants.  Both quadrature integrands
-    also run on a Jet.
+    -ln cos t - t^2/2 series; on [1.2, T] the direct form is fine.  Past
+    the float T just above 7 pi/2, a zero of cos, the gaussian tail is the
+    stock majorant and the cos-power tail the two-sided quad.cos_power_tail.
+    Both quadrature integrands also run on a Jet.  The quadratures returned
+    are the two pieces' and the one behind the cos-power tail's m_s.
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
     share the t-only factors, the s-factor by s and the p-factor by p through
@@ -385,7 +390,12 @@ def gauss_cos_gap_integrals(
     it and dropped after its piece, and the series coefficients by s; results
     equal one-pair calls' bit for bit.
     """
-    delta, T = _GAP_DELTA, 30.0
+    if not pairs:
+        return []
+    delta = _GAP_DELTA
+    # the cos-power tails past 7 pi/2 (k = 3) share the float end T
+    tails = [cos_power_tail(s, p, 3) for p, s in pairs]
+    T = tails[0][0]
     fins: list[list[QuadResult]] = [[] for _ in pairs]
     for a, b, t_fn, s_gap in (
         (_SERIES_T1, 1.2, neg_ln_cos_excess,
@@ -406,15 +416,14 @@ def gauss_cos_gap_integrals(
             fins[i].append(
                 integrate(lambda t: s_factor(t) * p_factor(t), a, b, _GAP_TARGET))
     out, series_by_s = [], {}
-    for (p, s), (fin1, fin2) in zip(pairs, fins):
+    for (p, s), (fin1, fin2), (_, cospow, mean) in zip(pairs, fins, tails):
         if s not in series_by_s:
             series_by_s[s] = _gap_series(s)
         series = _gap_series_integral(series_by_s[s], p)
         near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta)
-        gauss = tail_bound_mu_p("gauss", s, p, T)
-        cospow = tail_bound_mu_p("cos_power", s, p, T)
-        total = near0 + series + fin1.value + fin2.value + Interval(-cospow.hi, gauss.hi)
-        out.append((total, (fin1, fin2)))
+        gauss = tail_bound_mu_p(s, p, T)
+        total = near0 + series + fin1.value + fin2.value + gauss - cospow
+        out.append((total, (fin1, fin2, mean)))
     return out
 
 

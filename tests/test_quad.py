@@ -8,8 +8,14 @@ import pytest
 from mpmath import mp, mpf
 
 from khintchine import quad
-from khintchine.interval import Interval, SQRT2, DomainError, pow_real
-from khintchine.quad import integrate, near_zero_bound, note_missed, tail_bound_mu_p
+from khintchine.interval import PI, Interval, SQRT2, DomainError, pow_real
+from khintchine.quad import (
+    cos_power_tail,
+    integrate,
+    near_zero_bound,
+    note_missed,
+    tail_bound_mu_p,
+)
 from khintchine.verifier import npcheck
 from khintchine.verifier.npcheck import gauss_cos_gap_integral
 
@@ -51,11 +57,11 @@ def test_sin_integral():
 
 def test_oscillatory_mu_p_integral():
     f = lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0))
-    r = integrate(f, math.pi / 2, 50.0, 5e-5)
-    tail = tail_bound_mu_p("cos_power", SQRT2, Interval(3.0, 3.0), 50.0)
+    T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
+    r = integrate(f, math.pi / 2, T, 5e-5)
     total = r.value + tail
     assert total.contains(COS2_T4_TAIL)
-    assert total.width <= 3e-4
+    assert total.width <= 6e-5
 
 
 def test_refinement_never_widens(monkeypatch):
@@ -99,10 +105,7 @@ def test_domain_error_propagates():
 
 
 def test_tail_bounds():
-    cosp = tail_bound_mu_p("cos_power", SQRT2, Interval(2.0, 2.0), 3 * math.pi / 4)
-    assert cosp.lo == 0.0
-    assert cosp.hi <= (3 * math.pi / 4) ** -2 / 2 + 1e-12
-    g = tail_bound_mu_p("gauss", SQRT2, Interval(2.0, 2.0), 5.0)
+    g = tail_bound_mu_p(SQRT2, Interval(2.0, 2.0), 5.0)
     assert g.lo == 0.0 and g.hi <= 1e-7
     true_tail = float(
         mp.quad(lambda t: mp.e ** (-mp.sqrt(2) * t**2 / 2) / t**3, [5, mp.inf])
@@ -110,22 +113,128 @@ def test_tail_bounds():
     assert true_tail <= g.hi
     # the cond2 tails, against their integrands at mpf endpoints
     gauss = lambda k: lambda t: mp.e ** (-(t**2) / mp.sqrt(2)) / t**k
-    # int_50^inf cos(t)^2 / t^3 dt = 1/(4 T^2) + (1/2) int_T^inf cos 2t / t^3 dt
-    # at T = 50; integrating the second part by parts twice (x = 2T) gives
-    # cos x / x^2 - sin x / x + ci(x)
-    x = mpf(100)
-    cos2_tail = 1 / x**2 + mp.cos(x) / x**2 - mp.sin(x) / x + mp.ci(x)
-    for kind, s, p, T, truth in (
-        ("gauss", SQRT2, 1.0, 8.0, mp.quad(gauss(2), [8, mp.inf])),
-        ("gauss", SQRT2, 2.0, 6.0, mp.quad(gauss(3), [6, mp.inf])),
-        ("cos_power", Interval(2.0, 2.0), 2.0, 50.0, cos2_tail),
+    for s, p, T, truth in (
+        (SQRT2, 1.0, 8.0, mp.quad(gauss(2), [8, mp.inf])),
+        (SQRT2, 2.0, 6.0, mp.quad(gauss(3), [6, mp.inf])),
     ):
-        bound = tail_bound_mu_p(kind, s, Interval(p, p), T)
-        assert bound.lo == 0.0 and mpf(bound.hi) >= truth, (kind, T)
+        bound = tail_bound_mu_p(s, Interval(p, p), T)
+        assert bound.lo == 0.0 and mpf(bound.hi) >= truth, T
+    # cond2 piece D's cos^2 tail past the float end T of 7 pi/2:
+    # int_T^inf cos(t)^2 / t^3 dt = 1/(4 T^2) + (1/2) int_T^inf cos 2t / t^3 dt,
+    # and integrating the second part by parts twice (x = 2T) gives
+    # cos x / x^2 - sin x / x + ci(x)
+    T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
+    x = 2 * mpf(T)
+    cos2_tail = 1 / x**2 + mp.cos(x) / x**2 - mp.sin(x) / x + mp.ci(x)
+    assert mpf(tail.lo) <= cos2_tail <= mpf(tail.hi)
+    assert tail.width <= 7e-5
     with pytest.raises(DomainError):
-        tail_bound_mu_p("cos_power", Interval(1.0, 1.0), Interval(2.0, 2.0), 1.0)
-    with pytest.raises(ValueError):
-        tail_bound_mu_p("weird", Interval(1.0, 1.0), Interval(2.0, 2.0), 2.0)
+        tail_bound_mu_p(Interval(1.0, 1.0), Interval(2.0, 2.0), 1.0)
+    with pytest.raises(DomainError):
+        tail_bound_mu_p(Interval(0.5, 1.0), Interval(2.0, 2.0), 2.0)
+    for s, p, k in ((2.0, 2.0, -1), (2.0, 0.0, 3), (0.0, 2.0, 3)):
+        with pytest.raises(DomainError):
+            cos_power_tail(Interval(s, 2.0), Interval(p, 2.0), k)
+
+
+# -- the two-sided cos-power tail ---------------------------------------------
+
+
+@functools.cache
+def _cos_moments(s, n):
+    """2 int_0^{pi/2} cos^s v (v/pi)^(2m) dv for m < n: the even moments of
+    sin^s u in u/pi - 1/2 over [0, pi]."""
+    s = mpf(s)
+    return [2 * mp.quad(lambda v: mp.cos(v) ** s * (v / mp.pi) ** (2 * m), [0, mp.pi / 2])
+            for m in range(n)]
+
+
+@functools.cache
+def _cos_tail_truth(T, s, p, k, n=12):
+    """int_T^inf |cos t|^s t^(-p-1) dt at the mpf end T, 20 digits.
+
+    Summed over periods from T* = (k + 1/2) pi it is pi^(-p-1) int_0^pi
+    sin^s u zeta(p+1, k + 1/2 + u/pi) du.  The Hurwitz zeta's Taylor series
+    about k + 1, sum_n (sigma)_n/n! zeta(sigma + n, k + 1) (-x)^n with
+    sigma = p + 1 (d/da zeta(sigma, a) = -sigma zeta(sigma + 1, a)),
+    converges for |x| <= 1/2 < k + 1, and as sin^s is symmetric about pi/2
+    only the even moments of sin^s in x = u/pi - 1/2 remain.  The sliver
+    [T*, T] is subtracted by quadrature.
+    """
+    with mp.workdps(20):
+        sig = mpf(p) + 1
+        moments = _cos_moments(s, n)
+        total = mp.fsum(mp.rf(sig, 2 * m) / mp.factorial(2 * m) * mp.zeta(sig + 2 * m, k + 1)
+                        * moments[m] for m in range(n))
+        t_star = (k + mpf(0.5)) * mp.pi
+        sliver = mp.quad(lambda t: abs(mp.cos(t)) ** mpf(s) * t ** (-sig), [t_star, mpf(T)])
+        return total / mp.pi**sig - sliver
+
+
+TAIL_S = [Interval(SQRT2.lo, SQRT2.hi), Interval(2.0), Interval(4.0), Interval(16.0)]
+TAIL_P = [2.0, 2.1, 2.5, 2.9, 3.0]
+P_BOX = Interval(2.0, 2.0625)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_cos_power_tail_contains_mpmath(k):
+    for s in TAIL_S:
+        for p in TAIL_P:
+            T, tail, _ = cos_power_tail(s, Interval(p), k)
+            truth = _cos_tail_truth(T, s.lo, p, k)
+            assert mpf(tail.lo) <= truth <= mpf(tail.hi), (k, s, p)
+            # the band (pi^2/32)(p+1) T^(-p-2) is most of the width
+            assert tail.width <= 0.32 * (p + 1) * T ** (-p - 2), (k, s, p)
+        T, tail, _ = cos_power_tail(s, P_BOX, k)
+        for p in (P_BOX.lo, P_BOX.mid, P_BOX.hi):
+            for s_end in (s.lo, s.hi):
+                truth = _cos_tail_truth(T, s_end, p, k)
+                assert mpf(tail.lo) <= truth <= mpf(tail.hi), (k, s, p)
+
+
+def test_cos_tail_truth_matches_the_hurwitz_quadrature():
+    # the test oracle above against its defining period integral, done by
+    # quadrature (tanh-sinh, split at the maximum and the zero of |cos|)
+    k, s, p = 3, mpf(2) ** 0.5, mpf(2.1)
+    T = (PI * (k + 0.5)).hi
+    with mp.workdps(20):
+        Tm = mpf(T)
+        f = lambda u: abs(mp.cos(Tm + u)) ** s * mp.zeta(p + 1, (Tm + u) / mp.pi)
+        pts = [0, (k + 1) * mp.pi - Tm, (k + mpf(1.5)) * mp.pi - Tm, mp.pi]
+        direct = mp.quad(f, pts) / mp.pi ** (p + 1)
+        assert abs(direct - _cos_tail_truth(T, s, 2.1, k)) < mpf(10) ** -18
+
+
+def test_cos_power_mean_contains_the_beta_integral():
+    # m_s = Gamma((s+1)/2) / (sqrt(pi) Gamma(s/2 + 1)), C(s, s/2) / 2^s at even s
+    for s in TAIL_S:
+        m, q = quad._cos_power_mean(s.lo, s.hi, quad.MAX_CELLS)
+        assert q.ok and m.width <= 1e-4
+        for s_end in (mpf(s.lo), mpf(s.hi)):
+            beta = mp.gamma((s_end + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(s_end / 2 + 1))
+            assert mpf(m.lo) <= beta <= mpf(m.hi), s
+    for s in (2, 4, 16):
+        m, _ = quad._cos_power_mean(float(s), float(s), quad.MAX_CELLS)
+        exact = Fraction(math.comb(s, s // 2), 2**s)
+        assert Fraction(m.lo) <= exact <= Fraction(m.hi), s
+
+
+def _min_psi(s):
+    """Psi(T* + pi/2) = int_0^{pi/2} (pi/2 - u)(sin^s u - m_s) du, the
+    minimum of the cos-power tail's second antiderivative."""
+    s = mpf(s)
+    m = mp.gamma((s + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(s / 2 + 1))
+    return mp.quad(lambda u: (mp.pi / 2 - u) * (mp.sin(u) ** s - m), [0, mp.pi / 2])
+
+
+def test_cos_power_tail_band_constant():
+    # the band's constant pi^2/32 bounds -min Psi on s in [1, 16]
+    with mp.workdps(15):
+        for i in range(31):
+            s = 1 + mpf(i) / 2
+            assert _min_psi(s) >= -mp.pi**2 / 32, s
+        for s, value in ((mp.sqrt(2), -0.236), (2, -0.25), (4, -0.25), (16, -0.182)):
+            assert abs(_min_psi(s) - value) < 1e-3, s
 
 
 def test_gaussian_sanity():
@@ -159,14 +268,14 @@ def _gap_integrand(p, s):
     return lambda t: (mp.exp(-s * t * t / 2) - abs(mp.cos(t)) ** s) / t ** (p + 1)
 
 
-def _gap_pieces_truth(p, s):
+def _gap_pieces_truth(p, s, T):
     """mpmath values of the near piece [delta, 1.2] (series on [delta, t1],
-    then quadrature) and the direct piece [1.2, 30] of the gauss/cos gap
+    then quadrature) and the direct piece [1.2, T] of the gauss/cos gap
     integral, split at the zeros of cos."""
     f = _gap_integrand(p, s)
     zeros = [mp.pi / 2 + k * mp.pi for k in range(10)]
     near = mp.quad(f, [mpf(npcheck._GAP_DELTA), mpf(0.01), mpf(npcheck._SERIES_T1), mpf(1.2)])
-    direct = mp.quad(f, [mpf(1.2)] + [z for z in zeros if z < 30] + [mpf(30)])
+    direct = mp.quad(f, [mpf(1.2)] + [z for z in zeros if z < T] + [mpf(T)])
     return near, direct
 
 
@@ -176,12 +285,16 @@ def _gap_pieces_truth(p, s):
 def test_gap_integral_pieces_contain_mpmath(p, s, target, monkeypatch):
     monkeypatch.setattr(npcheck, "_GAP_TARGET", target)
     piv, siv = Interval(p, p), Interval(s, s)
-    _, (quad1, direct) = gauss_cos_gap_integral(piv, siv)
+    _, (quad1, direct, mean) = gauss_cos_gap_integral(piv, siv)
     series = npcheck._gap_series_integral(npcheck._gap_series(siv), piv)
     for q in (quad1, direct):
         assert q.ok
         assert q.value.width <= target
-    for enc, truth in zip((series + quad1.value, direct.value), _gap_pieces_truth(p, s)):
+    assert mean.ok
+    # the direct piece stops where the cos-power tail starts, at 7 pi/2
+    T, _, _ = cos_power_tail(siv, piv, 3)
+    assert 0 <= mpf(T) - mp.mpf(3.5) * mp.pi < 1e-14
+    for enc, truth in zip((series + quad1.value, direct.value), _gap_pieces_truth(p, s, T)):
         assert mpf(enc.lo) <= truth <= mpf(enc.hi)
 
 
@@ -242,17 +355,24 @@ def test_constant_integrand_on_inexact_cells():
 
 
 def test_gap_integral_cell_count():
-    # deterministic: the second-order enclosure needs 210 cells on [t1, 30]
-    # here (496 on [1e-3, 30] before the series), the first-order one 143k
-    _, quads = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
-    assert sum(q.cells for q in quads) <= 260
+    # deterministic: the second-order enclosure needs 154 cells on [t1, 7 pi/2]
+    # here (210 on [t1, 30] before the two-sided cos-power tail, 496 on
+    # [1e-3, 30] before the series), the first-order one 143k; m_s takes 59
+    _, (fin1, fin2, mean) = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
+    assert fin1.cells + fin2.cells <= 180
+    assert mean.cells <= 70
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
+    # the two gap pieces and the m_s quadrature of the cos-power tail are
+    # each cut at 41 cells, and every cut reaches the leaf; m_s is cached
+    # by budget, so no m_s from another budget stands in for the cut one
     monkeypatch.setattr(quad, "MAX_CELLS", 41)
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
-    assert leaf.note == "quadrature target missed (wide, 82 cells)"
+    assert leaf.note == "quadrature target missed (wide, 123 cells)"
     monkeypatch.undo()
+    res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
+    assert res.children[-1].children[0].note == ""
     assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0, 1e-6)) == "x"

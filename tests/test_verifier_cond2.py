@@ -72,19 +72,19 @@ def test_hprime_piece_values():
 def test_lambda_constant_repair_is_necessary():
     # the printed 0.043369 exceeds 1.75 * int cos^2/t^4 = 0.0433640...; the
     # certified enclosure must refute it while the repaired 0.0433 clears it
-    from khintchine.quad import integrate, tail_bound_mu_p
+    from khintchine.quad import cos_power_tail, integrate
     from khintchine.interval import pow_real
     import math
 
+    # the tail past the float end of 9 pi/2, as check_cond2_hprime takes it
+    T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
     q = integrate(
         lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
         math.pi / 2,
-        50.0,
+        T,
         1.5e-6,
     )
-    I1 = q.value + tail_bound_mu_p(
-        "cos_power", Interval(2.0, 2.0), Interval(3.0, 3.0), 50.0
-    )
+    I1 = q.value + tail
     assert (I1 * 1.75 - LAMBDA_TAIL_CONST_PRINTED).hi < 0  # printed constant fails
     assert (I1 * 1.75 - LAMBDA_TAIL_CONST).lo > 0  # repaired constant holds
     assert I1.contains(0.0247794406641325)

@@ -49,7 +49,6 @@ from .cond2 import (
 from .npcheck import (
     check_conclusion_direct,
     check_fp_convergence,
-    check_gap_near_zero,
     check_np_cos_gauss,
     gauss_cos_gap_integral,
     np_generic,
@@ -85,7 +84,6 @@ __all__ = [
     "lemma52_piece2_margin",
     "np_generic",
     "check_np_cos_gauss",
-    "check_gap_near_zero",
     "check_conclusion_direct",
     "check_fp_convergence",
     "gauss_cos_gap_integral",

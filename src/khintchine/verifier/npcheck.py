@@ -1,12 +1,15 @@
 """Generic single-sign-change checker and direct cross-checks.
 
-np_generic certifies the two hypotheses of the distribution-function
-comparison lemma for arbitrary enclosures F, G; the direct checks enclose the
-conclusion integrals themselves at sample exponents, independently of the
-piecewise proofs, and compare exact Rademacher moments with their gaussian
-limit.  Each conclusion integral (gauss_cos_gap_integrals) is a near-zero
-majorant, a series integrated in closed form, two quadratures that end at
-7 pi/2, and the gaussian and two-sided cos-power tails past it.
+The distribution-function comparison lemma (Nazarov & Podkorytov) has two
+hypotheses: F - G changes sign once, and int (g^s0 - f^s0) d(mu) >= 0 at
+s0 = sqrt(2).  np_generic certifies the first for arbitrary enclosures F, G.
+check_conclusion_direct encloses the integrals themselves at sample exponents,
+independently of the piecewise proofs: its s0 column is the second hypothesis,
+its larger s the lemma's conclusion.  check_fp_convergence compares exact
+Rademacher moments with their gaussian limit.  Each integral
+(gauss_cos_gap_integrals) is a near-zero majorant, a series integrated in
+closed form, two quadratures that end at 7 pi/2, and the gaussian and
+two-sided cos-power tails past it.
 """
 
 from __future__ import annotations
@@ -64,14 +67,11 @@ def np_generic(
     F: FnEnclosure,
     G: FnEnclosure,
     slope: FnEnclosure,
-    integral: Interval,
     grid: int = 64,
     *,
     name: str = "np-generic",
-    integral_note: str = "",
 ) -> CheckResult:
-    """Certify: F - G <= 0 left of some y0, >= 0 right of it, and the
-    s0-integral is nonnegative.
+    """Certify: F - G <= 0 left of some y0 and >= 0 right of it.
 
     F and G must be nondecreasing, as distribution functions are: each is
     called only on point intervals, once per distinct point, and on a cell
@@ -95,10 +95,8 @@ def np_generic(
     nonnegative phase could still lie leave it inconclusive.  Unresolved
     cells between the last negative and the first positive cell (the
     transition gap) pass only when slope over the whole gap is certified
-    positive, so that F - G crosses zero at most once there.
-    integral must be a rigorous enclosure of int (g^s0 - f^s0) d(mu);
-    assembling it (cutoffs, tails) is the caller's business, and
-    integral_note, which names s0, is that leaf's note.
+    positive, so that F - G crosses zero at most once there.  The result
+    has the one leaf single-sign-change.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
@@ -230,14 +228,7 @@ def np_generic(
         note=diag or note,
         verdict=verdict,
     )
-    hyp2 = leaf(
-        f"{name}/integral-at-s0",
-        integral,
-        strict=False,
-        evaluations=1,
-        note=integral_note,
-    )
-    return combine(name, [hyp1, hyp2], note=hyp1.note)
+    return combine(name, [hyp1], note=hyp1.note)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +424,20 @@ def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[Qu
 
 
 def check_conclusion_direct(
-    p_grid=(2.1, 2.5, 2.9), s_grid=None
+    p_grid=(2.0, 2.5, 2.9), s_grid=(SQRT2, 2.0, 4.0, 16.0)
 ) -> CheckResult:
-    """The conclusion integral is nonnegative at every sampled (p, s)."""
-    if s_grid is None:
-        s_grid = (float(SQRT2.lo), 2.0, 4.0, 16.0)
-    if any(s < float(SQRT2.lo) - 1e-12 for s in s_grid):
+    """The gap integral int (g^s - f^s) d(mu_p) is nonnegative at every
+    sampled (p, s); each s is an Interval or a float.
+
+    At the SQRT2 box it is the comparison lemma's hypothesis 2, at the p
+    where check_np_cos_gauss certifies hypothesis 1; at larger s it is the
+    lemma's conclusion, enclosed directly.
+    """
+    s_grid = [s if isinstance(s, Interval) else Interval(s, s) for s in s_grid]
+    if any(s.lo < float(SQRT2.lo) - 1e-12 for s in s_grid):
         raise ValueError("conclusion holds for s >= sqrt(2) only")
     children = _near_zero_children(_GAP_DELTA)
-    grid = [(Interval(p, p), Interval(s, s)) for p in p_grid for s in s_grid]
+    grid = [(Interval(p, p), s) for p in p_grid for s in s_grid]
     gaps = iter(gauss_cos_gap_integrals(grid))
     for p in p_grid:
         row = []
@@ -449,11 +445,12 @@ def check_conclusion_direct(
             enc, quads = next(gaps)
             row.append(
                 leaf(
-                    f"integral-p{p}-s{round(s, 6)}",
+                    f"integral-p{p}-s{round(s.lo, 6)}",
                     enc,
                     strict=False,
                     evaluations=sum(q.cells for q in quads),
-                    note=note_missed("", *quads),
+                    note=note_missed("hypothesis 2, s0 = sqrt(2)" if s == SQRT2 else "",
+                                     *quads),
                 )
             )
         children.append(combine(f"p-{p}", row))
@@ -465,17 +462,12 @@ def check_conclusion_direct(
 # ---------------------------------------------------------------------------
 
 
-def check_gap_near_zero() -> CheckResult:
-    """The C4 certificate that every check_np_cos_gauss gap integral rests on
-    (at delta = _GAP_DELTA); kept outside those nodes so their leaves stay as
-    they are."""
-    return combine("np/gap-near-zero", _near_zero_children(_GAP_DELTA))
-
-
 def check_np_cos_gauss(
     p: float, K: int = SERIES_K, grid: int = 64
 ) -> CheckResult:
-    """np_generic on the |cos| and gaussian distribution functions at one p."""
+    """np_generic on the |cos| and gaussian distribution functions at one p:
+    hypothesis 1 of the comparison lemma; check_conclusion_direct holds
+    hypothesis 2."""
     mp = MeasureParams(Interval(p, p))
 
     def F(x: Interval) -> Interval:
@@ -488,13 +480,7 @@ def check_np_cos_gauss(
         f_prime, g_prime = derivatives(x, mp, K=K)
         return f_prime - g_prime
 
-    enc, quads = gauss_cos_gap_integral(
-        Interval(p, p), Interval(SQRT2.lo, SQRT2.hi)
-    )
-    return np_generic(
-        F, G, slope, enc, grid=grid, name=f"np/cos-gauss-p{p}",
-        integral_note=note_missed(f"s0 = {float(SQRT2.lo)}", *quads),
-    )
+    return np_generic(F, G, slope, grid=grid, name=f"np/cos-gauss-p{p}")
 
 
 # ---------------------------------------------------------------------------

@@ -119,21 +119,20 @@ def test_report_config_keys():
     assert body["schema_version"] == 2
 
 
-def test_np_suite_carries_the_gap_near_zero_certificate():
-    # every np/cos-gauss gap integral rests on C4 at delta = 1e-3
+def test_np_suite_is_the_classifier_alone():
+    # hypothesis 2's gap integrals are the conclusion suite's s0 column
     report = run(RunConfig(suite="np"))
     assert report.overall == "proved"
     names = [r.name for r in report.results]
-    assert names == ["np/cos-gauss-p2.0", "np/cos-gauss-p2.5", "np/cos-gauss-p2.9",
-                     "np/gap-near-zero"]
-    node = report.results[-1]
-    assert node.status == "proved"
-    assert [(c.name, c.status) for c in node.children] == [
-        ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]
+    assert names == ["np/cos-gauss-p2.0", "np/cos-gauss-p2.5", "np/cos-gauss-p2.9"]
+    for node in report.results:
+        assert [c.name for c in node.children] == [f"{node.name}/single-sign-change"]
+    assert not any(n.name.rsplit("/", 1)[-1].startswith("integral-")
+                   for r in report.results for n in r.walk())
 
 
 def test_conclusion_suite_carries_the_gap_near_zero_certificate():
-    # both nodes rest on gap integrals, so on C4 at delta = 1e-3
+    # both nodes rest on gap integrals, so on C4 at delta = 1e-4
     report = run(RunConfig(suite="conclusion"))
     assert report.overall == "proved"
     names = [r.name for r in report.results]

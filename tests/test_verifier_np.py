@@ -38,7 +38,7 @@ def _y0(note):
 
 def test_np_generic_identical_enclosures():
     res = np_generic(
-        lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0), Interval(0.0, 0.0),
+        lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0),
         name="same",
     )
     assert res.status == PROVED
@@ -50,7 +50,6 @@ def test_np_generic_single_crossing():
         lambda x: x,
         lambda x: Interval(0.5, 0.5),
         lambda x: Interval(1.0, 1.0),
-        Interval(1.0, 1.0),
         name="crossing",
     )
     assert res.status == PROVED
@@ -65,7 +64,6 @@ def test_np_generic_shifted_fails():
         lambda x: x,
         lambda x: x + 1.0,
         lambda x: Interval(0.0, 0.0),
-        Interval(1.0, 1.0),
         name="shifted",
     )
     assert res.status == FAILED
@@ -77,7 +75,7 @@ def test_np_generic_double_crossing_fails():
         return x * 3.0 + (x - 0.3) * (x - 0.7)
 
     res = np_generic(
-        F, lambda x: x * 3.0, lambda x: x * 2.0 - 1.0, Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, lambda x: x * 2.0 - 1.0,
         name="double",
     )
     assert res.status == FAILED
@@ -93,7 +91,6 @@ def test_np_generic_budget_never_proves(monkeypatch):
         lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
         lambda x: Interval(0.5, 0.5),
         lambda x: UNKNOWN_SLOPE,
-        Interval(1.0, 1.0),
         name="fuzzy",
     )
     assert res.status == INCONCLUSIVE
@@ -108,7 +105,7 @@ def test_np_generic_budget_cut_gap_with_a_slope_proves(monkeypatch):
     monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
         lambda x: x, lambda x: Interval(0.5, 0.5), lambda x: Interval(1.0, 1.0),
-        Interval(1.0, 1.0), name="cut-gap",
+        name="cut-gap",
     )
     assert res.status == PROVED
     lo, hi = _y0(res.note)
@@ -127,7 +124,7 @@ def test_np_generic_unresolved_right_edge_inconclusive(monkeypatch):
 
     monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
-        F, lambda x: x * 3.0, lambda x: UNKNOWN_SLOPE, Interval(1.0, 1.0),
+        F, lambda x: x * 3.0, lambda x: UNKNOWN_SLOPE,
         name="blurred-cubic",
     )
     assert res.status == INCONCLUSIVE
@@ -139,7 +136,7 @@ def test_np_generic_rejects_decreasing_input():
     with pytest.raises(ValueError, match="nondecreasing"):
         np_generic(
             lambda x: -x, lambda x: Interval(0.5, 0.5),
-            lambda x: Interval(-1.0, -1.0), Interval(1.0, 1.0),
+            lambda x: Interval(-1.0, -1.0),
             name="decreasing",
         )
 
@@ -160,7 +157,7 @@ def test_np_generic_evaluates_each_endpoint_once():
 
     res = np_generic(
         record("F", lambda x: x), record("G", lambda x: Interval(0.4, 0.4)),
-        slope, Interval(1.0, 1.0), grid=64, name="endpoints",
+        slope, grid=64, name="endpoints",
     )
     assert res.status == PROVED
     cells = res.children[0].evaluations
@@ -179,8 +176,7 @@ def test_np_generic_evaluates_each_endpoint_once():
 def test_np_generic_rejects_small_grid():
     with pytest.raises(ValueError):
         np_generic(
-            lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0),
-            Interval(0, 0), grid=4,
+            lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0), grid=4,
         )
 
 
@@ -209,7 +205,6 @@ def test_np_generic_wide_gap_needs_a_slope(monkeypatch):
             lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
             lambda x: Interval(0.5, 0.5),
             lambda x: slope,
-            Interval(1.0, 1.0),
             name="fuzzy-gap",
         )
 
@@ -230,7 +225,7 @@ def test_np_generic_rejects_wrong_slope():
     with pytest.raises(ValueError, match="unsound"):
         np_generic(
             lambda x: x, lambda x: Interval(0.5, 0.5),
-            lambda x: Interval(-10.0, -10.0), Interval(1.0, 1.0),
+            lambda x: Interval(-10.0, -10.0),
             name="wrong-slope",
         )
 
@@ -266,6 +261,28 @@ def _gap_bits(enc, quads):
         enc.lo.hex(), enc.hi.hex(),
         [(q.value.lo.hex(), q.value.hi.hex(), q.cells, q.status) for q in quads],
     )
+
+
+def test_conclusion_direct_takes_s_as_a_float_or_an_interval():
+    as_float = check_conclusion_direct(p_grid=(2.5,), s_grid=(2.0,))
+    as_box = check_conclusion_direct(p_grid=(2.5,), s_grid=(Interval(2.0),))
+    assert _tree(as_float) == _tree(as_box)
+
+
+@pytest.mark.slow
+def test_conclusion_direct_s0_column_is_hypothesis_2(conclusion_direct):
+    # the default grid's s0 = sqrt(2) leaves are the gap integrals of the
+    # comparison lemma's hypothesis 2, at the p of the sign-change checks
+    rows = {c.name: c.children for c in conclusion_direct.children
+            if c.name.startswith("p-")}
+    assert list(rows) == ["p-2.0", "p-2.5", "p-2.9"]
+    for p, row in zip((2.0, 2.5, 2.9), rows.values()):
+        s0 = row[0]
+        assert s0.name == f"integral-p{p}-s1.414214"
+        assert s0.note.startswith("hypothesis 2")
+        enc, _ = gauss_cos_gap_integral(Interval(p, p), SQRT2)
+        assert (s0.margin.lo.hex(), s0.margin.hi.hex()) == (enc.lo.hex(), enc.hi.hex())
+        assert not any(c.note.startswith("hypothesis 2") for c in row[1:])
 
 
 def test_gap_integrals_batch_equals_one_pair_calls():

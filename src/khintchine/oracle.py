@@ -2,16 +2,19 @@
 
 Everything here is floating-point (not enclosure) arithmetic; it exists to
 cross-check the rigorous machinery from a completely different direction:
-exhaustive sign enumeration, binomial weights, and seeded Monte Carlo.
+exhaustive sign enumeration, binomial weights, and seeded Monte Carlo.  Only
+the standard library is used, so importing the CLI pulls in no numerics
+package.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import product, repeat
 
 from .interval import Interval
 from .specfun import b_constant
@@ -36,12 +39,16 @@ class CoefficientVector:
         return math.sqrt(math.fsum(x * x for x in self.a))
 
 
-def _half_pattern_sums(a: tuple[float, ...]) -> np.ndarray:
-    """Values of sum a_k e_k over all sign patterns with e_1 = +1 fixed."""
-    rest = np.array([0.0])
+@lru_cache(maxsize=1)
+def _abs_half_pattern_sums(a: tuple[float, ...]) -> tuple[float, ...]:
+    """|sum a_k e_k| over all sign patterns with e_1 = +1 fixed, built by
+    doubling the list once per coefficient.  The last vector's sums are kept,
+    so a sweep that asks for several p per vector enumerates it once."""
+    rest = [0.0]
     for x in a[1:]:
-        rest = np.concatenate([rest + x, rest - x])
-    return rest + a[0]
+        rest = [s + x for s in rest] + [s - x for s in rest]
+    a0 = a[0]
+    return tuple([abs(s + a0) for s in rest])
 
 
 def exact_moment(a: CoefficientVector, p: float) -> float:
@@ -54,8 +61,8 @@ def exact_moment(a: CoefficientVector, p: float) -> float:
         raise ValueError("p must be positive")
     if a.n > ENUM_LIMIT:
         raise ValueError(f"enumeration capped at n = {ENUM_LIMIT}")
-    sums = _half_pattern_sums(a.a)
-    return float((np.abs(sums) ** p).mean())
+    sums = _abs_half_pattern_sums(a.a)
+    return math.fsum(map(pow, sums, repeat(p))) / len(sums)
 
 
 @lru_cache(maxsize=8)
@@ -110,35 +117,42 @@ def _binomial_moment(n: int, p: float) -> float:
 def monte_carlo_moment(
     a: CoefficientVector, p: float, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Seeded sample mean of |sum a_k e_k|^p with its standard error."""
+    """Seeded sample mean of |sum a_k e_k|^p with its standard error.
+
+    Each trial's n signs are the bits of one ``getrandbits(n)``: the low
+    n // 2 bits index a table of the signed sums of the first half of the
+    coefficients, the high bits one of the second half.  Each distinct
+    pattern drawn is evaluated once and weighted by its count.
+    """
     if trials < 1000:
         raise ValueError("need at least 10^3 trials")
-    rng = np.random.default_rng(seed)
-    coeffs = np.array(a.a)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        m = min(trials - done, 1 << 16)
-        signs = rng.integers(0, 2, size=(m, a.n)) * 2 - 1
-        vals = np.abs(signs @ coeffs) ** p
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
+    n, h = a.n, a.n // 2
+    low = _signed_sums(a.a[:h])
+    high = _signed_sums(a.a[h:])
+    mask = (1 << h) - 1
+    draw = random.Random(seed).getrandbits
+    counts = Counter([draw(n) for _ in range(trials)])
+    weighted = [(c, abs(low[b & mask] + high[b >> h]) ** p) for b, c in counts.items()]
+    mean = math.fsum(c * v for c, v in weighted) / trials
+    var = max(math.fsum(c * v * v for c, v in weighted) / trials - mean * mean, 0.0)
     return mean, math.sqrt(var / trials)
+
+
+def _signed_sums(half: tuple[float, ...]) -> list[float]:
+    """fsum of every sign pattern of ``half``, 2^len(half) entries."""
+    return [math.fsum(c) for c in product(*((x, -x) for x in half))]
 
 
 def random_unit_vectors(count: int, n_max: int, seed: int) -> list[CoefficientVector]:
     """Seeded uniform-on-sphere vectors with dimensions cycling 2..n_max."""
-    rng = np.random.default_rng(seed)
+    gauss = random.Random(seed).gauss
     out = []
     for i in range(count):
         n = 2 + (i % (n_max - 1))
-        v = rng.standard_normal(n)
-        while float(np.linalg.norm(v)) < 1e-9:
-            v = rng.standard_normal(n)
-        v = v / np.linalg.norm(v)
-        out.append(CoefficientVector(tuple(float(x) for x in v)))
+        while True:
+            v = [gauss(0.0, 1.0) for _ in range(n)]
+            norm = math.sqrt(math.fsum(x * x for x in v))
+            if norm >= 1e-9:
+                break
+        out.append(CoefficientVector(tuple(x / norm for x in v)))
     return out

@@ -218,9 +218,10 @@ def test_criterion_6_si_printed_digits():
 
 
 def test_criterion_7_oracles():
+    # vector outside, p inside: the cached sign sums serve all three p
     vectors = random_unit_vectors(200, 16, seed=20240801)
     sweep_ok = all(
-        khintchine_check(v, p)[2] for p in (2.2, 2.5, 2.8) for v in vectors
+        khintchine_check(v, p)[2] for v in vectors for p in (2.2, 2.5, 2.8)
     )
     (_, m64, target) = steckin_convergence(3.0, (64,))[0]
     steckin_ok = abs(m64 - target) / target <= 0.02 and abs(target - 1.59577) < 1e-5

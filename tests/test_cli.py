@@ -1,9 +1,14 @@
 """CLI: configuration, report round-trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import khintchine
 from khintchine import specfun as sf
 from khintchine.cli import Report, RunConfig, build_parser, exit_code, main, run
 from khintchine.interval import Interval
@@ -140,3 +145,20 @@ def test_conclusion_suite_carries_the_gap_near_zero_certificate():
     for node in report.results:
         assert [(c.name, c.status) for c in node.children[:2]] == [
             ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]
+
+
+def test_cli_and_oracle_suite_run_without_numpy():
+    # the oracle suite is the standard library alone: a fresh interpreter
+    # that imports the CLI and runs it never loads numpy
+    src = str(Path(khintchine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys\n"
+        "import khintchine.cli as cli\n"
+        "report = cli.run(cli.RunConfig(suite='oracle'))\n"
+        "print(report.overall, 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["proved", "False"]

@@ -121,9 +121,9 @@ def test_khintchine_check_examples():
 
 
 def test_khintchine_sweep():
-    vectors = random_unit_vectors(200, 16, seed=20240801)
-    for p in (2.2, 2.5, 2.8):
-        for v in vectors:
+    # vector outside, p inside: the cached sign sums serve all three p
+    for v in random_unit_vectors(200, 16, seed=20240801):
+        for p in (2.2, 2.5, 2.8):
             _, _, ok = khintchine_check(v, p)
             assert ok
 
@@ -138,6 +138,25 @@ def test_monte_carlo():
     assert abs(est - exact) <= 4 * err
     est2, err2 = monte_carlo_moment(v8, 2.5, 100_000, seed=7)
     assert est == est2 and err == err2  # determinism
+
+
+def test_monte_carlo_unequal_halves():
+    # n = 9 splits into sign tables of 4 and 5 coefficients
+    rng = random.Random(11)
+    v = CoefficientVector(tuple(rng.uniform(-1, 1) for _ in range(9)))
+    for p in (2.2, 2.5, 3.0):
+        est, err = monte_carlo_moment(v, p, 50_000, seed=3)
+        assert err > 0.0
+        assert abs(est - exact_moment(v, p)) <= 4 * err
+
+
+def test_random_unit_vectors():
+    vectors = random_unit_vectors(40, 9, seed=17)
+    assert [v.n for v in vectors] == [2 + i % 8 for i in range(40)]
+    for v in vectors:
+        assert abs(v.norm2 - 1.0) <= 1e-15
+    assert random_unit_vectors(40, 9, seed=17) == vectors
+    assert random_unit_vectors(40, 9, seed=18) != vectors
 
 
 def test_capacity_and_domain_errors():

@@ -39,7 +39,7 @@ print(f"zeta(3) = {zeta_sum(iv(3.0))}")
 print()
 print("== the optimal constant B_p = sqrt2 (Gamma((p+1)/2)/sqrt(pi))^(1/p) ==")
 for p in (2.0, 2.25, 2.5, 2.75, 3.0):
-    _, B = b_constant(iv(p))
+    B = b_constant(iv(p))
     print(f"B_{p:<5} = {B.mid:.12f}  (enclosure width {B.width:.2g})")
 print("B_2 contains exactly 1, the Euclidean-norm case.")
 

@@ -113,7 +113,7 @@ def _constants_suite() -> list[CheckResult]:
     out = []
     for i in range(P_BOXES + 1):
         p = 2.0 + i / P_BOXES
-        _, B = b_constant(Interval(p, p))
+        B = b_constant(Interval(p, p))
         out.append(
             leaf(
                 f"constants/B_p-{p:.4f}",
@@ -197,8 +197,8 @@ def run(config: RunConfig) -> Report:
         for p in (2.0, 2.5, 2.9):
             results.append(check_np_cos_gauss(p))
     if suite in ("conclusion", "all"):
-        results.append(check_conclusion_direct())
-        results.append(check_fp_convergence())
+        direct = check_conclusion_direct()
+        results += [direct, check_fp_convergence(direct)]
     if suite in ("oracle", "all"):
         results.extend(_oracle_suite(config))
     if suite in ("constants", "all"):

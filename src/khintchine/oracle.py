@@ -69,7 +69,7 @@ def exact_moment(a: CoefficientVector, p: float) -> float:
 def _b_mid(p: float) -> float:
     """Midpoint of the B_p enclosure; a sweep over many vectors at one p
     computes it once."""
-    return b_constant(Interval(p, p))[1].mid
+    return b_constant(Interval(p, p)).mid
 
 
 def khintchine_check(a: CoefficientVector, p: float) -> tuple[float, float, bool]:

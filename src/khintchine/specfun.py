@@ -255,17 +255,14 @@ def gamma_iv(x: Interval) -> Interval:
     return val * _LANCZOS_ERR
 
 
-def b_constant(p: Interval) -> tuple[Interval, Interval]:
-    """Optimal Khintchine constants (A_p, B_p) on 2 <= p <= 3.
-
-    A_p = 1 there; B_p = sqrt(2) (Gamma((p+1)/2)/sqrt(pi))^(1/p).
-    """
+def b_constant(p: Interval) -> Interval:
+    """The optimal upper Khintchine constant on 2 <= p <= 3,
+    B_p = sqrt(2) (Gamma((p+1)/2)/sqrt(pi))^(1/p)."""
     if not (2.0 <= p.lo and p.hi <= 3.0):
         raise DomainError(f"b_constant domain is [2, 3], got {p}")
     g = gamma_iv((p + 1.0) * 0.5)
     ratio = g / PI.sqrt()
-    B = SQRT2 * pow_real(ratio, Interval(1.0, 1.0) / p)
-    return Interval(1.0, 1.0), B
+    return SQRT2 * pow_real(ratio, Interval(1.0, 1.0) / p)
 
 
 # -- Taylor enclosures for the near-zero reductions --------------------------

@@ -6,7 +6,8 @@ s0 = sqrt(2).  np_generic certifies the first for arbitrary enclosures F, G.
 check_conclusion_direct encloses the integrals themselves at sample exponents,
 independently of the piecewise proofs: its s0 column is the second hypothesis,
 its larger s the lemma's conclusion.  check_fp_convergence compares exact
-Rademacher moments with their gaussian limit.  Each integral
+Rademacher moments with their gaussian limit, at n = 4 through a gap
+integral of check_conclusion_direct's grid.  Each integral
 (gauss_cos_gap_integrals) is a near-zero majorant, a series integrated in
 closed form, two quadratures that end at 7 pi/2, and the gaussian and
 two-sided cos-power tails past it.
@@ -20,7 +21,7 @@ from math import comb, factorial
 from typing import Callable
 
 from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star
-from ..interval import PI, DomainError, Interval, imin, ipoly_eval, pow_real
+from ..interval import DomainError, Interval, imin, ipoly_eval, pow_real
 from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
@@ -31,7 +32,7 @@ from ..quad import (
     note_missed,
     tail_bound_mu_p,
 )
-from ..specfun import LN_COS_COEFFS, SQRT2, cos_taylor, gamma_iv, neg_ln_cos_excess
+from ..specfun import LN_COS_COEFFS, SQRT2, b_constant, cos_taylor, gamma_iv, neg_ln_cos_excess
 from .engine import (
     bisect_boxes,
     monotone_nonneg_check,
@@ -275,19 +276,15 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
     return [cos_lower, ln_upper]
 
 
-def _memo(fn, memo: dict, keep: bool):
-    """fn read through memo by cell argument, storing what fn computes if
-    keep; a factor that raises DomainError is not stored.  quad._cell passes
-    Jet.var(X), the midpoint and, as its fallback, X itself, so a jet's key
-    carries a flag that keeps it apart from X's."""
-    if not (memo or keep):
-        return fn
+def _memo(fn, memo: dict):
+    """fn read through memo by cell argument; a factor that raises
+    DomainError is not stored.  quad._cell passes Jet.var(X), the midpoint
+    and, as its fallback, X itself, so a jet's key carries a flag that keeps
+    it apart from X's."""
 
     def read(t):
         key = (t.v.lo, t.v.hi, True) if type(t) is Jet else (t.lo, t.hi)
         if key not in memo:
-            if not keep:
-                return fn(t)
             memo[key] = fn(t)
         return memo[key]
 
@@ -377,9 +374,8 @@ def gauss_cos_gap_integrals(
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
     share the t-only factors, the s-factor by s and the p-factor by p through
-    memos of this call (_memo), each stored only where a later pair may read
-    it and dropped after its piece, and the series coefficients by s; results
-    equal one-pair calls' bit for bit.
+    memos of this call (_memo), each dropped after its piece, and the series
+    coefficients by s; results equal one-pair calls' bit for bit.
     """
     if not pairs:
         return []
@@ -395,16 +391,13 @@ def gauss_cos_gap_integrals(
          lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)),
     ):
         t_memo, by_s, by_p = {}, {}, {}
-        for i, (p, s) in enumerate(pairs):
+        for (p, s), fin in zip(pairs, fins):
             # integrate runs in this iteration, so the closures see this pair
-            later = pairs[i + 1 :]
-            t_only = _memo(lambda t: (-(t * t), t_fn(t)), t_memo, bool(later))
-            s_factor = _memo(lambda t: s_gap(s, *t_only(t)),
-                             by_s.setdefault(s, {}), s in {q for _, q in later})
+            t_only = _memo(lambda t: (-(t * t), t_fn(t)), t_memo)
+            s_factor = _memo(lambda t: s_gap(s, *t_only(t)), by_s.setdefault(s, {}))
             minus_p1 = -(p + 1.0)
-            p_factor = _memo(lambda t: pow_real(t, minus_p1),
-                             by_p.setdefault(p, {}), p in {q for q, _ in later})
-            fins[i].append(
+            p_factor = _memo(lambda t: pow_real(t, minus_p1), by_p.setdefault(p, {}))
+            fin.append(
                 integrate(lambda t: s_factor(t) * p_factor(t), a, b, _GAP_TARGET))
     out, series_by_s = [], {}
     for (p, s), (fin1, fin2), (_, cospow, mean) in zip(pairs, fins, tails):
@@ -421,6 +414,11 @@ def gauss_cos_gap_integrals(
 def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[QuadResult, ...]]:
     """gauss_cos_gap_integrals at the one pair (p, s)."""
     return gauss_cos_gap_integrals([(p, s)])[0]
+
+
+def _gap_leaf_name(p: float, s: Interval) -> str:
+    """The name of check_conclusion_direct's gap-integral leaf at (p, s)."""
+    return f"integral-p{p}-s{round(s.lo, 6)}"
 
 
 def check_conclusion_direct(
@@ -445,7 +443,7 @@ def check_conclusion_direct(
             enc, quads = next(gaps)
             row.append(
                 leaf(
-                    f"integral-p{p}-s{round(s.lo, 6)}",
+                    _gap_leaf_name(p, s),
                     enc,
                     strict=False,
                     evaluations=sum(q.cells for q in quads),
@@ -501,11 +499,6 @@ def rademacher_moment(n: int, p: Interval) -> Interval:
     return sum(terms, Interval(0.0)) / pow_real(Interval(n), p * 0.5)
 
 
-def gauss_moment(p: Interval) -> Interval:
-    """B_p^p = E|G|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi), G standard gaussian."""
-    return pow_real(Interval(2.0), p * 0.5) * gamma_iv((p + 1.0) * 0.5) / PI.sqrt()
-
-
 def gauss_moment_integral(p: Interval) -> Interval:
     """int_0^inf (t^2/2 - 1 + e^(-t^2/2)) t^(-p-1) dt = 2^(-(p+2)/2) Gamma(-p/2)
     on 2 < p < 4, with Gamma(a) = Gamma(a+3)/(a(a+1)(a+2)) at a = -p/2."""
@@ -513,7 +506,7 @@ def gauss_moment_integral(p: Interval) -> Interval:
     return pow_real(Interval(2.0), a - 1.0) * gamma_iv(a + 3.0) / (a * (a + 1.0) * (a + 2.0))
 
 
-def check_fp_convergence() -> CheckResult:
+def check_fp_convergence(direct: CheckResult) -> CheckResult:
     """The Rademacher moments m_n = E|S_n/sqrt(n)|^p rise toward B_p^p.
 
     By Haagerup's formula I(n)/I(inf) = m_n/B_p^p for even n, where I(n) is
@@ -521,31 +514,31 @@ def check_fp_convergence() -> CheckResult:
     gaussian limit: the deviations I(inf) - I(n) fall along FP_S as the m_n
     rise, and the last is below I(inf)/100 when m_n >= 0.99 B_p^p.  At n = 4
     the formula is held to the quadrature route, n^(-p/2) times the gap
-    integral; the node carries that integral's near-zero certificate, whose
-    margins, anchored at 0, do not enter the node's margin.
+    integral that direct, a check_conclusion_direct node, holds at
+    (FP_P, 4); a node without that leaf raises ValueError.  The integral's
+    near-zero certificate is direct's.
     """
     piv = Interval(FP_P)
-    bpp = gauss_moment(piv)
+    bpp = pow_real(b_constant(piv), piv)
     m = {n: rademacher_moment(n, piv) for n in FP_S}
     n0, n_last = FP_S[0], FP_S[-1]
-    gap, quads = gauss_cos_gap_integral(piv, Interval(n0))
-    by_quad = pow_real(Interval(n0), -piv * 0.5) * gap  # I(inf) - I(n0)
+    path = f"p-{FP_P}/{_gap_leaf_name(FP_P, Interval(n0))}"
+    gap = next((g for row in direct.children for g in row.children
+                if f"{row.name}/{g.name}" == path), None)
+    if gap is None:
+        raise ValueError(f"{direct.name} has no leaf {path}")
+    by_quad = pow_real(Interval(n0), -piv * 0.5) * gap.margin  # I(inf) - I(n0)
     exact = gauss_moment_integral(piv) * (1.0 - m[n0] / bpp)
     lanczos = "Gamma by Lanczos, whose error bound is empirical"
+    note = (f"n^(-p/2) {direct.name}/{path} {by_quad!r} vs "
+            f"I(inf)(1 - m_n/B_p^p) {exact!r}; {lanczos}")
     children = [
-        overlap_check(
-            f"haagerup-formula-n{n0}", by_quad, exact,
-            note=note_missed(f"n^(-p/2) gap integral {by_quad!r} vs "
-                             f"I(inf)(1 - m_n/B_p^p) {exact!r}; {lanczos}", *quads),
-        ),
+        overlap_check(f"haagerup-formula-n{n0}", by_quad, exact,
+                      note=f"{note}; {gap.note}" if gap.note else note),
         *(point_check(f"deviation-decreasing-{a}-to-{b}", m[b] - m[a],
                       note=f"m_{a} = {m[a]!r} vs m_{b} = {m[b]!r}")
           for a, b in zip(FP_S, FP_S[1:])),
         point_check("final-within-1-percent", m[n_last] - bpp * 0.99,
                     note=f"m_{n_last} = {m[n_last]!r} vs B_p^p = {bpp!r}; {lanczos}"),
     ]
-    return combine(
-        f"np/moment-convergence-p{FP_P}",
-        _near_zero_children(_GAP_DELTA) + children,
-        margin=imin([c.margin for c in children]),
-    )
+    return combine(f"np/moment-convergence-p{FP_P}", children)

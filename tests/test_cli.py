@@ -137,14 +137,18 @@ def test_np_suite_is_the_classifier_alone():
 
 
 def test_conclusion_suite_carries_the_gap_near_zero_certificate():
-    # both nodes rest on gap integrals, so on C4 at delta = 1e-4
+    # both nodes rest on gap integrals, so on C4 at delta = 1e-4; the moment
+    # node reads its integral from conclusion-direct, which holds the one
+    # certificate
     report = run(RunConfig(suite="conclusion"))
     assert report.overall == "proved"
-    names = [r.name for r in report.results]
-    assert names == ["np/conclusion-direct", "np/moment-convergence-p2.5"]
-    for node in report.results:
-        assert [(c.name, c.status) for c in node.children[:2]] == [
-            ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]
+    direct, moment = report.results
+    assert (direct.name, moment.name) == ("np/conclusion-direct", "np/moment-convergence-p2.5")
+    assert [(c.name, c.status) for c in direct.children[:2]] == [
+        ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]
+    certs = [n for r in report.results for n in r.walk() if n.name == "cos-above-quadratic"]
+    assert certs == [direct.children[0]]
+    assert "np/conclusion-direct/p-2.5/integral-p2.5-s4.0" in moment.children[0].note
 
 
 def test_cli_and_oracle_suite_run_without_numpy():

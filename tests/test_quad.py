@@ -365,13 +365,17 @@ def test_gap_integral_cell_count():
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
     # the two gap pieces and the m_s quadrature of the cos-power tail are
-    # each cut at 41 cells, and every cut reaches the leaf; m_s is cached
-    # by budget, so no m_s from another budget stands in for the cut one
+    # each cut at 41 cells, and every cut reaches the leaf and the moment
+    # check's haagerup leaf, which reads it; m_s is cached by budget, so no
+    # m_s from another budget stands in for the cut one
     monkeypatch.setattr(quad, "MAX_CELLS", 41)
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
     assert leaf.note == "quadrature target missed (wide, 123 cells)"
+    haagerup = npcheck.check_fp_convergence(res).children[0]
+    assert haagerup.name == "haagerup-formula-n4"
+    assert haagerup.note.endswith("; quadrature target missed (wide, 123 cells)")
     monkeypatch.undo()
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     assert res.children[-1].children[0].note == ""

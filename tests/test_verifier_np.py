@@ -6,7 +6,9 @@ from math import comb, inf
 import pytest
 from mpmath import mp, mpf
 
-from khintchine.interval import Interval, SQRT2, imin
+from khintchine import quad
+from khintchine.interval import Interval, SQRT2, imin, pow_real
+from khintchine.specfun import b_constant
 from khintchine.verifier import engine, npcheck
 from khintchine.verifier import (
     FAILED,
@@ -21,7 +23,6 @@ from khintchine.verifier import (
 from khintchine.verifier.npcheck import (
     _near_zero_children,
     gauss_cos_gap_integrals,
-    gauss_moment,
     gauss_moment_integral,
     rademacher_moment,
 )
@@ -306,25 +307,41 @@ def _contains(enc, truth):
     return mpf(enc.lo) <= truth <= mpf(enc.hi)
 
 
-def test_fp_convergence():
-    res = check_fp_convergence()
+def test_fp_convergence(monkeypatch):
+    direct_n4 = check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("check_fp_convergence ran a quadrature")
+
+    # the moment check reads its gap integral and computes none
+    for mod in (quad, npcheck):
+        monkeypatch.setattr(mod, "integrate", no_quadrature)
+    res = check_fp_convergence(direct_n4)
     assert res.status == PROVED
-    names = [c.name for c in res.children]
-    cert = ["cos-above-quadratic", "ln-reciprocal-quadratic"]
-    assert names == cert + [
+    assert [c.name for c in res.children] == [
         "haagerup-formula-n4",
         "deviation-decreasing-4-to-16",
         "deviation-decreasing-16-to-64",
         "final-within-1-percent",
     ]
     assert all(c.status == PROVED for c in res.children)
-    # the one gap integral's near-zero bound is certified at delta = 1e-4,
-    # and its anchor at 0 does not become the node's margin
-    trees = [_tree(c) for c in res.children[:2]]
+    assert res.margin == imin([c.margin for c in res.children]) and res.margin.lo > 0.0
+    # the haagerup leaf names the leaf it reads and holds its n^(-p/2) multiple
+    gap = direct_n4.children[-1].children[0].margin
+    by_quad = pow_real(Interval(4.0), -Interval(2.5) * 0.5) * gap
+    assert res.children[0].note.startswith(
+        f"n^(-p/2) np/conclusion-direct/p-2.5/integral-p2.5-s4.0 {by_quad!r} vs ")
+    # the gap integral's near-zero bound is certified once, at delta = 1e-4,
+    # under the conclusion-direct node
+    trees = [_tree(c) for c in direct_n4.children[:2]]
     assert trees == [_tree(c) for c in _near_zero_children(1e-4)]
     assert trees != [_tree(c) for c in _near_zero_children(1e-3)]
-    rest = [c.margin for c in res.children[2:]]
-    assert res.margin == imin(rest) and res.margin.lo > 0.0
+
+
+def test_fp_convergence_needs_the_n4_leaf():
+    with pytest.raises(ValueError, match="p-2.5/integral-p2.5-s4.0"):
+        check_fp_convergence(check_conclusion_direct(p_grid=(2.1,), s_grid=(4.0,)))
+
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])
@@ -345,5 +362,6 @@ def test_gauss_moment_closed_forms_contain_mpmath(p):
     piv = Interval(p)
     with mp.workdps(50):
         P = mpf(p)
-        assert _contains(gauss_moment(piv), 2 ** (P / 2) * mp.gamma((P + 1) / 2) / mp.sqrt(mp.pi))
+        bpp = pow_real(b_constant(piv), piv)
+        assert _contains(bpp, 2 ** (P / 2) * mp.gamma((P + 1) / 2) / mp.sqrt(mp.pi))
         assert _contains(gauss_moment_integral(piv), 2 ** (-(P + 2) / 2) * mp.gamma(-P / 2))

@@ -15,8 +15,7 @@ a jet is exactly as sound as those operations.  The value part is computed
 by the same kernel calls as the plain Interval evaluation.  Where g is not
 twice differentiable on the value interval (abs across 0, a real power or
 ln of an interval touching 0, a reciprocal across 0) the primitive raises
-DomainError.  ``interval.pow_real`` and ``specfun.neg_ln_cos_excess`` accept
-a Jet argument too.
+DomainError.  ``interval.pow_real`` accepts a Jet argument too.
 """
 
 from __future__ import annotations

@@ -149,9 +149,17 @@ def _cos_power_mean(s_lo: float, s_hi: float, budget: int) -> tuple[Interval, Qu
     period, for every s in [s_lo, s_hi], and its quadrature (target 1e-4),
     once per s and budget (MAX_CELLS, where a run stops wide).  The
     quadrature stops at the float HALF_PI.lo below pi/2; the integrand is
-    at most 1 on the sliver between them."""
-    s = Interval(s_lo, s_hi)
-    q = integrate(lambda u: pow_real(u.cos().abs(), s), 0.0, HALF_PI.lo, 1e-4)
+    at most 1 on the sliver between them.  cos^s u falls as s rises, so on
+    an s-box the quadrature is the hull of those at s_hi and s_lo, and its
+    cells are theirs together."""
+    if s_lo < s_hi:
+        _, low = _cos_power_mean(s_hi, s_hi, budget)
+        _, high = _cos_power_mean(s_lo, s_lo, budget)
+        q = QuadResult(Interval(low.value.lo, high.value.hi),
+                       "ok" if low.ok and high.ok else "wide", low.cells + high.cells)
+    else:
+        s = Interval(s_lo, s_hi)
+        q = integrate(lambda u: pow_real(u.cos().abs(), s), 0.0, HALF_PI.lo, 1e-4)
     sliver = Interval(0.0, (HALF_PI - HALF_PI.lo).hi)
     return (q.value + sliver) / HALF_PI, q
 

@@ -25,7 +25,6 @@ from .interval import (
     horner_nonneg,
     pow_real,
 )
-from .jet import Jet
 from .polytools import TaylorEnclosure, poly
 
 
@@ -69,24 +68,13 @@ LN_COS_COEFFS: list[Fraction] = [
 # LN_COS_COEFFS as tight enclosures, converted once for the Horner chains below
 _LN_COS_COEFFS_IV: list[Interval] = [Interval.from_fraction(c) for c in LN_COS_COEFFS]
 
-# the series differentiated term by term: R'(t) = t^3 sum_k 2k c_k u^(k-2) and
-# R''(t) = u sum_k 2k(2k-1) c_k u^(k-2) for R = -ln cos t - t^2/2, u = t^2, k >= 2
-_EXCESS_D1_IV: list[Interval] = [
-    Interval.from_fraction(2 * k * c) for k, c in enumerate(LN_COS_COEFFS[1:], start=2)
-]
-_EXCESS_D2_IV: list[Interval] = [
-    Interval.from_fraction(2 * k * (2 * k - 1) * c)
-    for k, c in enumerate(LN_COS_COEFFS[1:], start=2)
-]
-
 _ZETA4_UPPER = Interval.from_fraction(Fraction(11, 10))  # >= zeta(4) = 1.0823...
-_FOUR_OVER_PI2 = Interval(4.0, 4.0) / (PI * PI)
 
 
 EXCESS_TERMS = 14  # neg_ln_cos_excess sums c_k t^{2k} exactly up to this k
 
 
-def neg_ln_cos_excess(t: Interval | Jet) -> Interval | Jet:
+def neg_ln_cos_excess(t: Interval) -> Interval:
     """Two-sided enclosure of R(t) = -ln cos t - t^2/2 on [0, 1.2].
 
     Partial sum of c_k t^{2k} for k = 2..K, K = EXCESS_TERMS, plus a
@@ -94,33 +82,16 @@ def neg_ln_cos_excess(t: Interval | Jet) -> Interval | Jet:
     dropped coefficient obeys c_k <= zeta(4) (2/pi)^{2k} / k, so the tail is
     below zeta(4)/(K+1) * q^{K+1}/(1-q) with q = (2t/pi)^2 < 1.
 
-    For a Jet argument R' and R'' are the series differentiated term by term.
-    The same coefficient bound gives their tails: 2k c_k t^{2k-1} <=
-    (2 zeta(4)/t) q^k and 2k(2k-1) c_k t^{2k-2} <= (2 zeta(4)/t^2) (2k-1) q^k,
-    summed over k > K to 2 zeta(4) (4t/pi^2) q^K/(1-q) and
-    2 zeta(4) (4/pi^2) q^K ((2K+1)/(1-q) + 2q/(1-q)^2).
-
-    Unlike cos/ln composition this form has no cancellation, which matters for
-    integrands built from exp(-s t^2/2) - |cos t|^s at small t.
+    Unlike cos/ln composition this form has no cancellation at small t.
     """
-    x = t.v if type(t) is Jet else t
-    if not (0.0 <= x.lo and x.hi <= 1.2):
-        raise DomainError(f"neg_ln_cos_excess domain is [0, 1.2], got {x}")
+    if not (0.0 <= t.lo and t.hi <= 1.2):
+        raise DomainError(f"neg_ln_cos_excess domain is [0, 1.2], got {t}")
     K = EXCESS_TERMS
-    u = x * x
+    u = t * t
     acc = horner_nonneg(_LN_COS_COEFFS_IV[1:K], u) * (u * u)
-    q = (x * 2.0 / PI) ** 2
-    one_minus_q = 1.0 - q
-    tail = _ZETA4_UPPER / (K + 1.0) * pow_real(q, Interval(K + 1, K + 1)) / one_minus_q
-    value = acc + Interval(0.0, tail.hi)
-    if type(t) is not Jet:
-        return value
-    coeff = _ZETA4_UPPER * 2.0 * _FOUR_OVER_PI2 * q**K / one_minus_q
-    tail1 = coeff * x
-    tail2 = coeff * ((2 * K + 1.0) + q * 2.0 / one_minus_q)
-    d1 = horner_nonneg(_EXCESS_D1_IV[: K - 1], u) * (u * x) + Interval(0.0, tail1.hi)
-    d2 = horner_nonneg(_EXCESS_D2_IV[: K - 1], u) * u + Interval(0.0, tail2.hi)
-    return t.chain(value, d1, d2)
+    q = (t * 2.0 / PI) ** 2
+    tail = _ZETA4_UPPER / (K + 1.0) * pow_real(q, Interval(K + 1, K + 1)) / (1.0 - q)
+    return acc + Interval(0.0, tail.hi)
 
 
 def _series_with_geometric_tail(first_term: Interval, ratio_fn) -> Interval:

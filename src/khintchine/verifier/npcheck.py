@@ -9,8 +9,8 @@ its larger s the lemma's conclusion.  check_fp_convergence compares exact
 Rademacher moments with their gaussian limit, at n = 4 through a gap
 integral of check_conclusion_direct's grid.  Each integral
 (gauss_cos_gap_integrals) is a near-zero majorant, a series integrated in
-closed form, two quadratures that end at 7 pi/2, and the gaussian and
-two-sided cos-power tails past it.
+closed form, one quadrature of the direct form that ends at 7 pi/2, and the
+gaussian and two-sided cos-power tails past it.
 """
 
 from __future__ import annotations
@@ -239,11 +239,11 @@ def np_generic(
 # the near-zero cut of the gauss/cos gap integral; its C4 bound is certified
 # by _near_zero_children
 _GAP_DELTA = 1e-4
-_GAP_TARGET = 2e-4  # target width of each of its two quadratures
+_GAP_TARGET = 3.4e-4  # target width of its one quadrature, on [_SERIES_T1, 7 pi/2]
 # a series covers [_GAP_DELTA, _SERIES_T1] (_gap_series); its orders (K, N, L),
 # N odd and L even, cut -ln cos t - t^2/2 below t^(2K), 1 - e^{-b} below b^N, e^{-a} below a^L
-_SERIES_T1 = 0.5
-_SERIES_ORDERS = (10, 7, 16)
+_SERIES_T1 = 0.6
+_SERIES_ORDERS = (12, 7, 20)
 
 # (cos t - 1 + t^2/2) / t^4
 _COS_QUOT = cos_taylor(6).quotient(4, minus=poly(1, 0, Fraction(-1, 2)))
@@ -301,17 +301,18 @@ def _poly_mul(x: list[Interval], y: list[Interval]) -> list[Interval]:
 
 
 @cache
-def _excess_powers(k: int, n: int) -> tuple[list[list[Interval]], Interval, Interval]:
+def _excess_powers(k: int, n: int, t1: float) -> tuple[list[list[Interval]], Interval, Interval]:
     """Q^j for 0 < j < n in u = t^2, where u^2 Q = R_K is R = -ln cos t - t^2/2
     below u^k (specfun.LN_COS_COEFFS); with every c_i > 0, Q(u1) and
-    (R - R_K)(u1)/u1^k are the largest Q and (R - R_K)/u^k on [0, u1 = t1^2]."""
-    u1 = Interval(_SERIES_T1**2)
+    (R - R_K)(u1)/u1^k are the largest Q and (R - R_K)/u^k on [0, u1 = t1^2].
+    u1 encloses t1^2, which a float can miss."""
+    u1 = Interval(t1) * Interval(t1)
     q = [Interval.from_fraction(c) for c in LN_COS_COEFFS[1 : k - 1]]
     powers = [q]
     while len(powers) < n - 1:
         powers.append(_poly_mul(powers[-1], q))
     rq = ipoly_eval(q, u1)
-    return powers, rq, (neg_ln_cos_excess(Interval(_SERIES_T1)) - rq * u1 * u1) / u1**k
+    return powers, rq, (neg_ln_cos_excess(Interval(t1)) - rq * u1 * u1) / u1**k
 
 
 def _gap_series(s: Interval) -> list[tuple[int, Interval]]:
@@ -329,8 +330,9 @@ def _gap_series(s: Interval) -> list[tuple[int, Interval]]:
     and 0 < E <= 1, so 0 <= E G - E_p G_p = E (G - G_p) + (E - E_p) G_p.
     """
     k, n, l = _SERIES_ORDERS
-    powers, rq, tau = _excess_powers(k, n)
-    if not (s * rq).hi * _SERIES_T1**4 <= 2.0:
+    powers, rq, tau = _excess_powers(k, n, _SERIES_T1)
+    u1 = Interval(_SERIES_T1) * Interval(_SERIES_T1)
+    if not (s * rq * u1 * u1).hi <= 2.0:
         raise DomainError(f"gap series needs s R(t1) <= 2, got s = {s}")
     g = [Interval(0.0, 0.0)] * (len(powers[-1]) + 2 * n - 4)  # G_p / u^2
     for j, qj in enumerate(powers, 1):
@@ -357,57 +359,44 @@ def _gap_series_integral(terms: list[tuple[int, Interval]], p: Interval) -> Inte
 
 def gauss_cos_gap_integrals(
     pairs: list[tuple[Interval, Interval]],
-) -> list[tuple[Interval, tuple[QuadResult, ...]]]:
+) -> list[tuple[Interval, tuple[QuadResult, QuadResult]]]:
     """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
-    the quadratures of its finite pieces, for every (p, s) in pairs.
+    the quadratures (direct, m_s) behind it, for every (p, s) in pairs.
 
     Near zero, on [0, delta] with delta = 1e-4, the integrand lies in
     [0, s C4 t^(3-p)] with C4 = 1/(8 (1 - delta^2/2)).  On [delta, t1],
-    t1 = 0.5, a series in t^2 with one-sided remainders (_gap_series) is
-    integrated in closed form.  On [t1, 1.2] the difference is evaluated
-    cancellation-free as e^{-s t^2/2} (1 - e^{-s R(t)}) with R the certified
-    -ln cos t - t^2/2 series; on [1.2, T] the direct form is fine.  Past
-    the float T just above 7 pi/2, a zero of cos, the gaussian tail is the
-    stock majorant and the cos-power tail the two-sided quad.cos_power_tail.
-    Both quadrature integrands also run on a Jet.  The quadratures returned
-    are the two pieces' and the one behind the cos-power tail's m_s.
+    t1 = 0.6, a series in t^2 with one-sided remainders (_gap_series) is
+    integrated in closed form, so the exponentials are never subtracted
+    where they nearly cancel.  On [t1, T], T the float just above 7 pi/2,
+    a zero of cos, one quadrature runs on the direct form, also on a Jet.
+    Past T the gaussian tail is the stock majorant and the cos-power tail
+    the two-sided quad.cos_power_tail, whose quadrature is m_s.
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
     share the t-only factors, the s-factor by s and the p-factor by p through
-    memos of this call (_memo), each dropped after its piece, and the series
-    coefficients by s; results equal one-pair calls' bit for bit.
+    memos of this call (_memo), and the series coefficients by s; results
+    equal one-pair calls' bit for bit.
     """
     if not pairs:
         return []
-    delta = _GAP_DELTA
     # the cos-power tails past 7 pi/2 (k = 3) share the float end T
     tails = [cos_power_tail(s, p, 3) for p, s in pairs]
     T = tails[0][0]
-    fins: list[list[QuadResult]] = [[] for _ in pairs]
-    for a, b, t_fn, s_gap in (
-        (_SERIES_T1, 1.2, neg_ln_cos_excess,
-         lambda s, t2, R: (t2 * s * 0.5).exp() * (Interval(1.0, 1.0) - (-(R * s)).exp())),
-        (1.2, T, lambda t: t.cos().abs(),
-         lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)),
-    ):
-        t_memo, by_s, by_p = {}, {}, {}
-        for (p, s), fin in zip(pairs, fins):
-            # integrate runs in this iteration, so the closures see this pair
-            t_only = _memo(lambda t: (-(t * t), t_fn(t)), t_memo)
-            s_factor = _memo(lambda t: s_gap(s, *t_only(t)), by_s.setdefault(s, {}))
-            minus_p1 = -(p + 1.0)
-            p_factor = _memo(lambda t: pow_real(t, minus_p1), by_p.setdefault(p, {}))
-            fin.append(
-                integrate(lambda t: s_factor(t) * p_factor(t), a, b, _GAP_TARGET))
-    out, series_by_s = [], {}
-    for (p, s), (fin1, fin2), (_, cospow, mean) in zip(pairs, fins, tails):
+    t_only = _memo(lambda t: (-(t * t), t.cos().abs()), {})
+    s_gap = lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)
+    by_s, by_p, series_by_s, out = {}, {}, {}, []
+    for (p, s), (_, cospow, mean) in zip(pairs, tails):
+        # integrate runs in this iteration, so the closures see this pair
+        s_factor = _memo(lambda t: s_gap(s, *t_only(t)), by_s.setdefault(s, {}))
+        minus_p1 = -(p + 1.0)
+        p_factor = _memo(lambda t: pow_real(t, minus_p1), by_p.setdefault(p, {}))
+        direct = integrate(lambda t: s_factor(t) * p_factor(t), _SERIES_T1, T, _GAP_TARGET)
         if s not in series_by_s:
             series_by_s[s] = _gap_series(s)
         series = _gap_series_integral(series_by_s[s], p)
-        near0 = near_zero_bound(s * _c4(delta), 3.0 - p, delta)
+        near0 = near_zero_bound(s * _c4(_GAP_DELTA), 3.0 - p, _GAP_DELTA)
         gauss = tail_bound_mu_p(s, p, T)
-        total = near0 + series + fin1.value + fin2.value + gauss - cospow
-        out.append((total, (fin1, fin2, mean)))
+        out.append((near0 + series + direct.value + gauss - cospow, (direct, mean)))
     return out
 
 

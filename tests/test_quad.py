@@ -16,6 +16,7 @@ from khintchine.quad import (
     note_missed,
     tail_bound_mu_p,
 )
+from khintchine.specfun import LN_COS_COEFFS
 from khintchine.verifier import npcheck
 from khintchine.verifier.npcheck import gauss_cos_gap_integral
 
@@ -219,6 +220,18 @@ def test_cos_power_mean_contains_the_beta_integral():
         assert Fraction(m.lo) <= exact <= Fraction(m.hi), s
 
 
+def test_cos_power_mean_on_an_s_box_from_its_ends():
+    # m_s falls as s rises, so an s-box takes the quadratures at its two
+    # ends; one quadrature over the box cannot meet its 1e-4 target
+    m, q = quad._cos_power_mean(1.0, 1.5, quad.MAX_CELLS)
+    assert q.ok and q.cells < 200
+    for s in (mpf(1), mpf(1.5)):
+        beta = mp.gamma((s + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(s / 2 + 1))
+        assert mpf(m.lo) <= beta <= mpf(m.hi), s
+    ends = [quad._cos_power_mean(e, e, quad.MAX_CELLS)[0] for e in (1.5, 1.0)]
+    assert (m.lo, m.hi) == (ends[0].lo, ends[1].hi)
+
+
 def _min_psi(s):
     """Psi(T* + pi/2) = int_0^{pi/2} (pi/2 - u)(sin^s u - m_s) du, the
     minimum of the cos-power tail's second antiderivative."""
@@ -269,14 +282,13 @@ def _gap_integrand(p, s):
 
 
 def _gap_pieces_truth(p, s, T):
-    """mpmath values of the near piece [delta, 1.2] (series on [delta, t1],
-    then quadrature) and the direct piece [1.2, T] of the gauss/cos gap
-    integral, split at the zeros of cos."""
+    """mpmath values of the gauss/cos gap integral on the series piece
+    [delta, t1] and the direct piece [t1, T], split at the zeros of cos."""
     f = _gap_integrand(p, s)
+    t1 = mpf(npcheck._SERIES_T1)
     zeros = [mp.pi / 2 + k * mp.pi for k in range(10)]
-    near = mp.quad(f, [mpf(npcheck._GAP_DELTA), mpf(0.01), mpf(npcheck._SERIES_T1), mpf(1.2)])
-    direct = mp.quad(f, [mpf(1.2)] + [z for z in zeros if z < T] + [mpf(T)])
-    return near, direct
+    direct = mp.quad(f, [t1] + [z for z in zeros if z < T] + [mpf(T)])
+    return _gap_series_truth(p, s), direct
 
 
 @pytest.mark.parametrize("target", [2e-4, 1e-5])
@@ -285,16 +297,14 @@ def _gap_pieces_truth(p, s, T):
 def test_gap_integral_pieces_contain_mpmath(p, s, target, monkeypatch):
     monkeypatch.setattr(npcheck, "_GAP_TARGET", target)
     piv, siv = Interval(p, p), Interval(s, s)
-    _, (quad1, direct, mean) = gauss_cos_gap_integral(piv, siv)
+    _, (direct, mean) = gauss_cos_gap_integral(piv, siv)
     series = npcheck._gap_series_integral(npcheck._gap_series(siv), piv)
-    for q in (quad1, direct):
-        assert q.ok
-        assert q.value.width <= target
+    assert direct.ok and direct.value.width <= target
     assert mean.ok
     # the direct piece stops where the cos-power tail starts, at 7 pi/2
     T, _, _ = cos_power_tail(siv, piv, 3)
     assert 0 <= mpf(T) - mp.mpf(3.5) * mp.pi < 1e-14
-    for enc, truth in zip((series + quad1.value, direct.value), _gap_pieces_truth(p, s, T)):
+    for enc, truth in zip((series, direct.value), _gap_pieces_truth(p, s, T)):
         assert mpf(enc.lo) <= truth <= mpf(enc.hi)
 
 
@@ -329,6 +339,23 @@ def test_gap_series_contains_mpmath(orders, monkeypatch):
             assert mpf(enc.lo) <= _gap_series_truth(p, s) <= mpf(enc.hi), (p, s)
 
 
+def test_excess_powers_enclose_t1_squared():
+    # at t1 = 0.7 the float t1 * t1 lies below t1^2, so Q(u1) must be taken
+    # on an enclosure of t1^2 to bound Q, whose c_i are all > 0, on [0, t1^2]
+    t1 = 0.7
+    u1 = Fraction(t1) ** 2
+    assert Fraction(t1 * t1) < u1
+    k, n, _ = npcheck._SERIES_ORDERS
+    _, rq, tau = npcheck._excess_powers(k, n, t1)
+    q = sum(c * u1**i for i, c in enumerate(LN_COS_COEFFS[1 : k - 1]))
+    assert q <= Fraction(rq.hi)
+    # tau encloses (R - R_K)(t1)/t1^(2k), R = -ln cos t - t^2/2, R_K = u^2 Q
+    with mp.workdps(60):
+        t, uq, qq = mpf(t1), mpf(t1) ** 2, mpf(q.numerator) / q.denominator
+        truth = (-mp.log(mp.cos(t)) - uq / 2 - uq * uq * qq) / uq**k
+        assert mpf(tau.lo) <= truth <= mpf(tau.hi)
+
+
 def test_gap_series_needs_a_small_exponent():
     # the alternating sum of 1 - e^{-b} is bounded only while b <= 2 on [0, t1]
     with pytest.raises(DomainError):
@@ -355,16 +382,15 @@ def test_constant_integrand_on_inexact_cells():
 
 
 def test_gap_integral_cell_count():
-    # deterministic: the second-order enclosure needs 154 cells on [t1, 7 pi/2]
-    # here (210 on [t1, 30] before the two-sided cos-power tail, 496 on
-    # [1e-3, 30] before the series), the first-order one 143k; m_s takes 59
-    _, (fin1, fin2, mean) = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
-    assert fin1.cells + fin2.cells <= 180
+    # deterministic: the second-order enclosure needs 155 cells on
+    # [t1, 7 pi/2] here, and m_s takes 59
+    _, (direct, mean) = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
+    assert direct.cells <= 180
     assert mean.cells <= 70
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
-    # the two gap pieces and the m_s quadrature of the cos-power tail are
+    # the direct piece and the m_s quadrature of the cos-power tail are
     # each cut at 41 cells, and every cut reaches the leaf and the moment
     # check's haagerup leaf, which reads it; m_s is cached by budget, so no
     # m_s from another budget stands in for the cut one
@@ -372,10 +398,10 @@ def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
-    assert leaf.note == "quadrature target missed (wide, 123 cells)"
+    assert leaf.note == "quadrature target missed (wide, 82 cells)"
     haagerup = npcheck.check_fp_convergence(res).children[0]
     assert haagerup.name == "haagerup-formula-n4"
-    assert haagerup.note.endswith("; quadrature target missed (wide, 123 cells)")
+    assert haagerup.note.endswith("; quadrature target missed (wide, 82 cells)")
     monkeypatch.undo()
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     assert res.children[-1].children[0].note == ""

@@ -250,6 +250,16 @@ def test_conclusion_direct_grid(conclusion_direct):
     assert _tree(check_conclusion_direct()) == _tree(res)
 
 
+@pytest.mark.slow
+def test_conclusion_direct_integrals_are_narrow(conclusion_direct):
+    # one direct-form quadrature on [t1, 7 pi/2] holds all 12 gap integrals
+    # of the default grid to 4.3e-4
+    leaves = [leaf for block in conclusion_direct.children
+              if block.name.startswith("p-") for leaf in block.children]
+    assert len(leaves) == 12
+    assert max(leaf.margin.width for leaf in leaves) <= 4.3e-4
+
+
 def _tree(node):
     return (
         node.name, node.status, node.margin.lo.hex(), node.margin.hi.hex(),

@@ -5,18 +5,17 @@ as rigorous enclosures, together with their derivatives and an independent
 brute-force oracle that rebuilds the same measures from the solution intervals
 directly (different summation path, used for cross-validation).  The F_* and
 F_*' series sum their terms below SERIES_K and close with one Euler-Maclaurin
-tail (_em_tail), whose remainder is bracketed because both summands are
-completely monotone.
+tail (specfun.em_tail, with step pi), whose remainder is bracketed because
+both summands are completely monotone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .interval import PI, DomainError, Interval, pow_real
-from .specfun import BERNOULLI_ABS
+from .specfun import em_tail
 
 
 @dataclass(frozen=True)
@@ -38,23 +37,6 @@ _ZERO = Interval(0.0, 0.0)
 # the terms below it are summed explicitly
 SERIES_K = 6
 
-# corrections B_2i/(2i)! f^(2i-1) kept by _em_tail; the next one bounds the rest
-EM_TERMS = 3
-
-
-@lru_cache(maxsize=8)
-def _em_coeffs(q_lo: float, q_hi: float) -> tuple[Interval, tuple[Interval, ...]]:
-    """1/((q-1) pi) and B_2i/(2i)! (q)_(2i-1) pi^(2i-1) for i = 1 .. EM_TERMS + 1,
-    with (q)_n = q (q+1) ... (q+n-1), once per q."""
-    q = Interval(q_lo, q_hi)
-    rising = q * PI  # (q)_n pi^n at n = 1
-    coeffs = []
-    for i in range(1, EM_TERMS + 2):
-        bern = (-1) ** (i + 1) * BERNOULLI_ABS[2 * i] / factorial(2 * i)
-        coeffs.append(Interval.from_fraction(bern) * rising)
-        rising = rising * (q + (2 * i - 1)) * (q + 2 * i) * PI * PI
-    return 1.0 / ((q - 1.0) * PI), tuple(coeffs)
-
 
 def _check_x(x: Interval) -> None:
     if not (0.0 < x.lo and x.hi < 1.0):
@@ -67,36 +49,13 @@ def _k_pi(K: int) -> tuple[Interval, ...]:
     return tuple(PI * k for k in range(K + 1))
 
 
-def _em_tail(q: Interval, b1: Interval, s1: Interval, b2: Interval, s2: Interval) -> Interval:
-    """Enclosure of sum_{k>=K} f(k) for f(u) = s_1 (u pi + c_1)^-q + s_2 (u pi + c_2)^-q
-    with q > 1, completely monotone on [K, inf), given b_j = K pi + c_j > 0 and
-    s_j b_j^-q (the sign s_j = +-1 folded in).
-
-    Euler-Maclaurin with m = EM_TERMS corrections:
-    sum_{k>=K} f(k) = int_K^inf f + f(K)/2 - sum_{i<=m} B_2i/(2i)! f^(2i-1)(K) + R,
-    where int_K^inf f = sum_j s_j b_j^(1-q) / ((q-1) pi) and
-    f^(n)(K) = (-1)^n (q)_n pi^n sum_j s_j b_j^(-q-n).  Every even derivative
-    of f is >= 0, so R lies between 0 and the first omitted correction
-    (Graham, Knuth & Patashnik, Concrete Mathematics, section 9.5).  Each
-    power is the given s_j b_j^-q times an integer power of 1/b_j.
-    """
-    scale, coeffs = _em_coeffs(q.lo, q.hi)
-    acc = s1 * (b1 * scale + 0.5) + s2 * (b2 * scale + 0.5)
-    t1, t2 = s1 / b1, s2 / b2  # s_j b_j^(-q-1)
-    r1, r2 = 1.0 / (b1 * b1), 1.0 / (b2 * b2)
-    for c in coeffs[:-1]:
-        acc = acc + c * (t1 + t2)
-        t1, t2 = t1 * r1, t2 * r2
-    return acc + Interval.hull(_ZERO, coeffs[-1] * (t1 + t2))
-
-
 def f_star(x: Interval, mp: MeasureParams, K: int = SERIES_K) -> Interval:
     """Enclosure of F_*(x), the mu_p-measure of {t : |cos t| < x}.
 
     Regrouped series a^-p - sum_{k>=1} g(k) with a = arccos x and
     g(u) = (u pi - a)^-p - (u pi + a)^-p = int_{-a}^{a} p (u pi + v)^-(p+1) dv,
     all divided by p.  The terms k < K are summed explicitly; g is completely
-    monotone on u >= 1 since a < pi/2, so _em_tail encloses the rest.
+    monotone on u >= 1 since a < pi/2, so specfun.em_tail encloses the rest.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -109,7 +68,9 @@ def f_star(x: Interval, mp: MeasureParams, K: int = SERIES_K) -> Interval:
     acc = pow_real(a, neg_p)
     for c in kpi[1:K]:
         acc = acc - (pow_real(c - a, neg_p) - pow_real(c + a, neg_p))
-    tail = _em_tail(p, lo_end, pow_real(lo_end, neg_p), hi_end, -pow_real(hi_end, neg_p))
+    tail = em_tail(
+        p, lo_end, pow_real(lo_end, neg_p), hi_end, -pow_real(hi_end, neg_p), pi_step=True
+    )
     return (acc - tail) / p
 
 
@@ -127,8 +88,8 @@ def derivatives(
 
     F' sums h(k) over k >= 0 against 1/sqrt(1-x^2), where
     h(u) = (u pi + a)^-(p+1) + ((u+1) pi - a)^-(p+1) is completely monotone
-    on u >= 0; the terms k < K are summed explicitly and _em_tail encloses
-    the rest.
+    on u >= 0; the terms k < K are summed explicitly and specfun.em_tail
+    encloses the rest.
     """
     _check_x(x)
     if x.lo < 1e-6 or x.hi > 1.0 - 1e-6:
@@ -142,7 +103,9 @@ def derivatives(
     for c in kpi[:K]:
         acc = acc + pow_real(c + a, neg_q) + pow_real(c + PI - a, neg_q)
     b1, b2 = kpi[K] + a, kpi[K] + PI - a
-    series = acc + _em_tail(q, b1, pow_real(b1, neg_q), b2, pow_real(b2, neg_q))
+    series = acc + em_tail(
+        q, b1, pow_real(b1, neg_q), b2, pow_real(b2, neg_q), pi_step=True
+    )
     root = (Interval(1.0, 1.0) - x * x).sqrt()
     f_prime = series / root
     g_prime = Interval(1.0, 1.0) / (x * pow_real(x.ln() * -2.0, p * 0.5 + 1.0))

@@ -104,13 +104,17 @@ class TaylorEnclosure:
         The subtraction and the division by t^k are exact and happen here,
         once; a low-order term left over raises ValueError.  The evaluator
         raises DomainError past t_limit and adds the band
-        rem_coeff |t|^(rem_power - k).
+        rem_coeff |t|^(rem_power - k).  The band bounds the remainder, not
+        its derivative, so the evaluator also raises DomainError on a
+        non-Interval argument such as a Jet.
         """
         quot = p_quotient(self.poly if minus is None else p_sub(self.poly, minus), k)
         rem = Interval.from_fraction(self.rem_coeff)
         power, t_limit = self.rem_power - k, self.t_limit
 
         def evaluate(t: Interval) -> Interval:
+            if not isinstance(t, Interval):
+                raise DomainError("a Taylor enclosure has no derivative form")
             if t.mag > t_limit:
                 raise DomainError(f"Taylor enclosure valid to |t|<={t_limit}")
             band = rem * (t.abs() ** power)

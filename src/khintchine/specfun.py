@@ -156,6 +156,72 @@ def ci(x: Interval) -> Interval:
     return EULER_GAMMA + x.ln() + series
 
 
+# -- Euler-Maclaurin tails of completely monotone series ----------------------
+
+# corrections B_2i/(2i)! f^(2i-1) kept by em_tail; the next one bounds the rest
+EM_TERMS = 3
+
+_ZERO = Interval(0.0, 0.0)
+
+
+@lru_cache(maxsize=16)
+def _em_coeffs(
+    q_lo: float, q_hi: float, pi_step: bool
+) -> tuple[Interval, tuple[Interval, ...]]:
+    """1/((q-1) h) and B_2i/(2i)! (q)_(2i-1) h^(2i-1) for i = 1 .. EM_TERMS + 1,
+    with (q)_n = q (q+1) ... (q+n-1) and the step h = pi or 1, once per q."""
+    q = Interval(q_lo, q_hi)
+    rising = q * PI if pi_step else q  # (q)_n h^n at n = 1
+    coeffs = []
+    for i in range(1, EM_TERMS + 2):
+        bern = (-1) ** (i + 1) * BERNOULLI_ABS[2 * i] / math.factorial(2 * i)
+        coeffs.append(Interval.from_fraction(bern) * rising)
+        rising = rising * (q + (2 * i - 1)) * (q + 2 * i)
+        if pi_step:
+            rising = rising * PI * PI
+    qm1 = q - 1.0
+    return 1.0 / (qm1 * PI if pi_step else qm1), tuple(coeffs)
+
+
+def em_tail(
+    q: Interval,
+    b1: Interval,
+    w1: Interval,
+    b2: Interval | None = None,
+    w2: Interval | None = None,
+    *,
+    pi_step: bool,
+) -> Interval:
+    """Enclosure of sum_{k>=K} f(k) for f(u) = sum_j s_j (u h + c_j)^-q, one
+    or two summands, with q > 1 and step h = pi (pi_step) or 1, f completely
+    monotone on [K, inf), given b_j = K h + c_j > 0 and w_j = s_j b_j^-q (the
+    sign s_j = +-1 folded in).
+
+    Euler-Maclaurin with m = EM_TERMS corrections:
+    sum_{k>=K} f(k) = int_K^inf f + f(K)/2 - sum_{i<=m} B_2i/(2i)! f^(2i-1)(K) + R,
+    where int_K^inf f = sum_j s_j b_j^(1-q) / ((q-1) h) and
+    f^(n)(K) = (-1)^n (q)_n h^n sum_j s_j b_j^(-q-n).  Every even derivative
+    of f is >= 0, so R lies between 0 and the first omitted correction
+    (Graham, Knuth & Patashnik, Concrete Mathematics, section 9.5).  Each
+    power is the given w_j times an integer power of 1/b_j.
+    """
+    scale, coeffs = _em_coeffs(q.lo, q.hi, pi_step)
+    acc = w1 * (b1 * scale + 0.5)
+    t1, r1 = w1 / b1, 1.0 / (b1 * b1)  # t_j = s_j b_j^(-q-1)
+    if b2 is None:
+        t2 = None
+    else:
+        acc = acc + w2 * (b2 * scale + 0.5)
+        t2, r2 = w2 / b2, 1.0 / (b2 * b2)
+    for c in coeffs[:-1]:
+        acc = acc + c * (t1 if t2 is None else t1 + t2)
+        t1 = t1 * r1
+        if t2 is not None:
+            t2 = t2 * r2
+    last = coeffs[-1] * (t1 if t2 is None else t1 + t2)
+    return acc + Interval.hull(_ZERO, last)
+
+
 _LN_K: list[Interval] = []  # _LN_K[k - 2] encloses ln k; grown by _ln_k
 
 
@@ -169,16 +235,17 @@ def _ln_k(K: int) -> Iterator[Interval]:
 def zeta_sum(q: Interval, terms: int = 10000) -> Interval:
     """Enclosure of zeta(q) = sum k^-q for q in [2, 4.5].
 
-    Partial sum plus the integral bracket
-    [ int_{K+1}^inf x^-q dx,  int_K^inf x^-q dx ].
-    Each term k^-q is pow_real(k, -q) = exp(-q ln k), summed by ``exp_sum``;
-    results are memoised on (q.lo, q.hi, K).
+    The terms k <= K = terms plus em_tail's Euler-Maclaurin enclosure of
+    the rest, sum_{k>K} k^-q, whose summand is completely monotone on
+    u >= 1 for every K >= 1.  Each term k^-q is pow_real(k, -q) =
+    exp(-q ln k), summed by ``exp_sum``; results are memoised on
+    (q.lo, q.hi, K).  At K = 16 the tail is about 1e-13 wide at q = 3.
     """
     if not (2.0 <= q.lo and q.hi <= 4.5):
         raise DomainError(f"zeta_sum domain is [2, 4.5], got {q}")
     K = int(terms)
-    if K < 10:
-        raise ValueError("terms must be >= 10")
+    if K < 1:
+        raise ValueError("terms must be >= 1")
     return _zeta_partial(q.lo, q.hi, K)
 
 
@@ -186,10 +253,8 @@ def zeta_sum(q: Interval, terms: int = 10000) -> Interval:
 def _zeta_partial(q_lo: float, q_hi: float, K: int) -> Interval:
     q = Interval(q_lo, q_hi)
     acc = exp_sum(-q, _ln_k(K), Interval(1.0, 1.0))
-    qm1 = q - 1.0
-    lo_tail = pow_real(Interval(K + 1, K + 1), 1.0 - q) / qm1
-    hi_tail = pow_real(Interval(K, K), 1.0 - q) / qm1
-    return acc + Interval(lo_tail.lo, hi_tail.hi)
+    b = Interval(K + 1, K + 1)
+    return acc + em_tail(q, b, pow_real(b, -q), pi_step=False)
 
 
 # -- gamma and the Khintchine constant --------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..distfn import MeasureParams, f_star, g_star
-from ..interval import HALF_PI, PI, Interval, imin, pow_real
+from ..interval import HALF_PI, PI, DomainError, Interval, imin, pow_real
 from ..polytools import TaylorEnclosure, p_mul, p_quotient, p_shift_div, p_sub, poly
 from ..specfun import LN_COS_COEFFS, cos_taylor, exp_taylor, sin_taylor, zeta_sum
 from .engine import (
@@ -102,15 +102,18 @@ def check_cond1_sign_at_sigma() -> CheckResult:
 # small x: F_* - G_* < 0 on (0, rho]
 # ---------------------------------------------------------------------------
 
-def d_coefficient(p: Interval, zeta_terms: int = 2000) -> Interval:
+def d_coefficient(p: Interval, zeta_terms: int = 16) -> Interval:
     """d_p = 2.02 (2/pi)^(p+1) (1 - 2^-(p+1)) zeta(p+1).
 
-    zeta decreases in q = p + 1, and rounding is monotone, so each end of
-    ``zeta_sum(q)`` (terms, tail and division) is computed from one end of q
-    only: its lower end from q.hi, its upper end from q.lo.  The hull of the
-    sums at the two ends of the box is therefore ``zeta_sum(p + 1.0)`` bit
-    for bit, and neighbouring boxes share an end sum through its cache.
+    zeta decreases in q = p + 1, so on a p box it lies between the lower
+    end of the sum at q = p.hi + 1 and the upper end of the sum at
+    q = p.lo + 1; neighbouring boxes share an end sum through zeta_sum's
+    cache.  At the default 16 terms the Euler-Maclaurin tail leaves zeta
+    about 1e-13 wide on [3, 4].  Reading p's endpoints has no derivative
+    form, so a Jet argument raises DomainError.
     """
+    if not isinstance(p, Interval):
+        raise DomainError("d_coefficient reads the ends of its p box")
     q = p + 1.0
     two_over_pi = Interval(2.0, 2.0) / PI
     zeta = Interval(

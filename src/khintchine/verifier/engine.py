@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from typing import Callable, TypeVar
 
-from ..interval import Interval, imin
+from ..interval import DomainError, Interval, imin
+from ..jet import Jet
 from ..polytools import poly
 from ..specfun import exp_taylor
 from .result import (
     FAILED,
+    INCONCLUSIVE,
     PROVED,
     CheckResult,
     combine,
@@ -121,9 +123,39 @@ def prove_positive_1d(
     """Certify f >= 0 (strictly > 0 when strict) on [lo, hi], bisecting
     down to cells of width 1e-12.
 
+    A cell X is first enclosed by f(X).  Where that leaves the grade open
+    and X is finite, f also runs on Jet.var(X) and at the float midpoint c,
+    and the cell's enclosure of inf f becomes
+    [max(f(X).lo, form.lo), min(f(X).hi, form.hi, f(c).hi)] with the
+    mean-value form form = f(c) + f'(X) (X - c) (Moore, Kearfott & Cloud,
+    Introduction to Interval Analysis, 2009, section 6.4).  f(c).hi bounds
+    the infimum from above, so a negative point value refutes the claim.  An
+    f that raises DomainError on a jet, as one that reads its argument's
+    endpoints must, keeps f(X) alone.
+
     Returns (enclosure of inf f over final cells, evaluations, status).
     """
-    return _prove_positive(lambda box: f(Interval(*box[0])), ((lo, hi),), strict, 1e-12)
+
+    def evaluate(box: Box) -> Interval:
+        ((a, b),) = box
+        x = Interval(a, b)
+        natural = f(x)
+        c = 0.5 * (a + b)
+        if status_from_margin(natural, strict) != INCONCLUSIVE or not a < c < b:
+            return natural
+        try:
+            jet = f(Jet.var(x))
+        except DomainError:
+            return natural
+        if type(jet) is not Jet:  # f does not depend on its argument
+            return natural
+        at_c = f(Interval(c, c))
+        form = at_c + jet.d * (x - c)
+        return Interval(
+            max(natural.lo, form.lo), min(natural.hi, form.hi, at_c.hi)
+        )
+
+    return _prove_positive(evaluate, ((lo, hi),), strict, 1e-12)
 
 
 def prove_positive_2d(
@@ -150,7 +182,9 @@ def subdivision_check(
     strict: bool = True,
     note: str = "",
 ) -> CheckResult:
-    # grading the prover's margin gives back the prover's status
+    """The leaf of prove_positive_1d(f, lo, hi): its margin encloses inf f
+    over the final cells, mean-value cells included, and grading it gives
+    back the prover's status."""
     margin, evals, _ = prove_positive_1d(f, lo, hi, strict=strict)
     return leaf(name, margin, strict=strict, evaluations=evals, note=note)
 

@@ -167,17 +167,15 @@ def _zeta_loop(q, K):
     acc = Interval(1.0, 1.0)
     for k in range(2, K + 1):
         acc = acc + pow_real(Interval(k, k), neg_q)
-    qm1 = q - 1.0
-    lo_tail = pow_real(Interval(K + 1, K + 1), 1.0 - q) / qm1
-    hi_tail = pow_real(Interval(K, K), 1.0 - q) / qm1
-    return acc + Interval(lo_tail.lo, hi_tail.hi)
+    b = Interval(K + 1, K + 1)
+    return acc + sf.em_tail(q, b, pow_real(b, neg_q), pi_step=False)
 
 
 def _hexes(z):
     return float.hex(z.lo), float.hex(z.hi)
 
 
-@pytest.mark.parametrize("K", [2000, 10_000])
+@pytest.mark.parametrize("K", [16, 2000, 10_000])
 def test_zeta_sum_equals_the_per_term_loop(K):
     sf._zeta_partial.cache_clear()
     sf._LN_K.clear()
@@ -188,12 +186,40 @@ def test_zeta_sum_equals_the_per_term_loop(K):
 
 
 def test_zeta_contains_mpmath_at_mpf_endpoints():
-    with mp.workdps(50):
-        for K in (2000, 10_000):
-            for q in ZETA_QS:
-                z = sf.zeta_sum(q, K)
-                # zeta decreases in q: its range on the box is [zeta(q.hi), zeta(q.lo)]
-                assert mpf(z.lo) <= mp.zeta(mpf(q.hi)) <= mp.zeta(mpf(q.lo)) <= mpf(z.hi)
+    with mp.workdps(30):
+        for K in (3, 16, 2000, 10_000):
+            for q in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
+                z = sf.zeta_sum(iv(q), K)
+                assert mpf(z.lo) <= mp.zeta(mpf(q)) <= mpf(z.hi), (q, K)
+            box = sf.zeta_sum(Interval(3.0625, 3.125), K)
+            # zeta decreases in q: its range on the box is [zeta(q.hi), zeta(q.lo)]
+            assert mpf(box.lo) <= mp.zeta(mpf(3.125)) <= mp.zeta(mpf(3.0625)) <= mpf(box.hi)
+
+
+def _integral_bracket(q, K):
+    """The K-term partial sum plus [int_{K+1}^inf x^-q dx, int_K^inf x^-q dx],
+    the tail zeta_sum carried before its Euler-Maclaurin tail."""
+    acc = sf.exp_sum(-q, sf._ln_k(K), Interval(1.0, 1.0))
+    qm1 = q - 1.0
+    lo_tail = pow_real(Interval(K + 1, K + 1), 1.0 - q) / qm1
+    hi_tail = pow_real(Interval(K, K), 1.0 - q) / qm1
+    return acc + Interval(lo_tail.lo, hi_tail.hi)
+
+
+def test_zeta_at_16_terms_is_narrower_than_the_2000_term_bracket():
+    # the q range of cond1.d_coefficient's p boxes, at their ends
+    for i in range(17):
+        q = iv(3.0 + i / 16)
+        em, bracket = sf.zeta_sum(q, 16), _integral_bracket(q, 2000)
+        assert em.width < bracket.width / 10, q
+    assert sf.zeta_sum(iv(3.0), 16).width < 2e-13
+
+
+def test_zeta_terms_guard():
+    # the tail's summand u^-q is completely monotone on u >= 1, so one term will do
+    assert sf.zeta_sum(iv(3.0), 1).contains(ZETA3)
+    with pytest.raises(ValueError):
+        sf.zeta_sum(iv(3.0), 0)
 
 
 def test_gamma_anchors():

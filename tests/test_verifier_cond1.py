@@ -1,8 +1,12 @@
 """Condition-1 checks: everything proves, spec examples hold, degenerate
 parameters fail as they should."""
 
+import pytest
+from mpmath import mp, mpf
+
 from khintchine import specfun as sf
-from khintchine.interval import PI, Interval, pow_real
+from khintchine.interval import PI, DomainError, Interval, pow_real
+from khintchine.jet import Jet
 from khintchine.verifier import (
     PROVED,
     check_case1_polynomials,
@@ -73,40 +77,56 @@ def test_d_coefficient_values():
     d3 = d_coefficient(Interval(3.0, 3.0), zeta_terms=10_000)
     # d3 = 2.02/6 exactly
     assert d3.contains(2.02 / 6)
+    # it reads the ends of its p box, so the prover must keep its natural form
+    with pytest.raises(DomainError):
+        d_coefficient(Jet.var(Interval(2.0, 2.0625)))
 
 
-def _d_direct(p, terms):
-    """d_p with zeta summed on the whole p box."""
+def _end_sum_hull(p, terms):
+    """zeta on the p box from the sums at its ends: the lower end of the sum
+    at q = p.hi + 1 and the upper end of the sum at q = p.lo + 1."""
+    return Interval(
+        sf.zeta_sum(Interval(p.hi, p.hi) + 1.0, terms).lo,
+        sf.zeta_sum(Interval(p.lo, p.lo) + 1.0, terms).hi,
+    )
+
+
+def _d_from_zeta(p, zeta):
     q = p + 1.0
     return (
         Interval(2.02, 2.02)
         * pow_real(Interval(2.0, 2.0) / PI, q)
         * (Interval(1.0, 1.0) - pow_real(Interval(2.0, 2.0), -q))
-        * sf.zeta_sum(q, terms)
+        * zeta
     )
 
 
 def test_d_coefficient_equals_the_box_formula(monkeypatch):
     calls = []
 
-    def recording(p, zeta_terms=2000):
+    def recording(p, zeta_terms=16):
         d = d_coefficient(p, zeta_terms)
         calls.append((p, zeta_terms, d))
         return d
 
     monkeypatch.setattr(cond1, "d_coefficient", recording)
     check_cond1_small_x()
-    boxes = [p for p, terms, _ in calls if terms == 2000]
+    boxes = [p for p, terms, _ in calls if terms == 16]
     assert len(boxes) == 37 and all(p.lo < p.hi for p in boxes)  # dp-below-line
-    for p, terms, d in calls:
-        want = _d_direct(p, terms)
-        assert (float.hex(d.lo), float.hex(d.hi)) == (float.hex(want.lo), float.hex(want.hi))
+    with mp.workdps(30):
+        for p, terms, d in calls:
+            hull = _end_sum_hull(p, terms)
+            want = _d_from_zeta(p, hull)
+            assert (float.hex(d.lo), float.hex(d.hi)) == (float.hex(want.lo), float.hex(want.hi))
+            # zeta decreases in q, so the end sums bound it on the whole box
+            q_lo, q_hi = mpf(p.lo) + 1, mpf(p.hi) + 1
+            assert mpf(hull.lo) <= mp.zeta(q_hi) <= mp.zeta(q_lo) <= mpf(hull.hi)
 
 
 def test_small_x_shares_zeta_sums_between_boxes():
     sf._zeta_partial.cache_clear()
     check_cond1_small_x()
-    # d2 and d3 at 10,000 terms and the 20 distinct box ends at 2,000 terms
+    # d2 and d3 at 10,000 terms and the 20 distinct box ends at 16 terms
     assert sf._zeta_partial.cache_info().misses == 22
 
 

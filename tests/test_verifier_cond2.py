@@ -142,6 +142,15 @@ def test_quadratic_majorant_shift_repair():
     assert float(val) < -6e-5
 
 
+def test_quadratic_majorant_needs_few_cells():
+    # near the tangency at sqrt2/2 the natural form wraps by f' times the
+    # width; the prover's mean-value cells settle it in a few dozen
+    good = lemma52_piece2_margin(QUAD_MAJORANT_SHIFT)
+    assert good.status == PROVED and good.evaluations <= 64
+    bad = lemma52_piece2_margin(QUAD_MAJORANT_SHIFT_PRINTED)
+    assert bad.status == FAILED and bad.margin.hi < 0.0
+
+
 def test_wide_quadratures_reach_the_cond2_leaf_notes(monkeypatch):
     # with the cell cap at 5, every cond2 quadrature stops wide; each leaf
     # that reads a quadrature must say so

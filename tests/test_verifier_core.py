@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 from mpmath import mp, mpf
 
 from khintchine.interval import PI, DomainError, Interval, ipoly_eval
+from khintchine.jet import Jet
 from khintchine.polytools import p_add, p_mul, p_quotient, p_shift_div, p_sub, p_to_iv, poly
 from khintchine.verifier import cond1, engine, npcheck
 from khintchine.verifier import (
@@ -96,6 +98,77 @@ def test_prove_positive_budget_never_lies(monkeypatch):
     assert st == INCONCLUSIVE
     _, _, st = prove_positive_1d(f, 0.0, 1.0)
     assert st == PROVED
+
+
+def test_a_negative_midpoint_value_refutes():
+    # the natural form [-0.01, 0.99] leaves [-1, 1] open; f(0) < 0 settles it
+    m, evals, st = prove_positive_1d(lambda t: t * t - 0.01, -1.0, 1.0)
+    assert st == FAILED and evals == 1 and m.hi < 0.0
+
+
+def test_a_margin_without_a_jet_form_keeps_the_natural_form(monkeypatch):
+    f = lambda t: t * t - t * 0.6 + 0.091  # (t - 0.3)^2 + 0.001, wrapped
+
+    def natural_only(t):
+        if type(t) is Jet:
+            raise DomainError("no derivative form")
+        return f(t)
+
+    natural = engine._prove_positive(
+        lambda box: f(Interval(*box[0])), ((-1.0, 2.0),), True, 1e-12
+    )
+    assert prove_positive_1d(natural_only, -1.0, 2.0) == natural
+    assert natural[2] == PROVED
+    # the same margin with its jet needs fewer cells
+    assert prove_positive_1d(f, -1.0, 2.0)[1] < natural[1]
+    # a margin that ignores its argument returns no jet
+    monkeypatch.setattr(engine, "BUDGET", 10)
+    m, _, st = prove_positive_1d(lambda t: Interval(-1.0, 1.0), 0.0, 1.0)
+    assert st == INCONCLUSIVE and m == Interval(-1.0, 1.0)
+
+
+def _true_infimum(a, m, b, c, lo, hi):
+    """inf of a (x - m)^2 + b + c sin x on [lo, hi] for a >= 1 >= |c|, where
+    the function is convex: an end, or the zero of its increasing derivative."""
+    f = lambda x: a * (x - m) ** 2 + b + c * mp.sin(x)
+    df = lambda x: 2 * a * (x - m) + c * mp.cos(x)
+    L, H = mpf(lo), mpf(hi)
+    if df(L) >= 0:
+        return f(L)
+    if df(H) <= 0:
+        return f(H)
+    for _ in range(130):
+        mid = (L + H) / 2
+        L, H = (mid, H) if df(mid) < 0 else (L, mid)
+    return f(L)
+
+
+@seed(27)
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.floats(1.0, 20.0),
+    m=st.floats(-3.0, 3.0),
+    b=st.floats(-0.5, 0.5),
+    c=st.floats(-1.0, 1.0),
+    lo=st.floats(-3.0, 3.0),
+    width=st.floats(1e-3, 4.0),
+)
+def test_prove_positive_1d_encloses_a_known_infimum(a, m, b, c, lo, width):
+    hi = lo + width
+    with mp.workdps(30):
+        inf = _true_infimum(a, m, b, c, lo, hi)
+        assume(abs(inf) > 1e-6)
+        margin, _, status = prove_positive_1d(
+            lambda x: (x - m) ** 2 * a + b + x.sin() * c, lo, hi
+        )
+        if inf > 0:
+            assert status == PROVED
+            assert mpf(margin.lo) <= inf <= mpf(margin.hi)
+        else:
+            # a refutation's margin is the failing cell's, whose infimum
+            # lies at or above the domain's
+            assert status == FAILED
+            assert inf <= mpf(margin.hi) < 0
 
 
 def test_prove_positive_2d(monkeypatch):
@@ -249,3 +322,6 @@ def test_production_quotients_contain_mpmath(monkeypatch):
                         assert mpf(enc.lo) <= f(mpf(t)) <= mpf(enc.hi), (name, t)
             with pytest.raises(DomainError):
                 quotient(Interval(lo, 1.01 * hi + 100.0))
+            # the remainder band bounds the remainder, not its derivative
+            with pytest.raises(DomainError):
+                quotient(Jet.var(Interval(lo, hi)))

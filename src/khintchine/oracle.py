@@ -131,7 +131,7 @@ def monte_carlo_moment(
     high = _signed_sums(a.a[h:])
     mask = (1 << h) - 1
     draw = random.Random(seed).getrandbits
-    counts = Counter([draw(n) for _ in range(trials)])
+    counts = Counter(map(draw, repeat(n, trials)))
     weighted = [(c, abs(low[b & mask] + high[b >> h]) ** p) for b, c in counts.items()]
     mean = math.fsum(c * v for c, v in weighted) / trials
     var = max(math.fsum(c * v * v for c, v in weighted) / trials - mean * mean, 0.0)

@@ -14,8 +14,10 @@ integrand that does not return a Jet (a constant), keeps the first-order
 enclosure alone.  Improper integrals against d(mu_p) = dt/t^(p+1) are
 assembled by the callers from a finite part, a series part integrated in
 closed form, certified tails (the gaussian majorant of tail_bound_mu_p, and
-cos_power_tail's two-sided |cos t|^s tail from a zero of cos), and (where
-the integrand is singular-looking at 0) a near-zero majorant.
+cos_power_tail's two-sided |cos t|^s tail from a zero of cos, whose mean
+m_s of |cos|^s is exact by Wallis at an even integer s and one quadrature
+at any other), and (where the integrand is singular-looking at 0) a
+near-zero majorant.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -144,36 +147,44 @@ def tail_bound_mu_p(s: Interval, p: Interval, T: float) -> Interval:
 
 
 @lru_cache(maxsize=8)
-def _cos_power_mean(s_lo: float, s_hi: float, budget: int) -> tuple[Interval, QuadResult]:
+def _cos_power_mean(s_lo: float, s_hi: float, budget: int) -> QuadResult:
     """m_s = (2/pi) int_0^{pi/2} cos^s u du, the mean of |cos|^s over a
-    period, for every s in [s_lo, s_hi], and its quadrature (target 1e-4),
-    once per s and budget (MAX_CELLS, where a run stops wide).  The
-    quadrature stops at the float HALF_PI.lo below pi/2; the integrand is
-    at most 1 on the sliver between them.  cos^s u falls as s rises, so on
-    an s-box the quadrature is the hull of those at s_hi and s_lo, and its
-    cells are theirs together."""
+    period, for every s in [s_lo, s_hi], as the value of a QuadResult that
+    carries the status and cells of the quadrature behind it, once per s and
+    budget (MAX_CELLS, where a run stops wide).
+
+    At an even integer s, Wallis' formula (the Beta integral, DLMF 5.12)
+    gives m_s = C(s, s/2) / 2^s exactly, in 0 cells.  At any other point s
+    one quadrature (target 1e-4) stops at the float HALF_PI.lo below pi/2;
+    the integrand is at most 1 on the sliver between them.  cos^s u falls as
+    s rises, so on an s-box m_s is the hull of its values at s_hi and s_lo,
+    and its cells are theirs together."""
     if s_lo < s_hi:
-        _, low = _cos_power_mean(s_hi, s_hi, budget)
-        _, high = _cos_power_mean(s_lo, s_lo, budget)
-        q = QuadResult(Interval(low.value.lo, high.value.hi),
-                       "ok" if low.ok and high.ok else "wide", low.cells + high.cells)
-    else:
-        s = Interval(s_lo, s_hi)
-        q = integrate(lambda u: pow_real(u.cos().abs(), s), 0.0, HALF_PI.lo, 1e-4)
+        low = _cos_power_mean(s_hi, s_hi, budget)
+        high = _cos_power_mean(s_lo, s_lo, budget)
+        return QuadResult(Interval(low.value.lo, high.value.hi),
+                          "ok" if low.ok and high.ok else "wide", low.cells + high.cells)
+    if s_lo.is_integer() and s_lo % 2 == 0:
+        n = int(s_lo)
+        wallis = Fraction(math.comb(n, n // 2), 2**n)
+        return QuadResult(Interval.from_fraction(wallis), "ok", 0)
+    s = Interval(s_lo, s_hi)
+    q = integrate(lambda u: pow_real(u.cos().abs(), s), 0.0, HALF_PI.lo, 1e-4)
     sliver = Interval(0.0, (HALF_PI - HALF_PI.lo).hi)
-    return (q.value + sliver) / HALF_PI, q
+    return QuadResult((q.value + sliver) / HALF_PI, q.status, q.cells)
 
 
 def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval, QuadResult]:
     """The float end T = (PI (k + 1/2)).hi, an enclosure of
-    int_T^inf |cos t|^s / t^(p+1) dt, and the quadrature behind m_s.
+    int_T^inf |cos t|^s / t^(p+1) dt, and m_s as _cos_power_mean returns it.
 
     At the zero T* = (k + 1/2) pi of cos,
 
         int_{T*}^inf |cos t|^s t^(-p-1) dt
             in m_s T*^(-p)/p + [-(pi^2/32)(p+1) T*^(-p-2), 0],
 
-    with m_s = (2/pi) int_0^{pi/2} cos^s u du (_cos_power_mean).  Proof:
+    with m_s = (2/pi) int_0^{pi/2} cos^s u du (_cos_power_mean: exact at
+    an even integer s, one quadrature at any other).  Proof:
     let g = |cos|^s - m_s, Phi(t) = int_{T*}^t g and Psi(t) = int_{T*}^t Phi.
     g is pi-periodic with mean 0, so Phi is pi-periodic and vanishes at T*.
     g is symmetric about the maximum T* + pi/2, so Phi(T* + pi - v) =
@@ -196,13 +207,13 @@ def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval, Q
     """
     if k < 0 or not (p.lo > 0.0 and s.lo > 0.0):
         raise DomainError(f"cos-power tail needs k >= 0, p > 0 and s > 0, got {k}, {p}, {s}")
-    m, q = _cos_power_mean(s.lo, s.hi, MAX_CELLS)
+    m = _cos_power_mean(s.lo, s.hi, MAX_CELLS)
     t_star = PI * (k + 0.5)
     T = t_star.hi
     band = PI * PI / 32.0 * (p + 1.0) * pow_real(t_star, -(p + 2.0))
     sliver = (Interval(T) - t_star) * pow_real(t_star, -(p + 1.0))
-    tail = m * pow_real(t_star, -p) / p - Interval(0.0, band.hi + sliver.hi)
-    return T, tail, q
+    tail = m.value * pow_real(t_star, -p) / p - Interval(0.0, band.hi + sliver.hi)
+    return T, tail, m
 
 
 def near_zero_bound(C: Interval, m: Interval, delta: float) -> Interval:

@@ -107,9 +107,12 @@ def d_coefficient(p: Interval, zeta_terms: int = 16) -> Interval:
 
     zeta decreases in q = p + 1, so on a p box it lies between the lower
     end of the sum at q = p.hi + 1 and the upper end of the sum at
-    q = p.lo + 1; neighbouring boxes share an end sum through zeta_sum's
-    cache.  At the default 16 terms the Euler-Maclaurin tail leaves zeta
-    about 1e-13 wide on [3, 4].  Reading p's endpoints has no derivative
+    q = p.lo + 1.  Each q-end is the tight enclosure of the exact sum, a
+    point wherever it is a float (every p-end in [2, 3]), so neighbouring
+    boxes share an end sum through zeta_sum's cache, and d2 shares its
+    10,000-term sum at q = 3 with the CLI's constants/zeta(3).  At the
+    default 16 terms the Euler-Maclaurin tail leaves zeta about 1e-13 wide
+    on [3, 4].  Reading p's endpoints has no derivative
     form, so a Jet argument raises DomainError.
     """
     if not isinstance(p, Interval):
@@ -117,8 +120,8 @@ def d_coefficient(p: Interval, zeta_terms: int = 16) -> Interval:
     q = p + 1.0
     two_over_pi = Interval(2.0, 2.0) / PI
     zeta = Interval(
-        zeta_sum(Interval(p.hi, p.hi) + 1.0, zeta_terms).lo,
-        zeta_sum(Interval(p.lo, p.lo) + 1.0, zeta_terms).hi,
+        zeta_sum(Interval.from_fraction(Fraction(p.hi) + 1), zeta_terms).lo,
+        zeta_sum(Interval.from_fraction(Fraction(p.lo) + 1), zeta_terms).hi,
     )
     return (
         Interval(2.02, 2.02)

@@ -370,7 +370,8 @@ def gauss_cos_gap_integrals(
     where they nearly cancel.  On [t1, T], T the float just above 7 pi/2,
     a zero of cos, one quadrature runs on the direct form, also on a Jet.
     Past T the gaussian tail is the stock majorant and the cos-power tail
-    the two-sided quad.cos_power_tail, whose quadrature is m_s.
+    the two-sided quad.cos_power_tail, whose m_s is exact at an even
+    integer s (0 cells) and a quadrature at any other.
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
     share the t-only factors, the s-factor by s and the p-factor by p through

@@ -45,6 +45,17 @@ def test_cos_square_primitive():
     assert sp.simplify(sp.diff(F23, t) - sp.cos(t) ** 2 / t**3) == 0
 
 
+def test_cos_square_over_t4_closed_form():
+    # cond2's I1 = int_{pi/2}^inf cos^2 t / t^4 dt = (2/3)(1/pi - si(pi)),
+    # si = Si - pi/2, from the primitive that vanishes at +infinity
+    si = lambda z: sp.Si(z) - sp.pi / 2
+    H = lambda z: -sp.cos(z) / (3 * z**3) + sp.sin(z) / (6 * z**2) + sp.cos(z) / (6 * z) + si(z) / 6
+    F = -1 / (6 * t**3) + 4 * H(2 * t)
+    assert sp.simplify(sp.diff(F, t) - sp.cos(t) ** 2 / t**4) == 0
+    assert sp.limit(F, t, sp.oo) == 0
+    assert sp.simplify(-F.subs(t, sp.pi / 2) - sp.Rational(2, 3) * (1 / sp.pi - si(sp.pi))) == 0
+
+
 def test_cos_primitive():
     Fc = (-sp.cos(t) / t**2 + sp.sin(t) / t - sp.Ci(t)) / 2
     assert sp.simplify(sp.diff(Fc, t) - sp.cos(t) / t**3) == 0

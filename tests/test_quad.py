@@ -16,7 +16,7 @@ from khintchine.quad import (
     note_missed,
     tail_bound_mu_p,
 )
-from khintchine.specfun import LN_COS_COEFFS
+from khintchine.specfun import LN_COS_COEFFS, si
 from khintchine.verifier import npcheck
 from khintchine.verifier.npcheck import gauss_cos_gap_integral
 
@@ -28,8 +28,10 @@ def _mp_precision():
         yield
 
 
-# frozen oracle: int_{pi/2}^inf cos^2 t / t^4 dt (mpmath quadosc, dps 40)
-COS2_T4_TAIL = 0.0247794406641325
+# frozen oracle: int_{pi/2}^inf cos^2 t / t^4 dt, 30 digits (mpmath, dps 50:
+# 1/(6 (pi/2)^3) plus quadosc of the zero-mean cos 2t / (2 t^4); quadosc of
+# cos^2 t / t^4 itself, whose mean is not 0, is 1.5e-14 low)
+COS2_T4_TAIL = "0.0247794406641474136053572321512"
 
 
 def test_constant_integrand():
@@ -61,8 +63,14 @@ def test_oscillatory_mu_p_integral():
     T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
     r = integrate(f, math.pi / 2, T, 5e-5)
     total = r.value + tail
-    assert total.contains(COS2_T4_TAIL)
+    truth = mpf(COS2_T4_TAIL)
+    assert mpf(total.lo) <= truth <= mpf(total.hi)
     assert total.width <= 6e-5
+    # cond2's H' tail takes the closed form (2/3)(1/pi - si(pi)) instead;
+    # it holds the oracle and lies inside this quadrature route
+    closed = (1.0 / PI - si(PI)) * 2.0 / 3.0
+    assert mpf(closed.lo) <= truth <= mpf(closed.hi)
+    assert closed.width <= 1e-14 and total.encloses(closed)
 
 
 def test_refinement_never_widens(monkeypatch):
@@ -206,30 +214,50 @@ def test_cos_tail_truth_matches_the_hurwitz_quadrature():
         assert abs(direct - _cos_tail_truth(T, s, 2.1, k)) < mpf(10) ** -18
 
 
+def _beta_mean(s):
+    """m_s = Gamma((s+1)/2) / (sqrt(pi) Gamma(s/2 + 1)), the Beta integral."""
+    s = mpf(s)
+    return mp.gamma((s + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(s / 2 + 1))
+
+
+def _holds_beta_mean(m, s):
+    """m holds m_s, up to the oracle's own rounding (an exact Wallis point
+    can sit an ulp of 40 digits outside the mpmath value)."""
+    beta = _beta_mean(s)
+    return mpf(m.lo) - mpf(10) ** -38 <= beta <= mpf(m.hi) + mpf(10) ** -38
+
+
 def test_cos_power_mean_contains_the_beta_integral():
-    # m_s = Gamma((s+1)/2) / (sqrt(pi) Gamma(s/2 + 1)), C(s, s/2) / 2^s at even s
     for s in TAIL_S:
-        m, q = quad._cos_power_mean(s.lo, s.hi, quad.MAX_CELLS)
-        assert q.ok and m.width <= 1e-4
-        for s_end in (mpf(s.lo), mpf(s.hi)):
-            beta = mp.gamma((s_end + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(s_end / 2 + 1))
-            assert mpf(m.lo) <= beta <= mpf(m.hi), s
+        m = quad._cos_power_mean(s.lo, s.hi, quad.MAX_CELLS)
+        assert m.ok and m.value.width <= 1e-4
+        for s_end in (s.lo, s.hi):
+            assert _holds_beta_mean(m.value, s_end), s
+    # Wallis: m_s = C(s, s/2) / 2^s at even s, a dyadic point, in 0 cells
     for s in (2, 4, 16):
-        m, _ = quad._cos_power_mean(float(s), float(s), quad.MAX_CELLS)
+        m = quad._cos_power_mean(float(s), float(s), quad.MAX_CELLS)
         exact = Fraction(math.comb(s, s // 2), 2**s)
-        assert Fraction(m.lo) <= exact <= Fraction(m.hi), s
+        assert (Fraction(m.value.lo), Fraction(m.value.hi)) == (exact, exact), s
+        assert m.ok and m.cells == 0 and _holds_beta_mean(m.value, s)
 
 
 def test_cos_power_mean_on_an_s_box_from_its_ends():
     # m_s falls as s rises, so an s-box takes the quadratures at its two
     # ends; one quadrature over the box cannot meet its 1e-4 target
-    m, q = quad._cos_power_mean(1.0, 1.5, quad.MAX_CELLS)
-    assert q.ok and q.cells < 200
-    for s in (mpf(1), mpf(1.5)):
-        beta = mp.gamma((s + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(s / 2 + 1))
-        assert mpf(m.lo) <= beta <= mpf(m.hi), s
-    ends = [quad._cos_power_mean(e, e, quad.MAX_CELLS)[0] for e in (1.5, 1.0)]
-    assert (m.lo, m.hi) == (ends[0].lo, ends[1].hi)
+    m = quad._cos_power_mean(1.0, 1.5, quad.MAX_CELLS)
+    assert m.ok and m.cells < 200
+    for s in (1, 1.5):
+        assert _holds_beta_mean(m.value, s), s
+    ends = [quad._cos_power_mean(e, e, quad.MAX_CELLS) for e in (1.5, 1.0)]
+    assert (m.value.lo, m.value.hi) == (ends[0].value.lo, ends[1].value.hi)
+    assert m.cells == ends[0].cells + ends[1].cells
+    # an even end is exact and the other end is still a quadrature
+    m = quad._cos_power_mean(2.0, 2.5, quad.MAX_CELLS)
+    at_25 = quad._cos_power_mean(2.5, 2.5, quad.MAX_CELLS)
+    assert (m.value.lo, m.value.hi) == (at_25.value.lo, 0.5)
+    assert m.ok and m.cells == at_25.cells > 0
+    for s in (2, 2.5):
+        assert _holds_beta_mean(m.value, s), s
 
 
 def _min_psi(s):
@@ -383,26 +411,32 @@ def test_constant_integrand_on_inexact_cells():
 
 def test_gap_integral_cell_count():
     # deterministic: the second-order enclosure needs 155 cells on
-    # [t1, 7 pi/2] here, and m_s takes 59
+    # [t1, 7 pi/2] here, and m_s is exact at s = 4 (Wallis), in 0 cells
     _, (direct, mean) = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
     assert direct.cells <= 180
-    assert mean.cells <= 70
+    assert mean.cells == 0
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
-    # the direct piece and the m_s quadrature of the cos-power tail are
-    # each cut at 41 cells, and every cut reaches the leaf and the moment
-    # check's haagerup leaf, which reads it; m_s is cached by budget, so no
-    # m_s from another budget stands in for the cut one
+    # every quadrature is cut at 41 cells, and every cut reaches the leaf
+    # and the moment check's haagerup leaf, which reads it.  m_s is exact
+    # at s = 4, so only the direct piece is cut there; at s = 3 the m_s
+    # quadrature is cut too.  m_s is cached by budget, so no m_s from
+    # another budget stands in for the cut one
     monkeypatch.setattr(quad, "MAX_CELLS", 41)
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
-    assert leaf.note == "quadrature target missed (wide, 82 cells)"
+    assert leaf.note == "quadrature target missed (wide, 41 cells)"
     haagerup = npcheck.check_fp_convergence(res).children[0]
     assert haagerup.name == "haagerup-formula-n4"
-    assert haagerup.note.endswith("; quadrature target missed (wide, 82 cells)")
+    assert haagerup.note.endswith("; quadrature target missed (wide, 41 cells)")
+    res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(3.0,))
+    leaf = res.children[-1].children[0]
+    assert leaf.name == "integral-p2.5-s3.0"
+    assert leaf.note == "quadrature target missed (wide, 82 cells)"
     monkeypatch.undo()
-    res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
-    assert res.children[-1].children[0].note == ""
+    for s in (3.0, 4.0):
+        res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(s,))
+        assert res.children[-1].children[0].note == ""
     assert note_missed("x", integrate(lambda t: t.sin(), 0.0, 1.0, 1e-6)) == "x"

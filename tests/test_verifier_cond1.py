@@ -1,10 +1,13 @@
 """Condition-1 checks: everything proves, spec examples hold, degenerate
 parameters fail as they should."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from khintchine import specfun as sf
+from khintchine.cli import _constants_suite
 from khintchine.interval import PI, DomainError, Interval, pow_real
 from khintchine.jet import Jet
 from khintchine.verifier import (
@@ -84,10 +87,11 @@ def test_d_coefficient_values():
 
 def _end_sum_hull(p, terms):
     """zeta on the p box from the sums at its ends: the lower end of the sum
-    at q = p.hi + 1 and the upper end of the sum at q = p.lo + 1."""
+    at the exact q = p.hi + 1 and the upper end of the sum at the exact
+    q = p.lo + 1."""
     return Interval(
-        sf.zeta_sum(Interval(p.hi, p.hi) + 1.0, terms).lo,
-        sf.zeta_sum(Interval(p.lo, p.lo) + 1.0, terms).hi,
+        sf.zeta_sum(Interval.from_fraction(Fraction(p.hi) + 1), terms).lo,
+        sf.zeta_sum(Interval.from_fraction(Fraction(p.lo) + 1), terms).hi,
     )
 
 
@@ -128,6 +132,17 @@ def test_small_x_shares_zeta_sums_between_boxes():
     check_cond1_small_x()
     # d2 and d3 at 10,000 terms and the 20 distinct box ends at 16 terms
     assert sf._zeta_partial.cache_info().misses == 22
+
+
+def test_constants_zeta3_is_the_d2_sum():
+    # d2 reads zeta at the exact q = 3, so the CLI's constants/zeta(3) is a
+    # cache hit on d2's 10,000-term sum, not a second one
+    sf._zeta_partial.cache_clear()
+    check_cond1_small_x()
+    before = sf._zeta_partial.cache_info()
+    _constants_suite()
+    after = sf._zeta_partial.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_reduction_proves():

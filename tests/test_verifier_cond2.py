@@ -1,7 +1,7 @@
 """Condition-2 checks: H'(p) and H(2) piece bounds, constant repairs."""
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from khintchine.interval import Interval
 from khintchine.verifier import (
@@ -62,6 +62,11 @@ def test_hprime_piece_values():
     i1 = _find(res, "cos-integral-floor")
     assert i1.margin.lo > 0
     assert i1.margin.hi < 2e-4
+    # I1 = (2/3)(1/pi - si(pi)) in closed form, against the frozen
+    # 30-digit oracle of tests/test_quad.py's COS2_T4_TAIL
+    truth = mpf("0.0247794406641474136053572321512")
+    assert mpf(i1.margin.lo) <= truth * mpf(1.75) - mpf(LAMBDA_TAIL_CONST) <= mpf(i1.margin.hi)
+    assert i1.margin.width < 1e-13
     # I2 <= 0.00705 e: margin about 2.7e-6
     i2 = _find(res, "gauss-integral-ceiling")
     assert 0 < i2.margin.lo < 4e-6
@@ -76,7 +81,8 @@ def test_lambda_constant_repair_is_necessary():
     from khintchine.interval import pow_real
     import math
 
-    # the tail past the float end of 9 pi/2, as check_cond2_hprime takes it
+    # the quadrature route, beside check_cond2_hprime's closed form: a
+    # finite part to the float end of 9 pi/2 and the cos-power tail past it
     T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
     q = integrate(
         lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
@@ -87,7 +93,7 @@ def test_lambda_constant_repair_is_necessary():
     I1 = q.value + tail
     assert (I1 * 1.75 - LAMBDA_TAIL_CONST_PRINTED).hi < 0  # printed constant fails
     assert (I1 * 1.75 - LAMBDA_TAIL_CONST).lo > 0  # repaired constant holds
-    assert I1.contains(0.0247794406641325)
+    assert I1.contains(0.0247794406641474)
 
 
 def test_h2_proves():

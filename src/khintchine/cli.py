@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .interval import Interval
+from .interval import PI, Interval
 from .oracle import (
     CoefficientVector,
     exact_moment,
@@ -123,7 +123,7 @@ def _constants_suite() -> list[CheckResult]:
         )
     anchors = [
         ("constants/Ei(-1)", ei_neg(Interval(-1.0, -1.0)) * -1.0),
-        ("constants/si(pi)", si(Interval(3.141592653589793, 3.141592653589793))),
+        ("constants/si(pi)", si(PI)),
         ("constants/ci(pi-half)", ci(Interval(1.5707963267948966, 1.5707963267948966))),
         ("constants/zeta(3)", zeta_sum(Interval(3.0, 3.0), terms=10_000)),
     ]

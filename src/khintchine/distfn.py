@@ -6,7 +6,9 @@ brute-force oracle that rebuilds the same measures from the solution intervals
 directly (different summation path, used for cross-validation).  The F_* and
 F_*' series sum their terms below SERIES_K and close with one Euler-Maclaurin
 tail (specfun.em_tail, with step pi), whose remainder is bracketed because
-both summands are completely monotone.
+both summands are completely monotone.  star_difference encloses F_* - G_*
+on a cell with arccos x <= 1.2 without subtracting the singular term the two
+share, so it stays narrow as x -> 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .interval import PI, DomainError, Interval, pow_real
-from .specfun import em_tail
+from .specfun import em_tail, neg_ln_cos_quotient
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,36 @@ def g_star(x: Interval, mp: MeasureParams) -> Interval:
     _check_x(x)
     p = mp.p
     return pow_real(x.ln() * -2.0, -p * 0.5) / p
+
+
+def star_difference(
+    x: Interval, mp: MeasureParams, f_lo: Interval, f_hi: Interval
+) -> Interval:
+    """Enclosure of {F_*(y) - G_*(y) : y in x}, where arccos x <= 1.2, given
+    f_lo and f_hi, enclosures of F_* at the points x.lo and x.hi.
+
+    With a = arccos y, F_* and G_* share the singular term a^-p/p, which this
+    form never subtracts.  -2 ln cos a = a^2 + 2R with R = a^4 Q
+    (specfun.neg_ln_cos_quotient), so p G_* = a^-p (1 + w)^(-p/2) with
+    w = 2 a^2 Q >= 0, and p F_* = a^-p - S with
+    S(a) = sum_{k>=1} (k pi - a)^-p - (k pi + a)^-p, which increases in a as
+    every term does.  With c = p/2, 1 - (1 + w)^-c = c int_0^w (1 + v)^(-c-1) dv
+    lies in c w [(1 + w)^(-c-1), 1], so
+    F_* - G_* in Q a^(2-p) [(1 + w)^(-p/2-1), 1] - S/p.
+    S/p at a point is a^-p/p - F_*, and on x it lies between its values at
+    x.hi and x.lo, where a is least and greatest.  Each factor varies mildly
+    with a, so the enclosure stays narrow near x = 1 where F_* and G_* blow
+    up.  It holds for a p-box too.  arccos x.lo > 1.2 raises DomainError.
+    """
+    _check_x(x)
+    p = mp.p
+    a = x.arccos()
+    q = neg_ln_cos_quotient(a)
+    damp = pow_real(a * a * q * 2.0 + 1.0, p * -0.5 - 1.0)
+    main = q * pow_real(a, 2.0 - p) * Interval(damp.lo, 1.0)
+    s_lo = pow_real(Interval(x.hi).arccos(), -p) / p - f_hi
+    s_hi = pow_real(Interval(x.lo).arccos(), -p) / p - f_lo
+    return main - Interval(s_lo.lo, s_hi.hi)
 
 
 def derivatives(

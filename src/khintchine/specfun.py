@@ -4,7 +4,9 @@ Series with hard-coded exact rational coefficients, explicit tail bounds, and
 interval evaluation throughout.  Tail rule for the exponential-type series
 (ei/si/ci): the term-ratio magnitude is monotonically decreasing in the index,
 so once an interval ratio has magnitude <= 1/2 the remainder is dominated by a
-geometric series and bounded by twice the first omitted term.
+geometric series and bounded by twice the first omitted term.  The -ln cos
+series (neg_ln_cos_excess, and neg_ln_cos_quotient for R(t)/t^4) has positive
+coefficients and a geometric tail of its own.
 """
 
 from __future__ import annotations
@@ -92,6 +94,22 @@ def neg_ln_cos_excess(t: Interval) -> Interval:
     q = (t * 2.0 / PI) ** 2
     tail = _ZETA4_UPPER / (K + 1.0) * pow_real(q, Interval(K + 1, K + 1)) / (1.0 - q)
     return acc + Interval(0.0, tail.hi)
+
+
+def neg_ln_cos_quotient(t: Interval) -> Interval:
+    """Two-sided enclosure of Q(t) = R(t)/t^4 on [0, 1.2], R = -ln cos t - t^2/2.
+
+    neg_ln_cos_excess's series divided by t^4: c_k t^(2k-4) for k = 2..K
+    summed exactly, and its geometric tail divided by t^4, which is
+    zeta(4)/(K+1) (2/pi)^4 q^(K-1)/(1-q) with q = (2t/pi)^2.  Every term is
+    >= 0, so Q >= c_2 = 1/12 and Q increases in t; at t = 0 it is 1/12.
+    """
+    if not (0.0 <= t.lo and t.hi <= 1.2):
+        raise DomainError(f"neg_ln_cos_quotient domain is [0, 1.2], got {t}")
+    K = EXCESS_TERMS
+    q = (t * 2.0 / PI) ** 2
+    tail = _ZETA4_UPPER / (K + 1.0) * (2.0 / PI) ** 4 * q ** (K - 1) / (1.0 - q)
+    return horner_nonneg(_LN_COS_COEFFS_IV[1:K], t * t) + Interval(0.0, tail.hi)
 
 
 def _series_with_geometric_tail(first_term: Interval, ratio_fn) -> Interval:

@@ -20,7 +20,7 @@ from functools import cache
 from math import comb, factorial
 from typing import Callable
 
-from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star
+from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star, star_difference
 from ..interval import DomainError, Interval, imin, ipoly_eval, pow_real
 from ..jet import Jet
 from ..polytools import poly
@@ -68,6 +68,7 @@ def np_generic(
     F: FnEnclosure,
     G: FnEnclosure,
     slope: FnEnclosure,
+    diff: FnEnclosure,
     grid: int = 64,
     *,
     name: str = "np-generic",
@@ -77,16 +78,19 @@ def np_generic(
     F and G must be nondecreasing, as distribution functions are: each is
     called only on point intervals, once per distinct point, and on a cell
     X = [a, b] the difference is first enclosed by the monotone hull
-    [F(a).lo - G(b).hi, F(b).hi - G(a).lo].  slope(X) must enclose (F - G)'
-    at every x in X.  Where the hull leaves a cell's sign open, F and G are
-    also evaluated at its midpoint m, the point bisection would add, and the
-    enclosure becomes the hull intersected with the mean-value forms
-    (F(y) - G(y)) + slope(X) (X - y) about y = m, a and b (Moore, Kearfott &
-    Cloud, Introduction to Interval Analysis, 2009, section 6.4).  So F and G
-    are evaluated at cell endpoints and at the midpoints of cells where the
-    forms were tried.  Endpoint enclosures that certify a decrease, or
-    enclosures with no common point, which a wrong slope can give, raise
-    ValueError.
+    [F(a).lo - G(b).hi, F(b).hi - G(a).lo].  diff(X) must enclose
+    {F(x) - G(x) : x in X} or raise DomainError, and slope(X) must enclose
+    (F - G)' at every x in X.  Where the hull leaves a cell's sign open, it
+    is intersected with diff(X), a form that can avoid the hull's
+    subtraction of two wide ranges; where that still leaves the sign open,
+    or diff raises DomainError, F and G are also evaluated at the cell's
+    midpoint m, the point bisection would add, and the enclosure is further
+    intersected with the mean-value forms (F(y) - G(y)) + slope(X) (X - y)
+    about y = m, a and b (Moore, Kearfott & Cloud, Introduction to Interval
+    Analysis, 2009, section 6.4).  So F and G are evaluated at cell
+    endpoints and at the midpoints of cells where the slope forms were
+    tried.  Endpoint enclosures that certify a decrease, or enclosures with
+    no common point, which a wrong diff or slope can give, raise ValueError.
 
     The difference is classified on a refining partition of [Y_LO, Y_HI],
     bisected by the engine's bisect_boxes; cells straddling the sign change
@@ -133,11 +137,25 @@ def np_generic(
         d, is_neg, is_pos = graded(fe - ge)
         if is_neg or is_pos:
             return d, is_neg, is_pos
+        X = Interval(a, b)
+        lo, hi = d.lo, d.hi
+        try:
+            e = diff(X)
+        except DomainError:
+            pass
+        else:
+            lo, hi = max(lo, e.lo), min(hi, e.hi)
+            if lo > hi:
+                raise ValueError(
+                    f"the monotone hull and diff {e} of F - G do not intersect "
+                    f"on [{a:.17g}, {b:.17g}]; F, G or diff is unsound"
+                )
+            d, is_neg, is_pos = graded(Interval(lo, hi))
+            if is_neg or is_pos:
+                return d, is_neg, is_pos
         m = 0.5 * (a + b)
         fm, gm = endpoint(m)
-        X = Interval(a, b)
         s = slope(X)
-        lo, hi = d.lo, d.hi
         for y, fy, gy in ((m, fm, gm), (a, fa, ga), (b, fb, gb)):
             form = (fy - gy) + s * (X - Interval(y, y))
             lo, hi = max(lo, form.lo), min(hi, form.hi)
@@ -455,20 +473,26 @@ def check_np_cos_gauss(
 ) -> CheckResult:
     """np_generic on the |cos| and gaussian distribution functions at one p:
     hypothesis 1 of the comparison lemma; check_conclusion_direct holds
-    hypothesis 2."""
+    hypothesis 2.  diff is distfn.star_difference, which reads F_* at the
+    cell's ends from F's memo, so it costs no series; on x < cos 1.2 it
+    raises DomainError and the slope forms take over."""
     mp = MeasureParams(Interval(p, p))
 
+    @cache
     def F(x: Interval) -> Interval:
         return f_star(x, mp, K=K)
 
     def G(x: Interval) -> Interval:
         return g_star(x, mp)
 
+    def diff(x: Interval) -> Interval:
+        return star_difference(x, mp, F(Interval(x.lo)), F(Interval(x.hi)))
+
     def slope(x: Interval) -> Interval:
         f_prime, g_prime = derivatives(x, mp, K=K)
         return f_prime - g_prime
 
-    return np_generic(F, G, slope, grid=grid, name=f"np/cos-gauss-p{p}")
+    return np_generic(F, G, slope, diff, grid=grid, name=f"np/cos-gauss-p{p}")
 
 
 # ---------------------------------------------------------------------------

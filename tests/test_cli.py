@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 import khintchine
 from khintchine import specfun as sf
 from khintchine.cli import Report, RunConfig, build_parser, exit_code, main, run
-from khintchine.interval import Interval
+from khintchine.interval import PI, Interval
 from khintchine.verifier import leaf
 
 
@@ -47,6 +48,16 @@ def test_constants_suite_report(tmp_path):
     )
     del doc["timestamp"], doc["elapsed_seconds"]
     assert json.dumps(doc, sort_keys=True) == json.dumps(body, sort_keys=True)
+
+
+def test_constants_si_pi_anchors_the_i1_input():
+    # cond2's I1 = (2/3)(1/pi - si(pi)) evaluates si on the PI enclosure;
+    # the anchor is that very enclosure, which holds si(pi)
+    (anchor,) = [r for r in run(RunConfig(suite="constants")).results
+                 if r.name == "constants/si(pi)"]
+    assert anchor.margin == sf.si(PI)
+    with mp.workdps(30):
+        assert mpf(anchor.margin.lo) <= mp.si(mp.pi) - mp.pi / 2 <= mpf(anchor.margin.hi)
 
 
 def test_cold_and_warm_caches_give_one_certificate():

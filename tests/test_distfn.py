@@ -1,6 +1,7 @@
 """Distribution functions: examples, cross-validation, derivative checks."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -15,6 +16,7 @@ from khintchine.distfn import (
     derivatives,
     f_star,
     g_star,
+    star_difference,
 )
 
 
@@ -202,6 +204,56 @@ def test_derivatives_contain_closed_form_on_cells(p, a, w):
     for x in (a, 0.5 * (a + b), b):
         assert _contains(fpv, _ref_f_prime(x, p)), (p, a, b, x)
         assert _contains(gpv, _ref_g_prime(mpf(x), p)), (p, a, b, x)
+
+
+def _ref_difference(x, p):
+    """F_*(x) - G_*(x) at mpf x and p, F_* from Hurwitz zeta."""
+    return _ref_f_star(x, p) - (-2 * mp.log(x)) ** (-p / 2) / p
+
+
+def _difference_on_cell(a, b, p):
+    """star_difference on [a, b], fed f_star at the two ends."""
+    mpp = MeasureParams(p)
+    return star_difference(Interval(a, b), mpp, f_star(iv(a), mpp), f_star(iv(b), mpp))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 2.9, 3.0])
+def test_star_difference_contains_truth_on_cells(p):
+    # random cells in [cos 1.2, 0.99], checked at mpf ends and interior points
+    rng = random.Random(int(p * 10))
+    for _ in range(30):
+        a = rng.uniform(0.3625, 0.985)
+        b = min(a + rng.uniform(0.0, 1.0 / 32.0), 0.99)
+        enc = _difference_on_cell(a, b, iv(p))
+        for x in (mpf(a), mpf(b), *(mpf(rng.uniform(a, b)) for _ in range(3))):
+            assert _contains(enc, _ref_difference(x, mpf(p))), (p, a, b, x)
+
+
+def test_star_difference_contains_truth_on_a_p_box():
+    rng = random.Random(2)
+    box = Interval(2.4, 2.6)
+    for _ in range(15):
+        a = rng.uniform(0.3625, 0.985)
+        b = min(a + rng.uniform(0.0, 1.0 / 32.0), 0.99)
+        enc = _difference_on_cell(a, b, box)
+        for x in (mpf(a), mpf(b), mpf(rng.uniform(a, b))):
+            for p in (mpf(2.4), mpf(2.5), mpf(2.6), mpf(rng.uniform(2.4, 2.6))):
+                assert _contains(enc, _ref_difference(x, p)), (a, b, x, p)
+
+
+def test_star_difference_is_narrow_near_one():
+    # the monotone hull of the same cell is wider than F - G itself
+    a, b = 0.9745, 0.99
+    enc = _difference_on_cell(a, b, iv(2.0))
+    fa, fb, ga, gb = (f(iv(x), MP2) for f in (f_star, g_star) for x in (a, b))
+    hull = Interval(fa.lo, fb.hi) - Interval(ga.lo, gb.hi)
+    assert 0.0 < enc.lo and enc.width < 0.01 and hull.width > 30.0
+
+
+def test_star_difference_domain():
+    # arccos x.lo > 1.2, that is x.lo < cos 1.2
+    with pytest.raises(DomainError):
+        _difference_on_cell(0.36, 0.4, iv(2.0))
 
 
 def test_ratio_above_one_at_cos1():

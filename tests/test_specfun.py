@@ -85,6 +85,28 @@ def test_neg_ln_cos_excess_contains_truth():
                 assert mpf(enc.lo) <= _excess_truth(t) <= mpf(enc.hi), (a, b)
 
 
+def test_neg_ln_cos_quotient_contains_truth():
+    # Q(t) = R(t)/t^4, with Q(0) = c_2 = 1/12
+    rng = random.Random(29)
+
+    def truth(t):
+        return _excess_truth(t) / t**4 if t else mpf(1) / 12
+
+    with mp.workdps(50):
+        for t in [0.0, 1.2] + [rng.uniform(0.0, 1.2) for _ in range(400)]:
+            enc = sf.neg_ln_cos_quotient(iv(t))
+            assert mpf(enc.lo) <= truth(mpf(t)) <= mpf(enc.hi), t
+        for _ in range(400):
+            a = rng.uniform(0.0, 1.19)
+            b = min(a + rng.uniform(0.0, 0.2), 1.2)
+            enc = sf.neg_ln_cos_quotient(Interval(a, b))
+            for t in (mpf(a), (mpf(a) + mpf(b)) / 2, mpf(b)):
+                assert mpf(enc.lo) <= truth(t) <= mpf(enc.hi), (a, b)
+        assert sf.neg_ln_cos_quotient(Interval(0.0, 1e-3)).width < 1e-7
+    with pytest.raises(DomainError):
+        sf.neg_ln_cos_quotient(Interval(1.0, 1.2000000000000002))
+
+
 def test_ei_anchors():
     e = sf.ei_neg(iv(-1.0))
     assert e.contains(EI_M1) and e.width <= 1e-10

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from khintchine import quad
-from khintchine.interval import Interval, SQRT2, imin, pow_real
+from khintchine.interval import DomainError, Interval, SQRT2, imin, pow_real
 from khintchine.specfun import b_constant
 from khintchine.verifier import engine, npcheck
 from khintchine.verifier import (
@@ -32,6 +32,11 @@ from khintchine.verifier.npcheck import (
 UNKNOWN_SLOPE = Interval(-inf, inf)
 
 
+def NO_DIFF(x):
+    """A diff form that offers nothing: np_generic goes on to the slope forms."""
+    raise DomainError("no diff form")
+
+
 def _y0(note):
     lo, hi = re.search(r"y0 in \[([^,]+), ([^\]]+)\]", note).groups()
     return float(lo), float(hi)
@@ -39,7 +44,7 @@ def _y0(note):
 
 def test_np_generic_identical_enclosures():
     res = np_generic(
-        lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0),
+        lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0), NO_DIFF,
         name="same",
     )
     assert res.status == PROVED
@@ -51,6 +56,7 @@ def test_np_generic_single_crossing():
         lambda x: x,
         lambda x: Interval(0.5, 0.5),
         lambda x: Interval(1.0, 1.0),
+        NO_DIFF,
         name="crossing",
     )
     assert res.status == PROVED
@@ -65,6 +71,7 @@ def test_np_generic_shifted_fails():
         lambda x: x,
         lambda x: x + 1.0,
         lambda x: Interval(0.0, 0.0),
+        NO_DIFF,
         name="shifted",
     )
     assert res.status == FAILED
@@ -76,7 +83,7 @@ def test_np_generic_double_crossing_fails():
         return x * 3.0 + (x - 0.3) * (x - 0.7)
 
     res = np_generic(
-        F, lambda x: x * 3.0, lambda x: x * 2.0 - 1.0,
+        F, lambda x: x * 3.0, lambda x: x * 2.0 - 1.0, NO_DIFF,
         name="double",
     )
     assert res.status == FAILED
@@ -92,6 +99,7 @@ def test_np_generic_budget_never_proves(monkeypatch):
         lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
         lambda x: Interval(0.5, 0.5),
         lambda x: UNKNOWN_SLOPE,
+        NO_DIFF,
         name="fuzzy",
     )
     assert res.status == INCONCLUSIVE
@@ -106,7 +114,7 @@ def test_np_generic_budget_cut_gap_with_a_slope_proves(monkeypatch):
     monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
         lambda x: x, lambda x: Interval(0.5, 0.5), lambda x: Interval(1.0, 1.0),
-        name="cut-gap",
+        NO_DIFF, name="cut-gap",
     )
     assert res.status == PROVED
     lo, hi = _y0(res.note)
@@ -125,7 +133,7 @@ def test_np_generic_unresolved_right_edge_inconclusive(monkeypatch):
 
     monkeypatch.setattr(engine, "BUDGET", 10)
     res = np_generic(
-        F, lambda x: x * 3.0, lambda x: UNKNOWN_SLOPE,
+        F, lambda x: x * 3.0, lambda x: UNKNOWN_SLOPE, NO_DIFF,
         name="blurred-cubic",
     )
     assert res.status == INCONCLUSIVE
@@ -137,14 +145,17 @@ def test_np_generic_rejects_decreasing_input():
     with pytest.raises(ValueError, match="nondecreasing"):
         np_generic(
             lambda x: -x, lambda x: Interval(0.5, 0.5),
-            lambda x: Interval(-1.0, -1.0),
+            lambda x: Interval(-1.0, -1.0), NO_DIFF,
             name="decreasing",
         )
 
 
 def test_np_generic_evaluates_each_endpoint_once():
+    # F blurs x by +-0.05, so the hull leaves every cell within 0.05 of
+    # G = 0.4 open; diff, the exact x - 0.4 computed without F, settles all of
+    # them but the one holding 0.4
     seen = {"F": [], "G": []}
-    slopes = []
+    diffs, slopes = [], []
 
     def record(key, f):
         def wrapped(x):
@@ -152,21 +163,28 @@ def test_np_generic_evaluates_each_endpoint_once():
             return f(x)
         return wrapped
 
+    def diff(x):
+        diffs.append((x.lo, x.hi))
+        return x - 0.4
+
     def slope(x):
         slopes.append((x.lo, x.hi))
         return Interval(1.0, 1.0)
 
     res = np_generic(
-        record("F", lambda x: x), record("G", lambda x: Interval(0.4, 0.4)),
-        slope, grid=64, name="endpoints",
+        record("F", lambda x: x + Interval(-0.05, 0.05)),
+        record("G", lambda x: Interval(0.4, 0.4)),
+        slope, diff, grid=64, name="endpoints",
     )
     assert res.status == PROVED
     cells = res.children[0].evaluations
     splits = (cells - 64) // 2
     assert splits > 0
-    # one slope call per cell the hull left open, then one over the gap;
-    # each such cell adds its midpoint, which its children reuse if it splits
+    # diff runs on each cell the hull left open, the slope forms on each
+    # cell diff left open, then slope once over the gap; each slope-form
+    # cell adds its midpoint, which its children reuse if it splits
     tried = slopes[:-1]
+    assert set(tried) < set(diffs)
     assert splits <= len(tried)
     for calls in seen.values():
         assert all(lo == hi for lo, hi in calls)
@@ -174,24 +192,49 @@ def test_np_generic_evaluates_each_endpoint_once():
         assert {(0.5 * (a + b),) * 2 for a, b in tried} <= set(calls)
 
 
-def test_np_generic_rejects_small_grid():
-    with pytest.raises(ValueError):
+def test_np_generic_rejects_unsound_diff():
+    # diff shifted by +1 misses the hull of F - G = x - 1/2 on the cell
+    # that holds 1/2
+    with pytest.raises(ValueError, match="diff .* unsound"):
         np_generic(
-            lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0), grid=4,
+            lambda x: x, lambda x: Interval(0.5, 0.5), lambda x: Interval(1.0, 1.0),
+            lambda x: x - 0.5 + 1.0, name="shifted-diff",
         )
 
 
-def test_np_cos_gauss_cases():
+def test_np_generic_rejects_small_grid():
+    with pytest.raises(ValueError):
+        np_generic(
+            lambda x: x, lambda x: x, lambda x: Interval(0.0, 0.0), NO_DIFF, grid=4,
+        )
+
+
+def test_np_cos_gauss_cases(monkeypatch):
+    terminal = []
+
+    def recording_bisect(*args, **kwargs):
+        cells, evals = engine.bisect_boxes(*args, **kwargs)
+        terminal.extend(box for box, _ in cells)
+        return cells, evals
+
+    monkeypatch.setattr(npcheck, "bisect_boxes", recording_bisect)
+    grid_cells = {((c.lo, c.hi),) for c in Interval(npcheck.Y_LO, npcheck.Y_HI).split(64)}
     for p in (2.0, 2.5):
+        terminal.clear()
         res = check_np_cos_gauss(p)
         assert res.status == PROVED, p
         # y0 localized inside (rho, sigma) = (1/15, 0.97)
         lo, hi = _y0(res.note)
         assert 1.0 / 15.0 < lo <= hi < 0.97
-        # the slope forms settle the cells near x = 1 that the monotone hull
-        # alone bisects (1,594 evaluations at p = 2.0 without them)
-        assert res.children[0].evaluations <= 400, p
+        # the slope forms settle the cells that the monotone hull alone
+        # bisects (1,594 evaluations at p = 2.0 without them), and the
+        # cancellation-free distfn.star_difference those near x = 1 (154
+        # evaluations at p = 2.0 without it)
+        assert res.children[0].evaluations <= 100, p
         assert "(F - G)' in [0.12" in res.note, p
+        # no cell right of 0.85 is bisected: each is settled on the grid
+        right = [box for box in terminal if box[0][1] > 0.85]
+        assert right and all(box in grid_cells for box in right), p
 
 
 def test_np_generic_wide_gap_needs_a_slope(monkeypatch):
@@ -206,6 +249,7 @@ def test_np_generic_wide_gap_needs_a_slope(monkeypatch):
             lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
             lambda x: Interval(0.5, 0.5),
             lambda x: slope,
+            NO_DIFF,
             name="fuzzy-gap",
         )
 
@@ -227,6 +271,7 @@ def test_np_generic_rejects_wrong_slope():
         np_generic(
             lambda x: x, lambda x: Interval(0.5, 0.5),
             lambda x: Interval(-10.0, -10.0),
+            NO_DIFF,
             name="wrong-slope",
         )
 

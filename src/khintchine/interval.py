@@ -12,6 +12,24 @@ errors for exp/log/sqrt/sin/cos/acos are below 2 ulp on all supported
 platforms, and the margin is validated empirically by the point-containment
 test suite against 4x-precision references.
 
+An n-ulp widening of an endpoint x is one step, not n ``nextafter`` calls:
+with u = ulp(x), the lower end is r = x - n u and the upper end r = x + n u,
+kept when ulp(r) == u (and, at the upper end, r != 0); otherwise the
+``nextafter`` loop of ``_down_n``/``_up_n`` runs.  The step equals the loop
+bit for bit.  The floats whose ulp is u form grids of spacing u: the two
+binades +-[2^e, 2^(e+1)) when u > 2^-1074, and when u = 2^-1074 the one grid
+(-2^-1021, 2^-1021) of the subnormals, 0 and the least normal binades.  x
+lies on one of them, and so does the exact x +- n u whenever it lies between
+that grid's ends, so it is representable, r equals it and every ``nextafter``
+step in between moves by u.  Past a grid end the exact x +- n u, a multiple
+of u, is at least the next power of two in magnitude, which rounding keeps
+and whose ulp is at least 2u, or a float of the finer binade below, computed
+exactly with ulp u/2; an overflow gives inf and inf - inf gives NaN.  In
+each case ulp(r) != u and the loop runs.  At +-inf the accepted step gives
++-inf, as the loop does.  The loop ends at -0.0 where the step gives
+x + n u = +0.0 (``nextafter(-2^-1074, inf)`` is -0.0), so an upper end of 0
+goes to the loop; a lower end of 0 is +0.0 both ways.
+
 Operator results are built by ``_make`` from endpoints that are already
 Python floats, so they skip ``Interval.__init__``'s ``float()`` conversion
 but keep its ``lo <= hi`` / NaN check.
@@ -21,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as _Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Interval",
@@ -45,9 +63,10 @@ ELEM_ULPS = 4
 TRIG_ARG_LIMIT = 1.0e4
 
 _nextafter = math.nextafter
+_ulp = math.ulp
 _exp = math.exp
 _log = math.log
-_ELEM_STEPS = range(ELEM_ULPS)  # one pass widens both endpoints by one ulp
+_ELEM = float(ELEM_ULPS)  # the factor n of the one-step widening x -+ n ulp(x)
 _new = object.__new__
 
 
@@ -68,12 +87,22 @@ def _down(x: float) -> float:
 
 
 def _up_n(x: float, n: int) -> float:
+    """x moved n ulps up: the one-step rule, else the nextafter loop."""
+    u = _ulp(x)
+    r = x + n * u
+    if r and _ulp(r) == u:
+        return r
     for _ in range(n):
         x = _nextafter(x, INF)
     return x
 
 
 def _down_n(x: float, n: int) -> float:
+    """x moved n ulps down: the one-step rule, else the nextafter loop."""
+    u = _ulp(x)
+    r = x - n * u
+    if _ulp(r) == u:
+        return r
     for _ in range(n):
         x = _nextafter(x, -INF)
     return x
@@ -273,9 +302,12 @@ class Interval:
             hi = math.exp(self.hi)
         except OverflowError:
             hi = INF
-        for _ in _ELEM_STEPS:
-            lo = _nextafter(lo, -INF)
-            hi = _nextafter(hi, INF)
+        u = _ulp(lo)
+        r = lo - _ELEM * u
+        lo = r if _ulp(r) == u else _down_n(lo, ELEM_ULPS)
+        u = _ulp(hi)
+        r = hi + _ELEM * u
+        hi = r if r and _ulp(r) == u else _up_n(hi, ELEM_ULPS)
         return _make(lo if lo > 0.0 else 0.0, hi)
 
     def ln(self) -> "Interval":
@@ -283,9 +315,12 @@ class Interval:
             raise DomainError(f"ln of non-positive interval {self}")
         lo = math.log(self.lo)
         hi = math.log(self.hi)
-        for _ in _ELEM_STEPS:
-            lo = _nextafter(lo, -INF)
-            hi = _nextafter(hi, INF)
+        u = _ulp(lo)
+        r = lo - _ELEM * u
+        lo = r if _ulp(r) == u else _down_n(lo, ELEM_ULPS)
+        u = _ulp(hi)
+        r = hi + _ELEM * u
+        hi = r if r and _ulp(r) == u else _up_n(hi, ELEM_ULPS)
         return _make(lo, hi)
 
     def sqrt(self) -> "Interval":
@@ -329,9 +364,12 @@ def _trig(a: Interval, fn, peak: Interval, trough: Interval) -> Interval:
         v_lo = v
     elif v > v_hi:
         v_hi = v
-    for _ in _ELEM_STEPS:
-        v_lo = _nextafter(v_lo, -INF)
-        v_hi = _nextafter(v_hi, INF)
+    u = _ulp(v_lo)
+    r = v_lo - _ELEM * u
+    v_lo = r if _ulp(r) == u else _down_n(v_lo, ELEM_ULPS)
+    u = _ulp(v_hi)
+    r = v_hi + _ELEM * u
+    v_hi = r if r and _ulp(r) == u else _up_n(v_hi, ELEM_ULPS)
     # over-inclusion of an extremum is sound
     if v_hi > 1.0 or _contains_multiple(a, peak):
         v_hi = 1.0
@@ -412,9 +450,12 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
         # widening moves that off 0), so no corner is 0 * inf.
         l_lo = _log(a.lo)
         l_hi = _log(a.hi)
-        for _ in _ELEM_STEPS:
-            l_lo = _nextafter(l_lo, -INF)
-            l_hi = _nextafter(l_hi, INF)
+        u = _ulp(l_lo)
+        r = l_lo - _ELEM * u
+        l_lo = r if _ulp(r) == u else _down_n(l_lo, ELEM_ULPS)
+        u = _ulp(l_hi)
+        r = l_hi + _ELEM * u
+        l_hi = r if r and _ulp(r) == u else _up_n(l_hi, ELEM_ULPS)
         s_lo, s_hi = s.lo, s.hi
         lo = hi = s_lo * l_lo
         v = s_lo * l_hi
@@ -440,9 +481,12 @@ def pow_real(a: Interval, s: Interval | float) -> Interval:
             hi = _exp(_nextafter(hi, INF))
         except OverflowError:
             hi = INF
-        for _ in _ELEM_STEPS:
-            lo = _nextafter(lo, -INF)
-            hi = _nextafter(hi, INF)
+        u = _ulp(lo)
+        r = lo - _ELEM * u
+        lo = r if _ulp(r) == u else _down_n(lo, ELEM_ULPS)
+        u = _ulp(hi)
+        r = hi + _ELEM * u
+        hi = r if r and _ulp(r) == u else _up_n(hi, ELEM_ULPS)
         return _make(lo if lo > 0.0 else 0.0, hi)
     if a.lo < 0.0:
         raise DomainError(f"pow_real of interval {a} with negative values")
@@ -513,12 +557,60 @@ def horner_nonneg(coeffs: Sequence[Interval], x: Interval) -> Interval:
     return _make(lo, hi)
 
 
-def exp_sum(s: Interval, xs: Iterable[Interval], acc: Interval) -> Interval:
-    """Enclosure of acc + sum_x exp(s * x) for s.hi <= 0 < x.lo.
+def poly_mul(x: Sequence[Interval], y: Sequence[Interval]) -> list[Interval]:
+    """Product of two coefficient lists.
 
-    Bit for bit the loop ``acc = acc + (s * x).exp()``.  Under these signs
-    the corners of s * x are ordered: s.lo * x.hi is the least and
-    s.hi * x.lo the greatest, and rounding is monotone, so ``*`` keeps
+    Bit for bit the loop ``out[i + j] = out[i + j] + x[i] * y[j]`` from
+    ``out = [Interval(0.0, 0.0), ...]``, carried on float endpoints: each
+    product is the hull of its four corners with each end moved one ulp
+    outward (a tie between 0.0 and -0.0 does not matter after that step),
+    each sum moves one ulp outward unless it is exactly 0, as in ``+``.  A
+    product with a 0 * inf corner is the interval product.  A NaN sum stays
+    NaN and raises IntervalError at the end, as the loop raises at once.
+    """
+    n = len(x) + len(y) - 1
+    lo = [0.0] * n
+    hi = [0.0] * n
+    for i, a in enumerate(x):
+        a_lo, a_hi = a.lo, a.hi
+        for j, b in enumerate(y, i):
+            c, d = b.lo, b.hi
+            p_lo = p_hi = a_lo * c
+            p2, p3, p4 = a_lo * d, a_hi * c, a_hi * d
+            if p_lo == p_lo and p2 == p2 and p3 == p3 and p4 == p4:
+                if p2 < p_lo:
+                    p_lo = p2
+                elif p2 > p_hi:
+                    p_hi = p2
+                if p3 < p_lo:
+                    p_lo = p3
+                elif p3 > p_hi:
+                    p_hi = p3
+                if p4 < p_lo:
+                    p_lo = p4
+                elif p4 > p_hi:
+                    p_hi = p4
+                p_lo = _nextafter(p_lo, -INF)
+                p_hi = _nextafter(p_hi, INF)
+            else:
+                q = a * b
+                p_lo, p_hi = q.lo, q.hi
+            v = lo[j] + p_lo
+            lo[j] = v if v == 0.0 else _nextafter(v, -INF)
+            v = hi[j] + p_hi
+            hi[j] = v if v == 0.0 else _nextafter(v, INF)
+    return [_make(v, w) for v, w in zip(lo, hi)]
+
+
+def exp_sum(
+    s: Interval, x_lo: Sequence[float], x_hi: Sequence[float], acc: Interval
+) -> Interval:
+    """Enclosure of acc + sum_k exp(s * X_k), X_k = [x_lo[k], x_hi[k]], for
+    s.hi <= 0 < x_lo[k].
+
+    Bit for bit the loop ``acc = acc + (s * X_k).exp()``.  Under these signs
+    the corners of s * X_k are ordered: s.lo * x_hi[k] is the least and
+    s.hi * x_lo[k] the greatest, and rounding is monotone, so ``*`` keeps
     exactly those two (a 0 * inf corner counts as 0) and moves each one ulp
     outward; a tie between 0.0 and -0.0 does not matter after that step.
     The product's upper end is at most 5e-324, so ``exp`` cannot overflow;
@@ -530,22 +622,23 @@ def exp_sum(s: Interval, xs: Iterable[Interval], acc: Interval) -> Interval:
     if s_hi > 0.0:
         raise DomainError(f"exp_sum needs s <= 0, got {s}")
     lo, hi = acc.lo, acc.hi
-    exp = math.exp
-    for x in xs:
-        x_lo = x.lo
-        if not x_lo > 0.0:
-            raise DomainError(f"exp_sum needs x > 0, got {x}")
-        a = s_lo * x.hi
-        b = s_hi * x_lo
+    for xl, xh in zip(x_lo, x_hi):
+        if not xl > 0.0:
+            raise DomainError(f"exp_sum needs x > 0, got [{xl!r}, {xh!r}]")
+        a = s_lo * xh
+        b = s_hi * xl
         if a != a:  # 0 * inf
             a = 0.0
         if b != b:
             b = 0.0
-        t_lo = exp(_nextafter(a, -INF))
-        t_hi = exp(_nextafter(b, INF))
-        for _ in _ELEM_STEPS:
-            t_lo = _nextafter(t_lo, -INF)
-            t_hi = _nextafter(t_hi, INF)
+        t_lo = _exp(_nextafter(a, -INF))
+        t_hi = _exp(_nextafter(b, INF))
+        u = _ulp(t_lo)
+        r = t_lo - _ELEM * u
+        t_lo = r if _ulp(r) == u else _down_n(t_lo, ELEM_ULPS)
+        u = _ulp(t_hi)
+        r = t_hi + _ELEM * u
+        t_hi = r if r and _ulp(r) == u else _up_n(t_hi, ELEM_ULPS)
         lo += t_lo if t_lo > 0.0 else 0.0  # -0.0 + 0.0 is 0.0, as in ``+``
         hi += t_hi
         if lo != 0.0:
@@ -553,6 +646,21 @@ def exp_sum(s: Interval, xs: Iterable[Interval], acc: Interval) -> Interval:
         if hi != 0.0:
             hi = _nextafter(hi, INF)
     return _make(lo, hi)
+
+
+def ln_ints(a: int, b: int) -> tuple[list[float], list[float]]:
+    """The ends of ``Interval(k, k).ln()`` for the integers a <= k < b
+    (a >= 1), bit for bit, as two lists: the lower and the upper ends."""
+    lows: list[float] = []
+    highs: list[float] = []
+    for k in range(a, b):
+        v = _log(float(k))
+        u = _ulp(v)
+        r = v - _ELEM * u
+        lows.append(r if _ulp(r) == u else _down_n(v, ELEM_ULPS))
+        r = v + _ELEM * u
+        highs.append(r if r and _ulp(r) == u else _up_n(v, ELEM_ULPS))
+    return lows, highs
 
 
 # -- constants (two-ulp windows around correctly rounded literals) ----------

@@ -12,10 +12,8 @@ coefficients and a geometric tail of its own.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .interval import (
     EULER_GAMMA,
@@ -25,6 +23,7 @@ from .interval import (
     Interval,
     exp_sum,
     horner_nonneg,
+    ln_ints,
     pow_real,
 )
 from .polytools import TaylorEnclosure, poly
@@ -240,14 +239,20 @@ def em_tail(
     return acc + Interval.hull(_ZERO, last)
 
 
-_LN_K: list[Interval] = []  # _LN_K[k - 2] encloses ln k; grown by _ln_k
+# the ends of Interval(k, k).ln() at index k - 2; grown by _ln_k
+_LN_LO: list[float] = []
+_LN_HI: list[float] = []
 
 
-def _ln_k(K: int) -> Iterator[Interval]:
-    """The enclosures (ln 2, ln 3, ..., ln K), each built once, on first use."""
-    if len(_LN_K) < K - 1:
-        _LN_K.extend(Interval(k, k).ln() for k in range(len(_LN_K) + 2, K + 1))
-    return islice(_LN_K, K - 1)
+def _ln_k(K: int) -> tuple[list[float], list[float]]:
+    """The lower and upper ends of the enclosures of ln 2, ln 3, ..., ln K,
+    each computed once, on first use, by ``interval.ln_ints``."""
+    n = len(_LN_LO) + 2
+    if n <= K:
+        lows, highs = ln_ints(n, K + 1)
+        _LN_LO.extend(lows)
+        _LN_HI.extend(highs)
+    return _LN_LO[: K - 1], _LN_HI[: K - 1]
 
 
 def zeta_sum(q: Interval, terms: int = 10000) -> Interval:
@@ -270,7 +275,7 @@ def zeta_sum(q: Interval, terms: int = 10000) -> Interval:
 @lru_cache(maxsize=64)
 def _zeta_partial(q_lo: float, q_hi: float, K: int) -> Interval:
     q = Interval(q_lo, q_hi)
-    acc = exp_sum(-q, _ln_k(K), Interval(1.0, 1.0))
+    acc = exp_sum(-q, *_ln_k(K), Interval(1.0, 1.0))
     b = Interval(K + 1, K + 1)
     return acc + em_tail(q, b, pow_real(b, -q), pi_step=False)
 

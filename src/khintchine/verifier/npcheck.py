@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import Callable
 
 from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star, star_difference
-from ..interval import DomainError, Interval, imin, ipoly_eval, pow_real
+from ..interval import DomainError, Interval, imin, ipoly_eval, poly_mul, pow_real
 from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
@@ -69,7 +69,7 @@ def np_generic(
     G: FnEnclosure,
     slope: FnEnclosure,
     diff: FnEnclosure,
-    grid: int = 64,
+    grid: int = 16,
     *,
     name: str = "np-generic",
 ) -> CheckResult:
@@ -309,15 +309,6 @@ def _memo(fn, memo: dict):
     return read
 
 
-def _poly_mul(x: list[Interval], y: list[Interval]) -> list[Interval]:
-    """Product of two coefficient lists."""
-    out = [Interval(0.0, 0.0)] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 @cache
 def _excess_powers(k: int, n: int, t1: float) -> tuple[list[list[Interval]], Interval, Interval]:
     """Q^j for 0 < j < n in u = t^2, where u^2 Q = R_K is R = -ln cos t - t^2/2
@@ -328,7 +319,7 @@ def _excess_powers(k: int, n: int, t1: float) -> tuple[list[list[Interval]], Int
     q = [Interval.from_fraction(c) for c in LN_COS_COEFFS[1 : k - 1]]
     powers = [q]
     while len(powers) < n - 1:
-        powers.append(_poly_mul(powers[-1], q))
+        powers.append(poly_mul(powers[-1], q))
     rq = ipoly_eval(q, u1)
     return powers, rq, (neg_ln_cos_excess(Interval(t1)) - rq * u1 * u1) / u1**k
 
@@ -361,7 +352,7 @@ def _gap_series(s: Interval) -> list[tuple[int, Interval]]:
     e = [half**i * Fraction((-1) ** i, factorial(i)) for i in range(l)]
     rems = [(2 * n, (s * rq) ** n * Fraction(1, factorial(n))), (k, s * tau),
             (l + 2, half**l * Fraction(1, factorial(l)) * (s * rq))]
-    return [*enumerate(_poly_mul(e, g), 2)] + [(j, Interval(0.0, r.hi)) for j, r in rems]
+    return [*enumerate(poly_mul(e, g), 2)] + [(j, Interval(0.0, r.hi)) for j, r in rems]
 
 
 def _gap_series_integral(terms: list[tuple[int, Interval]], p: Interval) -> Interval:
@@ -469,7 +460,7 @@ def check_conclusion_direct(
 
 
 def check_np_cos_gauss(
-    p: float, K: int = SERIES_K, grid: int = 64
+    p: float, K: int = SERIES_K, grid: int = 16
 ) -> CheckResult:
     """np_generic on the |cos| and gaussian distribution functions at one p:
     hypothesis 1 of the comparison lemma; check_conclusion_direct holds

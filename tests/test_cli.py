@@ -66,7 +66,8 @@ def test_cold_and_warm_caches_give_one_certificate():
                 for s in ("cond1", "constants")]
 
     sf._zeta_partial.cache_clear()
-    sf._LN_K.clear()
+    sf._LN_LO.clear()
+    sf._LN_HI.clear()
     assert bodies() == bodies()
 
 

@@ -253,7 +253,8 @@ def _within(enc, truth):
 def test_exp_sum_contains_mpmath(s_lo, width, K):
     # zeta_sum's partial sum 1 + sum_{k=2}^K exp(s ln k) over an s-box
     s = Interval(s_lo, min(s_lo + width, -1.0))
-    enc = exp_sum(s, [Interval(k).ln() for k in range(2, K + 1)], Interval(1.0))
+    ln_k = [Interval(k).ln() for k in range(2, K + 1)]
+    enc = exp_sum(s, [x.lo for x in ln_k], [x.hi for x in ln_k], Interval(1.0))
     with mp.workdps(50):
         for end in (s.lo, s.hi):
             truth = 1 + mp.fsum(mpf(k) ** mpf(end) for k in range(2, K + 1))

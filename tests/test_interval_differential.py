@@ -16,12 +16,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from mpmath import mp, mpf
 
 import reference_interval as ref
 from khintchine import interval as kernel
 from khintchine import specfun as sf
 from khintchine.distfn import MeasureParams, f_star
+from khintchine.verifier import npcheck
 from khintchine.interval import (
     ELEM_ULPS,
     HALF_PI,
@@ -30,6 +32,7 @@ from khintchine.interval import (
     Interval,
     exp_sum,
     horner_nonneg,
+    poly_mul,
     pow_real,
 )
 
@@ -183,6 +186,50 @@ def test_elem_widening_is_elem_ulps():
     assert Interval(x, x).exp() == Interval(lo, hi)
 
 
+# -- the one-step widening --------------------------------------------------
+
+# every power of two, each +-1 ... +-5 ulps from it, on both signs
+POW2_POINTS = [_step(sign * math.ldexp(1.0, e), k) for e in range(-1074, 1024)
+               for sign in (1.0, -1.0) for k in range(-5, 6)]
+WIDEN_EDGE = [x for t in (0.0, TINY, 2 * TINY, 3 * TINY, 4 * TINY, 5 * TINY, 6 * TINY,
+                          1e-310, MIN_NORMAL, _step(MIN_NORMAL, -1), MAX, _step(MAX, -4),
+                          INF) for x in (t, -t)]
+
+
+def _same_widening(x, n):
+    assert float.hex(kernel._down_n(x, n)) == float.hex(_step(x, -n)), (x, n)
+    assert float.hex(kernel._up_n(x, n)) == float.hex(_step(x, n)), (x, n)
+
+
+def test_one_step_widening_equals_the_nextafter_loop():
+    # x -+ n ulp(x), kept when its ulp is ulp(x): binade crossings, 0 (whose
+    # loop gives -0.0 from below), the subnormals, overflow and +-inf
+    for x in POW2_POINTS + WIDEN_EDGE:
+        for n in (1, 2, ELEM_ULPS, 5):
+            _same_widening(x, n)
+
+
+@seed(31)
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(0, 9))
+def test_one_step_widening_equals_the_nextafter_loop_on_all_floats(x, n):
+    _same_widening(x, n)
+
+
+def test_elementary_sites_widen_like_the_loop_at_binade_edges():
+    # exp near 0, ln near 1 and sin, cos at small arguments land next to
+    # powers of two, 1 and 0, where the inline step must fall back
+    near = [_step(sign * math.ldexp(1.0, e), k) for e in range(-1074, 4)
+            for sign in (1.0, -1.0) for k in (-1, 0, 1)]
+    near += [_step(1.0, k) for k in range(-60, 61)] + WIDEN_EDGE
+    for x in near:
+        xs, xr = _pair(x, x)
+        for name in ("exp", "ln", "cos", "sin"):
+            _same(_unary(name), _unary(name), (xs,), (xr,))
+        for sc in (0.5, -2.0, 3.0):
+            _same(pow_real, ref.pow_real, (xs, sc), (xr, sc))
+
+
 # -- horner_nonneg -----------------------------------------------------------
 
 
@@ -253,7 +300,7 @@ def _loop_exp_sum(cls, s, xs, acc):
 
 
 def _same_exp_sum(s, xs, acc):
-    got = _outcome(exp_sum, s, xs, acc)
+    got = _outcome(exp_sum, s, [x.lo for x in xs], [x.hi for x in xs], acc)
     assert got == _outcome(_loop_exp_sum, Interval, s, xs, acc), (s, xs, acc)
     assert got == _outcome(_loop_exp_sum, ref.Interval, s, xs, acc), (s, xs, acc)
 
@@ -301,12 +348,79 @@ def test_exp_sum_matches_interval_loop_over_10000_terms():
 
 def test_exp_sum_rejects_points_off_its_domain():
     with pytest.raises(DomainError):
-        exp_sum(Interval(-1.0, TINY), [Interval(1.0, 2.0)], Interval(0.0, 0.0))
+        exp_sum(Interval(-1.0, TINY), [1.0], [2.0], Interval(0.0, 0.0))
     with pytest.raises(DomainError):
-        exp_sum(Interval(1.0, 2.0), [], Interval(0.0, 0.0))
+        exp_sum(Interval(1.0, 2.0), [], [], Interval(0.0, 0.0))
     for x in (Interval(0.0, 1.0), Interval(-0.0, 1.0), Interval(-1.0, 1.0)):
         with pytest.raises(DomainError):
-            exp_sum(Interval(-2.0, -1.0), [Interval(1.0, 1.0), x], Interval(0.0, 0.0))
+            exp_sum(Interval(-2.0, -1.0), [1.0, x.lo], [1.0, x.hi], Interval(0.0, 0.0))
+
+
+# -- poly_mul ----------------------------------------------------------------
+
+
+def _loop_poly_mul(cls, x, y):
+    x = [cls(a.lo, a.hi) for a in x]
+    y = [cls(b.lo, b.hi) for b in y]
+    out = [cls(0.0, 0.0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _poly_outcome(fn, *args):
+    try:
+        return [_hexes(c) for c in fn(*args)]
+    except ValueError as exc:  # IntervalError
+        return type(exc).__name__
+
+
+def _same_poly_mul(x, y):
+    got = _poly_outcome(poly_mul, x, y)
+    assert got == _poly_outcome(_loop_poly_mul, Interval, x, y), (x, y)
+    assert got == _poly_outcome(_loop_poly_mul, ref.Interval, x, y), (x, y)
+
+
+def test_poly_mul_matches_interval_loop_on_the_gap_series(monkeypatch):
+    calls = []
+
+    def recording(x, y):
+        calls.append((list(x), list(y)))
+        return poly_mul(x, y)
+
+    monkeypatch.setattr(npcheck, "poly_mul", recording)
+    k, n, _ = npcheck._SERIES_ORDERS
+    npcheck._excess_powers.__wrapped__(k, n, npcheck._SERIES_T1)
+    for s in (Interval(1.4142135623730951, 1.4142135623730954), Interval(2.0), Interval(16.0)):
+        npcheck._gap_series(s)
+    assert len(calls) >= n - 2 + 3
+    for x, y in calls:
+        _same_poly_mul(x, y)
+
+
+def _coefficient(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        return Interval(rng.choice((0.0, -0.0)), rng.choice((0.0, 0.0, 1.0)))
+    if kind < 0.2:
+        return rng.choice((Interval(-INF, INF), Interval(0.0, INF), Interval(-INF, -1.0),
+                           Interval(INF, INF), Interval(MAX, MAX), Interval(-TINY, TINY)))
+    scale = 10.0 ** rng.uniform(-300, 300)
+    a = rng.uniform(-1.0, 1.0) * scale
+    return Interval(a, a + rng.choice((0.0, abs(a) * 1e-12, rng.uniform(0.0, 2.0) * scale)))
+
+
+def test_poly_mul_matches_interval_loop_on_random_draws():
+    # zero, negative and mixed-sign coefficients; a 0 * inf corner takes the
+    # interval product and inf - inf raises as in the loop
+    rng = random.Random(32)
+    for _ in range(3_000):
+        x = [_coefficient(rng) for _ in range(rng.randint(1, 6))]
+        y = [_coefficient(rng) for _ in range(rng.randint(1, 6))]
+        _same_poly_mul(x, y)
+    _same_poly_mul([Interval(1.0)] * 2, [Interval(INF), Interval(-INF)])
+    _same_poly_mul([Interval(1.0)], [])
 
 
 # -- f_star ------------------------------------------------------------------

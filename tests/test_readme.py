@@ -1,12 +1,13 @@
 """README.md names only what exists.
 
 Every backticked dotted name in README.md, optionally followed by an argument
-list (`distfn.f_star`, `interval.exp_sum(s, xs, acc)`, `khintchine.jet.Jet`),
-must resolve: its head is a module of the package (``khintchine.<head>`` or
-``khintchine.verifier.<head>``), an importable top-level module, or a class
-of the package (`Jet.var(X)`), and every later part is an attribute.  Spans
-that hold an expression (`s.hi <= 0`) or a file path (`verifier/result.py`)
-are not names and are skipped by the pattern.
+list (`distfn.f_star`, `interval.exp_sum(s, x_lo, x_hi, acc)`,
+`khintchine.jet.Jet`), must resolve: its head is a module of the package
+(``khintchine.<head>`` or ``khintchine.verifier.<head>``), an importable
+top-level module, or a class of the package (`Jet.var(X)`), and every later
+part is an attribute.  Spans that hold an expression (`s.hi <= 0`) or a
+file path (`verifier/result.py`) are not names and are skipped by the
+pattern.
 """
 
 import importlib

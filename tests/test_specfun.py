@@ -200,11 +200,23 @@ def _hexes(z):
 @pytest.mark.parametrize("K", [16, 2000, 10_000])
 def test_zeta_sum_equals_the_per_term_loop(K):
     sf._zeta_partial.cache_clear()
-    sf._LN_K.clear()
+    sf._LN_LO.clear()
+    sf._LN_HI.clear()
     for q in ZETA_QS:
         want = _hexes(_zeta_loop(q, K))
         assert _hexes(sf.zeta_sum(q, K)) == want, q  # cold
         assert _hexes(sf.zeta_sum(q, K)) == want, q  # from the cache
+
+
+def test_ln_table_equals_interval_ln():
+    sf._LN_LO.clear()
+    sf._LN_HI.clear()
+    sf._ln_k(100)  # the table grows from where it stopped
+    lows, highs = sf._ln_k(10_000)
+    assert len(lows) == len(highs) == 9_999
+    for k, lo, hi in zip(range(2, 10_001), lows, highs):
+        want = Interval(k, k).ln()
+        assert (float.hex(lo), float.hex(hi)) == (float.hex(want.lo), float.hex(want.hi)), k
 
 
 def test_zeta_contains_mpmath_at_mpf_endpoints():
@@ -221,7 +233,7 @@ def test_zeta_contains_mpmath_at_mpf_endpoints():
 def _integral_bracket(q, K):
     """The K-term partial sum plus [int_{K+1}^inf x^-q dx, int_K^inf x^-q dx],
     the tail zeta_sum carried before its Euler-Maclaurin tail."""
-    acc = sf.exp_sum(-q, sf._ln_k(K), Interval(1.0, 1.0))
+    acc = sf.exp_sum(-q, *sf._ln_k(K), Interval(1.0, 1.0))
     qm1 = q - 1.0
     lo_tail = pow_real(Interval(K + 1, K + 1), 1.0 - q) / qm1
     hi_tail = pow_real(Interval(K, K), 1.0 - q) / qm1

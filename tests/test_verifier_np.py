@@ -93,8 +93,10 @@ def test_np_generic_double_crossing_fails():
 def test_np_generic_budget_never_proves(monkeypatch):
     # the enclosure of F straddles G = 1/2 on every cell within 0.3 of the
     # crossing, however fine; a budget spent before those cells reach Y_TOL
-    # leaves the sign change unresolved, never proved
-    monkeypatch.setattr(engine, "BUDGET", 10)
+    # leaves the sign change unresolved, never proved; the fourth of the 16
+    # grid cells is the first that straddles, so 4 evaluations spend the
+    # budget before any cell splits
+    monkeypatch.setattr(engine, "BUDGET", 4)
     res = np_generic(
         lambda x: Interval(x.lo - 0.3, x.hi + 0.3),
         lambda x: Interval(0.5, 0.5),
@@ -104,7 +106,7 @@ def test_np_generic_budget_never_proves(monkeypatch):
     )
     assert res.status == INCONCLUSIVE
     assert res.children[0].status == INCONCLUSIVE
-    assert res.children[0].evaluations == 64  # each grid cell once
+    assert res.children[0].evaluations == 16  # each grid cell once
     assert "budget" in res.note
 
 
@@ -218,7 +220,7 @@ def test_np_cos_gauss_cases(monkeypatch):
         return cells, evals
 
     monkeypatch.setattr(npcheck, "bisect_boxes", recording_bisect)
-    grid_cells = {((c.lo, c.hi),) for c in Interval(npcheck.Y_LO, npcheck.Y_HI).split(64)}
+    grid_cells = {((c.lo, c.hi),) for c in Interval(npcheck.Y_LO, npcheck.Y_HI).split(16)}
     for p in (2.0, 2.5):
         terminal.clear()
         res = check_np_cos_gauss(p)
@@ -229,8 +231,8 @@ def test_np_cos_gauss_cases(monkeypatch):
         # the slope forms settle the cells that the monotone hull alone
         # bisects (1,594 evaluations at p = 2.0 without them), and the
         # cancellation-free distfn.star_difference those near x = 1 (154
-        # evaluations at p = 2.0 without it)
-        assert res.children[0].evaluations <= 100, p
+        # evaluations at p = 2.0 without it); 52 at p = 2.0
+        assert res.children[0].evaluations <= 60, p
         assert "(F - G)' in [0.12" in res.note, p
         # no cell right of 0.85 is bisected: each is settled on the grid
         right = [box for box in terminal if box[0][1] > 0.85]

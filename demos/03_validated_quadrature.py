@@ -1,9 +1,10 @@
 """Adaptive interval quadrature: integrals with certificates.
 
 Each cell [u,v] carries the intersection of the first-order enclosure
-f([u,v]) * (v-u) and a second-order Taylor enclosure around the midpoint c,
-f(c) (v-u) + f''([u,v]) (v-u)^3/24, with f'' from one evaluation of the
-integrand on an interval jet.  Bisection is driven by a priority queue on the
+f([u,v]) * (v-u) and Simpson's rule with its Peano remainder,
+(v-u)/6 (f(u) + 4 f(c) + f(v)) + (v-u)^3/162 (D2 - D2) for c the midpoint,
+with D2 = f''([u,v]) from one evaluation of the integrand on an interval
+jet; f(u) and f(v) are the parent cell's point values.  Bisection is driven by a priority queue on the
 width of the cell integrals, so refinement flows to where the integrand is
 hardest.  Stopping early (at quad.MAX_CELLS cells) never invalidates the
 answer, it only widens it.  Where an integral has a closed form, the

@@ -4,7 +4,8 @@ A :class:`Jet` holds three Intervals (v, d, dd) that enclose f, f' and f''
 over one interval X.  Evaluating an integrand written for Intervals on
 ``Jet.var(X)`` instead of on X encloses all three in a single pass
 (Taylor-mode interval AD; Tucker, *Validated Numerics*, 2011), and
-``quad.integrate`` turns them into a second-order cell enclosure.
+``quad.integrate`` turns them into a Simpson cell enclosure with its
+Peano remainder.
 
 Every primitive is the chain rule
 

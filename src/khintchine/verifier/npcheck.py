@@ -296,9 +296,10 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
 
 def _memo(fn, memo: dict):
     """fn read through memo by cell argument; a factor that raises
-    DomainError is not stored.  quad._cell passes Jet.var(X), the midpoint
-    and, as its fallback, X itself, so a jet's key carries a flag that keeps
-    it apart from X's."""
+    DomainError is not stored.  quad._cell passes Jet.var(X), the float
+    midpoint and the cell's ends as points (each end once per integrate
+    call, which keeps them) and, as its fallback, X itself, so a jet's key
+    carries a flag that keeps it apart from X's."""
 
     def read(t):
         key = (t.v.lo, t.v.hi, True) if type(t) is Jet else (t.lo, t.hi)
@@ -428,7 +429,9 @@ def check_conclusion_direct(
 
     At the SQRT2 box it is the comparison lemma's hypothesis 2, at the p
     where check_np_cos_gauss certifies hypothesis 1; at larger s it is the
-    lemma's conclusion, enclosed directly.
+    lemma's conclusion, enclosed directly.  A leaf's evaluations are the
+    cells of its quadratures; an m_s that several p share (quad's cache
+    returns one QuadResult per s) counts in the first leaf that uses it.
     """
     s_grid = [s if isinstance(s, Interval) else Interval(s, s) for s in s_grid]
     if any(s.lo < float(SQRT2.lo) - 1e-12 for s in s_grid):
@@ -436,16 +439,19 @@ def check_conclusion_direct(
     children = _near_zero_children(_GAP_DELTA)
     grid = [(Interval(p, p), s) for p in p_grid for s in s_grid]
     gaps = iter(gauss_cos_gap_integrals(grid))
+    counted = set()  # ids of the QuadResults counted so far
     for p in p_grid:
         row = []
         for s in s_grid:
             enc, quads = next(gaps)
+            fresh = [q for q in quads if id(q) not in counted]
+            counted.update(id(q) for q in quads)
             row.append(
                 leaf(
                     _gap_leaf_name(p, s),
                     enc,
                     strict=False,
-                    evaluations=sum(q.cells for q in quads),
+                    evaluations=sum(q.cells for q in fresh),
                     note=note_missed("hypothesis 2, s0 = sqrt(2)" if s == SQRT2 else "",
                                      *quads),
                 )

@@ -119,3 +119,28 @@ def test_quadratic_positive_form():
 def test_b_squared_over_144():
     # (t^4/(6 sqrt 2))^2 / 2 = t^8/144
     assert sp.simplify((t**4 / (6 * sp.sqrt(2))) ** 2 / 2 - t**8 / 144) == 0
+
+
+def test_simpson_peano_kernel():
+    # quad._cell's remainder: Simpson's rule on [-h, h] has the error
+    # E(f) = int K f'' with K(v) = E applied to x -> (x - v)_+.  For v in
+    # (0, h) only the node h lies above v; for v in (-h, 0), 0 and h do
+    h, v, y = sp.symbols("h v y", positive=True)
+    rule = lambda g: h / 3 * (g(-h) + 4 * g(0) + g(h))
+    E = lambda g: sp.integrate(g(y), (y, -h, h)) - rule(g)
+    plus = lambda nodes, w: sp.integrate(y - w, (y, w, h)) - h / 3 * sum(
+        c * (n - w) for c, n in nodes)
+    k_right = plus([(1, h)], v)  # K(v), 0 < v < h
+    k_left = plus([(4, 0), (1, h)], -v)  # K(-v)
+    assert sp.expand(k_left - k_right) == 0  # K is even
+    assert sp.factor(k_right - (h - v) * (h - 3 * v) / 6) == 0
+    # K >= 0 on [0, h/3], <= 0 on [h/3, h]; int K = 0, int K+ = (2h)^3/162
+    assert sp.integrate(k_right, (v, 0, h)) == 0
+    k_pos = 2 * sp.integrate(k_right, (v, 0, h / 3))
+    k_neg = -2 * sp.integrate(k_right, (v, h / 3, h))
+    assert sp.simplify(k_pos - (2 * h) ** 3 / 162) == 0
+    assert sp.simplify(k_neg - (2 * h) ** 3 / 162) == 0
+    # Peano's theorem at f = y^4 (f'' = 12 y^2): E(f) = int K f''
+    peano = (sp.integrate(k_right * 12 * v**2, (v, 0, h))
+             + sp.integrate(k_left * 12 * v**2, (v, 0, h)))
+    assert sp.simplify(E(lambda z: z**4) - peano) == 0

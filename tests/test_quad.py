@@ -3,8 +3,10 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 from mpmath import mp, mpf
 
 from khintchine import quad
@@ -409,32 +411,125 @@ def test_constant_integrand_on_inexact_cells():
     assert r.ok and r.cells == 1
 
 
+# cells whose float midpoint 0.5 (lo + hi) is not the exact one, as lo + hi
+# rounds: the first two examples of test_simpson_cell_contains_mpmath
+INEXACT_MIDPOINT_CELLS = [(0.1, 2.1), (1.0, 1.0 + 3 * 2.0**-52)]
+
+
+def test_inexact_midpoint_cells():
+    for lo, hi in INEXACT_MIDPOINT_CELLS:
+        assert Fraction(lo) + Fraction(hi) != 2 * Fraction(0.5 * (lo + hi))
+
+
+def _family(kind, a, coeffs):
+    """An integrand on Intervals and Jets, and its integral over [lo, hi] by
+    its primitive in mpmath, which holds its relative accuracy where
+    mp.quad's absolute tolerance does not (a value of 1e-304)."""
+    if kind == "poly":
+        def f(t):
+            acc = t * coeffs[0]
+            for c in coeffs[1:-1]:
+                acc = (acc + c) * t
+            return acc + coeffs[-1]
+        n = len(coeffs)
+        primitive = [mpf(c) / (n - k) for k, c in enumerate(coeffs)] + [0]
+        return f, lambda lo, hi: mp.polyval(primitive, hi) - mp.polyval(primitive, lo)
+    if kind == "exp":
+        # e^(a lo) (e^(a (hi - lo)) - 1)/a, with hi - lo exact in mpf
+        return (lambda t: (t * a).exp()), (
+            lambda lo, hi: mp.exp(a * lo) * mp.expm1(a * (hi - lo)) / a if a else hi - lo)
+    if kind == "t-sin":
+        primitive = lambda t: mp.sin(t) - t * mp.cos(t)
+        return (lambda t: t * t.sin()), (lambda lo, hi: primitive(hi) - primitive(lo))
+    # t^(-p-1) with p = 2 + |a|/2 in [2, 3]
+    p = 2.0 + abs(a) / 2.0
+    return (lambda t: pow_real(t, -(Interval(p) + 1.0))), (
+        lambda lo, hi: (lo ** -mpf(p) - hi ** -mpf(p)) / p)
+
+
+@seed(31)
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["poly", "exp", "t-sin", "t-power"]),
+    lo=st.floats(0.05, 4.0),
+    width=st.floats(1e-9, 3.0),
+    a=st.floats(-2.0, 2.0),
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),
+)
+@example(kind="t-power", lo=0.1, width=2.0, a=1.0, coeffs=[1.0, 0.0])
+@example(kind="poly", lo=1.0, width=3 * 2.0**-52, a=0.0, coeffs=[1.0, -2.0, 0.5, 0.0, 3.0])
+@example(kind="exp", lo=0.1, width=2.0, a=-1.5, coeffs=[1.0, 0.0])
+@example(kind="poly", lo=1.0, width=1.0, a=0.0, coeffs=[0.0, 2.552492007497056e-304])
+def test_simpson_cell_contains_mpmath(kind, lo, width, a, coeffs):
+    # Simpson with its Peano remainder, alone in _cell and bisected by
+    # integrate at a small budget, holds the mpmath integral between the
+    # float ends read as mpf; the example cells and about half the random
+    # ones have float midpoints off the exact one
+    hi = lo + width
+    f, integral = _family(kind, a, coeffs)
+    truth = integral(mpf(lo), mpf(hi))
+    for enc in (
+        quad._cell(f, lo, hi, {}),
+        quad._cell(f, lo, hi, {lo: f(Interval(lo)), hi: f(Interval(hi))}),
+    ):
+        assert mpf(enc.lo) <= truth <= mpf(enc.hi), (kind, lo, hi, enc)
+    with mock.patch.object(quad, "MAX_CELLS", 9):
+        r = integrate(f, lo, hi, 1e-300)
+    assert r.cells <= 9
+    assert mpf(r.value.lo) <= truth <= mpf(r.value.hi), (kind, lo, hi, r)
+
+
+def test_simpson_cell_is_exact_on_quadratics_but_for_rounding():
+    # f'' is the point 6, so the Peano band (W^3/162)(D2 - D2) is rounding
+    # alone; a band of D2 itself, one-sided, would miss the value by 1/8
+    f = lambda t: (t * t) * 3.0 - t + 2.0
+    enc = quad._cell(f, 0.25, 1.75, {})
+    lo, hi = Fraction(0.25), Fraction(1.75)
+    exact = hi**3 - lo**3 - (hi**2 - lo**2) / 2 + 2 * (hi - lo)
+    assert Fraction(enc.lo) <= exact <= Fraction(enc.hi)
+    assert enc.width <= 1e-13
+
+
+def test_simpson_band_is_nearly_attained():
+    # f'' = cos(w (t - 2)), w = 3 pi/2, on [1, 3] has the sign of Simpson's
+    # kernel K, so the error int K f'' is 0.80 of the band's half-width
+    # 2 (b-a)^3/162 for f'' in [-1, 1]: the band holds the integral and one
+    # 21% narrower would miss it
+    w = 3 * math.pi / 2
+    enc = quad._cell(lambda t: -((t - 2.0) * w).cos() / (w * w), 1.0, 3.0, {})
+    truth = -2 * mp.sin(mpf(w)) / mpf(w) ** 3
+    half_band = 2 * 2.0**3 / 162
+    assert mpf(enc.lo) <= truth <= mpf(enc.hi)
+    assert mpf(enc.hi) - truth <= 0.21 * half_band
+
+
 def test_gap_integral_cell_count():
-    # deterministic: the second-order enclosure needs 155 cells on
-    # [t1, 7 pi/2] here, and m_s is exact at s = 4 (Wallis), in 0 cells
+    # deterministic: Simpson cells need 107 on [t1, 7 pi/2] here (the
+    # midpoint Taylor form needed 155), and m_s is exact at s = 4 (Wallis),
+    # in 0 cells
     _, (direct, mean) = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
-    assert direct.cells <= 180
+    assert direct.cells <= 110
     assert mean.cells == 0
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
-    # every quadrature is cut at 41 cells, and every cut reaches the leaf
+    # every quadrature is cut at 35 cells, and every cut reaches the leaf
     # and the moment check's haagerup leaf, which reads it.  m_s is exact
     # at s = 4, so only the direct piece is cut there; at s = 3 the m_s
-    # quadrature is cut too.  m_s is cached by budget, so no m_s from
-    # another budget stands in for the cut one
-    monkeypatch.setattr(quad, "MAX_CELLS", 41)
+    # quadrature (37 cells uncut) is cut too.  m_s is cached by budget, so
+    # no m_s from another budget stands in for the cut one
+    monkeypatch.setattr(quad, "MAX_CELLS", 35)
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s4.0"
-    assert leaf.note == "quadrature target missed (wide, 41 cells)"
+    assert leaf.note == "quadrature target missed (wide, 35 cells)"
     haagerup = npcheck.check_fp_convergence(res).children[0]
     assert haagerup.name == "haagerup-formula-n4"
-    assert haagerup.note.endswith("; quadrature target missed (wide, 41 cells)")
+    assert haagerup.note.endswith("; quadrature target missed (wide, 35 cells)")
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(3.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s3.0"
-    assert leaf.note == "quadrature target missed (wide, 82 cells)"
+    assert leaf.note == "quadrature target missed (wide, 70 cells)"
     monkeypatch.undo()
     for s in (3.0, 4.0):
         res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(s,))

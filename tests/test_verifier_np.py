@@ -343,6 +343,18 @@ def test_conclusion_direct_s0_column_is_hypothesis_2(conclusion_direct):
         assert not any(c.note.startswith("hypothesis 2") for c in row[1:])
 
 
+def test_conclusion_direct_counts_a_shared_m_s_once():
+    # both p share the sqrt2 box's m_s quadrature (one QuadResult): the
+    # first leaf counts its cells, the second its direct cells alone
+    res = check_conclusion_direct(p_grid=(2.0, 2.5), s_grid=(SQRT2,))
+    leaves = [row.children[0] for row in res.children if row.name.startswith("p-")]
+    quads = [gauss_cos_gap_integral(Interval(p, p), SQRT2)[1] for p in (2.0, 2.5)]
+    (direct0, mean0), (direct1, mean1) = quads
+    assert mean0 is mean1 and mean0.cells > 0
+    assert [leaf.evaluations for leaf in leaves] == [
+        direct0.cells + mean0.cells, direct1.cells]
+
+
 def test_gap_integrals_batch_equals_one_pair_calls():
     # part of check_conclusion_direct's grid: the pairs share their p-factors
     # across s and their s-factors across p

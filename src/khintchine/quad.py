@@ -31,8 +31,8 @@ enclosure alone.  Improper integrals against d(mu_p) = dt/t^(p+1) are
 assembled by the callers from a finite part, a series part integrated in
 closed form, certified tails (the gaussian majorant of tail_bound_mu_p, and
 cos_power_tail's two-sided |cos t|^s tail from a zero of cos, whose mean
-m_s of |cos|^s is exact by Wallis at an even integer s and one quadrature
-at any other), and (where the integrand is singular-looking at 0) a
+m_s of |cos|^s is exact by Wallis at an even integer s and a closed
+bracket at any other), and (where the integrand is singular-looking at 0) a
 near-zero majorant.
 """
 
@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .interval import HALF_PI, PI, DomainError, Interval, pow_real
+from .interval import PI, DomainError, Interval, pow_real
 from .jet import Jet
 
 FnEnclosure = Callable[[Interval], Interval]
@@ -180,37 +180,44 @@ def tail_bound_mu_p(s: Interval, p: Interval, T: float) -> Interval:
     return Interval(0.0, bound.hi)
 
 
-@lru_cache(maxsize=8)
-def _cos_power_mean(s_lo: float, s_hi: float, budget: int) -> QuadResult:
-    """m_s = (2/pi) int_0^{pi/2} cos^s u du, the mean of |cos|^s over a
-    period, for every s in [s_lo, s_hi], as the value of a QuadResult that
-    carries the status and cells of the quadrature behind it, once per s and
-    budget (MAX_CELLS, where a run stops wide).
+WALLIS_STEPS = 64  # Wallis steps from s up to S = s + 2 WALLIS_STEPS
 
-    At an even integer s, Wallis' formula (the Beta integral, DLMF 5.12)
-    gives m_s = C(s, s/2) / 2^s exactly, in 0 cells.  At any other point s
-    one quadrature (target 1e-4) stops at the float HALF_PI.lo below pi/2;
-    the integrand is at most 1 on the sliver between them.  cos^s u falls as
-    s rises, so on an s-box m_s is the hull of its values at s_hi and s_lo,
-    and its cells are theirs together."""
+
+@lru_cache(maxsize=8)
+def _cos_power_mean(s_lo: float, s_hi: float) -> Interval:
+    """m_s = (2/pi) int_0^{pi/2} cos^s u du, the mean of |cos|^s over a
+    period, for every s in [s_lo, s_hi]: C(s, s/2) / 2^s at an even integer
+    s (Wallis), else N = WALLIS_STEPS steps m_t = m_{t+2} (t+2)/(t+1) up to
+    S = s + 2N and there
+
+        4 (S+2) / (pi^2 (S+1)^3) <= m_S^4 <= 4 / (pi^2 S (S+1)),
+
+    about 1/(4 S^2) wide relative to m_S.  Proof: by the Beta integral
+    (DLMF 5.12.2) m_t = Gamma((t+1)/2) / (sqrt(pi) Gamma(t/2 + 1)) for
+    t > -1, so Gamma(x+1) = x Gamma(x) gives the step and P(t) = m_t m_{t+1}
+    = 2/(pi (t+1)).  m_t = E cos^t U, U uniform on [0, pi/2], so by
+    Cauchy-Schwarz m_t^2 <= m_{t-1} m_{t+1} for t > 0.  At t = S,
+    m_S^4 <= m_S^2 m_{S-1} m_{S+1} = P(S-1) P(S); at t = S+1, as
+    m_{S+1} = P(S)/m_S and m_{S+2} = m_S (S+1)/(S+2), P(S)^2/m_S^2 <=
+    m_S^2 (S+1)/(S+2).  cos^s u falls as s rises, so on an s-box m_s is the
+    hull of its values at s_hi and s_lo."""
     if s_lo < s_hi:
-        low = _cos_power_mean(s_hi, s_hi, budget)
-        high = _cos_power_mean(s_lo, s_lo, budget)
-        return QuadResult(Interval(low.value.lo, high.value.hi),
-                          "ok" if low.ok and high.ok else "wide", low.cells + high.cells)
+        return Interval(_cos_power_mean(s_hi, s_hi).lo, _cos_power_mean(s_lo, s_lo).hi)
     if s_lo.is_integer() and s_lo % 2 == 0:
         n = int(s_lo)
-        wallis = Fraction(math.comb(n, n // 2), 2**n)
-        return QuadResult(Interval.from_fraction(wallis), "ok", 0)
-    s = Interval(s_lo, s_hi)
-    q = integrate(lambda u: pow_real(u.cos().abs(), s), 0.0, HALF_PI.lo, 1e-4)
-    sliver = Interval(0.0, (HALF_PI - HALF_PI.lo).hi)
-    return QuadResult((q.value + sliver) / HALF_PI, q.status, q.cells)
+        return Interval.from_fraction(Fraction(math.comb(n, n // 2), 2**n))
+    s = Interval(s_lo)
+    S = s + 2.0 * WALLIS_STEPS
+    c = 4.0 / (PI * PI)
+    m = Interval((c * (S + 2.0) / (S + 1.0) ** 3).lo, (c / (S * (S + 1.0))).hi).sqrt().sqrt()
+    for j in range(WALLIS_STEPS):
+        m = m * (s + (2.0 * j + 2.0)) / (s + (2.0 * j + 1.0))
+    return m
 
 
-def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval, QuadResult]:
-    """The float end T = (PI (k + 1/2)).hi, an enclosure of
-    int_T^inf |cos t|^s / t^(p+1) dt, and m_s as _cos_power_mean returns it.
+def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval]:
+    """The float end T = (PI (k + 1/2)).hi and an enclosure of
+    int_T^inf |cos t|^s / t^(p+1) dt.
 
     At the zero T* = (k + 1/2) pi of cos,
 
@@ -218,7 +225,7 @@ def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval, Q
             in m_s T*^(-p)/p + [-(pi^2/32)(p+1) T*^(-p-2), 0],
 
     with m_s = (2/pi) int_0^{pi/2} cos^s u du (_cos_power_mean: exact at
-    an even integer s, one quadrature at any other).  Proof:
+    an even integer s, a Wallis bracket at any other).  Proof:
     let g = |cos|^s - m_s, Phi(t) = int_{T*}^t g and Psi(t) = int_{T*}^t Phi.
     g is pi-periodic with mean 0, so Phi is pi-periodic and vanishes at T*.
     g is symmetric about the maximum T* + pi/2, so Phi(T* + pi - v) =
@@ -241,13 +248,13 @@ def cos_power_tail(s: Interval, p: Interval, k: int) -> tuple[float, Interval, Q
     """
     if k < 0 or not (p.lo > 0.0 and s.lo > 0.0):
         raise DomainError(f"cos-power tail needs k >= 0, p > 0 and s > 0, got {k}, {p}, {s}")
-    m = _cos_power_mean(s.lo, s.hi, MAX_CELLS)
+    m = _cos_power_mean(s.lo, s.hi)
     t_star = PI * (k + 0.5)
     T = t_star.hi
     band = PI * PI / 32.0 * (p + 1.0) * pow_real(t_star, -(p + 2.0))
     sliver = (Interval(T) - t_star) * pow_real(t_star, -(p + 1.0))
-    tail = m.value * pow_real(t_star, -p) / p - Interval(0.0, band.hi + sliver.hi)
-    return T, tail, m
+    tail = m * pow_real(t_star, -p) / p - Interval(0.0, band.hi + sliver.hi)
+    return T, tail
 
 
 def near_zero_bound(C: Interval, m: Interval, delta: float) -> Interval:

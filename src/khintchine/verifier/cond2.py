@@ -474,8 +474,8 @@ def check_cond2_h2() -> CheckResult:
     S = -_F23(three_qpi)
     d_bound = pow_real(muX, 1.0 - SQRT2 * 0.5) * pow_real(S, SQRT2 * 0.5)
     # the cos-power tail from the float end of 7 pi/2 (k = 3); its m_2 = 1/2
-    # is exact (Wallis), so only qs can miss its target
-    T2, tail2, _ = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
+    # is exact (Wallis)
+    T2, tail2 = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
     qs = integrate(
         lambda t: (t.cos() ** 2) / t**3,
         float(three_qpi.lo),

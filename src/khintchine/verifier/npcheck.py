@@ -47,7 +47,6 @@ from .result import (
     CheckResult,
     combine,
     leaf,
-    status_from_margin,
 )
 
 FnEnclosure = Callable[[Interval], Interval]
@@ -94,8 +93,9 @@ def np_generic(
 
     The difference is classified on a refining partition of [Y_LO, Y_HI],
     bisected by the engine's bisect_boxes; cells straddling the sign change
-    shrink below Y_TOL.  A cell's sign is certified when d or -d grades as a
-    proved nonstrict margin.  More than one sign change, or a rightmost cell
+    shrink below Y_TOL.  A cell is certified negative when its enclosure d
+    has d.hi <= 0 and positive when d.lo >= 0, with no tolerance, so
+    d = [0, 0] is both.  More than one sign change, or a rightmost cell
     certified negative, fails the check; unresolved cells where the
     nonnegative phase could still lie leave it inconclusive.  Unresolved
     cells between the last negative and the first positive cell (the
@@ -117,11 +117,7 @@ def np_generic(
         return at_point[y]
 
     def graded(d: Interval) -> tuple[Interval, bool, bool]:
-        return (
-            d,
-            status_from_margin(-d, strict=False) == PROVED,
-            status_from_margin(d, strict=False) == PROVED,
-        )
+        return d, d.hi <= 0.0, d.lo >= 0.0
 
     def evaluate(box) -> tuple[Interval, bool, bool]:
         ((a, b),) = box
@@ -369,9 +365,9 @@ def _gap_series_integral(terms: list[tuple[int, Interval]], p: Interval) -> Inte
 
 def gauss_cos_gap_integrals(
     pairs: list[tuple[Interval, Interval]],
-) -> list[tuple[Interval, tuple[QuadResult, QuadResult]]]:
+) -> list[tuple[Interval, QuadResult]]:
     """Enclosure of int_0^inf (e^{-s t^2/2} - |cos t|^s) / t^(p+1) dt, and
-    the quadratures (direct, m_s) behind it, for every (p, s) in pairs.
+    the quadrature behind it, for every (p, s) in pairs.
 
     Near zero, on [0, delta] with delta = 1e-4, the integrand lies in
     [0, s C4 t^(3-p)] with C4 = 1/(8 (1 - delta^2/2)).  On [delta, t1],
@@ -381,7 +377,7 @@ def gauss_cos_gap_integrals(
     a zero of cos, one quadrature runs on the direct form, also on a Jet.
     Past T the gaussian tail is the stock majorant and the cos-power tail
     the two-sided quad.cos_power_tail, whose m_s is exact at an even
-    integer s (0 cells) and a quadrature at any other.
+    integer s and a closed bracket at any other.
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
     share the t-only factors, the s-factor by s and the p-factor by p through
@@ -396,7 +392,7 @@ def gauss_cos_gap_integrals(
     t_only = _memo(lambda t: (-(t * t), t.cos().abs()), {})
     s_gap = lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)
     by_s, by_p, series_by_s, out = {}, {}, {}, []
-    for (p, s), (_, cospow, mean) in zip(pairs, tails):
+    for (p, s), (_, cospow) in zip(pairs, tails):
         # integrate runs in this iteration, so the closures see this pair
         s_factor = _memo(lambda t: s_gap(s, *t_only(t)), by_s.setdefault(s, {}))
         minus_p1 = -(p + 1.0)
@@ -407,11 +403,11 @@ def gauss_cos_gap_integrals(
         series = _gap_series_integral(series_by_s[s], p)
         near0 = near_zero_bound(s * _c4(_GAP_DELTA), 3.0 - p, _GAP_DELTA)
         gauss = tail_bound_mu_p(s, p, T)
-        out.append((near0 + series + direct.value + gauss - cospow, (direct, mean)))
+        out.append((near0 + series + direct.value + gauss - cospow, direct))
     return out
 
 
-def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, tuple[QuadResult, ...]]:
+def gauss_cos_gap_integral(p: Interval, s: Interval) -> tuple[Interval, QuadResult]:
     """gauss_cos_gap_integrals at the one pair (p, s)."""
     return gauss_cos_gap_integrals([(p, s)])[0]
 
@@ -430,8 +426,7 @@ def check_conclusion_direct(
     At the SQRT2 box it is the comparison lemma's hypothesis 2, at the p
     where check_np_cos_gauss certifies hypothesis 1; at larger s it is the
     lemma's conclusion, enclosed directly.  A leaf's evaluations are the
-    cells of its quadratures; an m_s that several p share (quad's cache
-    returns one QuadResult per s) counts in the first leaf that uses it.
+    cells of its quadrature.
     """
     s_grid = [s if isinstance(s, Interval) else Interval(s, s) for s in s_grid]
     if any(s.lo < float(SQRT2.lo) - 1e-12 for s in s_grid):
@@ -439,21 +434,18 @@ def check_conclusion_direct(
     children = _near_zero_children(_GAP_DELTA)
     grid = [(Interval(p, p), s) for p in p_grid for s in s_grid]
     gaps = iter(gauss_cos_gap_integrals(grid))
-    counted = set()  # ids of the QuadResults counted so far
     for p in p_grid:
         row = []
         for s in s_grid:
-            enc, quads = next(gaps)
-            fresh = [q for q in quads if id(q) not in counted]
-            counted.update(id(q) for q in quads)
+            enc, direct = next(gaps)
             row.append(
                 leaf(
                     _gap_leaf_name(p, s),
                     enc,
                     strict=False,
-                    evaluations=sum(q.cells for q in fresh),
+                    evaluations=direct.cells,
                     note=note_missed("hypothesis 2, s0 = sqrt(2)" if s == SQRT2 else "",
-                                     *quads),
+                                     direct),
                 )
             )
         children.append(combine(f"p-{p}", row))

@@ -144,3 +144,17 @@ def test_simpson_peano_kernel():
     peano = (sp.integrate(k_right * 12 * v**2, (v, 0, h))
              + sp.integrate(k_left * 12 * v**2, (v, 0, h)))
     assert sp.simplify(E(lambda z: z**4) - peano) == 0
+
+
+def test_cos_power_mean_wallis_identities():
+    # quad._cos_power_mean: m_t = (2/pi) int_0^{pi/2} cos^t u du is
+    # Gamma((t+1)/2) / (sqrt(pi) Gamma(t/2 + 1)) (the Beta integral), which
+    # sympy confirms at t = 1, 2, 3, 5; from it the Wallis step
+    # m_t = m_{t+2} (t+2)/(t+1) and m_t m_{t+1} = 2/(pi (t+1)) for all t
+    m = lambda z: sp.gamma((z + 1) / 2) / (sp.sqrt(sp.pi) * sp.gamma(z / 2 + 1))
+    for n in map(sp.Integer, (1, 2, 3, 5)):
+        mean = 2 / sp.pi * sp.integrate(sp.cos(u) ** n, (u, 0, sp.pi / 2))
+        assert sp.simplify(mean - m(n)) == 0, n
+    # expand_func writes Gamma(x + 1) as x Gamma(x)
+    assert sp.simplify(sp.expand_func(m(t + 2) * (t + 2) / (t + 1) - m(t))) == 0
+    assert sp.simplify(sp.expand_func(m(t) * m(t + 1)) - 2 / (sp.pi * (t + 1))) == 0

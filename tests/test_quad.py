@@ -62,7 +62,7 @@ def test_sin_integral():
 
 def test_oscillatory_mu_p_integral():
     f = lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0))
-    T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
+    T, tail = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
     r = integrate(f, math.pi / 2, T, 5e-5)
     total = r.value + tail
     truth = mpf(COS2_T4_TAIL)
@@ -134,7 +134,7 @@ def test_tail_bounds():
     # int_T^inf cos(t)^2 / t^3 dt = 1/(4 T^2) + (1/2) int_T^inf cos 2t / t^3 dt,
     # and integrating the second part by parts twice (x = 2T) gives
     # cos x / x^2 - sin x / x + ci(x)
-    T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
+    T, tail = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
     x = 2 * mpf(T)
     cos2_tail = 1 / x**2 + mp.cos(x) / x**2 - mp.sin(x) / x + mp.ci(x)
     assert mpf(tail.lo) <= cos2_tail <= mpf(tail.hi)
@@ -191,12 +191,12 @@ P_BOX = Interval(2.0, 2.0625)
 def test_cos_power_tail_contains_mpmath(k):
     for s in TAIL_S:
         for p in TAIL_P:
-            T, tail, _ = cos_power_tail(s, Interval(p), k)
+            T, tail = cos_power_tail(s, Interval(p), k)
             truth = _cos_tail_truth(T, s.lo, p, k)
             assert mpf(tail.lo) <= truth <= mpf(tail.hi), (k, s, p)
             # the band (pi^2/32)(p+1) T^(-p-2) is most of the width
             assert tail.width <= 0.32 * (p + 1) * T ** (-p - 2), (k, s, p)
-        T, tail, _ = cos_power_tail(s, P_BOX, k)
+        T, tail = cos_power_tail(s, P_BOX, k)
         for p in (P_BOX.lo, P_BOX.mid, P_BOX.hi):
             for s_end in (s.lo, s.hi):
                 truth = _cos_tail_truth(T, s_end, p, k)
@@ -230,36 +230,33 @@ def _holds_beta_mean(m, s):
 
 
 def test_cos_power_mean_contains_the_beta_integral():
-    for s in TAIL_S:
-        m = quad._cos_power_mean(s.lo, s.hi, quad.MAX_CELLS)
-        assert m.ok and m.value.width <= 1e-4
+    # the Wallis bracket holds the Gamma ratio at every point s; its
+    # relative width is about 1/(4 S (S+2)), S = s + 128, so it is at most
+    # 1e-5 wide from s = 1 on (1.14e-5 at s = 0.5).  The sqrt2 box's ends
+    # are one ulp apart
+    for s in (*TAIL_S, *(Interval(s) for s in (0.5, 1.0, 1.15, 3.0))):
+        m = quad._cos_power_mean(s.lo, s.hi)
+        assert m.width <= (1e-5 if s.lo >= 1.0 else 1.2e-5), s
         for s_end in (s.lo, s.hi):
-            assert _holds_beta_mean(m.value, s_end), s
-    # Wallis: m_s = C(s, s/2) / 2^s at even s, a dyadic point, in 0 cells
+            assert _holds_beta_mean(m, s_end), s
+    # Wallis: m_s = C(s, s/2) / 2^s at even s, a dyadic point
     for s in (2, 4, 16):
-        m = quad._cos_power_mean(float(s), float(s), quad.MAX_CELLS)
+        m = quad._cos_power_mean(float(s), float(s))
         exact = Fraction(math.comb(s, s // 2), 2**s)
-        assert (Fraction(m.value.lo), Fraction(m.value.hi)) == (exact, exact), s
-        assert m.ok and m.cells == 0 and _holds_beta_mean(m.value, s)
+        assert (Fraction(m.lo), Fraction(m.hi)) == (exact, exact), s
+        assert _holds_beta_mean(m, s)
 
 
 def test_cos_power_mean_on_an_s_box_from_its_ends():
-    # m_s falls as s rises, so an s-box takes the quadratures at its two
-    # ends; one quadrature over the box cannot meet its 1e-4 target
-    m = quad._cos_power_mean(1.0, 1.5, quad.MAX_CELLS)
-    assert m.ok and m.cells < 200
-    for s in (1, 1.5):
-        assert _holds_beta_mean(m.value, s), s
-    ends = [quad._cos_power_mean(e, e, quad.MAX_CELLS) for e in (1.5, 1.0)]
-    assert (m.value.lo, m.value.hi) == (ends[0].value.lo, ends[1].value.hi)
-    assert m.cells == ends[0].cells + ends[1].cells
-    # an even end is exact and the other end is still a quadrature
-    m = quad._cos_power_mean(2.0, 2.5, quad.MAX_CELLS)
-    at_25 = quad._cos_power_mean(2.5, 2.5, quad.MAX_CELLS)
-    assert (m.value.lo, m.value.hi) == (at_25.value.lo, 0.5)
-    assert m.ok and m.cells == at_25.cells > 0
-    for s in (2, 2.5):
-        assert _holds_beta_mean(m.value, s), s
+    # m_s falls as s rises, so an s-box is the hull of m_s at its two ends;
+    # an even end is exact and the other a Wallis bracket
+    for lo, hi in ((SQRT2.lo, SQRT2.hi), (1.0, 1.5), (2.0, 2.5)):
+        m = quad._cos_power_mean(lo, hi)
+        ends = [quad._cos_power_mean(e, e) for e in (hi, lo)]
+        assert (m.lo, m.hi) == (ends[0].lo, ends[1].hi)
+        for s in (lo, (lo + hi) / 2, hi):
+            assert _holds_beta_mean(m, s), (lo, hi, s)
+    assert quad._cos_power_mean(2.0, 2.5).hi == 0.5
 
 
 def _min_psi(s):
@@ -327,12 +324,11 @@ def _gap_pieces_truth(p, s, T):
 def test_gap_integral_pieces_contain_mpmath(p, s, target, monkeypatch):
     monkeypatch.setattr(npcheck, "_GAP_TARGET", target)
     piv, siv = Interval(p, p), Interval(s, s)
-    _, (direct, mean) = gauss_cos_gap_integral(piv, siv)
+    _, direct = gauss_cos_gap_integral(piv, siv)
     series = npcheck._gap_series_integral(npcheck._gap_series(siv), piv)
     assert direct.ok and direct.value.width <= target
-    assert mean.ok
     # the direct piece stops where the cos-power tail starts, at 7 pi/2
-    T, _, _ = cos_power_tail(siv, piv, 3)
+    T, _ = cos_power_tail(siv, piv, 3)
     assert 0 <= mpf(T) - mp.mpf(3.5) * mp.pi < 1e-14
     for enc, truth in zip((series, direct.value), _gap_pieces_truth(p, s, T)):
         assert mpf(enc.lo) <= truth <= mpf(enc.hi)
@@ -505,19 +501,16 @@ def test_simpson_band_is_nearly_attained():
 
 def test_gap_integral_cell_count():
     # deterministic: Simpson cells need 107 on [t1, 7 pi/2] here (the
-    # midpoint Taylor form needed 155), and m_s is exact at s = 4 (Wallis),
-    # in 0 cells
-    _, (direct, mean) = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
+    # midpoint Taylor form needed 155)
+    _, direct = gauss_cos_gap_integral(Interval(2.9, 2.9), Interval(4.0, 4.0))
     assert direct.cells <= 110
-    assert mean.cells == 0
 
 
 def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
     # every quadrature is cut at 35 cells, and every cut reaches the leaf
-    # and the moment check's haagerup leaf, which reads it.  m_s is exact
-    # at s = 4, so only the direct piece is cut there; at s = 3 the m_s
-    # quadrature (37 cells uncut) is cut too.  m_s is cached by budget, so
-    # no m_s from another budget stands in for the cut one
+    # and the moment check's haagerup leaf, which reads it.  m_s is a
+    # closed form at s = 4 (Wallis) and at s = 3 (a Wallis bracket), so the
+    # direct piece is the one quadrature cut at either s
     monkeypatch.setattr(quad, "MAX_CELLS", 35)
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
     leaf = res.children[-1].children[0]
@@ -529,7 +522,7 @@ def test_wide_quadrature_reaches_the_leaf_note(monkeypatch):
     res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(3.0,))
     leaf = res.children[-1].children[0]
     assert leaf.name == "integral-p2.5-s3.0"
-    assert leaf.note == "quadrature target missed (wide, 70 cells)"
+    assert leaf.note == "quadrature target missed (wide, 35 cells)"
     monkeypatch.undo()
     for s in (3.0, 4.0):
         res = npcheck.check_conclusion_direct(p_grid=(2.5,), s_grid=(s,))

@@ -83,7 +83,7 @@ def test_lambda_constant_repair_is_necessary():
 
     # the quadrature route, beside check_cond2_hprime's closed form: a
     # finite part to the float end of 9 pi/2 and the cos-power tail past it
-    T, tail, _ = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
+    T, tail = cos_power_tail(Interval(2.0, 2.0), Interval(3.0, 3.0), 4)
     q = integrate(
         lambda t: (t.cos() ** 2) * pow_real(t, Interval(-4.0, -4.0)),
         math.pi / 2,

@@ -90,6 +90,43 @@ def test_np_generic_double_crossing_fails():
     assert "negative again" in res.note
 
 
+# h = F - G in the test below: +5e-13 on [Y_LO, 0.3], -0.05 on [0.31, 0.6],
+# +0.05 from 0.61, linear between, as (start, value there, slope) pieces
+_TINY_H = [(0.0, 5e-13, 0.0), (0.3, 5e-13, (-0.05 - 5e-13) / 0.01),
+           (0.31, -0.05, 0.0), (0.6, -0.05, 10.0), (0.61, 0.05, 0.0)]
+
+
+def _tiny_h_pieces(x):
+    """The pieces of _TINY_H that meet the interval x."""
+    ends = [start for start, _, _ in _TINY_H[1:]] + [inf]
+    return [(piece, end) for piece, end in zip(_TINY_H, ends)
+            if piece[0] <= x.hi and x.lo <= end]
+
+
+def _tiny_h(x):
+    """h on the interval x: the hull of h at x's ends and the breakpoints in x."""
+    values = []
+    for (start, value, slope), end in _tiny_h_pieces(x):
+        for y in (max(x.lo, start), min(x.hi, end)):
+            values.append(Interval(value) + Interval(slope) * (Interval(y) - Interval(start)))
+    return Interval.hull(*values)
+
+
+def test_np_generic_grades_a_sign_without_tolerance():
+    # F - G is +5e-13 on the left, below any tolerance, then -0.05 and then
+    # +0.05: it changes sign twice, and a cell of +5e-13 is positive, not
+    # negative or zero
+    res = np_generic(
+        lambda x: x * 10.0 + _tiny_h(x),
+        lambda x: x * 10.0,
+        lambda x: Interval.hull(*(Interval(slope) for (_, _, slope), _ in _tiny_h_pieces(x))),
+        _tiny_h,
+        name="tiny-positive",
+    )
+    assert res.status == FAILED
+    assert "negative again" in res.note
+
+
 def test_np_generic_budget_never_proves(monkeypatch):
     # the enclosure of F straddles G = 1/2 on every cell within 0.3 of the
     # crossing, however fine; a budget spent before those cells reach Y_TOL
@@ -314,11 +351,8 @@ def _tree(node):
     )
 
 
-def _gap_bits(enc, quads):
-    return (
-        enc.lo.hex(), enc.hi.hex(),
-        [(q.value.lo.hex(), q.value.hi.hex(), q.cells, q.status) for q in quads],
-    )
+def _gap_bits(enc, q):
+    return enc.lo.hex(), enc.hi.hex(), q.value.lo.hex(), q.value.hi.hex(), q.cells, q.status
 
 
 def test_conclusion_direct_takes_s_as_a_float_or_an_interval():
@@ -343,16 +377,16 @@ def test_conclusion_direct_s0_column_is_hypothesis_2(conclusion_direct):
         assert not any(c.note.startswith("hypothesis 2") for c in row[1:])
 
 
-def test_conclusion_direct_counts_a_shared_m_s_once():
-    # both p share the sqrt2 box's m_s quadrature (one QuadResult): the
-    # first leaf counts its cells, the second its direct cells alone
-    res = check_conclusion_direct(p_grid=(2.0, 2.5), s_grid=(SQRT2,))
-    leaves = [row.children[0] for row in res.children if row.name.startswith("p-")]
-    quads = [gauss_cos_gap_integral(Interval(p, p), SQRT2)[1] for p in (2.0, 2.5)]
-    (direct0, mean0), (direct1, mean1) = quads
-    assert mean0 is mean1 and mean0.cells > 0
-    assert [leaf.evaluations for leaf in leaves] == [
-        direct0.cells + mean0.cells, direct1.cells]
+def test_conclusion_direct_leaf_evaluations_are_its_direct_cells():
+    # m_s is a closed bracket, so a gap integral's one quadrature is all the
+    # cells its leaf counts, at the sqrt2 box as at even s
+    grid = ((2.0, 2.5), (SQRT2, Interval(4.0)))
+    res = check_conclusion_direct(*grid)
+    leaves = [leaf for row in res.children if row.name.startswith("p-")
+              for leaf in row.children]
+    directs = [gauss_cos_gap_integral(Interval(p, p), s)[1] for p in grid[0] for s in grid[1]]
+    assert [leaf.evaluations for leaf in leaves] == [d.cells for d in directs]
+    assert all(d.ok and d.cells > 0 for d in directs)
 
 
 def test_gap_integrals_batch_equals_one_pair_calls():

@@ -1,9 +1,10 @@
 """Command-line front end: run verification suites, emit reports.
 
-A run is configured by its four flags alone (suite, seed, output path and
-format); the proof parameters are constants of the verifier.  Reports are
-deterministic for a fixed config: the JSON body (everything except the
-timestamp and elapsed-seconds fields) is byte-identical across runs.
+A proof is configured by two settings alone, RunConfig's suite and seed;
+the proof parameters are constants of the verifier.  main's --out and
+--format say only where and how the report is written.  The JSON body
+(everything except the timestamp and elapsed-seconds fields) is a function
+of the config, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .oracle import (
 from .specfun import b_constant, ci, ei_neg, si, zeta_sum
 from .verifier import (
     FAILED,
+    HYPOTHESIS_P,
     P_BOXES,
     PROVED,
     CheckResult,
@@ -44,23 +46,20 @@ from .verifier import (
 )
 
 SUITES = ("cond1", "cond2", "np", "conclusion", "oracle", "constants", "all")
-FORMATS = ("text", "json")
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
 class RunConfig:
+    """What a report certifies: the suite, and the seed of the oracle suite."""
+
     suite: str = "all"
     seed: int = 20240801
-    out_path: str | None = None
-    format: str = "text"
 
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 @dataclass
@@ -74,11 +73,10 @@ class Report:
 
     def body(self) -> dict:
         """The deterministic part of the report (no timestamp, no timings)."""
-        cfg = asdict(self.config)
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
-            "config": cfg,
+            "config": asdict(self.config),
             "overall": self.overall,
             "results": [r.to_dict() for r in self.results],
         }
@@ -182,7 +180,7 @@ def _oracle_suite(cfg: RunConfig) -> list[CheckResult]:
 
 
 def run(config: RunConfig) -> Report:
-    """Execute the selected suite and (optionally) write the report."""
+    """Execute the selected suite."""
     t0 = time.perf_counter()
     results: list[CheckResult] = []
     suite = config.suite
@@ -194,7 +192,7 @@ def run(config: RunConfig) -> Report:
         results.append(check_cond2_hprime())
         results.append(check_cond2_h2())
     if suite in ("np", "all"):
-        for p in (2.0, 2.5, 2.9):
+        for p in HYPOTHESIS_P:
             results.append(check_np_cos_gauss(p))
     if suite in ("conclusion", "all"):
         direct = check_conclusion_direct()
@@ -204,7 +202,7 @@ def run(config: RunConfig) -> Report:
     if suite in ("constants", "all"):
         results.extend(_constants_suite())
 
-    report = Report(
+    return Report(
         tool_version=__version__,
         config=config,
         results=results,
@@ -212,15 +210,6 @@ def run(config: RunConfig) -> Report:
         elapsed_seconds=time.perf_counter() - t0,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
-    if config.out_path:
-        payload = report.to_json() if config.format == "json" else report.to_text()
-        try:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            raise SystemExit(3)
-    return report
 
 
 def exit_code(report: Report) -> int:
@@ -250,23 +239,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=defaults.seed,
         help="seed for the oracle suites",
     )
-    ap.add_argument("--out", help="report path")
+    ap.add_argument("--out", help="also write the report to this path")
     ap.add_argument(
         "--format",
-        choices=FORMATS,
-        default=defaults.format,
+        choices=("text", "json"),
+        default="text",
         help="report format",
     )
     return ap
 
 
 def main(argv=None) -> int:
+    """Run the suite, write the report to stdout and to --out; the exit code
+    is exit_code's, or 3 when --out cannot be written."""
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        suite=args.suite, seed=args.seed, out_path=args.out, format=args.format
-    )
-    report = run(config)
-    sys.stdout.write(report.to_text() if config.format == "text" else report.to_json() + "\n")
+    report = run(RunConfig(suite=args.suite, seed=args.seed))
+    payload = report.to_text() if args.format == "text" else report.to_json() + "\n"
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 3
+    sys.stdout.write(payload)
     return exit_code(report)
 
 

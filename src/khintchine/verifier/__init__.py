@@ -47,6 +47,7 @@ from .cond2 import (
     lemma52_piece2_margin,
 )
 from .npcheck import (
+    HYPOTHESIS_P,
     check_conclusion_direct,
     check_fp_convergence,
     check_np_cos_gauss,
@@ -83,6 +84,7 @@ __all__ = [
     "check_cond2_h2",
     "lemma52_piece2_margin",
     "np_generic",
+    "HYPOTHESIS_P",
     "check_np_cos_gauss",
     "check_conclusion_direct",
     "check_fp_convergence",

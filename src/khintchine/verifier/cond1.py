@@ -156,11 +156,11 @@ def check_cond1_small_x() -> CheckResult:
         return (p - c3) * 2.0 - rem_over_e3 * 2.0
 
     room = subdivision_check(
-        "taylor-bound/cubic-coefficient-room", binom_room, 2.0, 3.0,
+        "cubic-coefficient-room", binom_room, 2.0, 3.0,
         note="2C(p,3) e^3 + 2R <= 2p e^3, so lhs <= 2p(1+e^2) e",
     )
     square_room = point_check(
-        "taylor-bound/epsilon-square-room",
+        "epsilon-square-room",
         Interval(2.00361, 2.00361) - (1.0 + e0 * e0) * 2.0,
         note="2(1+e^2) <= 2.00361 for e <= 0.04248",
     )
@@ -172,7 +172,7 @@ def check_cond1_small_x() -> CheckResult:
             lhs = pow_real(1.0 + e, piv) - pow_real(1.0 - e, piv)
             spot_margins.append(Interval(2.00361, 2.00361) * piv * e - lhs)
     spots = point_check(
-        "taylor-bound/direct-spots",
+        "direct-spots",
         imin(spot_margins),
         note="redundant pointwise evaluations on the (e, p) grid",
     )
@@ -338,7 +338,7 @@ def check_reduction_to_p2() -> CheckResult:
         note="pi^3 - 3pi^2 t + 3pi t^2 = pi (3 (t - pi/2)^2 + pi^2/4)",
     )
     return combine(
-        "cond1/reduction-to-p2",
+        "reduction-to-p2",
         [coeff_pos, ln_bound, coeff_ok, concavity, tangent, quad_pos],
     )
 
@@ -470,7 +470,7 @@ def check_case1_polynomials() -> CheckResult:
             note="t cot t minorant and corollary factor stay positive",
         )
     )
-    return combine("cond1/case1-polynomials", children)
+    return combine("case1-polynomials", children)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +579,7 @@ def check_case2_convexity() -> CheckResult:
             note="g - f > 0 verified directly as well",
         )
     )
-    return combine("cond1/case2-convexity", children)
+    return combine("case2-convexity", children)
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def lemma52_piece2_margin(gamma: float) -> CheckResult:
         return _SQRT2_M1 * x * x + x * 0.6355 + gamma - pow_real(x, SQRT2)
 
     return subdivision_check(
-        f"quad-majorant-high/{gamma}",
+        "quad-majorant-high",
         margin,
         0.25,
         float((SQRT2 / 2.0).hi),

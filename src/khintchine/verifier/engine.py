@@ -220,14 +220,8 @@ def monotone_nonneg_check(
     is the infimum of f under the certified monotonicity.
     """
     side = "left" if increasing_from_left else "right"
-    deriv = subdivision_check(
-        f"{name}/derivative-sign",
-        derivative,
-        lo,
-        hi,
-        strict=False,
-    )
-    anchor_res = point_check(f"{name}/anchor-{side}", anchor, strict=False)
+    deriv = subdivision_check("derivative-sign", derivative, lo, hi, strict=False)
+    anchor_res = point_check(f"anchor-{side}", anchor, strict=False)
     return combine(name, [anchor_res, deriv], note=note, margin=anchor)
 
 
@@ -246,11 +240,9 @@ def concave_nonneg_check(
     neg_second_derivative must enclose -f''; a concave function is bounded
     below by the smaller endpoint value.
     """
-    conc = subdivision_check(
-        f"{name}/concavity", neg_second_derivative, lo, hi, strict=False
-    )
-    e1 = point_check(f"{name}/value-left", value_lo, strict=False)
-    e2 = point_check(f"{name}/value-right", value_hi, strict=False)
+    conc = subdivision_check("concavity", neg_second_derivative, lo, hi, strict=False)
+    e1 = point_check("value-left", value_lo, strict=False)
+    e2 = point_check("value-right", value_hi, strict=False)
     return combine(
         name, [e1, e2, conc], note=note, margin=imin([value_lo, value_hi])
     )
@@ -266,13 +258,10 @@ def lemma_exp_affine() -> CheckResult:
     whose enclosure is evaluated directly; on [4, inf) by monotonicity of
     e^x - 1 - x (derivative e^x - 1 > 0) from the anchor at 4.
     """
-    name = "exp-ge-1-plus-x"
     quotient = exp_taylor(24).quotient(2, minus=poly(1, 1))
-    series_part = subdivision_check(
-        f"{name}/series-quotient", quotient, -1.0, 4.0, strict=True
-    )
+    series_part = subdivision_check("series-quotient", quotient, -1.0, 4.0, strict=True)
     far = monotone_nonneg_check(
-        f"{name}/far-piece",
+        "far-piece",
         lambda x: x.exp() - 1.0,
         Interval(4.0, 4.0).exp() - 5.0,
         4.0,
@@ -280,7 +269,7 @@ def lemma_exp_affine() -> CheckResult:
         increasing_from_left=True,
     )
     return combine(
-        name, [series_part, far], note="margin is analytically 0 at x=0",
+        "exp-ge-1-plus-x", [series_part, far], note="margin is analytically 0 at x=0",
         margin=Interval(0.0, 0.0),
     )
 
@@ -293,14 +282,14 @@ def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad")
     m >= 0.  Only the second-derivative sign needs subdivision.
     """
     second = subdivision_check(
-        f"{name}/second-derivative",
+        "second-derivative",
         lambda b: Interval(1.0, 1.0) - (-b).exp(),
         0.0,
         b_hi,
         strict=False,
     )
-    a1 = point_check(f"{name}/mprime-at-0", Interval(0.0, 0.0), strict=False)
-    a0 = point_check(f"{name}/m-at-0", Interval(0.0, 0.0), strict=False)
+    a1 = point_check("mprime-at-0", Interval(0.0, 0.0), strict=False)
+    a0 = point_check("m-at-0", Interval(0.0, 0.0), strict=False)
     return combine(
         name, [a0, a1, second],
         note="m'' >= 0 with m(0) = m'(0) = 0 forces m >= 0; margin 0 at b=0",

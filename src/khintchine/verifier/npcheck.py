@@ -57,6 +57,10 @@ Y_LO = 1e-3
 Y_HI = 0.99
 Y_TOL = 1e-5
 
+# the p's at which both hypotheses of the comparison lemma are certified:
+# hypothesis 1 by check_np_cos_gauss, hypothesis 2 by check_conclusion_direct
+HYPOTHESIS_P = (2.0, 2.5, 2.9)
+
 
 # ---------------------------------------------------------------------------
 # generic NP hypothesis checker
@@ -67,7 +71,7 @@ def np_generic(
     F: FnEnclosure,
     G: FnEnclosure,
     slope: FnEnclosure,
-    diff: FnEnclosure,
+    diff: Callable[[Interval, Interval, Interval], Interval],
     grid: int = 16,
     *,
     name: str = "np-generic",
@@ -77,10 +81,11 @@ def np_generic(
     F and G must be nondecreasing, as distribution functions are: each is
     called only on point intervals, once per distinct point, and on a cell
     X = [a, b] the difference is first enclosed by the monotone hull
-    [F(a).lo - G(b).hi, F(b).hi - G(a).lo].  diff(X) must enclose
-    {F(x) - G(x) : x in X} or raise DomainError, and slope(X) must enclose
-    (F - G)' at every x in X.  Where the hull leaves a cell's sign open, it
-    is intersected with diff(X), a form that can avoid the hull's
+    [F(a).lo - G(b).hi, F(b).hi - G(a).lo].  diff(X, F(a), F(b)), given the
+    enclosures F returned at X's ends, must enclose {F(x) - G(x) : x in X}
+    or raise DomainError, and slope(X) must enclose (F - G)' at every x in
+    X.  Where the hull leaves a cell's sign open, it is intersected with
+    diff's enclosure, a form that can avoid the hull's
     subtraction of two wide ranges; where that still leaves the sign open,
     or diff raises DomainError, F and G are also evaluated at the cell's
     midpoint m, the point bisection would add, and the enclosure is further
@@ -136,7 +141,7 @@ def np_generic(
         X = Interval(a, b)
         lo, hi = d.lo, d.hi
         try:
-            e = diff(X)
+            e = diff(X, fa, fb)
         except DomainError:
             pass
         else:
@@ -236,7 +241,7 @@ def np_generic(
                     )
 
     hyp1 = leaf(
-        f"{name}/single-sign-change",
+        "single-sign-change",
         imin(margins or [Interval(0.0, 0.0)]),
         strict=False,
         evaluations=evals,
@@ -418,15 +423,16 @@ def _gap_leaf_name(p: float, s: Interval) -> str:
 
 
 def check_conclusion_direct(
-    p_grid=(2.0, 2.5, 2.9), s_grid=(SQRT2, 2.0, 4.0, 16.0)
+    p_grid=HYPOTHESIS_P, s_grid=(SQRT2, 2.0, 4.0, 16.0)
 ) -> CheckResult:
     """The gap integral int (g^s - f^s) d(mu_p) is nonnegative at every
     sampled (p, s); each s is an Interval or a float.
 
-    At the SQRT2 box it is the comparison lemma's hypothesis 2, at the p
-    where check_np_cos_gauss certifies hypothesis 1; at larger s it is the
-    lemma's conclusion, enclosed directly.  A leaf's evaluations are the
-    cells of its quadrature.
+    At the SQRT2 box it is the comparison lemma's hypothesis 2, and the
+    default p_grid, HYPOTHESIS_P, holds the p where check_np_cos_gauss
+    certifies hypothesis 1; at larger s it is the lemma's conclusion,
+    enclosed directly.  A leaf's evaluations are the cells of its
+    quadrature.
     """
     s_grid = [s if isinstance(s, Interval) else Interval(s, s) for s in s_grid]
     if any(s.lo < float(SQRT2.lo) - 1e-12 for s in s_grid):
@@ -462,20 +468,19 @@ def check_np_cos_gauss(
 ) -> CheckResult:
     """np_generic on the |cos| and gaussian distribution functions at one p:
     hypothesis 1 of the comparison lemma; check_conclusion_direct holds
-    hypothesis 2.  diff is distfn.star_difference, which reads F_* at the
-    cell's ends from F's memo, so it costs no series; on x < cos 1.2 it
-    raises DomainError and the slope forms take over."""
+    hypothesis 2.  diff is distfn.star_difference on the F_* values that
+    np_generic holds at the cell's ends, so it costs no series; on
+    x < cos 1.2 it raises DomainError and the slope forms take over."""
     mp = MeasureParams(Interval(p, p))
 
-    @cache
     def F(x: Interval) -> Interval:
         return f_star(x, mp, K=K)
 
     def G(x: Interval) -> Interval:
         return g_star(x, mp)
 
-    def diff(x: Interval) -> Interval:
-        return star_difference(x, mp, F(Interval(x.lo)), F(Interval(x.hi)))
+    def diff(x: Interval, fa: Interval, fb: Interval) -> Interval:
+        return star_difference(x, mp, fa, fb)
 
     def slope(x: Interval) -> Interval:
         f_prime, g_prime = derivatives(x, mp, K=K)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,8 @@ from khintchine.verifier import leaf
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(suite="everything")
-    with pytest.raises(ValueError):
-        RunConfig(format="yaml")
+    # the report's path and format are main's, not the proof's
+    assert [f.name for f in fields(RunConfig)] == ["suite", "seed"]
 
 
 def test_parser_defaults():
@@ -30,14 +31,15 @@ def test_parser_defaults():
     assert args.suite == "constants" and args.format == "json"
 
 
-def test_constants_suite_report(tmp_path):
+def test_constants_suite_report(tmp_path, capsys):
     out = tmp_path / "report.json"
-    cfg = RunConfig(suite="constants", out_path=str(out), format="json")
-    report = run(cfg)
+    assert main(["--suite", "constants", "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    report = run(RunConfig(suite="constants"))
     assert report.overall == "proved"
     assert exit_code(report) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["overall"] == "proved"
     names = [r["name"] for r in doc["results"]]
     assert any("B_p-2.5" in n for n in names)
@@ -108,6 +110,13 @@ def test_cli_main_smoke(capsys):
     assert "constants/zeta(3)" in captured.out
 
 
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    rc = main(["--suite", "constants", "--out", str(tmp_path / "missing" / "report.txt")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot write report" in captured.err
+
+
 def test_invalid_flag_combination():
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "constants", "--format", "yaml"])
@@ -132,8 +141,8 @@ def test_environment_does_not_configure(monkeypatch):
 
 def test_report_config_keys():
     body = Report("v", RunConfig(), [leaf("a", Interval(1, 2))], "proved", 0.0, "t").body()
-    assert set(body["config"]) == {"format", "out_path", "seed", "suite"}
-    assert body["schema_version"] == 2
+    assert body["config"] == {"seed": 20240801, "suite": "all"}
+    assert body["schema_version"] == 3
 
 
 def test_np_suite_is_the_classifier_alone():
@@ -143,9 +152,15 @@ def test_np_suite_is_the_classifier_alone():
     names = [r.name for r in report.results]
     assert names == ["np/cos-gauss-p2.0", "np/cos-gauss-p2.5", "np/cos-gauss-p2.9"]
     for node in report.results:
-        assert [c.name for c in node.children] == [f"{node.name}/single-sign-change"]
-    assert not any(n.name.rsplit("/", 1)[-1].startswith("integral-")
-                   for r in report.results for n in r.walk())
+        assert [c.name for c in node.children] == ["single-sign-change"]
+    assert not any(n.name.startswith("integral-") for r in report.results for n in r.walk())
+
+
+def test_names_below_the_top_level_are_relative():
+    # a node's path is the one place its parents' names are written
+    report = run(RunConfig())
+    nested = [n.name for r in report.results for c in r.children for n in c.walk()]
+    assert nested and [name for name in nested if "/" in name] == []
 
 
 def test_conclusion_suite_carries_the_gap_near_zero_certificate():

@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 from khintchine import quad
 from khintchine.interval import PI, Interval, SQRT2, DomainError, pow_real
 from khintchine.quad import (
+    QuadResult,
     cos_power_tail,
     integrate,
     near_zero_bound,
@@ -363,6 +364,33 @@ def test_gap_series_contains_mpmath(orders, monkeypatch):
     for p in (P.lo, P.mid, P.hi):
         for s in (S.lo, S.hi):
             assert mpf(enc.lo) <= _gap_series_truth(p, s) <= mpf(enc.hi), (p, s)
+
+
+@functools.cache
+def _near_zero_truth(p, s):
+    """int_0^delta of the gap integrand, 30 digits, in the cancellation-free
+    form e^(-s t^2/2) (-expm1(-s R(t))) / t^(p+1) with R = -ln cos t - t^2/2
+    summed from LN_COS_COEFFS; the direct form cancels to noise near 0."""
+    with mp.workdps(30):
+        P, S = mpf(p), mpf(s)
+        c = [mpf(f.numerator) / f.denominator for f in LN_COS_COEFFS[1:]]
+        R = lambda t: sum(ck * t ** (2 * k) for k, ck in enumerate(c, 2))
+        f = lambda t: mp.exp(-S * t * t / 2) * -mp.expm1(-S * R(t)) / t ** (P + 1)
+        return mp.quad(f, [0, mpf(npcheck._GAP_DELTA)])
+
+
+@pytest.mark.parametrize("p, s", SERIES_PAIRS)
+def test_gap_integral_head_contains_mpmath(p, s, monkeypatch):
+    # with its quadrature and both tails read as [0, 0], the gap integral is
+    # its [0, t1] head: the [0, delta] majorant (C4) plus the series; without
+    # the majorant, or with C4 halved, it misses the truth
+    zero = Interval(0.0, 0.0)
+    monkeypatch.setattr(npcheck, "integrate", lambda *args: QuadResult(zero, "ok", 0))
+    monkeypatch.setattr(npcheck, "tail_bound_mu_p", lambda *args: zero)
+    monkeypatch.setattr(npcheck, "cos_power_tail", lambda *args: (cos_power_tail(*args)[0], zero))
+    head, _ = gauss_cos_gap_integral(Interval(p), Interval(s))
+    truth = _near_zero_truth(p, s) + _gap_series_truth(p, s)
+    assert mpf(head.lo) <= truth <= mpf(head.hi), (p, s)
 
 
 def test_excess_powers_enclose_t1_squared():

@@ -174,9 +174,9 @@ def test_monotone_composite_proves():
     res = check_cond1_monotone()
     _assert_all_proved(res)
     names = [c.name for c in res.children]
-    assert "cond1/reduction-to-p2" in names
-    assert "cond1/case1-polynomials" in names
-    assert "cond1/case2-convexity" in names
+    assert "reduction-to-p2" in names
+    assert "case1-polynomials" in names
+    assert "case2-convexity" in names
 
 
 def test_ratio_bound_spot_values():

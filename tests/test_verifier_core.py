@@ -44,6 +44,11 @@ def test_status_rules():
     assert status_from_margin(Interval(-0.1, 0.2), strict=True) == INCONCLUSIVE
     assert status_from_margin(Interval(-1e-14, 1e-14), strict=False) == PROVED
     assert status_from_margin(Interval(-1.0, -1e-3), strict=False) == FAILED
+    # a nonstrict claim is proved down to -1e-12 (a margin analytically 0 at
+    # a boundary point), and neither proved nor failed just below it
+    assert status_from_margin(Interval(-5e-13, 1.0), strict=False) == PROVED
+    assert status_from_margin(Interval(-2e-12, 1.0), strict=False) == INCONCLUSIVE
+    assert status_from_margin(Interval(-1.0, -2e-12), strict=False) == FAILED
 
 
 def test_leaf_and_recompute_consistency():
@@ -279,7 +284,7 @@ def test_pi_poly_helpers():
 def _production_quotients(monkeypatch):
     """The series quotients the four proofs hand to subdivision_check."""
     wanted = {
-        "exp-ge-1-plus-x/series-quotient", "cos-above-quadratic",
+        "series-quotient", "cos-above-quadratic",
         "cot-minorant-core", "exp-minorant",
     }
     got = {}
@@ -301,7 +306,7 @@ def _production_quotients(monkeypatch):
 def test_production_quotients_contain_mpmath(monkeypatch):
     m3 = lambda t: 1 - t**2 / 3 - t**4 / 40
     truths = {  # (f - minus) / t^k and the domain the proof covers
-        "exp-ge-1-plus-x/series-quotient": (
+        "series-quotient": (
             lambda x: (mp.exp(x) - 1 - x) / x**2, -1.0, 4.0),
         "cos-above-quadratic": (
             lambda t: (mp.cos(t) - 1 + t**2 / 2) / t**4, 0.0, 1e-4),

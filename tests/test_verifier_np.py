@@ -32,7 +32,7 @@ from khintchine.verifier.npcheck import (
 UNKNOWN_SLOPE = Interval(-inf, inf)
 
 
-def NO_DIFF(x):
+def NO_DIFF(x, fa, fb):
     """A diff form that offers nothing: np_generic goes on to the slope forms."""
     raise DomainError("no diff form")
 
@@ -120,7 +120,7 @@ def test_np_generic_grades_a_sign_without_tolerance():
         lambda x: x * 10.0 + _tiny_h(x),
         lambda x: x * 10.0,
         lambda x: Interval.hull(*(Interval(slope) for (_, _, slope), _ in _tiny_h_pieces(x))),
-        _tiny_h,
+        lambda x, fa, fb: _tiny_h(x),
         name="tiny-positive",
     )
     assert res.status == FAILED
@@ -202,8 +202,13 @@ def test_np_generic_evaluates_each_endpoint_once():
             return f(x)
         return wrapped
 
-    def diff(x):
+    def F(x):
+        return x + Interval(-0.05, 0.05)
+
+    def diff(x, fa, fb):
         diffs.append((x.lo, x.hi))
+        # F at the cell's ends, as np_generic holds them
+        assert (fa, fb) == (F(Interval(x.lo)), F(Interval(x.hi)))
         return x - 0.4
 
     def slope(x):
@@ -211,7 +216,7 @@ def test_np_generic_evaluates_each_endpoint_once():
         return Interval(1.0, 1.0)
 
     res = np_generic(
-        record("F", lambda x: x + Interval(-0.05, 0.05)),
+        record("F", F),
         record("G", lambda x: Interval(0.4, 0.4)),
         slope, diff, grid=64, name="endpoints",
     )
@@ -237,7 +242,7 @@ def test_np_generic_rejects_unsound_diff():
     with pytest.raises(ValueError, match="diff .* unsound"):
         np_generic(
             lambda x: x, lambda x: Interval(0.5, 0.5), lambda x: Interval(1.0, 1.0),
-            lambda x: x - 0.5 + 1.0, name="shifted-diff",
+            lambda x, fa, fb: x - 0.5 + 1.0, name="shifted-diff",
         )
 
 

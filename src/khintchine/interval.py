@@ -9,8 +9,18 @@ widened by one ulp per endpoint (float arithmetic is correctly rounded, so the
 true endpoint is within half an ulp of the computed one).  Results of libm
 elementary functions are widened by ELEM_ULPS ulps; documented worst-case libm
 errors for exp/log/sqrt/sin/cos/acos are below 2 ulp on all supported
-platforms, and the margin is validated empirically by the point-containment
-test suite against 4x-precision references.
+platforms.
+
+The accuracy below is what the tests assert against exact arithmetic
+(Fraction, and mpmath at 64 digits), on a libm that is faithful (within one
+ulp), as glibc's exp, log, sin, cos, acos and pow are.  Every result contains
+the exact range of its operation over the reals in its operands.  Each end
+lies at most k floats outward of the exact end rounded to nearest: k = 0 for
+-x and abs, k = 1 for + - * / and sqrt, k = ELEM_ULPS + 1 (five) for exp, ln,
+cos, sin and arccos, and k = n + 1 for x**n with n >= 1 (x**-n is 1 / x**n).
+Each end of pow_real(x, s) on 0 <= x < inf and a finite s lies within
+(ELEM_ULPS + 3)(1 + |sigma ln x|) 2^-52 of the exact x**sigma at its corner,
+relatively, plus 10 * 2^-1074.  Past TRIG_ARG_LIMIT, cos and sin are [-1, 1].
 
 An n-ulp widening of an endpoint x is one step, not n ``nextafter`` calls:
 with u = ulp(x), the lower end is r = x - n u and the upper end r = x + n u,

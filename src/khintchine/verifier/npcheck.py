@@ -217,7 +217,7 @@ def np_generic(
             gap_lo = last_neg_end if last_neg_end is not None else Y_LO
             gap_hi = first_pos_start if first_pos_start is not None else Y_HI
             outside = [s for s in straddles if s[0] < gap_lo or s[1] > gap_hi]
-            note = f"y0 in [{gap_lo:.6g}, {gap_hi:.6g}]"
+            note = f"one sign change on [{Y_LO:g}, {Y_HI:g}]: y0 in [{gap_lo:.6g}, {gap_hi:.6g}]"
             if outside:
                 verdict = INCONCLUSIVE
                 diag = f"{len(outside)} cells unresolved outside the transition gap"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from mpmath import mp, mpf
 
-from khintchine.interval import PI, Interval, DomainError
+from khintchine.interval import PI, Interval, DomainError, pow_real
 from khintchine.distfn import (
     SERIES_K,
     MeasureParams,
@@ -271,3 +271,51 @@ def test_domain_guards():
         brute_force_dist(0.999, MP2, "cos")
     with pytest.raises(ValueError):
         brute_force_dist(0.5, MP2, "sinc")
+
+
+def test_f_star_contains_closed_form_within_the_convex_tail_width():
+    # the K-term loop closed by the trapezoid/midpoint bracket of a convex
+    # summand, which f_star computed before its Euler-Maclaurin tail: a width
+    # yardstick only
+    def convex_tail_f_star(x, p, K):
+        a = x.arccos()
+
+        def term(upi):
+            return pow_real(upi - a, -p) - pow_real(upi + a, -p)
+
+        def integral(cpi):
+            q = 1.0 - p
+            return (pow_real(cpi - a, q) - pow_real(cpi + a, q)) / ((p - 1.0) * PI)
+
+        acc = pow_real(a, -p)
+        for k in range(1, K + 1):
+            acc = acc - term(PI * k)
+        next_pi = PI * (K + 1)
+        lower = integral(next_pi) + term(next_pi) * 0.5
+        upper = integral(PI * (K + 0.5))
+        return (acc - Interval(lower.lo, upper.hi)) / p
+
+    def contains_truth(got, x, p):
+        # an enclosure over an x interval or a p box holds the value at each corner
+        return all(
+            mpf(got.lo) <= _ref_f_star(xe, pe) <= mpf(got.hi)
+            for xe in {x.lo, x.hi} for pe in {p.lo, p.hi}
+        )
+
+    xs = [Interval(x, x) for x in (1e-3, 0.02, 0.117, 0.2306, 0.5, 0.5361, 0.9, 0.98, 0.99)]
+    xs += [Interval(0.3, 0.31), Interval(0.536072, 0.53623)]
+    points = [Interval(p, p) for p in (2.0, 2.5, 2.9, 3.0)]
+    with mp.workdps(40):
+        for p in points:
+            for x in xs:
+                got = f_star(x, MeasureParams(p))
+                assert contains_truth(got, x, p), (p, x)
+                # on a wide x most of the width is F_*'s own rise over x, which
+                # the longer tail from K = 6 widens by a few parts in 1,000
+                if x.lo == x.hi:
+                    assert got.width <= convex_tail_f_star(x, p, 32).width, (p, x)
+        # the asymptotic series diverges at K = 1, so there it only encloses
+        for K in (1, 32, 400):
+            for p in points + [Interval(2.2, 2.3)]:
+                for x in xs[::3] if K == 400 else xs:
+                    assert contains_truth(f_star(x, MeasureParams(p), K=K), x, p), (K, p, x)

@@ -15,6 +15,7 @@ from khintchine.interval import (
     PI,
     SQRT2,
     TWO_PI,
+    TRIG_ARG_LIMIT,
     DomainError,
     Interval,
     IntervalError,
@@ -285,3 +286,308 @@ def test_pow_real_contains_mpmath(p, a, width, K):
                 for x_end in (x.lo, x.hi):
                     truth = mpf(x_end) ** mpf(s_end)
                     assert _within(enc, truth), (x, s, x_end, s_end)
+
+
+# -- the exact range, and the documented accuracy -----------------------------
+#
+# Every result must contain the exact range of its operation over the reals in
+# its operands (IEEE 1788-2015's containment), the reference being exact:
+# Fraction for + - * / and integer powers, mpmath at 64 digits for the rest.
+# Tightness is stated once, as interval's module docstring states it: an end
+# lies at most STEPS[op] floats outward of the exact end rounded to nearest;
+# for pow_real, within POW_REAL_REL * (1 + |sigma ln x|) of it, relatively,
+# plus POW_REAL_ABS.  Intervals are sets of reals, so [inf, inf] and
+# [-inf, -inf] are no operands here; unbounded ends are.
+
+TINY = 5e-324
+MIN_NORMAL = 2.2250738585072014e-308
+MAX = 1.7976931348623157e308
+INF = math.inf
+LIBM_STEPS = 1  # libm's exp, log, cos, sin, acos and pow are faithful
+# ELEM_ULPS (4) written out, not read from the kernel, so that a changed
+# widening fails here; plus libm's error
+ELEM_STEPS = 4 + LIBM_STEPS
+STEPS = {"__neg__": 0, "abs": 0, "sqrt": 1, "exp": ELEM_STEPS, "ln": ELEM_STEPS,
+         "cos": ELEM_STEPS, "sin": ELEM_STEPS, "arccos": ELEM_STEPS}
+ARITH_STEPS = 1  # + - * /: round to nearest, then one float outward
+POW_REAL_REL = (ELEM_STEPS + 2) * 2.0**-52
+POW_REAL_ABS = 2 * ELEM_STEPS * TINY
+
+
+def _step(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, INF if n > 0 else -INF)
+    return x
+
+
+def _rn(v) -> float:
+    """An exact value (Fraction, mpf or an infinite float) rounded to nearest."""
+    if isinstance(v, float):
+        return v
+    if isinstance(v, mpf):
+        if not mp.isfinite(v):
+            return float(v)
+        sign, man, exp, bits = v._mpf_
+        if exp + bits < -1100:
+            return 0.0
+        if exp > 1100:
+            return INF if v > 0 else -INF
+        v = Fraction((-1) ** sign * man) * Fraction(2) ** exp
+    try:
+        return float(v)
+    except OverflowError:
+        return INF if v > 0 else -INF
+
+
+def _holds(enc, lo, hi, steps):
+    """enc contains [lo, hi], each end at most `steps` floats outside the
+    rounded exact end (steps None: containment only)."""
+    assert enc.lo <= lo and hi <= enc.hi, ("containment", enc, lo, hi)
+    if steps is not None:
+        assert enc.lo >= _step(_rn(lo), -steps), ("tightness", enc, lo, steps)
+        assert enc.hi <= _step(_rn(hi), steps), ("tightness", enc, hi, steps)
+
+
+def _ext(x: float):
+    return x if math.isinf(x) else Fraction(x)
+
+
+EDGE_POINTS = [x for t in (0.0, TINY, 3 * TINY, 1e-310, _step(MIN_NORMAL, -1), MIN_NORMAL,
+                           1e-300, 0.5, _step(1.0, -1), 1.0, _step(1.0, 1), 2.0, 3.0,
+                           709.0, 710.0, 1e300, _step(MAX, -1), MAX, INF)
+               for x in (t, -t)]
+# arguments near the trig extrema and the reduction limit
+TRIG_POINTS = sorted({_step(x, n) for x in
+                      [k * math.pi / 2 for k in range(-8, 9)]
+                      + [TRIG_ARG_LIMIT, -TRIG_ARG_LIMIT, 3 * math.pi, 6283.0]
+                      for n in (-2, -1, 0, 1, 2)})
+
+
+def _draw_float(rng) -> float:
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice(EDGE_POINTS)
+    sign = rng.choice((1.0, -1.0))
+    if r < 0.5:  # a binade edge, or a float or two from one
+        return _step(sign * math.ldexp(1.0, rng.randint(-1074, 1023)), rng.randint(-2, 2))
+    if r < 0.7:
+        return sign * rng.uniform(0.0, 4.0)
+    return sign * 10.0 ** rng.uniform(-323, 308)
+
+
+def _draw(rng, points=None) -> Interval:
+    """An interval of reals: a point, a few floats wide, or two draws."""
+    draw = (lambda: rng.choice(points)) if points else (lambda: _draw_float(rng))
+    while True:
+        a = draw()
+        r = rng.random()
+        b = a if r < 0.3 else _step(a, rng.randint(1, 3)) if r < 0.5 else draw()
+        lo, hi = min(a, b), max(a, b)
+        if lo != INF and hi != -INF:
+            return Interval(lo, hi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:  # IntervalError and DomainError too
+        return type(exc)
+
+
+def _exact_binary(op, x, y):
+    """The exact range of x op y over the reals in x and y, from their exact
+    ends (Fraction or an infinite float): (lo, hi), or DomainError."""
+    (a, b), (c, d) = x, y
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - d, b - c
+    if op is operator.mul:
+        corners = [0 if p == 0 or q == 0 else p * q for p in (a, b) for q in (c, d)]
+    else:
+        if c <= 0 <= d:
+            return DomainError
+        # finite / inf -> 0; inf / inf lies between the other corners
+        corners = [p / q if not math.isinf(q) else 0 if not math.isinf(p) else None
+                   for p in (a, b) for q in (c, d)]
+        corners = [v for v in corners if v is not None]
+    return min(corners), max(corners)
+
+
+def _check_binary(op, x, y):
+    want = _exact_binary(op, (_ext(x.lo), _ext(x.hi)), (_ext(y.lo), _ext(y.hi)))
+    got = _outcome(op, x, y)
+    if want is DomainError:
+        assert got is DomainError, (op, x, y, got)
+    else:
+        _holds(got, *want, ARITH_STEPS)
+
+
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+EDGE_INTERVALS = [Interval(a, b) for a in (-INF, -MAX, -1.0, -TINY, -0.0, 0.0, TINY, 1.0)
+                  for b in (-1.0, -0.0, 0.0, TINY, 1.0, MAX, INF) if a <= b]
+
+
+def test_arithmetic_contains_the_exact_range_tightly():
+    # + - * / on edge intervals pairwise (+-0.0, subnormals, +-inf, the
+    # 0 * inf corners) and on drawn pairs with binade edges and huge and tiny
+    # magnitudes, where a corner product can overflow or underflow
+    rng = random.Random(41)
+    pairs = [(x, y) for x in EDGE_INTERVALS for y in EDGE_INTERVALS]
+    pairs += [(_draw(rng), _draw(rng)) for _ in range(2_500)]
+    for x, y in pairs:
+        for op in BINARY:
+            _check_binary(op, x, y)
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_elementary_functions_contain_the_exact_range_tightly(name):
+    rng = random.Random(42)
+    cases = [_draw(rng) for _ in range(500)] + EDGE_INTERVALS
+    if name in ("cos", "sin"):
+        cases += [_draw(rng, TRIG_POINTS) for _ in range(400)]
+    if name == "arccos":
+        cases += [Interval(*sorted((rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0, 0.0)))))
+                  for _ in range(200)]
+    if name in ("exp", "ln"):  # libm's value next to a power of two
+        cases += [Interval(_step(x, k)) for x in (0.0, 1.0, 2.0, 0.5, math.log(2.0))
+                  for k in range(-3, 4)]
+    for x in cases:
+        got = _outcome(lambda: getattr(x, name)())
+        want = _exact_unary(name, x)
+        if want is DomainError:
+            assert got is DomainError, (name, x, got)
+        elif want is None:  # the documented [-1, 1] past TRIG_ARG_LIMIT
+            assert (got.lo, got.hi) == (-1.0, 1.0), (name, x, got)
+        else:
+            _holds(got, *want, STEPS[name])
+
+
+def _mp_exp(x: float):
+    # past |x| = 1e6 a power of two stands in: it rounds and compares with
+    # every float as e^x does
+    if x > 1e6:
+        return mpf(2) ** 2000
+    if x < -1e6:
+        return mpf(2) ** -2000
+    return mp.exp(x)
+
+
+def _exact_unary(name, x):
+    """(lo, hi) exact, DomainError, or None for the trig fallback."""
+    a, b = x.lo, x.hi
+    if name == "__neg__":
+        return -_ext(b), -_ext(a)
+    if name == "abs":
+        if a >= 0.0:
+            return _ext(a), _ext(b)
+        if b <= 0.0:
+            return -_ext(b), -_ext(a)
+        return 0, max(-_ext(a), _ext(b))
+    if name == "sqrt":
+        return DomainError if a < 0.0 else (mp.sqrt(a), mp.sqrt(b))
+    if name == "exp":
+        return _mp_exp(a), _mp_exp(b)
+    if name == "ln":
+        return DomainError if a <= 0.0 else (mp.log(a), mp.log(b))
+    if name == "arccos":
+        return DomainError if a < -1.0 or b > 1.0 else (mp.acos(b), mp.acos(a))
+    if max(abs(a), abs(b)) > TRIG_ARG_LIMIT:
+        return None
+    fn, peak = (mp.cos, 0) if name == "cos" else (mp.sin, mp.pi / 2)
+
+    def meets(offset):  # offset + 2 k pi lies in [a, b] for some integer k
+        return mp.floor((b - offset) / (2 * mp.pi)) >= mp.ceil((a - offset) / (2 * mp.pi))
+
+    ends = (fn(a), fn(b))
+    return (-1 if meets(peak + mp.pi) else min(ends)), (1 if meets(peak) else max(ends))
+
+
+def _exact_power(x, n):
+    """The exact range of x**n over x (Fraction ends), or DomainError."""
+    a, b = _ext(x.lo), _ext(x.hi)
+    if n < 0 and a <= 0 <= b:
+        return DomainError
+
+    def power(v):
+        if not math.isinf(v):
+            return v**n
+        if n < 0:
+            return 0
+        return v if n % 2 else INF
+
+    if n == 0:
+        return 1, 1
+    if n % 2 == 0 and n > 0 and a <= 0 <= b:
+        return 0, max(power(a), power(b))
+    return min(power(a), power(b)), max(power(a), power(b))
+
+
+def test_integer_powers_contain_the_exact_range_tightly():
+    # x**n is libm's pow widened n floats: n + LIBM_STEPS for n >= 1; a
+    # negative n is 1 / x**-n, held to containment
+    rng = random.Random(43)
+    for x in EDGE_INTERVALS + [_draw(rng) for _ in range(700)]:
+        for n in range(-3, 6):
+            got = _outcome(operator.pow, x, n)
+            want = _exact_power(x, n)
+            if want is DomainError:
+                assert got is DomainError, (x, n, got)
+            elif got is DomainError:
+                # x**-n underflows to an interval around 0
+                assert n < 0 and min(abs(_ext(x.lo)), abs(_ext(x.hi))) ** -n < MIN_NORMAL
+            else:
+                _holds(got, *want, n + LIBM_STEPS if n > 0 else 0 if n == 0 else None)
+        assert _outcome(operator.pow, x, 0.5) is TypeError
+
+
+def _pow_corner(x: float, sigma: float):
+    """x**sigma at one corner, x >= 0, over the extended reals."""
+    if x == 0.0:
+        return mpf(0)
+    if math.isinf(x):
+        return mpf(INF) if sigma > 0 else mpf(1) if sigma == 0 else mpf(0)
+    if math.isinf(sigma):
+        if x == 1.0:
+            return mpf(1)
+        return mpf(INF) if (x > 1.0) == (sigma > 0) else mpf(0)
+    return mp.power(x, sigma)
+
+
+POW_EXPONENTS = [Interval(a, b) for a, b in (
+    (-2.5, -2.5), (-1.0, 0.5), (0.0, 0.0), (-0.0, 2.0), (0.5, 0.5), (2.0, 2.0),
+    (1.5, 3.5), (-INF, -1.0), (3.0, INF), (-3.0, -0.0), (TINY, TINY), (-1e-300, 1e-300))]
+
+
+def test_pow_real_contains_the_exact_range_on_every_branch():
+    # every branch: the main one exp(s ln x) on 0 < x < inf, a base touching 0
+    # (s > 0 or DomainError), an unbounded base (the limit 0 or inf at
+    # x = inf), and a negative base (DomainError); tightness holds on the
+    # first two with finite s
+    rng = random.Random(45)
+    bases = [Interval(a, b) for a, b in ((0.0, 0.0), (0.0, TINY), (-0.0, 1.0), (0.0, INF),
+                                         (TINY, INF), (2.0, INF), (1.0, 1.0), (TINY, MAX),
+                                         (0.5, 2.0), (-1.0, 1.0), (-TINY, 0.0))]
+    for _ in range(160):
+        x = _draw(rng)
+        bases.append(x if x.lo < 0.0 < x.hi else Interval(*sorted((abs(x.lo), abs(x.hi)))))
+    exps = POW_EXPONENTS + [Interval(s, s + rng.choice((0.0, rng.uniform(0.0, 1.0))))
+                            for s in (rng.uniform(-5.0, 5.0) for _ in range(6))]
+    for x in bases:
+        for s in exps:
+            got = _outcome(pow_real, x, s)
+            if x.lo < 0.0 or (x.lo == 0.0 and (s.lo <= 0.0 or x.hi == INF)):
+                assert got is DomainError, (x, s, got)
+                continue
+            corners = [(_pow_corner(a, sigma), a, sigma)
+                       for a in (x.lo, x.hi) for sigma in (s.lo, s.hi)]
+            lo, hi = min(c[0] for c in corners), max(c[0] for c in corners)
+            assert got.lo <= lo and hi <= got.hi, ("containment", x, s, got, lo, hi)
+            if x.hi < INF and not math.isinf(s.lo) and not math.isinf(s.hi):
+                # each end within POW_REAL_REL (1 + |sigma ln x|) of its corner
+                slack = [v * POW_REAL_REL * (1 + (abs(sigma * mp.log(a)) if a else 0))
+                         + POW_REAL_ABS for v, a, sigma in corners]
+                low = min(v - d for (v, _, _), d in zip(corners, slack))
+                high = max(v + d for (v, _, _), d in zip(corners, slack))
+                assert got.lo >= min(low, _step(MAX, -ELEM_STEPS)), ("tightness", x, s, got, lo)
+                assert got.hi <= high or high >= MAX, ("tightness", x, s, got, hi)

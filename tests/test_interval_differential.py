@@ -1,13 +1,15 @@
-"""The interval kernel against a frozen copy of its earlier operators.
+"""The kernel's fast paths against the live loops they equal, bit for bit.
 
-Every operator, elementary function and ``pow_real`` must return bit-for-bit
-the endpoints of ``reference_interval`` (compared with ``float.hex``, so -0.0
-and 0.0 differ), and raise where it raises.  ``horner_nonneg`` must equal the
-interval Horner loop for positive coefficients at a positive argument and stay
-an enclosure elsewhere.  ``exp_sum`` must equal the interval loop
-``acc = acc + (s * x).exp()`` on its domain s <= 0 < x and raise off it.
-``f_star`` must contain the closed form and be no wider than its earlier
-term-by-term loop with a convex tail.
+Each fast path is checked against the interval operations it replaces, in the
+live kernel (compared with ``float.hex``, so -0.0 and 0.0 differ), and must
+raise where they raise: ``_down_n``/``_up_n`` and every inline one-step
+widening against the ``nextafter`` loop on libm's value; ``horner_nonneg``
+against the interval Horner loop ``ipoly_eval`` for positive coefficients at a
+positive argument (and an enclosure elsewhere); ``exp_sum`` against
+``acc = acc + (s * x).exp()`` on its domain s <= 0 < x; ``poly_mul`` against
+``out[i + j] = out[i + j] + x[i] * y[j]``; and a scalar operand against its
+point interval.  Containment and tightness of the operations themselves are
+``test_interval``'s.
 """
 
 import math
@@ -17,21 +19,21 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from mpmath import mp, mpf
 
-import reference_interval as ref
 from khintchine import interval as kernel
 from khintchine import specfun as sf
-from khintchine.distfn import MeasureParams, f_star
 from khintchine.verifier import npcheck
 from khintchine.interval import (
     ELEM_ULPS,
     HALF_PI,
+    PI,
     TRIG_ARG_LIMIT,
     DomainError,
     Interval,
     exp_sum,
     horner_nonneg,
+    ipoly_eval,
+    ln_ints,
     poly_mul,
     pow_real,
 )
@@ -52,12 +54,6 @@ def _step(x: float, n: int) -> float:
     return x
 
 
-# arguments near the trig extrema and the reduction limit
-_TRIG = [k * math.pi / 2 for k in range(-8, 9)] + [
-    TRIG_ARG_LIMIT, -TRIG_ARG_LIMIT, HALF_PI.lo, HALF_PI.hi, 3 * math.pi, 6283.0]
-TRIG_POINTS = sorted({_step(x, n) for x in _TRIG for n in (-2, -1, 0, 1, 2)})
-
-
 def _hexes(iv):
     assert type(iv.lo) is float and type(iv.hi) is float
     return float.hex(iv.lo), float.hex(iv.hi)
@@ -70,56 +66,25 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
-def _pair(lo, hi):
-    return Interval(lo, hi), ref.Interval(lo, hi)
-
-
-def _same(live_fn, ref_fn, live_args, ref_args):
-    got = _outcome(live_fn, *live_args)
-    want = _outcome(ref_fn, *ref_args)
-    assert got == want, (live_args, got, want)
-
-
-def _edge_intervals():
-    return [(a, b) for a in EDGE for b in EDGE if a <= b]
-
-
-def _random_intervals(rng, n):
-    out = []
-    for _ in range(n):
-        scale = 10.0 ** rng.uniform(-12, 12)
-        a = rng.uniform(-1.0, 1.0) * scale
-        w = rng.choice((0.0, rng.uniform(0.0, 1.0) * scale, abs(a) * 1e-9))
-        out.append((a, a + w))
-    return out
-
-
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
-
-
-def test_binary_operators_bit_identical():
-    rng = random.Random(20)
-    edge = _edge_intervals()
-    rand = _random_intervals(rng, 300)
-    pairs = [(x, y) for x in edge for y in edge]
-    pairs += [(rng.choice(rand), rng.choice(rand)) for _ in range(20_000)]
-    pairs += [(rng.choice(edge), rng.choice(rand)) for _ in range(5_000)]
-    for (a, b), (c, d) in pairs:
-        x, xr = _pair(a, b)
-        y, yr = _pair(c, d)
-        for op in BINARY:
-            _same(op, op, (x, y), (xr, yr))
 
 
 @pytest.mark.parametrize("scalar", [2.0, -0.5, 0.0, -0.0, INF, 3, 0, True,
                                     Fraction(1, 3), Fraction(-7, 2)])
 def test_mixed_operands_bit_identical(scalar):
+    # a scalar operand, on either side, is its point interval (a Fraction the
+    # two floats around it): the result is the interval operation's
+    point = Interval.from_fraction(scalar) if isinstance(scalar, Fraction) else Interval(scalar)
     rng = random.Random(21)
-    for a, b in _edge_intervals() + _random_intervals(rng, 500):
-        x, xr = _pair(a, b)
+    cases = [(a, b) for a in EDGE for b in EDGE if a <= b]
+    for _ in range(500):
+        a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12, 12)
+        cases.append((a, a + rng.choice((0.0, abs(a) * rng.uniform(0.0, 1.0)))))
+    for a, b in cases:
+        x = Interval(a, b)
         for op in BINARY:
-            _same(op, op, (x, scalar), (xr, scalar))
-            _same(op, op, (scalar, x), (scalar, xr))
+            assert _outcome(op, x, scalar) == _outcome(op, x, point), (op, x)
+            assert _outcome(op, scalar, x) == _outcome(op, point, x), (op, x)
 
 
 def test_nan_scalar_rejected():
@@ -127,55 +92,6 @@ def test_nan_scalar_rejected():
     for op in BINARY:
         with pytest.raises(ValueError):
             op(x, math.nan)
-
-
-UNARY = ("__neg__", "exp", "ln", "sqrt", "abs", "arccos", "cos", "sin")
-
-
-def _unary(name):
-    return lambda iv: getattr(iv, name)()
-
-
-def test_unary_and_elementary_bit_identical():
-    rng = random.Random(22)
-    cases = _edge_intervals() + _random_intervals(rng, 3_000)
-    cases += [(x, x) for x in TRIG_POINTS]
-    cases += [(x, y) for x in TRIG_POINTS for y in TRIG_POINTS if x <= y and y - x < 7.0]
-    for _ in range(2_000):
-        a = rng.uniform(-1.0, 1.0)
-        cases.append((a, min(1.0, a + rng.uniform(0.0, 0.2))))
-    for a, b in cases:
-        x, xr = _pair(a, b)
-        for name in UNARY:
-            _same(_unary(name), _unary(name), (x,), (xr,))
-
-
-def test_integer_powers_bit_identical():
-    rng = random.Random(23)
-    for a, b in _edge_intervals() + _random_intervals(rng, 1_000):
-        x, xr = _pair(a, b)
-        for n in range(-3, 6):
-            _same(operator.pow, operator.pow, (x, n), (xr, n))
-        _same(operator.pow, operator.pow, (x, 0.5), (xr, 0.5))
-
-
-def test_pow_real_bit_identical():
-    rng = random.Random(24)
-    bases = [(a, b) for a, b in _edge_intervals()]
-    bases += [(a, b) for a, b in _random_intervals(rng, 400)]
-    bases += [(abs(a), abs(a) + abs(b - a)) for a, b in _random_intervals(rng, 400)]
-    bases += [(0.0, 0.0), (0.0, 1.0), (0.0, INF), (2.0, INF), (INF, INF), (TINY, INF)]
-    exps = [(-2.5, -2.5), (-1.0, 0.5), (0.0, 0.0), (0.0, 2.0), (0.5, 0.5),
-            (2.0, 2.0), (1.5, 3.5), (-INF, -1.0), (3.0, INF)]
-    exps += [(s, s + rng.uniform(0.0, 1.0)) for s in
-             (rng.uniform(-5.0, 5.0) for _ in range(20))]
-    for a, b in bases:
-        x, xr = _pair(a, b)
-        for c, d in exps:
-            s, sr = _pair(c, d)
-            _same(pow_real, ref.pow_real, (x, s), (xr, sr))
-        for sc in (2.0, -1.5, 3):
-            _same(pow_real, ref.pow_real, (x, sc), (xr, sc))
 
 
 def test_elem_widening_is_elem_ulps():
@@ -216,26 +132,68 @@ def test_one_step_widening_equals_the_nextafter_loop_on_all_floats(x, n):
     _same_widening(x, n)
 
 
+def _widened(v: float) -> tuple[float, float]:
+    """libm's value v moved ELEM_ULPS floats down and up by the nextafter loop."""
+    return _step(v, -ELEM_ULPS), _step(v, ELEM_ULPS)
+
+
+def _exp_ends(y_lo: float, y_hi: float) -> tuple[float, float]:
+    """exp's ends on [y_lo, y_hi]: libm, the loop, a lower end <= 0 to 0."""
+    def libm(y):
+        try:
+            return math.exp(y)
+        except OverflowError:
+            return INF
+
+    lo, hi = _widened(libm(y_lo))[0], _widened(libm(y_hi))[1]
+    return lo if lo > 0.0 else 0.0, hi
+
+
+def _trig_ends(x: Interval, fn, peak, trough) -> tuple[float, float]:
+    if abs(x.lo) > TRIG_ARG_LIMIT or abs(x.hi) > TRIG_ARG_LIMIT:
+        return -1.0, 1.0
+    lo, hi = _widened(min(fn(x.lo), fn(x.hi)))[0], _widened(max(fn(x.lo), fn(x.hi)))[1]
+    if hi > 1.0 or kernel._contains_multiple(x, peak):
+        hi = 1.0
+    if lo < -1.0 or kernel._contains_multiple(x, trough):
+        lo = -1.0
+    return lo, hi
+
+
 def test_elementary_sites_widen_like_the_loop_at_binade_edges():
     # exp near 0, ln near 1 and sin, cos at small arguments land next to
-    # powers of two, 1 and 0, where the inline step must fall back
+    # powers of two, 1 and 0, where the inline step must fall back: each
+    # site gives the nextafter loop applied to libm's value
     near = [_step(sign * math.ldexp(1.0, e), k) for e in range(-1074, 4)
             for sign in (1.0, -1.0) for k in (-1, 0, 1)]
     near += [_step(1.0, k) for k in range(-60, 61)] + WIDEN_EDGE
+    hexes = lambda ends: tuple(map(float.hex, ends))
     for x in near:
-        xs, xr = _pair(x, x)
-        for name in ("exp", "ln", "cos", "sin"):
-            _same(_unary(name), _unary(name), (xs,), (xr,))
+        X = Interval(x, x)
+        assert _hexes(X.exp()) == hexes(_exp_ends(x, x)), x
+        assert _hexes(X.cos()) == hexes(_trig_ends(X, math.cos, kernel._ZERO, PI)), x
+        assert _hexes(X.sin()) == hexes(_trig_ends(X, math.sin, HALF_PI, -HALF_PI)), x
+        if not 0.0 < x < INF:
+            continue
+        ln = _widened(math.log(x))
+        assert _hexes(X.ln()) == hexes(ln), x
         for sc in (0.5, -2.0, 3.0):
-            _same(pow_real, ref.pow_real, (xs, sc), (xr, sc))
+            # pow_real's two widenings: ln's, then exp's on the product's ends
+            y = Interval(sc) * Interval(*ln)
+            assert _hexes(pow_real(X, sc)) == hexes(_exp_ends(y.lo, y.hi)), (x, sc)
+        # exp_sum's widening on the ends of -1 * X, next to 1 and to 2^-k
+        y = Interval(-1.0) * X
+        acc = Interval(0.0, 0.0)
+        assert _hexes(exp_sum(Interval(-1.0), [x], [x], acc)) == _hexes(
+            acc + Interval(*_exp_ends(y.lo, y.hi))), x
+    # ln_ints: ln k for k = 1 (0, where the upper end goes to the loop), 2 and
+    # every k up to 1,100, among them the powers of two
+    lows, highs = ln_ints(1, 1_100)
+    for k, lo, hi in zip(range(1, 1_100), lows, highs):
+        assert (lo.hex(), hi.hex()) == hexes(_widened(math.log(k))), k
 
 
 # -- horner_nonneg -----------------------------------------------------------
-
-
-def _ref_horner(coeffs, x):
-    return ref.interval_horner([ref.Interval(c.lo, c.hi) for c in coeffs],
-                               ref.Interval(x.lo, x.hi))
 
 
 def test_horner_nonneg_matches_interval_loop():
@@ -246,7 +204,7 @@ def test_horner_nonneg_matches_interval_loop():
         t = Interval(t, t + rng.choice((0.0, rng.uniform(0.0, 1e-2))))
         u = t * t
         K = rng.randint(1, len(lncos))
-        assert _hexes(horner_nonneg(lncos[:K], u)) == _hexes(_ref_horner(lncos[:K], u))
+        assert _hexes(horner_nonneg(lncos[:K], u)) == _hexes(ipoly_eval(lncos[:K], u))
     for _ in range(3_000):
         n = rng.randint(1, 12)
         coeffs = []
@@ -255,7 +213,7 @@ def test_horner_nonneg_matches_interval_loop():
             coeffs.append(Interval(c, c * (1.0 + rng.choice((0.0, 1e-12, 0.5)))))
         lo = 10.0 ** rng.uniform(-320, 5)
         x = Interval(lo, lo * (1.0 + rng.uniform(0.0, 2.0)))
-        assert _hexes(horner_nonneg(coeffs, x)) == _hexes(_ref_horner(coeffs, x))
+        assert _hexes(horner_nonneg(coeffs, x)) == _hexes(ipoly_eval(coeffs, x))
 
 
 def test_horner_nonneg_falls_back_off_the_monotone_domain():
@@ -266,7 +224,7 @@ def test_horner_nonneg_falls_back_off_the_monotone_domain():
         for _ in range(50):
             coeffs = [Interval(c, c) for c in (rng.uniform(0.0, 2.0) for _ in range(6))]
             coeffs[0] = Interval(0.0, 0.0)
-            assert _hexes(horner_nonneg(coeffs, x)) == _hexes(_ref_horner(coeffs, x))
+            assert _hexes(horner_nonneg(coeffs, x)) == _hexes(ipoly_eval(coeffs, x))
 
 
 def test_horner_nonneg_encloses_with_zero_coefficients():
@@ -291,18 +249,15 @@ def test_horner_nonneg_rejects_negative_coefficients():
 # -- exp_sum -----------------------------------------------------------------
 
 
-def _loop_exp_sum(cls, s, xs, acc):
-    s = cls(s.lo, s.hi)
-    acc = cls(acc.lo, acc.hi)
+def _loop_exp_sum(s, xs, acc):
     for x in xs:
-        acc = acc + (s * cls(x.lo, x.hi)).exp()
+        acc = acc + (s * x).exp()
     return acc
 
 
 def _same_exp_sum(s, xs, acc):
     got = _outcome(exp_sum, s, [x.lo for x in xs], [x.hi for x in xs], acc)
-    assert got == _outcome(_loop_exp_sum, Interval, s, xs, acc), (s, xs, acc)
-    assert got == _outcome(_loop_exp_sum, ref.Interval, s, xs, acc), (s, xs, acc)
+    assert got == _outcome(_loop_exp_sum, s, xs, acc), (s, xs, acc)
 
 
 def _positive(rng):
@@ -359,10 +314,8 @@ def test_exp_sum_rejects_points_off_its_domain():
 # -- poly_mul ----------------------------------------------------------------
 
 
-def _loop_poly_mul(cls, x, y):
-    x = [cls(a.lo, a.hi) for a in x]
-    y = [cls(b.lo, b.hi) for b in y]
-    out = [cls(0.0, 0.0)] * (len(x) + len(y) - 1)
+def _loop_poly_mul(x, y):
+    out = [Interval(0.0, 0.0)] * (len(x) + len(y) - 1)
     for i, a in enumerate(x):
         for j, b in enumerate(y):
             out[i + j] = out[i + j] + a * b
@@ -377,9 +330,7 @@ def _poly_outcome(fn, *args):
 
 
 def _same_poly_mul(x, y):
-    got = _poly_outcome(poly_mul, x, y)
-    assert got == _poly_outcome(_loop_poly_mul, Interval, x, y), (x, y)
-    assert got == _poly_outcome(_loop_poly_mul, ref.Interval, x, y), (x, y)
+    assert _poly_outcome(poly_mul, x, y) == _poly_outcome(_loop_poly_mul, x, y), (x, y)
 
 
 def test_poly_mul_matches_interval_loop_on_the_gap_series(monkeypatch):
@@ -421,71 +372,3 @@ def test_poly_mul_matches_interval_loop_on_random_draws():
         _same_poly_mul(x, y)
     _same_poly_mul([Interval(1.0)] * 2, [Interval(INF), Interval(-INF)])
     _same_poly_mul([Interval(1.0)], [])
-
-
-# -- f_star ------------------------------------------------------------------
-
-
-def _closed_form_f_star(x, p):
-    """F_*(x) = (a^-p - pi^-p [zeta(p, 1 - a/pi) - zeta(p, 1 + a/pi)]) / p."""
-    a = mp.acos(x)
-    tails = mp.zeta(p, 1 - a / mp.pi) - mp.zeta(p, 1 + a / mp.pi)
-    return (a**-p - mp.pi**-p * tails) / p
-
-
-def test_f_star_contains_closed_form_within_the_convex_tail_width():
-    # the K-term loop closed by the trapezoid/midpoint bracket of a convex
-    # summand, which f_star computed before its Euler-Maclaurin tail: a width
-    # yardstick only
-    def convex_tail_f_star(x, p, K):
-        a = x.arccos()
-
-        def term(upi):
-            return pow_real(upi - a, -p) - pow_real(upi + a, -p)
-
-        def integral(cpi):
-            q = 1.0 - p
-            return (pow_real(cpi - a, q) - pow_real(cpi + a, q)) / ((p - 1.0) * kernel.PI)
-
-        acc = pow_real(a, -p)
-        for k in range(1, K + 1):
-            acc = acc - term(kernel.PI * k)
-        next_pi = kernel.PI * (K + 1)
-        lower = integral(next_pi) + term(next_pi) * 0.5
-        upper = integral(kernel.PI * (K + 0.5))
-        return (acc - Interval(lower.lo, upper.hi)) / p
-
-    def contains_truth(got, x, p):
-        # an enclosure over an x interval or a p box holds the value at each corner
-        return all(
-            mpf(got.lo) <= _closed_form_f_star(mpf(xe), mpf(pe)) <= mpf(got.hi)
-            for xe in {x.lo, x.hi} for pe in {p.lo, p.hi}
-        )
-
-    xs = [Interval(x, x) for x in (1e-3, 0.02, 0.117, 0.2306, 0.5, 0.5361, 0.9, 0.98, 0.99)]
-    xs += [Interval(0.3, 0.31), Interval(0.536072, 0.53623)]
-    points = [Interval(p, p) for p in (2.0, 2.5, 2.9, 3.0)]
-    with mp.workdps(40):
-        for p in points:
-            for x in xs:
-                got = f_star(x, MeasureParams(p))
-                assert contains_truth(got, x, p), (p, x)
-                # on a wide x most of the width is F_*'s own rise over x, which
-                # the longer tail from K = 6 widens by a few parts in 1,000
-                if x.lo == x.hi:
-                    assert got.width <= convex_tail_f_star(x, p, 32).width, (p, x)
-        # the asymptotic series diverges at K = 1, so there it only encloses
-        for K in (1, 32, 400):
-            for p in points + [Interval(2.2, 2.3)]:
-                for x in xs[::3] if K == 400 else xs:
-                    assert contains_truth(f_star(x, MeasureParams(p), K=K), x, p), (K, p, x)
-
-
-def test_lncos_series_at_zero_contains_mpmath():
-    # t.lo = 0 takes the interval-loop branch of horner_nonneg
-    with mp.workdps(50):
-        for b in (0.0, TINY, 1e-200, 1e-8, 1e-3, 0.3, 1.2):
-            t = Interval(0.0, b)
-            excess = sf.neg_ln_cos_excess(t)
-            for v in (mpf(0), mpf(b) / 2, mpf(b)):
-                assert mpf(excess.lo) <= -mp.log(mp.cos(v)) - v**2 / 2 <= mpf(excess.hi)

@@ -312,3 +312,13 @@ def test_taylor_quotient_needs_exact_division():
         sf.cos_taylor(6).quotient(4, minus=poly(1))  # leaves -t^2/2
     with pytest.raises(ValueError):
         sf.sin_taylor(6).quotient(2)  # leaves t
+
+
+def test_lncos_series_at_zero_contains_mpmath():
+    # t.lo = 0 takes the interval-loop branch of horner_nonneg
+    with mp.workdps(50):
+        for b in (0.0, 5e-324, 1e-200, 1e-8, 1e-3, 0.3, 1.2):
+            t = Interval(0.0, b)
+            excess = sf.neg_ln_cos_excess(t)
+            for v in (mpf(0), mpf(b) / 2, mpf(b)):
+                assert mpf(excess.lo) <= -mp.log(mp.cos(v)) - v**2 / 2 <= mpf(excess.hi)

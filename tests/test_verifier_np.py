@@ -267,6 +267,8 @@ def test_np_cos_gauss_cases(monkeypatch):
         terminal.clear()
         res = check_np_cos_gauss(p)
         assert res.status == PROVED, p
+        # the leaf states the window it classifies on, Y_LO to Y_HI
+        assert res.note.startswith("one sign change on [0.001, 0.99]: y0 in ["), p
         # y0 localized inside (rho, sigma) = (1/15, 0.97)
         lo, hi = _y0(res.note)
         assert 1.0 / 15.0 < lo <= hi < 0.97

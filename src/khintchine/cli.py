@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .interval import PI, Interval
+from .interval import HALF_PI, PI, Interval
 from .oracle import (
     CoefficientVector,
     exact_moment,
@@ -122,7 +122,7 @@ def _constants_suite() -> list[CheckResult]:
     anchors = [
         ("constants/Ei(-1)", ei_neg(Interval(-1.0, -1.0)) * -1.0),
         ("constants/si(pi)", si(PI)),
-        ("constants/ci(pi-half)", ci(Interval(1.5707963267948966, 1.5707963267948966))),
+        ("constants/ci(pi-half)", ci(HALF_PI)),
         ("constants/zeta(3)", zeta_sum(Interval(3.0, 3.0), terms=10_000)),
     ]
     for name, enc in anchors:

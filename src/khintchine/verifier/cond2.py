@@ -3,8 +3,10 @@
 H(p) is the integral of (exp(-t^2/sqrt2) - |cos t|^sqrt2) / t^(p+1); it is
 nonnegative because H(2) >= 0 and H'(p) >= 0.  Both are certified from
 explicit piece bounds.  Where a piece has a closed form (I1 of H' by si,
-H(2)'s four pieces by exp, Ei and ci) the proof takes it; the
-quadratures beside them are cross-checks or pieces without one.
+H(2)'s four pieces by exp, Ei and ci) the proof takes it; every quadrature
+left is a piece without one.  The closed forms' derivations are checked in
+tests/test_identities.py and their transcriptions against mpmath in
+tests/test_verifier_cond2.py, not by the certificate.
 
 Constant repairs (each cross-checked against high-precision references and
 recorded in the project notes): the lambda-side tail constant is 0.0433
@@ -19,9 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..interval import E as EULER_E
-from ..interval import HALF_PI, PI, SQRT2, DomainError, Interval, imin, pow_real
-from ..jet import Jet
-from ..quad import cos_power_tail, integrate, note_missed, tail_bound_mu_p
+from ..interval import HALF_PI, PI, SQRT2, Interval, imin, pow_real
+from ..quad import integrate, note_missed, tail_bound_mu_p
 from ..specfun import LN_COS_COEFFS, ci, ei_neg, si
 from .cond1 import P_BOXES, p_boxes
 from .engine import (
@@ -29,7 +30,6 @@ from .engine import (
     lemma_log_le_affine,
     lemma_neg_log_affine,
     lemma_one_minus_exp_quadratic,
-    overlap_check,
     point_check,
     subdivision_check,
 )
@@ -44,7 +44,6 @@ QUAD_MAJORANT_SHIFT = -0.0439
 QUAD_MAJORANT_SHIFT_PRINTED = -0.04399
 
 _FR = Fraction
-_ROUTES = "two routes overlap"  # note of the closed-form vs quadrature leaves
 
 _SQRT2_M1 = SQRT2 - 1.0  # quadratic coefficient of both cosine-power majorants
 _TWO_M_SQRT2 = 2.0 - SQRT2
@@ -217,20 +216,11 @@ def check_cond2_hprime() -> CheckResult:
         note=note_missed(f"I2 = {I2!r} <= 0.00705 e; margin is a few 1e-6", q2),
     )
 
-    def cmp_margin(const: float, b: Interval) -> Interval:
-        return (b - 1.0) * pow_real(_TWO_OVER_PI, b) * const - 0.00705
-
     boxes = p_boxes()
-    printed_margins = [cmp_margin(LAMBDA_TAIL_CONST_PRINTED, b) for b in boxes]
-    used_margins = [cmp_margin(LAMBDA_TAIL_CONST, b) for b in boxes]
-    cmp_printed_const = point_check(
-        "tail-comparison-printed-constant",
-        imin(printed_margins),
-        note=f"0.043369 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
-    )
     cmp_used = point_check(
         "tail-comparison-certified-constant",
-        imin(used_margins),
+        imin([(b - 1.0) * pow_real(_TWO_OVER_PI, b) * LAMBDA_TAIL_CONST - 0.00705
+              for b in boxes]),
         note=f"0.0433 (2/pi)^p >= 0.00705/(p-1) on {P_BOXES} p boxes",
     )
     cos_power_vs_square = point_check(
@@ -240,8 +230,7 @@ def check_cond2_hprime() -> CheckResult:
     )
     tail_piece = combine(
         "piece-tail",
-        [lemma_511, lemma_512, i1_child, i2_child, cos_power_vs_square,
-         cmp_printed_const, cmp_used],
+        [lemma_511, lemma_512, i1_child, i2_child, cos_power_vs_square, cmp_used],
     )
 
     # -- net over p boxes -------------------------------------------------
@@ -338,9 +327,7 @@ def check_cond2_h2() -> CheckResult:
     C: quadratic cosine-power majorants integrated by ci primitives (<= 0.2577).
     D: Hoelder bound of the cosine tail (<= 0.0667).
 
-    The quadratures are cross-checks at fixed target widths.  Every
-    quadrature integrand also runs on a Jet; the piece-C majorant falls
-    back to the first-order enclosure on a cell where it switches pieces.
+    Every piece is a closed form; the certificate runs no quadrature.
     """
     quarter_pi = PI * 0.25
     qp_sq = quarter_pi * quarter_pi
@@ -350,12 +337,6 @@ def check_cond2_h2() -> CheckResult:
     U = qp_sq / SQRT2
     eU = (-U).exp()
     a_closed = (1.0 - eU) * _FR(1, 12) + c2 * (1.0 - (U + 1.0) * eU)
-    qa = integrate(
-        lambda t: _exp_gauss(t) * (t * _INV_6_SQRT2 + (t**3) * c2),
-        0.0,
-        float(quarter_pi.lo),
-        1e-5,
-    )
     piece_a = combine(
         "piece-A",
         [
@@ -371,24 +352,12 @@ def check_cond2_h2() -> CheckResult:
                 a_closed - 0.03129,
                 note=f"A = {a_closed!r}; margin is about 5e-8",
             ),
-            overlap_check(
-                "closed-form-vs-quadrature", a_closed, qa.value,
-                note=note_missed(_ROUTES, qa),
-            ),
         ],
         note="substitution u = t^2/sqrt2 reduces the minorant to e^-u(a'+b'u)",
     )
 
     # -- piece B ----------------------------------------------------------
     b_exact = eU / (qp_sq * 2.0) + ei_neg(-U) / (SQRT2 * 2.0)
-    T = 6.0
-    qb = integrate(
-        lambda t: _exp_gauss(t) / (t**3),
-        float(quarter_pi.lo),
-        T,
-        1e-5,
-    )
-    b_tail = tail_bound_mu_p(SQRT2, Interval(2.0, 2.0), T)
     piece_b = combine(
         "piece-B",
         [
@@ -399,12 +368,6 @@ def check_cond2_h2() -> CheckResult:
                     f"B = {b_exact!r}; true value 0.2958653 sits below the "
                     "printed 0.29587, floor repaired to 0.29586"
                 ),
-            ),
-            overlap_check(
-                "exact-vs-quadrature",
-                b_exact,
-                qb.value + b_tail,
-                note=note_missed(_ROUTES, qb),
             ),
         ],
         note="int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2)",
@@ -436,21 +399,6 @@ def check_cond2_h2() -> CheckResult:
         + segment(t2, three_qpi, -b2, gam)
     )
 
-    def c_majorant(t):
-        ac = t.cos().abs()
-        quad_part = ac * ac * aq
-        outer = (quad_part + ac * b2 + gam) / t**3  # |cos| in [1/4, sqrt2/2]
-        inner = (quad_part + ac * b1) / t**3  # |cos| in [0, 1/4]
-        acv = ac.v if type(ac) is Jet else ac
-        if acv.lo >= 0.25:
-            return outer
-        if acv.hi <= 0.25:
-            return inner
-        if type(ac) is Jet:  # no derivative where the majorant switches
-            raise DomainError("majorant switches pieces inside the cell")
-        return Interval.hull(outer, inner)  # cell straddles the split
-
-    qc = integrate(c_majorant, float(quarter_pi.lo), float(three_qpi.hi), 2e-4)
     piece_c = combine(
         "piece-C",
         [
@@ -461,10 +409,6 @@ def check_cond2_h2() -> CheckResult:
                 Interval(0.2577, 0.2577) - c_total,
                 note=f"C = {c_total!r} via the ci primitives",
             ),
-            overlap_check(
-                "primitives-vs-quadrature", c_total, qc.value,
-                note=note_missed(_ROUTES, qc),
-            ),
         ],
         note="second majorant shift repaired to -0.0439 (printed -0.04399 fails)",
     )
@@ -473,16 +417,6 @@ def check_cond2_h2() -> CheckResult:
     muX = Interval(1.0, 1.0) / (three_qpi * three_qpi * 2.0)
     S = -_F23(three_qpi)
     d_bound = pow_real(muX, 1.0 - SQRT2 * 0.5) * pow_real(S, SQRT2 * 0.5)
-    # the cos-power tail from the float end of 7 pi/2 (k = 3); its m_2 = 1/2
-    # is exact (Wallis)
-    T2, tail2 = cos_power_tail(Interval(2.0, 2.0), Interval(2.0, 2.0), 3)
-    qs = integrate(
-        lambda t: (t.cos() ** 2) / t**3,
-        float(three_qpi.lo),
-        T2,
-        2e-4,
-    )
-    s_quad = qs.value + tail2
     piece_d = combine(
         "piece-D",
         [
@@ -491,9 +425,6 @@ def check_cond2_h2() -> CheckResult:
                 "hoelder-ceiling",
                 Interval(0.0667, 0.0667) - d_bound,
                 note=f"D bound = {d_bound!r} = mu(X)^(1-s/2) (int cos^2 dmu)^(s/2)",
-            ),
-            overlap_check(
-                "tail-vs-quadrature", S, s_quad, note=note_missed(_ROUTES, qs)
             ),
         ],
         note="Hoelder on ((3pi/4, inf), dt/t^3) with s = sqrt2",

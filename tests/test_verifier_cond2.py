@@ -120,6 +120,71 @@ def test_h2_piece_values():
     assert 0.0029 < net.margin.lo < 0.0031  # vs the printed summands' 0.0026
 
 
+def _h2_a():
+    # int_0^{pi/4} e^{-t^2/sqrt2} (t/(6 sqrt2) + c2 t^3) dt
+    r2, qp = mp.sqrt(2), mp.pi / 4
+    c2 = r2 / 45 - qp**2 * (1 / (6 * r2) + r2 * qp**2 / 45) ** 2 / 2
+    return mp.quad(lambda t: mp.exp(-t**2 / r2) * (t / (6 * r2) + c2 * t**3), [0, qp])
+
+
+def _h2_b():
+    # int_{pi/4}^inf e^{-t^2/sqrt2} / t^3 dt
+    r2 = mp.sqrt(2)
+    return mp.quad(lambda t: mp.exp(-t**2 / r2) / t**3, [mp.pi / 4, 1, 2, 4, mp.inf])
+
+
+def _h2_c():
+    # int_{pi/4}^{3pi/4} of the two quadratic majorants of |cos t|^sqrt2, over
+    # t^3, split where |cos t| crosses 1/4 and where cos t changes sign
+    aq, b1 = mp.sqrt(2) - 1, 2 - mp.sqrt(2) - mpf(0.126)
+    b2, gam = mpf(0.6355), mpf(QUAD_MAJORANT_SHIFT)
+
+    def majorant(t):
+        c = abs(mp.cos(t))
+        outer = c >= mpf(1) / 4
+        return (aq * c * c + (b2 if outer else b1) * c + (gam if outer else 0)) / t**3
+
+    t1 = mp.acos(mpf(1) / 4)
+    return mp.quad(majorant, [mp.pi / 4, t1, mp.pi / 2, mp.pi - t1, 3 * mp.pi / 4])
+
+
+def _h2_s():
+    # int_a^inf cos^2 t / t^3 dt, a = 3pi/4, as 1/(4a^2) + (1/2) Re int_a^inf
+    # e^{2it}/t^3 dt with the oscillatory part along t = a + iy (Jordan)
+    a = 3 * mp.pi / 4
+    ray = mp.quad(lambda y: mp.exp(-2 * y) / (a + 1j * y) ** 3, [0, mp.inf])
+    return 1 / (4 * a**2) + mp.re(1j * mp.expj(2 * a) * ray) / 2
+
+
+@pytest.mark.parametrize("name, truth, margin_of, width", [
+    pytest.param("closed-form-floor", _h2_a, lambda v: v - mpf(0.03129), 5e-16, id="A"),
+    pytest.param("exact-value-floor", _h2_b, lambda v: v - mpf(GAUSS_PIECE_FLOOR), 1e-14,
+                 id="B"),
+    pytest.param("majorant-integral-ceiling", _h2_c, lambda v: mpf(0.2577) - v, 3e-13,
+                 id="C"),
+    pytest.param("cos-square-tail-positive", _h2_s, lambda v: v, 2e-13, id="S"),
+])
+def test_h2_closed_forms_contain_mpmath(name, truth, margin_of, width):
+    # each closed form of H(2) against a 30-digit mpmath value reached by a
+    # route of its own (quadrature, not the primitives); the certificate
+    # takes the closed forms on trust of their transcription
+    node = _find(check_cond2_h2(), name)
+    with mp.workdps(30):
+        want = margin_of(truth())
+    assert mpf(node.margin.lo) <= want <= mpf(node.margin.hi), (name, node.margin, want)
+    assert node.margin.width < width
+
+
+def test_h2_runs_no_quadrature(monkeypatch):
+    from khintchine.verifier import cond2
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("check_cond2_h2 called integrate")
+
+    monkeypatch.setattr(cond2, "integrate", no_quadrature)
+    _assert_all_proved(check_cond2_h2())
+
+
 def test_gauss_piece_printed_floor_fails():
     # B = 0.2958652576 < 0.29587: the printed floor is not attainable
     from khintchine.specfun import ei_neg
@@ -158,23 +223,12 @@ def test_quadratic_majorant_needs_few_cells():
 
 
 def test_wide_quadratures_reach_the_cond2_leaf_notes(monkeypatch):
-    # with the cell cap at 5, every cond2 quadrature stops wide; each leaf
-    # that reads a quadrature must say so
+    # with the cell cap at 5, every cond2 quadrature (all of them in H')
+    # stops wide; each leaf that reads a quadrature must say so
     from khintchine import quad
 
     monkeypatch.setattr(quad, "MAX_CELLS", 5)
-    h2 = check_cond2_h2()
-    overlaps = [n for n in h2.walk() if n.name.endswith("-vs-quadrature")]
-    assert [n.name for n in overlaps] == [
-        "closed-form-vs-quadrature",
-        "exact-vs-quadrature",
-        "primitives-vs-quadrature",
-        "tail-vs-quadrature",
-    ]
     hprime = check_cond2_hprime()
-    leaves = overlaps + [
-        _find(hprime, "integral-above-0.0153"),
-        _find(hprime, "J-below-0.0147"),
-    ]
-    for node in leaves:
-        assert "quadrature target missed (wide, " in node.note, node.name
+    for name in ("integral-above-0.0153", "J-below-0.0147",
+                 "gauss-integral-ceiling", "net-lower-bound"):
+        assert "quadrature target missed (wide, " in _find(hprime, name).note, name

@@ -42,6 +42,8 @@ def test_status_rules():
     assert status_from_margin(Interval(0.1, 0.2), strict=True) == PROVED
     assert status_from_margin(Interval(-0.2, -0.1), strict=True) == FAILED
     assert status_from_margin(Interval(-0.1, 0.2), strict=True) == INCONCLUSIVE
+    # a strict claim needs a lower end above 0: exactly 0 proves nothing
+    assert status_from_margin(Interval(0.0, 1.0), strict=True) == INCONCLUSIVE
     assert status_from_margin(Interval(-1e-14, 1e-14), strict=False) == PROVED
     assert status_from_margin(Interval(-1.0, -1e-3), strict=False) == FAILED
     # a nonstrict claim is proved down to -1e-12 (a margin analytically 0 at
@@ -229,6 +231,18 @@ def test_subdivision_check_wrapper(monkeypatch):
         m, evals, st = prove_positive_1d(f, -2.0, 2.0, **kw)
         assert r.status == st == expected, name
         assert r.margin == m and r.evaluations == evals >= 1, name
+
+
+def test_concave_check_rests_on_both_end_values():
+    # f = 1 - x^2 is concave on [0, 2] with f(0) = 1 but f(2) = -3: the
+    # right end refutes the claim, though the left end and -f'' = 2 hold
+    def check(right):
+        return engine.concave_nonneg_check(
+            "concave", lambda x: x * 0.0 + 2.0, Interval(1.0, 1.0), right, 0.0, 2.0,
+        )
+
+    assert check(Interval(-3.0, -3.0)).status == FAILED
+    assert check(Interval(0.5, 0.5)).status == PROVED
 
 
 def test_stock_lemmas_prove():

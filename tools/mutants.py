@@ -37,6 +37,9 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "src/khintchine/interval.py"
 KERNEL_TESTS = ("tests/test_interval.py", "tests/test_interval_differential.py")
 GAP_TESTS = ("tests/test_quad.py", "tests/test_verifier_np.py")
+COND2 = "src/khintchine/verifier/cond2.py"
+COND2_TESTS = ("tests/test_verifier_cond2.py",)
+CORE_TESTS = ("tests/test_verifier_core.py",)
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,7 @@ MUTANTS = [
     Mutant("M5", "`quad._cell` without the f'' term", "src/khintchine/quad.py",
            "        + (jet.dd - jet.dd) * (w**3 / 162.0)\n", "", ("tests/test_quad.py",)),
     Mutant("M6", "`NONSTRICT_TOL` 1e-12 -> 1e-6", "src/khintchine/verifier/result.py",
-           "NONSTRICT_TOL = 1e-12", "NONSTRICT_TOL = 1e-6",
-           ("tests/test_verifier_core.py",)),
+           "NONSTRICT_TOL = 1e-12", "NONSTRICT_TOL = 1e-6", CORE_TESTS),
     Mutant("M7", "the prover takes f(c).lo as a lower bound of its cell",
            "src/khintchine/verifier/engine.py",
            "max(natural.lo, form.lo)", "max(natural.lo, form.lo, at_c.lo)",
@@ -116,6 +118,23 @@ MUTANTS = [
            "src/khintchine/verifier/npcheck.py",
            "s_factor(t) * p_factor(t), _SERIES_T1, T,",
            "s_factor(t) * p_factor(t), 0.65, T,", GAP_TESTS),
+    # H(2)'s closed forms, which the certificate takes without a second route
+    Mutant("C1", "A's 1/12 read as 1/11", COND2,
+           "(1.0 - eU) * _FR(1, 12)", "(1.0 - eU) * _FR(1, 11)", COND2_TESTS),
+    Mutant("C2", "B's Ei term over 2.01 sqrt2", COND2,
+           "ei_neg(-U) / (SQRT2 * 2.0)", "ei_neg(-U) / (SQRT2 * 2.01)", COND2_TESTS),
+    Mutant("C3", "C's third segment with +b1", COND2,
+           "segment(HALF_PI, t2, -b1)", "segment(HALF_PI, t2, b1)", COND2_TESTS),
+    Mutant("C4", "`_F23`'s 1/t^2 term at 0.99 (S, and C)", COND2,
+           "- ci(tt) * 4.0 - 1.0 / (t * t)", "- ci(tt) * 4.0 - 0.99 / (t * t)",
+           COND2_TESTS),
+    # the grading and composite logic (ROADMAP item 21)
+    Mutant("N14", "a strict claim graded `proved` at a lower end of exactly 0",
+           "src/khintchine/verifier/result.py",
+           "if margin.lo > 0.0:", "if margin.lo >= 0.0:", CORE_TESTS),
+    Mutant("N17", "`concave_nonneg_check` without its right-end value",
+           "src/khintchine/verifier/engine.py",
+           "[e1, e2, conc]", "[e1, conc]", CORE_TESTS),
 ]
 
 

@@ -358,19 +358,14 @@ def check_cond2_h2() -> CheckResult:
 
     # -- piece B ----------------------------------------------------------
     b_exact = eU / (qp_sq * 2.0) + ei_neg(-U) / (SQRT2 * 2.0)
-    piece_b = combine(
+    piece_b = point_check(
         "piece-B",
-        [
-            point_check(
-                "exact-value-floor",
-                b_exact - GAUSS_PIECE_FLOOR,
-                note=(
-                    f"B = {b_exact!r}; true value 0.2958653 sits below the "
-                    "printed 0.29587, floor repaired to 0.29586"
-                ),
-            ),
-        ],
-        note="int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2)",
+        b_exact - GAUSS_PIECE_FLOOR,
+        note=(
+            "int_a^inf e^{-t^2/sqrt2}/t^3 = e^{-a^2/sqrt2}/(2a^2) + Ei(-a^2/sqrt2)/(2 sqrt2) "
+            f"= {b_exact!r}; true value 0.2958653 sits below the printed 0.29587, "
+            "floor repaired to 0.29586"
+        ),
     )
 
     # -- piece C ----------------------------------------------------------

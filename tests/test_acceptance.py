@@ -75,7 +75,7 @@ def h2_result():
 def test_criterion_1_h2_pieces(h2_result):
     res, elapsed = h2_result
     a = _find(res, "closed-form-floor").margin + 0.03129
-    b = _find(res, "exact-value-floor").margin + 0.29586
+    b = _find(res, "piece-B").margin + 0.29586
     c = 0.2577 - _find(res, "majorant-integral-ceiling").margin
     d = 0.0667 - _find(res, "hoelder-ceiling").margin
     net = _find(res, "net-margin").margin
@@ -102,7 +102,7 @@ def test_criterion_1_h2_pieces(h2_result):
     "its own value rounded up and no rigorous enclosure can clear it",
 )
 def test_criterion_1_piece_b_printed_floor(h2_result):
-    b = _find(h2_result[0], "exact-value-floor").margin + 0.29586
+    b = _find(h2_result[0], "piece-B").margin + 0.29586
     assert b.lo >= 0.29587
 
 

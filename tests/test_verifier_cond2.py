@@ -106,7 +106,7 @@ def test_h2_piece_values():
     a = _find(res, "closed-form-floor")
     assert 0 < a.margin.lo < 1e-7  # A = 0.0312900524 vs 0.03129
     assert a.margin.width <= 5e-4
-    b = _find(res, "exact-value-floor")
+    b = _find(res, "piece-B")
     assert 0 < b.margin.lo < 1e-5  # B = 0.2958653 vs repaired floor 0.29586
     assert b.margin.width <= 5e-4
     c = _find(res, "majorant-integral-ceiling")
@@ -158,7 +158,7 @@ def _h2_s():
 
 @pytest.mark.parametrize("name, truth, margin_of, width", [
     pytest.param("closed-form-floor", _h2_a, lambda v: v - mpf(0.03129), 5e-16, id="A"),
-    pytest.param("exact-value-floor", _h2_b, lambda v: v - mpf(GAUSS_PIECE_FLOOR), 1e-14,
+    pytest.param("piece-B", _h2_b, lambda v: v - mpf(GAUSS_PIECE_FLOOR), 1e-14,
                  id="B"),
     pytest.param("majorant-integral-ceiling", _h2_c, lambda v: mpf(0.2577) - v, 3e-13,
                  id="C"),

@@ -10,7 +10,7 @@ certificate's overall status and the tests that failed.  The unmutated copy
 runs the same modules first, and must pass.
 
     python tools/mutants.py                  # all mutants, mapped modules
-    python tools/mutants.py --kernel         # the interval-kernel mutants K1-K7
+    python tools/mutants.py K1 K2 K3         # three interval-kernel mutants
     python tools/mutants.py M4 M9 --tier1    # two mutants against all of Tier-1
 
 Exit status: 0 when every selected mutant fails at least one test, 1 when one
@@ -185,12 +185,9 @@ def _summary(failed: list[str]) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    ap.add_argument("--kernel", action="store_true", help="the kernel mutants K1-K7")
     ap.add_argument("--tier1", action="store_true", help="run all of Tier-1, not the mapped modules")
     args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS
-              if (not args.names or m.name in args.names)
-              and (not args.kernel or m.name.startswith("K"))]
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     if not chosen:
         ap.error("no mutant selected")
     t0 = time.perf_counter()

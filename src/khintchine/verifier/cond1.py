@@ -178,21 +178,20 @@ def check_cond1_small_x() -> CheckResult:
     )
     ch_b = combine("taylor-power-bound", [room, square_room, spots])
 
-    # t <= (c/sin c) sin t on [0, c]: concavity of the margin in t
+    # t <= (c/sin c) sin t on [0, c]: m = slope sin t - t is concave, with
+    # m(0) = 0 and m(c) = 0 exactly; -m'' = slope sin t = t (slope sin t / t)
     c = Interval(SINE_CUT, SINE_CUT)
     slope = c / c.sin()
-
-    def sine_margin_neg_dd(t: Interval) -> Interval:
-        return slope * t.sin()  # -(m'') where m = slope sin t - t
-
+    sinc = sin_taylor(6).quotient(1)
     ch_c = concave_nonneg_check(
         "sine-chord-bound",
-        sine_margin_neg_dd,
-        slope * Interval(0.0, 0.0).sin() - 0.0,
-        slope * c.sin() - c,
+        lambda t: slope * sinc(t),
+        Interval(0.0, 0.0),
+        Interval(0.0, 0.0),
         0.0,
         SINE_CUT,
-        note="t <= (c/sin c) sin t on [0, c], c = 0.06672",
+        note="t <= (c/sin c) sin t on [0, c], c = 0.06672; concavity takes "
+        "slope sin t / t, the factor t >= 0 taken out",
     )
 
     # constant chain: 2.00361/(1-eps0^2)^3 <= 2.0145 and 2.0145 c/sin c <= 2.02

@@ -307,7 +307,10 @@ def _lemma52_piece1() -> CheckResult:
         f0(Interval(0.25, 0.25)) - 0.126 * 0.25,
         note="f0(1/4) = 0.0315492 >= 0.126/4; concavity pushes f0 above the chord",
     )
-    origin = point_check("origin-value", f0(Interval(0.0, 0.0)), strict=False)
+    origin = point_check(
+        "origin-value", Interval(0.0, 0.0), strict=False,
+        note="f0(0) = 0 exactly: each term carries a factor x",
+    )
 
     def quotient(x: Interval) -> Interval:
         return _SQRT2_M1 * x + (_TWO_M_SQRT2 - 0.126) - pow_real(x, _SQRT2_M1)

@@ -93,23 +93,22 @@ def bisect_boxes(
 def _prove_positive(
     evaluate: Callable[[Box], Interval],
     box: Box,
-    strict: bool,
     min_width: float,
 ) -> tuple[Interval, int, str]:
-    """Certify the enclosure >= 0 (> 0 when strict) on box; stop at a refutation.
+    """Certify the enclosure > 0 on box; stop at a refutation.
 
-    Each cell is graded like a leaf margin; the status is the conjunction of
-    the cells' grades, so only the last cell, where the search halted, can
-    fail it, and that cell is the margin of a failure.
+    Each cell is graded like a strict leaf margin; the status is the
+    conjunction of the cells' grades, so only the last cell, where the search
+    halted, can fail it, and that cell is the margin of a failure.
     """
     cells, evals = bisect_boxes(
         [box], evaluate,
-        lambda enc: status_from_margin(enc, strict) == PROVED,
+        lambda enc: status_from_margin(enc, strict=True) == PROVED,
         min_width=min_width,
-        halt=lambda enc: status_from_margin(enc, strict) == FAILED,
+        halt=lambda enc: status_from_margin(enc, strict=True) == FAILED,
     )
     encs = [enc for _, enc in cells]
-    status = conjunction(status_from_margin(enc, strict) for enc in encs)
+    status = conjunction(status_from_margin(enc, strict=True) for enc in encs)
     return (encs[-1] if status == FAILED else imin(encs)), evals, status
 
 
@@ -117,11 +116,8 @@ def prove_positive_1d(
     f: Callable[[Interval], Interval],
     lo: float,
     hi: float,
-    *,
-    strict: bool = True,
 ) -> tuple[Interval, int, str]:
-    """Certify f >= 0 (strictly > 0 when strict) on [lo, hi], bisecting
-    down to cells of width 1e-12.
+    """Certify f > 0 on [lo, hi], bisecting down to cells of width 1e-12.
 
     A cell X is first enclosed by f(X).  Where that leaves the grade open
     and X is finite, f also runs on Jet.var(X) and at the float midpoint c,
@@ -141,7 +137,7 @@ def prove_positive_1d(
         x = Interval(a, b)
         natural = f(x)
         c = 0.5 * (a + b)
-        if status_from_margin(natural, strict) != INCONCLUSIVE or not a < c < b:
+        if status_from_margin(natural, strict=True) != INCONCLUSIVE or not a < c < b:
             return natural
         try:
             jet = f(Jet.var(x))
@@ -155,7 +151,7 @@ def prove_positive_1d(
             max(natural.lo, form.lo), min(natural.hi, form.hi, at_c.hi)
         )
 
-    return _prove_positive(evaluate, ((lo, hi),), strict, 1e-12)
+    return _prove_positive(evaluate, ((lo, hi),), 1e-12)
 
 
 def prove_positive_2d(
@@ -168,7 +164,6 @@ def prove_positive_2d(
     return _prove_positive(
         lambda box: f(Interval(*box[0]), Interval(*box[1])),
         (xdom, ydom),
-        True,
         1e-10,
     )
 
@@ -179,14 +174,13 @@ def subdivision_check(
     lo: float,
     hi: float,
     *,
-    strict: bool = True,
     note: str = "",
 ) -> CheckResult:
-    """The leaf of prove_positive_1d(f, lo, hi): its margin encloses inf f
-    over the final cells, mean-value cells included, and grading it gives
-    back the prover's status."""
-    margin, evals, _ = prove_positive_1d(f, lo, hi, strict=strict)
-    return leaf(name, margin, strict=strict, evaluations=evals, note=note)
+    """The strict leaf of prove_positive_1d(f, lo, hi): its margin encloses
+    inf f over the final cells, mean-value cells included, and grading it
+    gives back the prover's status."""
+    margin, evals, _ = prove_positive_1d(f, lo, hi)
+    return leaf(name, margin, evaluations=evals, note=note)
 
 
 def point_check(
@@ -215,12 +209,14 @@ def monotone_nonneg_check(
     """Certify f >= 0 on [lo, hi] from an anchor value and a derivative sign.
 
     increasing_from_left: anchor = f(lo) >= 0 and f' >= 0 on [lo, hi].
-    Otherwise: anchor = f(hi) >= 0 and f' <= 0 on [lo, hi] (pass -f' in
-    `derivative`).  The conclusion margin is the anchor enclosure: the anchor
-    is the infimum of f under the certified monotonicity.
+    Otherwise: anchor = f(hi) >= 0 and f' <= 0 on [lo, hi] (pass -f').
+    `derivative` is that f' (or -f'), or its quotient by a factor that is
+    >= 0 on [lo, hi]; it must be > 0, since the prover certifies nothing
+    weaker.  The conclusion margin is the anchor enclosure: the anchor is the
+    infimum of f under the certified monotonicity.
     """
     side = "left" if increasing_from_left else "right"
-    deriv = subdivision_check("derivative-sign", derivative, lo, hi, strict=False)
+    deriv = subdivision_check("derivative-sign", derivative, lo, hi)
     anchor_res = point_check(f"anchor-{side}", anchor, strict=False)
     return combine(name, [anchor_res, deriv], note=note, margin=anchor)
 
@@ -237,10 +233,11 @@ def concave_nonneg_check(
 ) -> CheckResult:
     """Certify f >= 0 on [lo, hi] from concavity and endpoint values.
 
-    neg_second_derivative must enclose -f''; a concave function is bounded
-    below by the smaller endpoint value.
+    neg_second_derivative must enclose -f'', or its quotient by a factor that
+    is >= 0 on [lo, hi], and be > 0 there; a concave function is bounded below
+    by the smaller endpoint value.
     """
-    conc = subdivision_check("concavity", neg_second_derivative, lo, hi, strict=False)
+    conc = subdivision_check("concavity", neg_second_derivative, lo, hi)
     e1 = point_check("value-left", value_lo, strict=False)
     e2 = point_check("value-right", value_hi, strict=False)
     return combine(
@@ -259,7 +256,7 @@ def lemma_exp_affine() -> CheckResult:
     e^x - 1 - x (derivative e^x - 1 > 0) from the anchor at 4.
     """
     quotient = exp_taylor(24).quotient(2, minus=poly(1, 1))
-    series_part = subdivision_check("series-quotient", quotient, -1.0, 4.0, strict=True)
+    series_part = subdivision_check("series-quotient", quotient, -1.0, 4.0)
     far = monotone_nonneg_check(
         "far-piece",
         lambda x: x.exp() - 1.0,
@@ -278,15 +275,17 @@ def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad")
     """1 - e^{-b} >= b - b^2/2 on [0, b_hi].
 
     m(b) = 1 - b + b^2/2 - e^{-b} has m(0) = 0 and m'(0) = 0 exactly, and
-    m''(b) = 1 - e^{-b} >= 0 for b >= 0; integrating the sign twice gives
-    m >= 0.  Only the second-derivative sign needs subdivision.
+    m''(b) = 1 - e^{-b} = b q(-b) >= 0 for b >= 0, with q(t) = (e^t - 1)/t;
+    integrating the sign twice gives m >= 0.  Only the sign of q, which is
+    > 0 everywhere, needs subdivision.
     """
+    quotient = exp_taylor(12).quotient(1, minus=poly(1))
     second = subdivision_check(
         "second-derivative",
-        lambda b: Interval(1.0, 1.0) - (-b).exp(),
+        lambda b: quotient(-b),
         0.0,
         b_hi,
-        strict=False,
+        note="m''(b) = b (e^t - 1)/t at t = -b; the factor b >= 0 is taken out",
     )
     a1 = point_check("mprime-at-0", Interval(0.0, 0.0), strict=False)
     a0 = point_check("m-at-0", Interval(0.0, 0.0), strict=False)
@@ -298,20 +297,16 @@ def lemma_one_minus_exp_quadratic(b_hi: float, name: str = "one-minus-exp-quad")
 
 def lemma_neg_log_affine() -> CheckResult:
     """-ln t >= 1 - t on (0, 1]: m(t) = -ln t - 1 + t, m(1) = 0, m' = 1 - 1/t <= 0."""
-
-    def neg_deriv(t: Interval) -> Interval:
-        # -(m') = 1/t - 1 >= 0 on (0, 1]; handle the open end at 0
-        inv = Interval(1.0, INF) if t.lo <= 0.0 else 1.0 / t
-        return inv - 1.0
-
     return monotone_nonneg_check(
         "neg-log-ge-1-minus-t",
-        neg_deriv,
+        # 1/t >= 1 on (0, 1], also where the cell reaches the open end at 0
+        lambda t: Interval(1.0, INF) if t.lo <= 0.0 else 1.0 / t,
         Interval(0.0, 0.0),  # m(1) = 0 exactly
         0.0,
         1.0,
         increasing_from_left=False,
-        note="margin analytically 0 at t=1",
+        note="-m' = (1-t)/t; derivative-sign takes 1/t, the factor 1 - t >= 0 "
+        "taken out; margin analytically 0 at t=1",
     )
 
 
@@ -319,12 +314,13 @@ def lemma_log_le_affine(t_hi: float) -> CheckResult:
     """ln t <= t - 1 on [1, t_hi]: m = t - 1 - ln t, m(1) = 0, m' = 1 - 1/t >= 0."""
     return monotone_nonneg_check(
         "log-le-t-minus-1",
-        lambda t: Interval(1.0, 1.0) - 1.0 / t,
+        lambda t: 1.0 / t,
         Interval(0.0, 0.0),
         1.0,
         t_hi,
         increasing_from_left=True,
-        note="margin analytically 0 at t=1",
+        note="m' = (t-1)/t; derivative-sign takes 1/t, the factor t - 1 >= 0 "
+        "taken out; margin analytically 0 at t=1",
     )
 
 
@@ -332,10 +328,11 @@ def lemma_ln1p_quadratic(x_hi: float) -> CheckResult:
     """ln(1+x) >= x - x^2/2 on [0, x_hi]: m' = x^2/(1+x) >= 0, m(0) = 0."""
     return monotone_nonneg_check(
         "ln1p-ge-x-minus-half-x2",
-        lambda x: x * x / (x + 1.0),
+        lambda x: 1.0 / (x + 1.0),
         Interval(0.0, 0.0),
         0.0,
         x_hi,
         increasing_from_left=True,
-        note="margin analytically 0 at x=0",
+        note="m' = x^2/(1+x); derivative-sign takes 1/(1+x), the factor x^2 >= 0 "
+        "taken out; margin analytically 0 at x=0",
     )

@@ -285,12 +285,13 @@ def _near_zero_children(delta: float) -> list[CheckResult]:
     )
     ln_upper = monotone_nonneg_check(
         "ln-reciprocal-quadratic",
-        lambda u: u * u / ((1.0 - u) * (1.0 - u) * 2.0),
+        lambda u: 1.0 / ((1.0 - u) * (1.0 - u) * 2.0),
         Interval(0.0, 0.0),
         0.0,
         (Interval(delta, delta) ** 2 * 0.5).hi,
         increasing_from_left=True,
-        note="-ln(1-u) <= u + u^2/(2(1-u)); derivative u^2/(2(1-u)^2) >= 0",
+        note="-ln(1-u) <= u + u^2/(2(1-u)); derivative u^2/(2(1-u)^2), "
+        "taken on 1/(2(1-u)^2) with the factor u^2 >= 0 taken out",
     )
     return [cos_lower, ln_upper]
 

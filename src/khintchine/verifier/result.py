@@ -16,21 +16,14 @@ PROVED = "proved"
 FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
 
-# slack for claims whose margin is analytically zero at a boundary point
-NONSTRICT_TOL = 1e-12
-
 
 def status_from_margin(margin: Interval, strict: bool) -> str:
-    if strict:
-        if margin.lo > 0.0:
-            return PROVED
-        if margin.hi < 0.0:
-            return FAILED
-        return INCONCLUSIVE
-    if margin.hi < -NONSTRICT_TOL:
-        return FAILED
-    if margin.lo >= -NONSTRICT_TOL:
+    """Proved when the margin's lower end is > 0 (>= 0 when not strict),
+    failed when its upper end is < 0, inconclusive otherwise; no tolerance."""
+    if (margin.lo > 0.0 if strict else margin.lo >= 0.0):
         return PROVED
+    if margin.hi < 0.0:
+        return FAILED
     return INCONCLUSIVE
 
 

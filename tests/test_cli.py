@@ -156,11 +156,22 @@ def test_np_suite_is_the_classifier_alone():
     assert not any(n.name.startswith("integral-") for r in report.results for n in r.walk())
 
 
-def test_names_below_the_top_level_are_relative():
+@pytest.fixture(scope="module")
+def suite_all():
+    return run(RunConfig())
+
+
+def test_names_below_the_top_level_are_relative(suite_all):
     # a node's path is the one place its parents' names are written
-    report = run(RunConfig())
-    nested = [n.name for r in report.results for c in r.children for n in c.walk()]
+    nested = [n.name for r in suite_all.results for c in r.children for n in c.walk()]
     assert nested and [name for name in nested if "/" in name] == []
+
+
+def test_a_proved_node_has_no_negative_lower_end(suite_all):
+    # no claim is graded through a tolerance: a nonstrict proof needs lo >= 0
+    below = [(n.name, n.margin.lo) for r in suite_all.results for n in r.walk()
+             if n.status == "proved" and n.margin.lo < 0.0]
+    assert below == []
 
 
 def test_conclusion_suite_carries_the_gap_near_zero_certificate():

@@ -74,6 +74,18 @@ def test_small_x_key_margins():
     assert anchor.margin.contains(1.1857809293511656 - 1.14)
 
 
+def test_sine_chord_anchors_are_exact_zeros():
+    # value-left and value-right are exact 0s: m(t) = slope sin t - t with
+    # slope = c/sin c vanishes at t = 0 and t = c, whatever SINE_CUT is
+    c = Interval(cond1.SINE_CUT, cond1.SINE_CUT)
+    slope = c / c.sin()
+    assert (slope * Interval(0.0, 0.0).sin()).contains(0.0)
+    assert (slope * c.sin() - c).contains(0.0)
+    chord = [n for n in check_cond1_small_x().children if n.name == "sine-chord-bound"]
+    assert [(v.name, v.margin) for v in chord[0].children[:2]] == [
+        ("value-left", Interval(0.0, 0.0)), ("value-right", Interval(0.0, 0.0))]
+
+
 def test_d_coefficient_values():
     d2 = d_coefficient(Interval(2.0, 2.0), zeta_terms=10_000)
     assert d2.contains(0.5481820595852435)

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from khintchine.interval import Interval
+from khintchine.interval import SQRT2, Interval, pow_real
 from khintchine.verifier import (
     FAILED,
     PROVED,
@@ -19,6 +19,7 @@ from khintchine.verifier import (
     lemma52_piece2_margin,
     status_from_margin,
 )
+from khintchine.verifier import cond2
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +212,15 @@ def test_quadratic_majorant_shift_repair():
     x = mp.sqrt(2) / 2
     val = (mp.sqrt(2) - 1) * x**2 + mp.mpf("0.6355") * x - mp.mpf("0.04399") - x ** mp.sqrt(2)
     assert float(val) < -6e-5
+
+
+def test_quad_majorant_origin_value_is_an_exact_zero():
+    # origin-value is an exact 0: the majorant's gap f0 vanishes at x = 0
+    x = Interval(0.0, 0.0)
+    f0 = cond2._SQRT2_M1 * x * x + cond2._TWO_M_SQRT2 * x - pow_real(x, SQRT2)
+    assert f0.contains(0.0)
+    origin = _find(check_cond2_h2(), "origin-value")
+    assert origin.margin == Interval(0.0, 0.0) and origin.status == PROVED
 
 
 def test_quadratic_majorant_needs_few_cells():

@@ -44,11 +44,12 @@ def test_status_rules():
     assert status_from_margin(Interval(-0.1, 0.2), strict=True) == INCONCLUSIVE
     # a strict claim needs a lower end above 0: exactly 0 proves nothing
     assert status_from_margin(Interval(0.0, 1.0), strict=True) == INCONCLUSIVE
-    assert status_from_margin(Interval(-1e-14, 1e-14), strict=False) == PROVED
+    # a nonstrict claim needs a lower end of at least 0, with no tolerance:
+    # a margin that dips below 0 by any amount proves nothing
+    assert status_from_margin(Interval(0.0, 1.0), strict=False) == PROVED
+    assert status_from_margin(Interval(-1e-14, 1e-14), strict=False) == INCONCLUSIVE
     assert status_from_margin(Interval(-1.0, -1e-3), strict=False) == FAILED
-    # a nonstrict claim is proved down to -1e-12 (a margin analytically 0 at
-    # a boundary point), and neither proved nor failed just below it
-    assert status_from_margin(Interval(-5e-13, 1.0), strict=False) == PROVED
+    assert status_from_margin(Interval(-5e-13, 1.0), strict=False) == INCONCLUSIVE
     assert status_from_margin(Interval(-2e-12, 1.0), strict=False) == INCONCLUSIVE
     assert status_from_margin(Interval(-1.0, -2e-12), strict=False) == FAILED
 
@@ -88,11 +89,14 @@ def test_prove_positive_1d_outcomes():
     assert st == PROVED and m.lo >= 1.0 - 1e-12
     m, _, st = prove_positive_1d(lambda t: t * t - 2.0, -1.0, 1.0)
     assert st == FAILED and m.hi < 0
-    # x^2 touches zero: strict fails to resolve, non-strict proves
-    _, _, st = prove_positive_1d(lambda t: t * t, -1.0, 1.0, strict=True)
+    # x^2 touches zero: the prover certifies f > 0 only, so it cannot resolve
+    _, _, st = prove_positive_1d(lambda t: t * t, -1.0, 1.0)
     assert st == INCONCLUSIVE
-    m, _, st = prove_positive_1d(lambda t: t * t, -1.0, 1.0, strict=False)
-    assert st == PROVED and abs(m.lo) <= 1e-10
+    # 2x - x - 0.1 = x - 0.1 < 0 near 0; the repeated x widens the natural
+    # form, so the mean-value form decides, and it must carry the whole slope
+    # f'(X) = 1 (with half of it the search reads proved, at [0.15, 0.40])
+    _, _, st = prove_positive_1d(lambda x: x * 2.0 - x - 0.1, 0.0, 1.0)
+    assert st == FAILED
 
 
 def test_prove_positive_budget_never_lies(monkeypatch):
@@ -122,7 +126,7 @@ def test_a_margin_without_a_jet_form_keeps_the_natural_form(monkeypatch):
         return f(t)
 
     natural = engine._prove_positive(
-        lambda box: f(Interval(*box[0])), ((-1.0, 2.0),), True, 1e-12
+        lambda box: f(Interval(*box[0])), ((-1.0, 2.0),), 1e-12
     )
     assert prove_positive_1d(natural_only, -1.0, 2.0) == natural
     assert natural[2] == PROVED
@@ -217,19 +221,15 @@ def test_subdivision_check_wrapper(monkeypatch):
     # the leaf grades the prover's margin; it must land on the prover's status
     dip = lambda t: (t - 0.3333) * (t - 0.3333) + 1e-8
     cases = [
-        ("pos", lambda t: t.exp(), {}, engine.BUDGET, PROVED),
-        ("touching", lambda t: t * t, {"strict": False}, engine.BUDGET, PROVED),
-        ("refuted", lambda t: t * t - 2.0, {}, engine.BUDGET, FAILED),
-        ("refuted-nonstrict", lambda t: t * t - 2.0, {"strict": False},
-         engine.BUDGET, FAILED),
-        ("budget", dip, {}, 10, INCONCLUSIVE),
-        ("budget-nonstrict", dip, {"strict": False}, 10, INCONCLUSIVE),
+        ("pos", lambda t: t.exp(), engine.BUDGET, PROVED),
+        ("refuted", lambda t: t * t - 2.0, engine.BUDGET, FAILED),
+        ("budget", dip, 10, INCONCLUSIVE),
     ]
-    for name, f, kw, budget, expected in cases:
+    for name, f, budget, expected in cases:
         monkeypatch.setattr(engine, "BUDGET", budget)
-        r = subdivision_check(name, f, -2.0, 2.0, **kw)
-        m, evals, st = prove_positive_1d(f, -2.0, 2.0, **kw)
-        assert r.status == st == expected, name
+        r = subdivision_check(name, f, -2.0, 2.0)
+        m, evals, st = prove_positive_1d(f, -2.0, 2.0)
+        assert r.status == st == expected and r.strict, name
         assert r.margin == m and r.evaluations == evals >= 1, name
 
 

@@ -303,6 +303,8 @@ def test_np_generic_wide_gap_needs_a_slope(monkeypatch):
     assert res.status == INCONCLUSIVE
     assert res.children[0].status == INCONCLUSIVE
     assert "transition gap" in res.note and "not certified positive" in res.note
+    # a slope that may be negative anywhere in the gap certifies nothing
+    assert run(Interval(-0.5, 1.0)).status == INCONCLUSIVE
     # an F - G that rises with slope 1 crosses zero once, somewhere in the gap
     res = run(Interval(1.0, 1.0))
     assert res.status == PROVED

@@ -104,8 +104,9 @@ MUTANTS = [
            GAP_TESTS),
     Mutant("M5", "`quad._cell` without the f'' term", "src/khintchine/quad.py",
            "        + (jet.dd - jet.dd) * (w**3 / 162.0)\n", "", ("tests/test_quad.py",)),
-    Mutant("M6", "`NONSTRICT_TOL` 1e-12 -> 1e-6", "src/khintchine/verifier/result.py",
-           "NONSTRICT_TOL = 1e-12", "NONSTRICT_TOL = 1e-6", CORE_TESTS),
+    Mutant("M6", "a nonstrict claim graded `proved` down to a lower end of -1e-12",
+           "src/khintchine/verifier/result.py",
+           "else margin.lo >= 0.0)", "else margin.lo >= -1e-12)", CORE_TESTS),
     Mutant("M7", "the prover takes f(c).lo as a lower bound of its cell",
            "src/khintchine/verifier/engine.py",
            "max(natural.lo, form.lo)", "max(natural.lo, form.lo, at_c.lo)",
@@ -129,9 +130,16 @@ MUTANTS = [
            "- ci(tt) * 4.0 - 1.0 / (t * t)", "- ci(tt) * 4.0 - 0.99 / (t * t)",
            COND2_TESTS),
     # the grading and composite logic (ROADMAP item 21)
+    Mutant("N6", "the prover's mean-value form with half its slope",
+           "src/khintchine/verifier/engine.py",
+           "form = at_c + jet.d * (x - c)", "form = at_c + jet.d * 0.5 * (x - c)",
+           CORE_TESTS),
+    Mutant("N7", "the classifier's transition gap accepted when its rise is > -1",
+           "src/khintchine/verifier/npcheck.py",
+           "if not rise.lo > 0.0:", "if not rise.lo > -1.0:", ("tests/test_verifier_np.py",)),
     Mutant("N14", "a strict claim graded `proved` at a lower end of exactly 0",
            "src/khintchine/verifier/result.py",
-           "if margin.lo > 0.0:", "if margin.lo >= 0.0:", CORE_TESTS),
+           "margin.lo > 0.0 if strict", "margin.lo >= 0.0 if strict", CORE_TESTS),
     Mutant("N17", "`concave_nonneg_check` without its right-end value",
            "src/khintchine/verifier/engine.py",
            "[e1, e2, conc]", "[e1, conc]", CORE_TESTS),

@@ -10,11 +10,9 @@ of the config, byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .interval import HALF_PI, PI, Interval
@@ -50,33 +48,38 @@ SUITES = ("cond1", "cond2", "np", "conclusion", "oracle", "constants", "all")
 SCHEMA_VERSION = 3
 
 
-@dataclass
 class RunConfig:
     """What a report certifies: the suite, and the seed of the oracle suite."""
 
-    suite: str = "all"
-    seed: int = 20240801
+    __slots__ = ("suite", "seed")
 
-    def __post_init__(self):
-        if self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}")
+    def __init__(self, suite: str = "all", seed: int = 20240801):
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}")
+        self.suite = suite
+        self.seed = seed
 
 
-@dataclass
 class Report:
-    tool_version: str
-    config: RunConfig
-    results: list[CheckResult]
-    overall: str
-    elapsed_seconds: float
-    timestamp: str
+    __slots__ = ("tool_version", "config", "results", "overall",
+                 "elapsed_seconds", "timestamp")
+
+    def __init__(self, tool_version: str, config: RunConfig,
+                 results: list[CheckResult], overall: str,
+                 elapsed_seconds: float, timestamp: str):
+        self.tool_version = tool_version
+        self.config = config
+        self.results = results
+        self.overall = overall
+        self.elapsed_seconds = elapsed_seconds
+        self.timestamp = timestamp
 
     def body(self) -> dict:
         """The deterministic part of the report (no timestamp, no timings)."""
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
-            "config": asdict(self.config),
+            "config": {"suite": self.config.suite, "seed": self.config.seed},
             "overall": self.overall,
             "results": [r.to_dict() for r in self.results],
         }
@@ -202,13 +205,16 @@ def run(config: RunConfig) -> Report:
     if suite in ("constants", "all"):
         results.extend(_constants_suite())
 
+    # ISO 8601 in UTC, microseconds and all, without importing datetime
+    sec, ns = divmod(time.time_ns(), 10**9)
     return Report(
         tool_version=__version__,
         config=config,
         results=results,
         overall=conjunction(r.status for r in results),
         elapsed_seconds=time.perf_counter() - t0,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(sec))
+        + f".{ns // 1000:06d}+00:00",
     )
 
 

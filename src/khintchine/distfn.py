@@ -13,24 +13,23 @@ share, so it stays narrow as x -> 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .interval import PI, DomainError, Interval, pow_real
 from .specfun import em_tail, neg_ln_cos_quotient
 
 
-@dataclass(frozen=True)
 class MeasureParams:
     """Exponent of the measure dt/t^(p+1); interval-valued for range checks."""
 
-    p: Interval
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not (2.0 <= self.p.lo and self.p.hi <= 3.0):
-            raise DomainError(f"p must lie in [2, 3], got {self.p}")
-        if self.p.width > 1.0:
+    def __init__(self, p: Interval):
+        if not (2.0 <= p.lo and p.hi <= 3.0):
+            raise DomainError(f"p must lie in [2, 3], got {p}")
+        if p.width > 1.0:
             raise DomainError("p interval too wide; subdivide above this type")
+        self.p = p
 
 
 _ZERO = Interval(0.0, 0.0)

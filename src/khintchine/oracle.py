@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
 
@@ -22,13 +21,19 @@ from .specfun import b_constant
 ENUM_LIMIT = 16  # 2^(n-1) patterns with the sign symmetry; keeps runs fast
 
 
-@dataclass(frozen=True)
 class CoefficientVector:
-    a: tuple[float, ...]
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        if len(self.a) < 1:
+    def __init__(self, a: tuple[float, ...]):
+        if len(a) < 1:
             raise ValueError("need at least one coefficient")
+        self.a = a
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CoefficientVector) and self.a == other.a
+
+    def __hash__(self):
+        return hash(self.a)
 
     @property
     def n(self) -> int:

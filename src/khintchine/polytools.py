@@ -16,7 +16,6 @@ valid for |t| <= t_limit.  It reaches a proof only through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -87,14 +86,16 @@ def p_quotient(num: Poly, k: int) -> Callable[[Interval], Interval]:
     return lambda t: ipoly_eval(coeffs, t)
 
 
-@dataclass(frozen=True)
 class TaylorEnclosure:
     """f(t) in poly(t) + [-1, 1] rem_coeff |t|^rem_power for |t| <= t_limit."""
 
-    poly: Poly
-    rem_coeff: Fraction
-    rem_power: int
-    t_limit: float
+    __slots__ = ("poly", "rem_coeff", "rem_power", "t_limit")
+
+    def __init__(self, poly: Poly, rem_coeff: Fraction, rem_power: int, t_limit: float):
+        self.poly = poly
+        self.rem_coeff = rem_coeff
+        self.rem_power = rem_power
+        self.t_limit = t_limit
 
     def quotient(
         self, k: int, minus: Poly | None = None

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -53,11 +52,14 @@ FnEnclosure = Callable[[Interval], Interval]
 MAX_CELLS = 500_000  # cells enclosed before a run stops "wide"
 
 
-@dataclass
 class QuadResult:
-    value: Interval
-    status: str  # "ok" (target met) or "wide" (budget exhausted, still valid)
-    cells: int
+    __slots__ = ("value", "status", "cells")
+
+    def __init__(self, value: Interval, status: str, cells: int):
+        self.value = value
+        # "ok" (target met) or "wide" (budget exhausted, still valid)
+        self.status = status
+        self.cells = cells
 
     @property
     def ok(self) -> bool:

@@ -7,7 +7,6 @@ conjunction of their parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..interval import Interval, imin
@@ -38,7 +37,6 @@ def conjunction(statuses: Iterable[str]) -> str:
     return INCONCLUSIVE
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named inequality check.
 
@@ -48,13 +46,18 @@ class CheckResult:
     one, and its status is the conjunction of theirs.
     """
 
-    name: str
-    status: str
-    margin: Interval
-    strict: bool = True
-    children: list["CheckResult"] = field(default_factory=list)
-    evaluations: int = 0
-    note: str = ""
+    __slots__ = ("name", "status", "margin", "strict", "children", "evaluations", "note")
+
+    def __init__(self, name: str, status: str, margin: Interval, strict: bool = True,
+                 children: list[CheckResult] | None = None, evaluations: int = 0,
+                 note: str = ""):
+        self.name = name
+        self.status = status
+        self.margin = margin
+        self.strict = strict
+        self.children = [] if children is None else children
+        self.evaluations = evaluations
+        self.note = note
 
     def walk(self):
         yield self

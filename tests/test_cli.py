@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(suite="everything")
     # the report's path and format are main's, not the proof's
-    assert [f.name for f in fields(RunConfig)] == ["suite", "seed"]
+    assert RunConfig.__slots__ == ("suite", "seed")
+    assert not hasattr(RunConfig(), "__dict__")
+    body = Report("v", RunConfig(), [], "proved", 0.0, "t").body()
+    assert list(body["config"]) == ["suite", "seed"]
 
 
 def test_parser_defaults():
@@ -50,6 +53,11 @@ def test_constants_suite_report(tmp_path, capsys):
     )
     del doc["timestamp"], doc["elapsed_seconds"]
     assert json.dumps(doc, sort_keys=True) == json.dumps(body, sort_keys=True)
+
+
+def test_timestamp_is_iso_8601_in_utc():
+    stamp = run(RunConfig(suite="constants")).timestamp
+    assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
 
 
 def test_constants_si_pi_anchors_the_i1_input():
@@ -189,18 +197,32 @@ def test_conclusion_suite_carries_the_gap_near_zero_certificate():
     assert "np/conclusion-direct/p-2.5/integral-p2.5-s4.0" in moment.children[0].note
 
 
-def test_cli_and_oracle_suite_run_without_numpy():
-    # the oracle suite is the standard library alone: a fresh interpreter
-    # that imports the CLI and runs it never loads numpy
+def _fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this package."""
     src = str(Path(khintchine.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = (
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_and_oracle_suite_run_without_numpy():
+    # the oracle suite is the standard library alone: a fresh interpreter
+    # that imports the CLI and runs it never loads numpy
+    out = _fresh_interpreter(
         "import sys\n"
         "import khintchine.cli as cli\n"
         "report = cli.run(cli.RunConfig(suite='oracle'))\n"
         "print(report.overall, 'numpy' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
     assert out.split() == ["proved", "False"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    # start-up: dataclasses alone pulls in inspect, ast, dis and tokenize
+    out = _fresh_interpreter(
+        "import sys\n"
+        "import khintchine.cli\n"
+        "print(*sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))\n"
+    )
+    assert out.split() == []

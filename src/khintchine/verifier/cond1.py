@@ -4,6 +4,12 @@ Four families: the sign of F_* - G_* at sigma = 0.97, the negativity on
 (0, 1/15], the monotonicity of F_* - G_* via the derivative-ratio bound, and
 the latter's reduction machinery (p = 2 reduction, polynomial minorants on
 (0, 1], tangent/convexity comparisons on [1, 1.50412]).
+
+Every leaf is a step of the paper's chain except the two direct F_* - G_*
+grids, `direct-fstar-gstar-grid` and `direct-negativity-grid`, which test
+the chain's conclusion.  Re-checks of a single step (the binomial bound at
+sample points, the ratio bound on a grid, case 2's g > f by subdivision)
+are Tier-1 tests, not leaves.
 """
 
 from __future__ import annotations
@@ -164,19 +170,7 @@ def check_cond1_small_x() -> CheckResult:
         Interval(2.00361, 2.00361) - (1.0 + e0 * e0) * 2.0,
         note="2(1+e^2) <= 2.00361 for e <= 0.04248",
     )
-    spot_margins = []
-    for pv in (2.0, 2.25, 2.5, 2.75, 3.0):
-        for i in range(1, 11):
-            e = Interval(EPS0 * i / 10.0, EPS0 * i / 10.0)
-            piv = Interval(pv, pv)
-            lhs = pow_real(1.0 + e, piv) - pow_real(1.0 - e, piv)
-            spot_margins.append(Interval(2.00361, 2.00361) * piv * e - lhs)
-    spots = point_check(
-        "direct-spots",
-        imin(spot_margins),
-        note="redundant pointwise evaluations on the (e, p) grid",
-    )
-    ch_b = combine("taylor-power-bound", [room, square_room, spots])
+    ch_b = combine("taylor-power-bound", [room, square_room])
 
     # t <= (c/sin c) sin t on [0, c]: m = slope sin t - t is concave, with
     # m(0) = 0 and m(c) = 0 exactly; -m'' = slope sin t = t (slope sin t / t)
@@ -568,16 +562,6 @@ def check_case2_convexity() -> CheckResult:
         )
     )
 
-    # redundant direct comparison
-    children.append(
-        subdivision_check(
-           "direct-gap",
-            lambda t: _g_case2(t) - _f_case2(t),
-            1.0,
-            T_END,
-            note="g - f > 0 verified directly as well",
-        )
-    )
     return combine("case2-convexity", children)
 
 
@@ -586,20 +570,11 @@ def check_case2_convexity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _rhs13(t: Interval, p: Interval) -> Interval:
-    """The derivative-ratio lower bound at arccos x = t."""
-    L = t.cos().ln() * -2.0
-    A2 = L / (t * t)
-    B2 = L / ((PI - t) * (PI - t))
-    half = (p + 1.0) * 0.5
-    return (pow_real(A2, half) + pow_real(B2, half)) * L.sqrt() * t.cos() / t.sin()
-
-
 def check_cond1_monotone() -> CheckResult:
     """F_* - G_* increasing on (rho, 1): the ratio F'/G' stays above 1.
 
-    Children: the endpoint guard, the reduction to p = 2, the two p = 2 cases,
-    and a redundant grid of direct evaluations of the ratio bound.
+    Children: the endpoint guard, the reduction to p = 2 and the two p = 2
+    cases, which together bound the ratio below by 1 for every p in [2, 3].
     """
     a_rho = Interval(RHO, RHO).arccos()
     endpoint = point_check(
@@ -610,17 +585,4 @@ def check_cond1_monotone() -> CheckResult:
     reduction = check_reduction_to_p2()
     case1 = check_case1_polynomials()
     case2 = check_case2_convexity()
-    spots = []
-    for p in (2.0, 2.5, 3.0):
-        for i in range(1, 16):
-            t = min(0.1 * i, T_END)
-            spots.append(_rhs13(Interval(t, t), Interval(p, p)) - 1.0)
-    spot_check = point_check(
-        "ratio-grid",
-        imin(spots),
-        note="direct interval evaluations of the ratio bound minus 1",
-    )
-    return combine(
-        "cond1/monotone",
-        [endpoint, reduction, case1, case2, spot_check],
-    )
+    return combine("cond1/monotone", [endpoint, reduction, case1, case2])

@@ -1,6 +1,7 @@
 """Condition-1 checks: everything proves, spec examples hold, degenerate
 parameters fail as they should."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp, mpf
 
 from khintchine import specfun as sf
 from khintchine.cli import _constants_suite
+from khintchine.distfn import MeasureParams, derivatives
 from khintchine.interval import PI, DomainError, Interval, pow_real
 from khintchine.jet import Jet
 from khintchine.verifier import (
@@ -23,7 +25,14 @@ from khintchine.verifier import (
     status_from_margin,
 )
 from khintchine.verifier import cond1
-from khintchine.verifier.cond1 import _rhs_sign_bound, _rhs13
+from khintchine.verifier.cond1 import (
+    EPS0,
+    T_END,
+    _f_case2,
+    _g_case2,
+    _g_case2_prime,
+    _rhs_sign_bound,
+)
 
 
 def _assert_all_proved(result):
@@ -191,11 +200,72 @@ def test_monotone_composite_proves():
     assert "case2-convexity" in names
 
 
+def _g_mp(t):
+    return 1 / t**3 + 1 / (mp.pi - t) ** 3
+
+
+def _f_mp(t):
+    return mp.tan(t) / (2 * mp.log(mp.cos(t))) ** 2
+
+
+def test_case2_transcriptions_contain_mpmath():
+    # case 2's tangents and convexity rest on these three enclosures, which
+    # the certificate does not re-derive: each holds a 30-digit value at 13
+    # points of [1, T_END], g' by mpmath's numerical derivative of g
+    with mp.workdps(30):
+        for k in range(13):
+            t = 1.0 + k * (T_END - 1.0) / 12
+            tt = mpf(t)
+            for fn, want in (
+                (_g_case2, _g_mp(tt)),
+                (_g_case2_prime, mp.diff(_g_mp, tt)),
+                (_f_case2, _f_mp(tt)),
+            ):
+                enc = fn(Interval(t, t))
+                assert mpf(enc.lo) <= want <= mpf(enc.hi), (fn.__name__, t)
+                assert enc.hi - enc.lo <= 1e-13 * abs(float(want))
+        # g > f on [1, T_END], the claim the tangent comparisons certify
+        gap = min(_g_mp(t) - _f_mp(t)
+                  for t in (1 + (mpf(T_END) - 1) * k / 400 for k in range(401)))
+    assert 0.0113 < gap < 0.0114
+
+
+def test_binomial_power_bound_on_a_grid():
+    # (1+e)^p - (1-e)^p <= 2.00361 p e on [0, EPS0] x [2, 3], which
+    # cubic-coefficient-room and epsilon-square-room prove for every (e, p)
+    with mp.workdps(30):
+        worst = min(
+            mpf("2.00361") * p * e - ((1 + e) ** p - (1 - e) ** p)
+            for p in (2 + mpf(j) / 8 for j in range(9))
+            for e in (mpf(EPS0) * i / 20 for i in range(1, 21))
+        )
+    assert 1.5e-5 < worst < 1.6e-5  # at e = EPS0, p = 3
+
+
+def _ratio_bound_mp(t, p):
+    """The derivative-ratio lower bound at arccos x = t."""
+    L = -2 * mp.log(mp.cos(t))
+    h = (p + 1) / 2
+    return ((L / t**2) ** h + (L / (mp.pi - t) ** 2) ** h) * mp.sqrt(L) / mp.tan(t)
+
+
 def test_ratio_bound_spot_values():
-    # direct interval evaluations of the derivative-ratio bound minus 1
-    assert (_rhs13(Interval(0.5, 0.5), Interval(2.0, 2.0)) - 1.0).lo > 0.005
-    assert (_rhs13(Interval(1.45, 1.45), Interval(3.0, 3.0)) - 1.0).lo > 0.5
-    assert (_rhs13(Interval(0.1, 0.1), Interval(2.0, 2.0)) - 1.0).lo > 0
+    # F_*' - G_*' > 0 on (rho, 1), the monotone node's claim, at x = cos t
+    # for t = 0.1, 0.2, ..., 1.5
+    for p in (2.0, 2.5, 3.0):
+        params = MeasureParams(Interval(p, p))
+        for i in range(1, 16):
+            x = math.cos(0.1 * i)
+            fp, gp = derivatives(Interval(x, x), params)
+            assert (fp - gp).lo > 0.04, (p, x)
+    # the ratio bound minus 1, and F_*'/G_*' at least the bound
+    with mp.workdps(30):
+        for t, p, floor in ((0.5, 2.0, 0.005), (1.45, 3.0, 0.5), (0.1, 2.0, 0.0)):
+            x = math.cos(t)
+            bound = _ratio_bound_mp(mp.acos(mpf(x)), mpf(p))
+            assert bound - 1 > floor
+            fp, gp = derivatives(Interval(x, x), MeasureParams(Interval(p, p)))
+            assert mpf((fp / gp).lo) > bound
 
 
 def test_endpoint_guard_value():

@@ -37,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "src/khintchine/interval.py"
 KERNEL_TESTS = ("tests/test_interval.py", "tests/test_interval_differential.py")
 GAP_TESTS = ("tests/test_quad.py", "tests/test_verifier_np.py")
+COND1 = "src/khintchine/verifier/cond1.py"
+COND1_TESTS = ("tests/test_verifier_cond1.py",)
 COND2 = "src/khintchine/verifier/cond2.py"
 COND2_TESTS = ("tests/test_verifier_cond2.py",)
 CORE_TESTS = ("tests/test_verifier_core.py",)
@@ -129,6 +131,16 @@ MUTANTS = [
     Mutant("C4", "`_F23`'s 1/t^2 term at 0.99 (S, and C)", COND2,
            "- ci(tt) * 4.0 - 1.0 / (t * t)", "- ci(tt) * 4.0 - 0.99 / (t * t)",
            COND2_TESTS),
+    # cond1's case-2 transcriptions, which the certificate takes without a
+    # second route
+    Mutant("D1", "`_g_case2`'s second term over 1.01", COND1,
+           "1.0 / t**3 + 1.0 / (PI - t) ** 3", "1.0 / t**3 + 1.01 / (PI - t) ** 3",
+           COND1_TESTS),
+    Mutant("D2", "`_g_case2_prime`'s 3/t^4 read as 2.9/t^4", COND1,
+           "3.0 / (PI - t) ** 4 - 3.0 / t**4", "3.0 / (PI - t) ** 4 - 2.9 / t**4",
+           COND1_TESTS),
+    Mutant("D3", "`_f_case2`'s -2 ln cos t read as -2.1 ln cos t", COND1,
+           "(c.ln() * -2.0) ** 2", "(c.ln() * -2.1) ** 2", COND1_TESTS),
     # the grading and composite logic (ROADMAP item 21)
     Mutant("N6", "the prover's mean-value form with half its slope",
            "src/khintchine/verifier/engine.py",

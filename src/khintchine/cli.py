@@ -198,8 +198,7 @@ def run(config: RunConfig) -> Report:
         for p in HYPOTHESIS_P:
             results.append(check_np_cos_gauss(p))
     if suite in ("conclusion", "all"):
-        direct = check_conclusion_direct()
-        results += [direct, check_fp_convergence(direct)]
+        results += [check_conclusion_direct(), check_fp_convergence()]
     if suite in ("oracle", "all"):
         results.extend(_oracle_suite(config))
     if suite in ("constants", "all"):

@@ -189,7 +189,6 @@ def check_cond1_small_x() -> CheckResult:
     )
 
     # constant chain: 2.00361/(1-eps0^2)^3 <= 2.0145 and 2.0145 c/sin c <= 2.02
-    e0 = Interval(EPS0, EPS0)
     ch_d = combine(
         "constant-chain",
         [

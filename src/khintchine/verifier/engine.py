@@ -189,13 +189,6 @@ def point_check(
     return leaf(name, margin, strict=strict, evaluations=1, note=note)
 
 
-def overlap_check(name: str, a: Interval, b: Interval, *, note: str) -> CheckResult:
-    """A point leaf certifying that two enclosures of one quantity intersect:
-    its margin is the smaller of a.hi - b.lo and b.hi - a.lo."""
-    gap = min(a.hi - b.lo, b.hi - a.lo)
-    return point_check(name, Interval(gap, gap), note=note)
-
-
 def monotone_nonneg_check(
     name: str,
     derivative: Callable[[Interval], Interval],

@@ -5,12 +5,12 @@ hypotheses: F - G changes sign once, and int (g^s0 - f^s0) d(mu) >= 0 at
 s0 = sqrt(2).  np_generic certifies the first for arbitrary enclosures F, G.
 check_conclusion_direct encloses the integrals themselves at sample exponents,
 independently of the piecewise proofs: its s0 column is the second hypothesis,
-its larger s the lemma's conclusion.  check_fp_convergence compares exact
-Rademacher moments with their gaussian limit, at n = 4 through a gap
-integral of check_conclusion_direct's grid.  Each integral
-(gauss_cos_gap_integrals) is a near-zero majorant, a series integrated in
+its larger s the lemma's conclusion.  At an even integer s the integral is
+Haagerup's closed form (haagerup_gap), in no quadrature.  At any other s
+(gauss_cos_gap_integrals) it is a near-zero majorant, a series integrated in
 closed form, one quadrature of the direct form that ends at 7 pi/2, and the
-gaussian and two-sided cos-power tails past it.
+gaussian and two-sided cos-power tails past it.  check_fp_convergence
+compares exact Rademacher moments with their gaussian limit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import Callable
 
 from ..distfn import SERIES_K, MeasureParams, derivatives, f_star, g_star, star_difference
-from ..interval import DomainError, Interval, imin, ipoly_eval, poly_mul, pow_real
+from ..interval import EULER_GAMMA, DomainError, Interval, imin, ipoly_eval, poly_mul, pow_real
 from ..jet import Jet
 from ..polytools import poly
 from ..quad import (
@@ -36,7 +36,6 @@ from ..specfun import LN_COS_COEFFS, SQRT2, b_constant, cos_taylor, gamma_iv, ne
 from .engine import (
     bisect_boxes,
     monotone_nonneg_check,
-    overlap_check,
     point_check,
     subdivision_check,
 )
@@ -431,30 +430,30 @@ def check_conclusion_direct(
 
     At the SQRT2 box it is the comparison lemma's hypothesis 2, and the
     default p_grid, HYPOTHESIS_P, holds the p where check_np_cos_gauss
-    certifies hypothesis 1; at larger s it is the lemma's conclusion,
-    enclosed directly.  A leaf's evaluations are the cells of its
-    quadrature.
+    certifies hypothesis 1; at larger s it is the lemma's conclusion.  An
+    even integer s is enclosed by haagerup_gap, in no cells, so p must lie
+    in [2, 3]; every other s by gauss_cos_gap_integrals, and its leaf's
+    evaluations are the cells of its quadrature.
     """
     s_grid = [s if isinstance(s, Interval) else Interval(s, s) for s in s_grid]
     if any(s.lo < float(SQRT2.lo) - 1e-12 for s in s_grid):
         raise ValueError("conclusion holds for s >= sqrt(2) only")
     children = _near_zero_children(_GAP_DELTA)
-    grid = [(Interval(p, p), s) for p in p_grid for s in s_grid]
+    even = lambda s: s.lo == s.hi and s.lo % 2.0 == 0.0
+    grid = [(Interval(p, p), s) for p in p_grid for s in s_grid if not even(s)]
     gaps = iter(gauss_cos_gap_integrals(grid))
     for p in p_grid:
         row = []
         for s in s_grid:
-            enc, direct = next(gaps)
-            row.append(
-                leaf(
-                    _gap_leaf_name(p, s),
-                    enc,
-                    strict=False,
-                    evaluations=direct.cells,
-                    note=note_missed("hypothesis 2, s0 = sqrt(2)" if s == SQRT2 else "",
-                                     direct),
-                )
-            )
+            if even(s):
+                enc, cells = haagerup_gap(Interval(p, p), int(s.lo)), 0
+                note = ("limit formula, no Gamma" if p == 2.0 else
+                        "Haagerup identity; Gamma by Lanczos, whose error bound is empirical")
+            else:
+                enc, direct = next(gaps)
+                cells = direct.cells
+                note = note_missed("hypothesis 2, s0 = sqrt(2)" if s == SQRT2 else "", direct)
+            row.append(leaf(_gap_leaf_name(p, s), enc, strict=False, evaluations=cells, note=note))
         children.append(combine(f"p-{p}", row))
     return combine("np/conclusion-direct", children)
 
@@ -491,7 +490,7 @@ def check_np_cos_gauss(
 
 
 # ---------------------------------------------------------------------------
-# convergence of the Rademacher moments to the gaussian one
+# Haagerup's identity, and the Rademacher moments' convergence to the gaussian
 # ---------------------------------------------------------------------------
 
 FP_P = 2.5  # the exponent of the moment-convergence check
@@ -515,35 +514,54 @@ def gauss_moment_integral(p: Interval) -> Interval:
     return pow_real(Interval(2.0), a - 1.0) * gamma_iv(a + 3.0) / (a * (a + 1.0) * (a + 2.0))
 
 
-def check_fp_convergence(direct: CheckResult) -> CheckResult:
+def haagerup_gap(p: Interval, n: int) -> Interval:
+    """H(p, n) = int_0^inf (e^(-n t^2/2) - cos^n t) t^(-p-1) dt at an even
+    n, the gap integral of gauss_cos_gap_integrals at s = n, in closed form
+    by Haagerup's identity (Haagerup, Studia Math. 70, 1981), for 2 <= p <= 3.
+
+    With K(p) = int_0^inf (cos u - 1 + u^2/2) u^(-p-1) du, finite and > 0 on
+    2 < p < 4, u = |x| t gives int_0^inf (cos xt - 1 + x^2 t^2/2) t^(-p-1) dt
+    = K(p) |x|^p; the integrand is >= 0, so for a symmetric X with E X^2 = n
+    the mean over X is int_0^inf (phi_X(t) - 1 + n t^2/2) t^(-p-1) dt =
+    K(p) E|X|^p.  cos^n t is phi_X at X = S_n, a sum of n random signs, and
+    e^(-n t^2/2) at X = sqrt(n) Z, Z gaussian, so H = K(p) (n^(p/2) B_p^p -
+    E|S_n|^p) with B_p^p = E|Z|^p.  X = Z gives gauss_moment_integral(p) =
+    K(p) B_p^p, hence H = n^(p/2) gauss_moment_integral(p) (1 - m_n/B_p^p),
+    m_n = rademacher_moment(n, p).
+
+    At p = 2, K has a pole, K(p) = 1/(2(p-2)) + O(1), and the bracket a
+    zero, with slope (n/2)(2 - gamma + ln(n/2)) - E[S_n^2 ln|S_n|] in p
+    (d/dp E|Z|^p = (2 - gamma - ln 2)/2 there, as psi(3/2) = 2 - gamma -
+    2 ln 2).  H is continuous in p, so H(2, n) is the limit
+    (n/4)(2 - gamma + ln(n/2)) - E[S_n^2 ln|S_n|]/2, with exact weights and
+    no Gamma.  At p > 2, B_p and gauss_moment_integral take Gamma from
+    specfun.gamma_iv.
+    """
+    if p.lo == p.hi == 2.0:
+        terms = [Interval.from_fraction(Fraction(comb(n, j) * (n - 2 * j) ** 2, 2 ** (n - 1)))
+                 * Interval(n - 2 * j).ln() for j in range(n // 2)]
+        mean = sum(terms, Interval(0.0))  # E[S_n^2 ln|S_n|]
+        return (2.0 - EULER_GAMMA + Interval(n / 2).ln()) * (n / 4) - mean * 0.5
+    ratio = rademacher_moment(n, p) / pow_real(b_constant(p), p)
+    return pow_real(Interval(n), p * 0.5) * gauss_moment_integral(p) * (1.0 - ratio)
+
+
+def check_fp_convergence() -> CheckResult:
     """The Rademacher moments m_n = E|S_n/sqrt(n)|^p rise toward B_p^p.
 
-    By Haagerup's formula I(n)/I(inf) = m_n/B_p^p for even n, where I(n) is
-    int_0^inf (t^2/2 - 1 + |cos(t/sqrt(n))|^n) t^(-p-1) dt and I(inf) its
-    gaussian limit: the deviations I(inf) - I(n) fall along FP_S as the m_n
-    rise, and the last is below I(inf)/100 when m_n >= 0.99 B_p^p.  At n = 4
-    the formula is held to the quadrature route, n^(-p/2) times the gap
-    integral that direct, a check_conclusion_direct node, holds at
-    (FP_P, 4); a node without that leaf raises ValueError.  The integral's
-    near-zero certificate is direct's.
+    By Haagerup's identity I(inf) - I(n) = I(inf) (1 - m_n/B_p^p) for even
+    n, where I(n) is int_0^inf (t^2/2 - 1 + |cos(t/sqrt(n))|^n) t^(-p-1) dt
+    and I(inf) its gaussian limit; the difference is n^(-p/2) times
+    haagerup_gap(p, n), which builds it from the same rademacher_moment and
+    b_constant.  So the deviations fall along FP_S as the m_n rise, and the
+    last is below I(inf)/100 when m_n >= 0.99 B_p^p.
     """
     piv = Interval(FP_P)
     bpp = pow_real(b_constant(piv), piv)
     m = {n: rademacher_moment(n, piv) for n in FP_S}
-    n0, n_last = FP_S[0], FP_S[-1]
-    path = f"p-{FP_P}/{_gap_leaf_name(FP_P, Interval(n0))}"
-    gap = next((g for row in direct.children for g in row.children
-                if f"{row.name}/{g.name}" == path), None)
-    if gap is None:
-        raise ValueError(f"{direct.name} has no leaf {path}")
-    by_quad = pow_real(Interval(n0), -piv * 0.5) * gap.margin  # I(inf) - I(n0)
-    exact = gauss_moment_integral(piv) * (1.0 - m[n0] / bpp)
+    n_last = FP_S[-1]
     lanczos = "Gamma by Lanczos, whose error bound is empirical"
-    note = (f"n^(-p/2) {direct.name}/{path} {by_quad!r} vs "
-            f"I(inf)(1 - m_n/B_p^p) {exact!r}; {lanczos}")
     children = [
-        overlap_check(f"haagerup-formula-n{n0}", by_quad, exact,
-                      note=f"{note}; {gap.note}" if gap.note else note),
         *(point_check(f"deviation-decreasing-{a}-to-{b}", m[b] - m[a],
                       note=f"m_{a} = {m[a]!r} vs m_{b} = {m[b]!r}")
           for a, b in zip(FP_S, FP_S[1:])),

@@ -183,9 +183,9 @@ def test_a_proved_node_has_no_negative_lower_end(suite_all):
 
 
 def test_conclusion_suite_carries_the_gap_near_zero_certificate():
-    # both nodes rest on gap integrals, so on C4 at delta = 1e-4; the moment
-    # node reads its integral from conclusion-direct, which holds the one
-    # certificate
+    # the sqrt(2) column's quadratures rest on C4 at delta = 1e-4, and
+    # conclusion-direct holds the one certificate; the moment node compares
+    # exact moments and rests on none
     report = run(RunConfig(suite="conclusion"))
     assert report.overall == "proved"
     direct, moment = report.results
@@ -194,7 +194,6 @@ def test_conclusion_suite_carries_the_gap_near_zero_certificate():
         ("cos-above-quadratic", "proved"), ("ln-reciprocal-quadratic", "proved")]
     certs = [n for r in report.results for n in r.walk() if n.name == "cos-above-quadratic"]
     assert certs == [direct.children[0]]
-    assert "np/conclusion-direct/p-2.5/integral-p2.5-s4.0" in moment.children[0].note
 
 
 def _fresh_interpreter(code: str) -> str:

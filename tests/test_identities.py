@@ -158,3 +158,24 @@ def test_cos_power_mean_wallis_identities():
     # expand_func writes Gamma(x + 1) as x Gamma(x)
     assert sp.simplify(sp.expand_func(m(t + 2) * (t + 2) / (t + 1) - m(t))) == 0
     assert sp.simplify(sp.expand_func(m(t) * m(t + 1)) - 2 / (sp.pi * (t + 1))) == 0
+
+
+def test_haagerup_identity_limit_at_p2():
+    # npcheck.haagerup_gap: H(p, n) = K(p) (n^(p/2) B_p^p - E|S_n|^p) with
+    # K(p) = Gamma(-p) cos(pi p/2) and B_p^p = 2^(p/2) Gamma((p+1)/2)/sqrt(pi).
+    # The bracket vanishes at p = 2 and (p - 2) K(p) -> 1/2, so H(2, n) is half
+    # the bracket's slope there: (n/4)(2 - gamma + ln(n/2)) - E[S_n^2 ln|S_n|]/2
+    p, n = sp.symbols("p n", positive=True)
+    K = sp.gamma(-p) * sp.cos(sp.pi * p / 2)
+    gauss = n ** (p / 2) * 2 ** (p / 2) * sp.gamma((p + 1) / 2) / sp.sqrt(sp.pi)
+    assert sp.limit((p - 2) * K, p, 2) == sp.Rational(1, 2)
+    slope = sp.expand_func(sp.diff(gauss, p).subs(p, 2))
+    assert sp.simplify(slope - n / 2 * (2 - sp.EulerGamma + sp.log(n / 2))) == 0
+    # and the limit of the identity itself at n = 2 and 4, where
+    # E|S_n|^p = 2^(1-n) sum_{j < n/2} C(n, j) (n - 2j)^p
+    for m in (2, 4):
+        pairs = [(sp.Rational(2 * sp.binomial(m, j), 2**m), m - 2 * j) for j in range(m // 2)]
+        moment = sum(w * sp.Integer(x) ** p for w, x in pairs)
+        limit = sp.Rational(m, 4) * (2 - sp.EulerGamma + sp.log(sp.Rational(m, 2))) - sum(
+            w * x**2 * sp.log(x) for w, x in pairs) / 2
+        assert sp.simplify(sp.limit(K * (gauss.subs(n, m) - moment), p, 2) - limit) == 0, m

@@ -388,14 +388,21 @@ def test_conclusion_direct_s0_column_is_hypothesis_2(conclusion_direct):
 
 def test_conclusion_direct_leaf_evaluations_are_its_direct_cells():
     # m_s is a closed bracket, so a gap integral's one quadrature is all the
-    # cells its leaf counts, at the sqrt2 box as at even s
-    grid = ((2.0, 2.5), (SQRT2, Interval(4.0)))
+    # cells its leaf counts, at the sqrt2 box as at s = 3; an even s is
+    # Haagerup's closed form, in no cells
+    grid = ((2.0, 2.5), (SQRT2, Interval(3.0)))
     res = check_conclusion_direct(*grid)
     leaves = [leaf for row in res.children if row.name.startswith("p-")
               for leaf in row.children]
     directs = [gauss_cos_gap_integral(Interval(p, p), s)[1] for p in grid[0] for s in grid[1]]
     assert [leaf.evaluations for leaf in leaves] == [d.cells for d in directs]
     assert all(d.ok and d.cells > 0 for d in directs)
+    # the near-zero bound is certified once, at delta = 1e-4, under the node
+    trees = [_tree(c) for c in res.children[:2]]
+    assert trees == [_tree(c) for c in _near_zero_children(1e-4)]
+    assert trees != [_tree(c) for c in _near_zero_children(1e-3)]
+    even = check_conclusion_direct(grid[0], (2.0, 4.0, 16.0))
+    assert [leaf.evaluations for row in even.children[2:] for leaf in row.children] == [0] * 6
 
 
 def test_gap_integrals_batch_equals_one_pair_calls():
@@ -420,40 +427,47 @@ def _contains(enc, truth):
 
 
 def test_fp_convergence(monkeypatch):
-    direct_n4 = check_conclusion_direct(p_grid=(2.5,), s_grid=(4.0,))
-
     def no_quadrature(*args, **kwargs):
         raise AssertionError("check_fp_convergence ran a quadrature")
 
-    # the moment check reads its gap integral and computes none
+    # the moment check compares exact moments and computes no gap integral
     for mod in (quad, npcheck):
         monkeypatch.setattr(mod, "integrate", no_quadrature)
-    res = check_fp_convergence(direct_n4)
+    res = check_fp_convergence()
     assert res.status == PROVED
     assert [c.name for c in res.children] == [
-        "haagerup-formula-n4",
         "deviation-decreasing-4-to-16",
         "deviation-decreasing-16-to-64",
         "final-within-1-percent",
     ]
     assert all(c.status == PROVED for c in res.children)
     assert res.margin == imin([c.margin for c in res.children]) and res.margin.lo > 0.0
-    # the haagerup leaf names the leaf it reads and holds its n^(-p/2) multiple
-    gap = direct_n4.children[-1].children[0].margin
-    by_quad = pow_real(Interval(4.0), -Interval(2.5) * 0.5) * gap
-    assert res.children[0].note.startswith(
-        f"n^(-p/2) np/conclusion-direct/p-2.5/integral-p2.5-s4.0 {by_quad!r} vs ")
-    # the gap integral's near-zero bound is certified once, at delta = 1e-4,
-    # under the conclusion-direct node
-    trees = [_tree(c) for c in direct_n4.children[:2]]
-    assert trees == [_tree(c) for c in _near_zero_children(1e-4)]
-    assert trees != [_tree(c) for c in _near_zero_children(1e-3)]
 
 
-def test_fp_convergence_needs_the_n4_leaf():
-    with pytest.raises(ValueError, match="p-2.5/integral-p2.5-s4.0"):
-        check_fp_convergence(check_conclusion_direct(p_grid=(2.1,), s_grid=(4.0,)))
+def _haagerup_truth(p, n):
+    """H(p, n) in mpmath: Gamma(-p) cos(pi p/2) (n^(p/2) B_p^p - E|S_n|^p),
+    and at p = 2 its limit, (n/4)(2 - gamma + ln(n/2)) - E[S_n^2 ln|S_n|]/2."""
+    P = mpf(p)
+    weights = [(mpf(comb(n, j)) / mpf(2) ** n, abs(mpf(n - 2 * j))) for j in range(n + 1)]
+    if p == 2.0:
+        mean = sum(w * x**2 * mp.log(x) for w, x in weights if x)
+        return n * (2 - mp.euler + mp.log(mpf(n) / 2)) / 4 - mean / 2
+    bpp = 2 ** (P / 2) * mp.gamma((P + 1) / 2) / mp.sqrt(mp.pi)
+    moment = sum(w * x**P for w, x in weights)
+    return mp.gamma(-P) * mp.cos(mp.pi * P / 2) * (mpf(n) ** (P / 2) * bpp - moment)
 
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("p", [2.0, 2.1, 2.5, 2.9])
+def test_haagerup_gap_contains_mpmath_and_the_quadrature(p, n):
+    # Haagerup's identity, and its p = 2 limit, against a 30-digit value and
+    # against the quadrature route at the same (p, s)
+    enc = npcheck.haagerup_gap(Interval(p), n)
+    with mp.workdps(30):
+        assert _contains(enc, _haagerup_truth(p, n))
+    by_quad, _ = gauss_cos_gap_integral(Interval(p), Interval(float(n)))
+    assert enc.intersects(by_quad)
+    assert enc.width <= (1e-13 if p == 2.0 else 4e-7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])

@@ -37,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "src/khintchine/interval.py"
 KERNEL_TESTS = ("tests/test_interval.py", "tests/test_interval_differential.py")
 GAP_TESTS = ("tests/test_quad.py", "tests/test_verifier_np.py")
+NPCHECK = "src/khintchine/verifier/npcheck.py"
+HAAGERUP_TESTS = ("tests/test_verifier_np.py", "tests/test_identities.py")
 COND1 = "src/khintchine/verifier/cond1.py"
 COND1_TESTS = ("tests/test_verifier_cond1.py",)
 COND2 = "src/khintchine/verifier/cond2.py"
@@ -93,7 +95,7 @@ MUTANTS = [
            "Interval(0.0, band.hi + sliver.hi)", "Interval(0.0, sliver.hi)",
            ("tests/test_quad.py", "tests/test_verifier_cond2.py")),
     Mutant("M2", "`_gap_series` without its three remainder bands",
-           "src/khintchine/verifier/npcheck.py",
+           NPCHECK,
            "return [*enumerate(poly_mul(e, g), 2)] + [(j, Interval(0.0, r.hi)) for j, r in rems]",
            "return [*enumerate(poly_mul(e, g), 2)]", GAP_TESTS),
     Mutant("M3", "`em_tail` without its one-sided last correction",
@@ -101,7 +103,7 @@ MUTANTS = [
            "return acc + Interval.hull(_ZERO, last)", "return acc",
            ("tests/test_distfn.py", "tests/test_specfun.py")),
     Mutant("M4", "the gap integral without its [0, delta] majorant",
-           "src/khintchine/verifier/npcheck.py",
+           NPCHECK,
            "out.append((near0 + series + direct.value", "out.append((series + direct.value",
            GAP_TESTS),
     Mutant("M5", "`quad._cell` without the f'' term", "src/khintchine/quad.py",
@@ -115,12 +117,23 @@ MUTANTS = [
            ("tests/test_verifier_core.py", "tests/test_verifier_cond2.py")),
     Mutant("M8", "`ELEM_ULPS = 0` (as K5)", KERNEL,
            "\nELEM_ULPS = 4\n", "\nELEM_ULPS = 0\n", KERNEL_TESTS + ("tests/test_jet.py",)),
-    Mutant("M9", "`_c4` halved (1/16 for 1/8)", "src/khintchine/verifier/npcheck.py",
+    Mutant("M9", "`_c4` halved (1/16 for 1/8)", NPCHECK,
            "(1.0 - div * div * 0.5) * 8.0)", "(1.0 - div * div * 0.5) * 16.0)", GAP_TESTS),
     Mutant("M10", "the direct quadrature starts at 0.65, not t1 = 0.6",
-           "src/khintchine/verifier/npcheck.py",
+           NPCHECK,
            "s_factor(t) * p_factor(t), _SERIES_T1, T,",
            "s_factor(t) * p_factor(t), 0.65, T,", GAP_TESTS),
+    # Haagerup's identity, which the even-s gap integrals take without a
+    # second route
+    Mutant("H1", "the p = 2 limit with +gamma for -gamma", NPCHECK,
+           "(2.0 - EULER_GAMMA + Interval(n / 2).ln())",
+           "(2.0 + EULER_GAMMA + Interval(n / 2).ln())", HAAGERUP_TESTS),
+    Mutant("H2", "the p = 2 limit with ln n for ln(n/2)", NPCHECK,
+           "EULER_GAMMA + Interval(n / 2).ln()", "EULER_GAMMA + Interval(n).ln()",
+           HAAGERUP_TESTS),
+    Mutant("H3", "the identity's n^(p/2) read as n^p", NPCHECK,
+           "pow_real(Interval(n), p * 0.5) * gauss_moment_integral(p)",
+           "pow_real(Interval(n), p) * gauss_moment_integral(p)", HAAGERUP_TESTS),
     # H(2)'s closed forms, which the certificate takes without a second route
     Mutant("C1", "A's 1/12 read as 1/11", COND2,
            "(1.0 - eU) * _FR(1, 12)", "(1.0 - eU) * _FR(1, 11)", COND2_TESTS),
@@ -147,7 +160,7 @@ MUTANTS = [
            "form = at_c + jet.d * (x - c)", "form = at_c + jet.d * 0.5 * (x - c)",
            CORE_TESTS),
     Mutant("N7", "the classifier's transition gap accepted when its rise is > -1",
-           "src/khintchine/verifier/npcheck.py",
+           NPCHECK,
            "if not rise.lo > 0.0:", "if not rise.lo > -1.0:", ("tests/test_verifier_np.py",)),
     Mutant("N14", "a strict claim graded `proved` at a lower end of exactly 0",
            "src/khintchine/verifier/result.py",

@@ -16,14 +16,7 @@ import time
 
 from . import __version__
 from .interval import HALF_PI, PI, Interval
-from .oracle import (
-    CoefficientVector,
-    exact_moment,
-    khintchine_check,
-    monte_carlo_moment,
-    random_unit_vectors,
-    steckin_convergence,
-)
+from .oracle import khintchine_check, random_unit_vectors
 from .specfun import b_constant, ci, ei_neg, si, zeta_sum
 from .verifier import (
     FAILED,
@@ -49,7 +42,8 @@ SCHEMA_VERSION = 3
 
 
 class RunConfig:
-    """What a report certifies: the suite, and the seed of the oracle suite."""
+    """What a report certifies: the suite, and the seed that draws the oracle
+    sweep's vectors."""
 
     __slots__ = ("suite", "seed")
 
@@ -134,7 +128,7 @@ def _constants_suite() -> list[CheckResult]:
 
 
 def _oracle_suite(cfg: RunConfig) -> list[CheckResult]:
-    out = []
+    """The one oracle leaf: the float Khintchine sweep over cfg.seed's vectors."""
     worst = 1.0
     ok_all = True
     # vector outside, p inside: each vector's sign sums are enumerated once
@@ -143,43 +137,10 @@ def _oracle_suite(cfg: RunConfig) -> list[CheckResult]:
             ratio, bound, ok = khintchine_check(v, p)
             ok_all = ok_all and ok
             worst = min(worst, bound - ratio)
-    out.append(
-        leaf(
-            "oracle/khintchine-sweep",
-            Interval(worst, worst) if ok_all else Interval(-1.0, -1.0),
-            note=f"200 seeded unit vectors (n <= 12) x p in (2.2, 2.5, 2.8); "
-            f"min bound-ratio gap {worst:.3e}",
-        )
-    )
-    rows = steckin_convergence(3.0, (16, 64, 256, 1024))
-    _, m64, target = rows[1]
-    out.append(
-        leaf(
-            "oracle/steckin-n64",
-            Interval(1.0, 1.0) * (0.02 - abs(m64 - target) / target),
-            note=f"E|S_64/8|^3 = {m64:.6f} vs limit {target:.6f}",
-        )
-    )
-    deviations = [abs(m - t) for (_, m, t) in rows]
-    monotone = all(a > b for a, b in zip(deviations, deviations[1:]))
-    out.append(
-        leaf(
-            "oracle/steckin-monotone-approach",
-            Interval(1.0, 1.0) if monotone else Interval(-1.0, -1.0),
-            note=" -> ".join(f"{d:.5f}" for d in deviations),
-        )
-    )
-    v8 = CoefficientVector(tuple([1.0 / (8**0.5)] * 8))
-    est, err = monte_carlo_moment(v8, 2.5, 100_000, cfg.seed)
-    exact = exact_moment(v8, 2.5)
-    out.append(
-        leaf(
-            "oracle/monte-carlo-agreement",
-            Interval(1.0, 1.0) * (4.0 * err - abs(est - exact)),
-            note=f"estimate {est:.6f} +- {err:.6f} vs exact {exact:.6f}",
-        )
-    )
-    return out
+    return [leaf("oracle/khintchine-sweep",
+                 Interval(worst, worst) if ok_all else Interval(-1.0, -1.0),
+                 note=f"200 seeded unit vectors (n <= 12) x p in (2.2, 2.5, 2.8); "
+                 f"min bound-ratio gap {worst:.3e}")]
 
 
 def run(config: RunConfig) -> Report:
@@ -242,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=defaults.seed,
-        help="seed for the oracle suites",
+        help="seed that draws the oracle sweep's unit vectors",
     )
     ap.add_argument("--out", help="also write the report to this path")
     ap.add_argument(

@@ -5,6 +5,12 @@ cross-check the rigorous machinery from a completely different direction:
 exhaustive sign enumeration, binomial weights, and seeded Monte Carlo.  Only
 the standard library is used, so importing the CLI pulls in no numerics
 package.
+
+The certificate reaches random_unit_vectors and khintchine_check, the CLI's
+one oracle leaf.  steckin_convergence and monte_carlo_moment are library API
+for demo 06, the tests and perfbench/tracing.py (which looks them up by
+name), not report nodes: np/moment-convergence-p2.5 certifies the Stechkin
+limit in the kernel, and a Monte Carlo grade would fail some seeds by chance.
 """
 
 from __future__ import annotations

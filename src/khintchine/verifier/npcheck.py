@@ -385,23 +385,22 @@ def gauss_cos_gap_integrals(
     integer s and a closed bracket at any other.
 
     Each integrand is an s-factor times the p-factor t^-(p+1).  The pairs
-    share the t-only factors, the s-factor by s and the p-factor by p through
-    memos of this call (_memo), and the series coefficients by s; results
-    equal one-pair calls' bit for bit.
+    of one s share its s-factor cell by cell through a memo of this call
+    (_memo), and its series coefficients; results equal one-pair calls' bit
+    for bit.
     """
     if not pairs:
         return []
     # the cos-power tails past 7 pi/2 (k = 3) share the float end T
     tails = [cos_power_tail(s, p, 3) for p, s in pairs]
     T = tails[0][0]
-    t_only = _memo(lambda t: (-(t * t), t.cos().abs()), {})
-    s_gap = lambda s, t2, c: (t2 * s * 0.5).exp() - pow_real(c, s)
-    by_s, by_p, series_by_s, out = {}, {}, {}, []
+    by_s, series_by_s, out = {}, {}, []
     for (p, s), (_, cospow) in zip(pairs, tails):
         # integrate runs in this iteration, so the closures see this pair
-        s_factor = _memo(lambda t: s_gap(s, *t_only(t)), by_s.setdefault(s, {}))
+        s_factor = _memo(lambda t: (-(t * t) * s * 0.5).exp() - pow_real(t.cos().abs(), s),
+                         by_s.setdefault(s, {}))
         minus_p1 = -(p + 1.0)
-        p_factor = _memo(lambda t: pow_real(t, minus_p1), by_p.setdefault(p, {}))
+        p_factor = lambda t: pow_real(t, minus_p1)
         direct = integrate(lambda t: s_factor(t) * p_factor(t), _SERIES_T1, T, _GAP_TARGET)
         if s not in series_by_s:
             series_by_s[s] = _gap_series(s)
@@ -516,8 +515,9 @@ def gauss_moment_integral(p: Interval) -> Interval:
 
 def haagerup_gap(p: Interval, n: int) -> Interval:
     """H(p, n) = int_0^inf (e^(-n t^2/2) - cos^n t) t^(-p-1) dt at an even
-    n, the gap integral of gauss_cos_gap_integrals at s = n, in closed form
-    by Haagerup's identity (Haagerup, Studia Math. 70, 1981), for 2 <= p <= 3.
+    n >= 2, the gap integral of gauss_cos_gap_integrals at s = n, in closed
+    form by Haagerup's identity (Haagerup, Studia Math. 70, 1981), for
+    2 <= p <= 3; DomainError at any other n (cos^n t is |cos t|^n at an even n).
 
     With K(p) = int_0^inf (cos u - 1 + u^2/2) u^(-p-1) du, finite and > 0 on
     2 < p < 4, u = |x| t gives int_0^inf (cos xt - 1 + x^2 t^2/2) t^(-p-1) dt
@@ -537,6 +537,8 @@ def haagerup_gap(p: Interval, n: int) -> Interval:
     no Gamma.  At p > 2, B_p and gauss_moment_integral take Gamma from
     specfun.gamma_iv.
     """
+    if type(n) is not int or n < 2 or n % 2:
+        raise DomainError(f"Haagerup's identity needs an even n >= 2, got n = {n}")
     if p.lo == p.hi == 2.0:
         terms = [Interval.from_fraction(Fraction(comb(n, j) * (n - 2 * j) ** 2, 2 ** (n - 1)))
                  * Interval(n - 2 * j).ln() for j in range(n // 2)]

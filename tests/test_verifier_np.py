@@ -470,6 +470,16 @@ def test_haagerup_gap_contains_mpmath_and_the_quadrature(p, n):
     assert enc.width <= (1e-13 if p == 2.0 else 4e-7)
 
 
+@pytest.mark.parametrize("n", [0, 3, 5])
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_haagerup_gap_refuses_an_n_that_is_not_even(p, n):
+    # the identity needs an even n >= 2, as cos^n t is |cos t|^n only at an
+    # even n; at p = 2.5, n = 3 it would give [0.14846, 0.14847], disjoint
+    # from the true gap integral (about 0.0869, which the quadrature encloses)
+    with pytest.raises(DomainError):
+        npcheck.haagerup_gap(Interval(p), n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 def test_rademacher_moment_contains_the_binomial_sum(n, p):

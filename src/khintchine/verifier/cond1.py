@@ -7,9 +7,9 @@ the latter's reduction machinery (p = 2 reduction, polynomial minorants on
 
 Every leaf is a step of the paper's chain except the two direct F_* - G_*
 grids, `direct-fstar-gstar-grid` and `direct-negativity-grid`, which test
-the chain's conclusion.  Re-checks of a single step (the binomial bound at
-sample points, the ratio bound on a grid, case 2's g > f by subdivision)
-are Tier-1 tests, not leaves.
+the chain's conclusion.  Re-checks of a single step (the sign bound at the
+p boxes' edges, the binomial bound at sample points, the ratio bound on a
+grid, case 2's g > f by subdivision) are Tier-1 tests, not leaves.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def check_cond1_sign_at_sigma() -> CheckResult:
 
     The explicit lower bound for p (F_* - G_*)(sigma) is positive at p = 2 and
     increases in p because its leading difference c1^p - c2^p has
-    c1 > c2 >= 1; both facts are certified, then the bound is re-evaluated on
-    the left edge of every p box.  A direct F_* - G_* grid is kept as a
-    redundant cross-check.
+    c1 > c2 >= 1; the two facts prove it for every p in [2, 3].  Its values
+    on the p boxes' edges are a Tier-1 test, not a leaf.  A direct
+    F_* - G_* grid is kept as a redundant cross-check.
     """
     sig = Interval(SIGMA, SIGMA)
     a = sig.arccos()
@@ -81,14 +81,6 @@ def check_cond1_sign_at_sigma() -> CheckResult:
         ],
         note="c1 > c2 >= 1 makes c1^p - c2^p increasing in p",
     )
-    box_margins = [
-        _rhs_sign_bound(sig, Interval(b.lo, b.lo)) for b in p_boxes()
-    ]
-    boxes = point_check(
-        "rhs-bound-on-p-boxes",
-        imin(box_margins),
-        note=f"left edges of {P_BOXES} p boxes; monotonicity covers the rest",
-    )
     grid_margins = []
     for b in p_boxes():
         mp = MeasureParams(Interval(b.lo, b.lo))
@@ -99,7 +91,7 @@ def check_cond1_sign_at_sigma() -> CheckResult:
         note="redundant direct evaluation on a p grid",
     )
     return combine(
-        "cond1/sign-at-sigma", [at2, basis, boxes, grid],
+        "cond1/sign-at-sigma", [at2, basis, grid],
         note=f"sigma = {SIGMA}",
     )
 

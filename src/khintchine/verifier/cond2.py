@@ -2,9 +2,12 @@
 
 H(p) is the integral of (exp(-t^2/sqrt2) - |cos t|^sqrt2) / t^(p+1); it is
 nonnegative because H(2) >= 0 and H'(p) >= 0.  Both are certified from
-explicit piece bounds.  Where a piece has a closed form (I1 of H' by si,
-H(2)'s four pieces by exp, Ei and ci) the proof takes it; every quadrature
-left is a piece without one.  The closed forms' derivations are checked in
+explicit piece bounds.  Where a piece has a closed form the proof takes it:
+I1 of H' by si, J of H' by int (t-1)/t^3 = 1/(2t^2) - 1/t and
+int (t-1)^2/t^3 = ln t + 2/t - 1/(2t^2), H(2)'s four pieces by exp, Ei and
+ci.  The two quadratures left, H''s [0, 1] piece and I2, are pieces whose
+primitives need erf and erfc, which specfun does not have.  The closed
+forms' derivations are checked in
 tests/test_identities.py and their transcriptions against mpmath in
 tests/test_verifier_cond2.py, not by the certificate.
 
@@ -72,9 +75,17 @@ def check_cond2_hprime() -> CheckResult:
     """H'(p) >= 0 on [2, 3] from the three interval pieces.
 
     [0,1]: integrand bounded below by (1-t) e^{-t^2/sqrt2}(t/(6 sqrt2)-t^5/144),
-    whose integral exceeds 0.0153.  [1, pi/2]: bounded below by -J, where J
-    uses the secant majorant of the gaussian factor and step minorants of the
-    cosine power; J <= 0.0147.  [pi/2, inf): bounded below by
+    whose integral exceeds 0.0153, by quadrature.  [1, pi/2]: bounded below
+    by -J, where J uses the secant majorant e(1) + b (t - 1) of the gaussian
+    factor e(t) = e^{-t^2/sqrt2} and step minorants c of the cosine power
+    (|cos 1.2|^sqrt2 on [1, 1.2], |cos 1.4|^sqrt2 on [1.2, 1.4], 0 on
+    [1.4, pi/2]); J <= 0.0147.  Each step's integrand
+    (t - 1)(a + b (t - 1))/t^3, a = e(1) - c, is rational, and
+
+        int (t - 1)/t^3 = 1/(2t^2) - 1/t,
+        int (t - 1)^2/t^3 = ln t + 2/t - 1/(2t^2)
+
+    give J in closed form.  [pi/2, inf): bounded below by
     lambda_p I1 - Lambda_p I2 > 0, I2 = int e^{-t^2/sqrt2}/t^2 by quadrature
     and I1 = int_{pi/2}^inf cos^2 t/t^4 dt in closed form.  With
     cos^2 t = (1 + cos 2t)/2 and u = 2t, I1 = 4/(3 pi^3) + 4 int_pi^inf cos u/u^4,
@@ -85,9 +96,10 @@ def check_cond2_hprime() -> CheckResult:
         int_pi^inf cos u/u^2 = -1/pi + si(pi),
 
     so I1 = (2/3)(1/pi - si(pi)), si(x) = Si(x) - pi/2 (DLMF 6.2).  The
-    tail comparison and the net bound run on the P_BOXES p boxes, and each
-    quadrature has its own fixed target width.  Every integrand also runs on
-    a Jet.
+    [0, 1] piece and I2 stay quadratures: their primitives need erf and
+    erfc.  The tail comparison and the net bound run on the P_BOXES p boxes,
+    and each quadrature has its own fixed target width.  Every integrand also
+    runs on a Jet.
     """
     # -- piece [0, 1] ---------------------------------------------------
     c144 = Interval.from_fraction(_FR(1, 144))
@@ -130,12 +142,16 @@ def check_cond2_hprime() -> CheckResult:
     def secant(t: Interval) -> Interval:
         return e_at_1 + slope * (t - 1.0)
 
+    def primitive(x: float, c: Interval | float) -> Interval:
+        """Antiderivative of (t - 1)(secant(t) - c)/t^3 at t = x."""
+        t = Interval(x, x)
+        r, half_r2 = 1.0 / t, 0.5 / (t * t)
+        return slope * (t.ln() + r * 2.0 - half_r2) + (e_at_1 - c) * (half_r2 - r)
+
     s12 = pow_real(Interval(1.2, 1.2).cos(), SQRT2)
     s14 = pow_real(Interval(1.4, 1.4).cos(), SQRT2)
-    j1 = integrate(lambda t: (t - 1.0) * (secant(t) - s12) / t**3, 1.0, 1.2, 4e-6)
-    j2 = integrate(lambda t: (t - 1.0) * (secant(t) - s14) / t**3, 1.2, 1.4, 4e-6)
-    j3 = integrate(lambda t: (t - 1.0) * secant(t) / t**3, 1.4, HALF_PI.hi, 4e-6)
-    J = j1.value + j2.value + j3.value
+    ends, steps = (1.0, 1.2, 1.4, HALF_PI.hi), (s12, s14, 0.0)
+    J = sum(primitive(b, c) - primitive(a, c) for a, b, c in zip(ends, ends[1:], steps))
     piece_b = combine(
         "piece-middle",
         [
@@ -163,7 +179,7 @@ def check_cond2_hprime() -> CheckResult:
             point_check(
                 "J-below-0.0147",
                 Interval(0.0147, 0.0147) - J,
-                note=note_missed(f"J enclosure {J!r}", j1, j2, j3),
+                note=f"J enclosure {J!r} by the rational primitive",
             ),
         ],
         note="middle piece of H' is bounded below by -J",
@@ -244,7 +260,7 @@ def check_cond2_hprime() -> CheckResult:
         imin(nets),
         note=note_missed(
             "piece_a - J + lambda_p I1 - Lambda_p I2 over the p boxes",
-            qa, j1, j2, j3, q2,
+            qa, q2,
         ),
     )
     return combine(

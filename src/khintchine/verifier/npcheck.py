@@ -432,14 +432,16 @@ def check_conclusion_direct(
     certifies hypothesis 1; at larger s it is the lemma's conclusion.  An
     even integer s is enclosed by haagerup_gap, in no cells, so p must lie
     in [2, 3]; every other s by gauss_cos_gap_integrals, and its leaf's
-    evaluations are the cells of its quadrature.
+    evaluations are the cells of its quadrature.  The near-zero bound's
+    certificate, whose C4 only the quadrature route uses, heads the node
+    when the grid holds such an s, and is absent when every s is even.
     """
     s_grid = [s if isinstance(s, Interval) else Interval(s, s) for s in s_grid]
     if any(s.lo < float(SQRT2.lo) - 1e-12 for s in s_grid):
         raise ValueError("conclusion holds for s >= sqrt(2) only")
-    children = _near_zero_children(_GAP_DELTA)
     even = lambda s: s.lo == s.hi and s.lo % 2.0 == 0.0
     grid = [(Interval(p, p), s) for p in p_grid for s in s_grid if not even(s)]
+    children = _near_zero_children(_GAP_DELTA) if grid else []
     gaps = iter(gauss_cos_gap_integrals(grid))
     for p in p_grid:
         row = []

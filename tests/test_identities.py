@@ -56,6 +56,14 @@ def test_cos_square_over_t4_closed_form():
     assert sp.simplify(-F.subs(t, sp.pi / 2) - sp.Rational(2, 3) * (1 / sp.pi - si(sp.pi))) == 0
 
 
+def test_middle_piece_rational_primitive():
+    # cond2's J: each step of the secant-minus-step integrand is
+    # (t - 1)(a + b (t - 1))/t^3, integrated by its rational-plus-log primitive
+    A, B = sp.symbols("a b", real=True)
+    P = B * (sp.log(t) + 2 / t - 1 / (2 * t**2)) + A * (1 / (2 * t**2) - 1 / t)
+    assert sp.simplify(sp.diff(P, t) - (t - 1) * (A + B * (t - 1)) / t**3) == 0
+
+
 def test_cos_primitive():
     Fc = (-sp.cos(t) / t**2 + sp.sin(t) / t - sp.Ci(t)) / 2
     assert sp.simplify(sp.diff(Fc, t) - sp.cos(t) / t**3) == 0

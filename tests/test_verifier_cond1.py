@@ -55,6 +55,16 @@ def test_sign_bound_value_at_p2():
     # frozen: arccos(.97)^-2 - (2 ln(1/.97))^-1 - pi^2 arccos(.97)/(pi-arccos(.97))^3
     assert enc.contains(0.0679002999099226)
     assert 0.06 < enc.lo and enc.hi < 0.09
+    # the certificate proves the bound on [2, 3] from p = 2 and monotonicity;
+    # re-evaluated at the 16 p boxes' left edges it is positive at each and
+    # increasing across them, least at p = 2
+    edges = [b.lo for b in cond1.p_boxes()]
+    encs = [_rhs_sign_bound(Interval(0.97, 0.97), Interval(p, p)) for p in edges]
+    assert encs[0] == enc and all(e.lo > 0 for e in encs)
+    assert all(a.hi < b.lo for a, b in zip(encs, encs[1:]))
+    node = check_cond1_sign_at_sigma()
+    assert [c.name for c in node.children] == [
+        "rhs-bound-at-p2", "p-monotonicity-basis", "direct-fstar-gstar-grid"]
 
 
 def test_sign_bound_fails_at_half():

@@ -56,9 +56,10 @@ def test_hprime_piece_values():
     # [0, 1] piece: integral 0.0159798 >= 0.0153 with plenty of room
     a = _find(res, "integral-above-0.0153")
     assert 5e-4 < a.margin.lo < 1e-3
-    # J = 0.0146805 <= 0.0147: razor margin around 1.9e-5
+    # J = 0.0146805 <= 0.0147: by the rational primitive the margin is all
+    # of the true 1.949e-5 slack
     j = _find(res, "J-below-0.0147")
-    assert 0 < j.margin.lo < 3e-5
+    assert 1.9e-5 < j.margin.lo < 3e-5
     # 1.75 I1 = 0.0433640: certified against the repaired 0.0433
     i1 = _find(res, "cos-integral-floor")
     assert i1.margin.lo > 0
@@ -95,6 +96,42 @@ def test_lambda_constant_repair_is_necessary():
     assert (I1 * 1.75 - LAMBDA_TAIL_CONST_PRINTED).hi < 0  # printed constant fails
     assert (I1 * 1.75 - LAMBDA_TAIL_CONST).lo > 0  # repaired constant holds
     assert I1.contains(0.0247794406641474)
+
+
+def test_middle_piece_j_is_its_rational_primitive():
+    # J = 0.0147 minus its leaf's margin, by the primitive, against a
+    # 30-digit mpmath value of its three integrals and against the three
+    # quadratures of the same integrands, all at the same float ends
+    from khintchine.interval import HALF_PI
+    from khintchine.quad import integrate
+
+    j = Interval(0.0147, 0.0147) - _find(check_cond2_hprime(), "J-below-0.0147").margin
+    assert j.width <= 1e-12
+    ends = (1.0, 1.2, 1.4, HALF_PI.hi)
+    with mp.workdps(30):
+        r2, hp = mp.sqrt(2), mp.pi / 2
+        gauss = lambda t: mp.exp(-t**2 / r2)
+        slope = (gauss(hp) - gauss(1)) / (hp - 1)
+        steps = (mp.cos(mpf(1.2)) ** r2, mp.cos(mpf(1.4)) ** r2, 0)
+        want = sum(
+            mp.quad(lambda t, c=c: (t - 1) * (gauss(1) + slope * (t - 1) - c) / t**3,
+                    [mpf(lo), mpf(hi)])
+            for lo, hi, c in zip(ends, ends[1:], steps)
+        )
+    assert mpf(j.lo) <= want <= mpf(j.hi), (j, want)
+
+    e_at_1 = cond2._exp_gauss(Interval(1.0, 1.0))
+    slope = (cond2._exp_gauss(HALF_PI) - e_at_1) / (HALF_PI - 1.0)
+    steps = (pow_real(Interval(1.2, 1.2).cos(), SQRT2),
+             pow_real(Interval(1.4, 1.4).cos(), SQRT2), Interval(0.0, 0.0))
+    quads = [
+        integrate(lambda t, c=c: (t - 1.0) * (e_at_1 + slope * (t - 1.0) - c) / t**3,
+                  lo, hi, 4e-6)
+        for lo, hi, c in zip(ends, ends[1:], steps)
+    ]
+    assert all(q.ok for q in quads)
+    total = sum(q.value for q in quads)
+    assert total.lo <= j.lo and j.hi <= total.hi, (j, total)
 
 
 def test_h2_proves():
@@ -186,6 +223,22 @@ def test_h2_runs_no_quadrature(monkeypatch):
     _assert_all_proved(check_cond2_h2())
 
 
+def test_hprime_runs_two_quadratures(monkeypatch):
+    # the [0, 1] piece and I2, whose primitives need erf and erfc; J and I1
+    # are closed forms
+    from khintchine.verifier import cond2
+
+    calls, integrate = [], cond2.integrate
+
+    def counted(f, lo, hi, target):
+        calls.append((lo, hi))
+        return integrate(f, lo, hi, target)
+
+    monkeypatch.setattr(cond2, "integrate", counted)
+    _assert_all_proved(check_cond2_hprime())
+    assert [lo for lo, _ in calls] == [0.0, float(cond2.HALF_PI.lo)]
+
+
 def test_gauss_piece_printed_floor_fails():
     # B = 0.2958652576 < 0.29587: the printed floor is not attainable
     from khintchine.specfun import ei_neg
@@ -233,12 +286,11 @@ def test_quadratic_majorant_needs_few_cells():
 
 
 def test_wide_quadratures_reach_the_cond2_leaf_notes(monkeypatch):
-    # with the cell cap at 5, every cond2 quadrature (all of them in H')
-    # stops wide; each leaf that reads a quadrature must say so
+    # with the cell cap at 5, both cond2 quadratures (H''s [0, 1] piece and
+    # I2) stop wide; each leaf that reads one must say so
     from khintchine import quad
 
     monkeypatch.setattr(quad, "MAX_CELLS", 5)
     hprime = check_cond2_hprime()
-    for name in ("integral-above-0.0153", "J-below-0.0147",
-                 "gauss-integral-ceiling", "net-lower-bound"):
+    for name in ("integral-above-0.0153", "gauss-integral-ceiling", "net-lower-bound"):
         assert "quadrature target missed (wide, " in _find(hprime, name).note, name

@@ -401,8 +401,12 @@ def test_conclusion_direct_leaf_evaluations_are_its_direct_cells():
     trees = [_tree(c) for c in res.children[:2]]
     assert trees == [_tree(c) for c in _near_zero_children(1e-4)]
     assert trees != [_tree(c) for c in _near_zero_children(1e-3)]
+    # an all-even grid runs no quadrature, so it carries no near-zero
+    # certificate: its children are its p rows alone
     even = check_conclusion_direct(grid[0], (2.0, 4.0, 16.0))
-    assert [leaf.evaluations for row in even.children[2:] for leaf in row.children] == [0] * 6
+    assert [row.name for row in even.children] == ["p-2.0", "p-2.5"]
+    assert not any(n.name == "cos-above-quadratic" for n in even.walk())
+    assert [leaf.evaluations for row in even.children for leaf in row.children] == [0] * 6
 
 
 def test_gap_integrals_batch_equals_one_pair_calls():

@@ -144,6 +144,10 @@ MUTANTS = [
     Mutant("C4", "`_F23`'s 1/t^2 term at 0.99 (S, and C)", COND2,
            "- ci(tt) * 4.0 - 1.0 / (t * t)", "- ci(tt) * 4.0 - 0.99 / (t * t)",
            COND2_TESTS),
+    # J's rational primitive, which the certificate takes without a second
+    # route; the mutant lowers J, so suite=all stays proved
+    Mutant("J1", "J's primitive with 1.99/t for 2/t", COND2,
+           "t.ln() + r * 2.0 - half_r2", "t.ln() + r * 1.99 - half_r2", COND2_TESTS),
     # cond1's case-2 transcriptions, which the certificate takes without a
     # second route
     Mutant("D1", "`_g_case2`'s second term over 1.01", COND1,
